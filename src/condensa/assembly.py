@@ -364,15 +364,6 @@ def _scalar_mass(wq, vals):
     return np.einsum("bq,qi,qj->bij", wq, vals, vals)
 
 
-def _vector_mass(wq, vals, d):
-    m = _scalar_mass(wq, vals)
-    nb = vals.shape[1]
-    out = np.zeros((m.shape[0], d * nb, d * nb))
-    for c in range(d):
-        out[:, c * nb:(c + 1) * nb, c * nb:(c + 1) * nb] = m
-    return out
-
-
 def _grad_grad(wq, g):
     return np.einsum("bq,bqik,bqjk->bij", wq, g, g)
 
@@ -403,16 +394,19 @@ def _facet_scalar_mass(wlq, V):
     return np.einsum("blq,blqi,blqj->bij", wlq, V, V)
 
 
-def _facet_vector_mass(wlq, V, d):
-    return _vector_mass_from(_facet_scalar_mass(wlq, V), d)
+def _blockdiag(blocks):
+    """Diagonal blocks (B, m, nb, nb) -> block-diagonal (B, m*nb, m*nb)."""
+    B, m, nb = blocks.shape[:3]
+    out = np.zeros((B, m, nb, m, nb))
+    for l in range(m):
+        out[:, l, :, l, :] = blocks[:, l]
+    return out.reshape(B, m * nb, m * nb)
 
 
-def _vector_mass_from(m, d):
-    nb = m.shape[1]
-    out = np.zeros((m.shape[0], d * nb, d * nb))
-    for c in range(d):
-        out[:, c * nb:(c + 1) * nb, c * nb:(c + 1) * nb] = m
-    return out
+def _components(blocks, d):
+    """Each of the m blocks (B, m, nb, nb) once per vector component,
+    component index fastest: (B, m*d, nb, nb)."""
+    return np.repeat(blocks, d, axis=1)
 
 
 def _facet_cross_scalar(wlq, fv, V):
@@ -421,14 +415,9 @@ def _facet_cross_scalar(wlq, fv, V):
     return C.reshape(C.shape[0], -1, C.shape[3])
 
 
-def _facet_bar_mass(wlq, fv):
-    """Per-local-facet fbar x fbar blocks -> (B, (d+1)*nbf, (d+1)*nbf)."""
-    M = np.einsum("blq,qm,qn->blmn", wlq, fv, fv)
-    B, d1, nbf = M.shape[0], M.shape[1], M.shape[2]
-    out = np.zeros((B, d1 * nbf, d1 * nbf))
-    for l in range(d1):
-        out[:, l * nbf:(l + 1) * nbf, l * nbf:(l + 1) * nbf] = M[:, l]
-    return out
+def _facet_bar_blocks(wlq, fv):
+    """Per-local-facet fbar x fbar blocks (B, d+1, nbf, nbf)."""
+    return np.einsum("blq,qm,qn->blmn", wlq, fv, fv)
 
 
 def _normal_trace(wf, fv, Vu, nrm, scale):
@@ -447,18 +436,6 @@ def _eps_normal(Gu, nrm):
     for c in range(d):
         EN[:, :, :, c, :, c] += 0.5 * gn
     return EN
-
-
-def _vector_bar_blockdiag(M, d):
-    """Expand per-facet fbar mass (B, l, m, n) into vector layout
-    rows/cols ((l, c, m)) -> (B, (d+1)*d*nbf, (d+1)*d*nbf)."""
-    B, d1, nbf = M.shape[0], M.shape[1], M.shape[2]
-    out = np.zeros((B, d1 * d * nbf, d1 * d * nbf))
-    for l in range(d1):
-        for c in range(d):
-            o = (l * d + c) * nbf
-            out[:, o:o + nbf, o:o + nbf] = M[:, l]
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +475,7 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None
         w_ixi = wdet / _coef(params.xi, xq)
         w_gam = wdet * _coef(params.gamma, xq)
 
-        Mu = _vector_mass(w_ixi, ctx.vals_u, d)
+        Mu = _blockdiag(_components(_scalar_mass(w_ixi, ctx.vals_u)[:, None], d))
         D = _div_matrix(wdet, ctx.vals_p, gu)
         Mp = _scalar_mass(w_gam, ctx.vals_p)
 
@@ -549,7 +526,7 @@ def assemble_darcy_inner(mesh, spaces, params: ProblemParams,
 
         cs = lay.cell_size
         a11e = np.zeros((xq.shape[0], cs, cs))
-        a11e[:, usl, usl] = _vector_mass(w_ixi, ctx.vals_u, d)
+        a11e[:, usl, usl] = _blockdiag(_components(_scalar_mass(w_ixi, ctx.vals_u)[:, None], d))
         a11e[:, psl, psl] = _scalar_mass(w_gam, ctx.vals_p) + _grad_grad(w_xi, gp)
 
         fids, nrm, scale, xf = ctx.facet_frame(sl)
@@ -561,7 +538,7 @@ def assemble_darcy_inner(mesh, spaces, params: ProblemParams,
         cross = _facet_cross_scalar(wpen, ctx.fv, Vp)
         a21e = np.zeros((xq.shape[0], cross.shape[1], cs))
         a21e[:, :, psl] = -cross
-        a22e = _facet_bar_mass(wpen, ctx.fv)
+        a22e = _blockdiag(_facet_bar_blocks(wpen, ctx.fv))
         acc.add(sl, a11e=a11e, a21e=a21e, a22e=a22e)
     return acc.finish()
 
@@ -591,14 +568,15 @@ def assemble_counterexample_inner(mesh, spaces, params: ProblemParams,
 
         cs = lay.cell_size
         a11e = np.zeros((xq.shape[0], cs, cs))
-        a11e[:, usl, usl] = _vector_mass(wdet / xi, ctx.vals_u, d) + _div_div(wdet / M, gu)
+        Mu = _blockdiag(_components(_scalar_mass(wdet / xi, ctx.vals_u)[:, None], d))
+        a11e[:, usl, usl] = Mu + _div_div(wdet / M, gu)
         a11e[:, psl, psl] = _scalar_mass(wdet * M, ctx.vals_p)
 
         fids, nrm, scale, xf = ctx.facet_frame(sl)
         acc.set_trace_ids(sl, fids, {})
         wbar = (ctx.frule.weights[None, None, :] * scale[:, :, None]
                 * xi * ctx.hK[sl, None, None])
-        a22e = _facet_bar_mass(wbar, ctx.fv)
+        a22e = _blockdiag(_facet_bar_blocks(wbar, ctx.fv))
         acc.add(sl, a11e=a11e, a22e=a22e)
 
     coupling = _normal_jump_coupling(ctx, lay, 1.0 / xi)
@@ -682,7 +660,7 @@ def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None,
 
         a21e = -_facet_cross_scalar(wpen, ctx.fv, Vp)
         a21e += np.einsum("blq,qm,blqj->blmj", wcons, ctx.fv, gn).reshape(a21e.shape)
-        a22e = _facet_bar_mass(wpen, ctx.fv)
+        a22e = _blockdiag(_facet_bar_blocks(wpen, ctx.fv))
 
         rhs_celle = None
         if f is not None:
@@ -715,7 +693,7 @@ def _ch_blocks(ctx, sl, nu, eta, zeta=0.0):
             * nu * eta / ctx.hK[sl, None, None])
     wcons = ctx.frule.weights[None, None, :] * scale[:, :, None] * nu
 
-    uu += _facet_vector_mass(wpen, Vu, d)
+    uu += _blockdiag(_components(_facet_scalar_mass(wpen, Vu)[:, None], d))
     EN = _eps_normal(Gu, nrm)
     nb = ctx.nbu
     B = Vu.shape[0]
@@ -730,7 +708,7 @@ def _ch_blocks(ctx, sl, nu, eta, zeta=0.0):
     en_cross = np.einsum("blq,blqcne,qm->blemcn", wcons, EN, ctx.fv)
     cross += en_cross.reshape(B, -1, d * nb)
 
-    ubu = _vector_bar_blockdiag(np.einsum("blq,qm,qn->blmn", wpen, ctx.fv, ctx.fv), d)
+    ubu = _blockdiag(_components(_facet_bar_blocks(wpen, ctx.fv), d))
     return uu, cross, ubu
 
 
@@ -843,11 +821,10 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams, hatted: bool = Fa
             Vu, _ = ctx.facet_cell_tables(sl, xf, which="u")
             wpen = (ctx.frule.weights[None, None, :] * scale[:, :, None]
                     * nu * eta / ctx.hK[sl, None, None])
-            uu += _facet_vector_mass(wpen, Vu, d)
+            uu += _blockdiag(_components(_facet_scalar_mass(wpen, Vu)[:, None], d))
             pen_cross = np.einsum("blq,qm,blqn->blmn", wpen, ctx.fv, Vu)
             cross = -np.einsum("blmn,xy->blxmyn", pen_cross, np.eye(d)).reshape(B, -1, d * nbu)
-            ubu = _vector_bar_blockdiag(
-                np.einsum("blq,qm,qn->blmn", wpen, ctx.fv, ctx.fv), d)
+            ubu = _blockdiag(_components(_facet_bar_blocks(wpen, ctx.fv), d))
 
         cs = lay.cell_size
         a11e = np.zeros((B, cs, cs))
@@ -862,7 +839,7 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams, hatted: bool = Fa
         a22e[:, :n_ub, :n_ub] = ubu
         wbar = (ctx.frule.weights[None, None, :] * scale[:, :, None]
                 * ctx.hK[sl, None, None] / (nu * eta))
-        a22e[:, n_ub:, n_ub:] = _facet_bar_mass(wbar, ctx.fv)
+        a22e[:, n_ub:, n_ub:] = _blockdiag(_facet_bar_blocks(wbar, ctx.fv))
         acc.add(sl, a11e=a11e, a21e=a21e, a22e=a22e)
     return acc.finish()
 

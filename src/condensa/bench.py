@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,8 +49,6 @@ class RunConfig:
     hatted: bool = False
     tol: float | None = None
     maxit: int = 999
-    seed: int = 0
-    threads: int = 1
     timing: bool = True
     mesh_out: str | None = None
     dump_matrices: str | None = None
@@ -86,7 +83,7 @@ class ResultRow:
     precond: str
     iters: int
     converged: bool
-    resid: float
+    resid: float | None
     err_u: float | None = None
     err_p: float | None = None
     seconds: float = 0.0
@@ -199,27 +196,19 @@ def run(config: RunConfig) -> list[ResultRow]:
     """
     if config.mesh_out:
         write_mesh_text(_mesh_for(config, config.levels[0]), config.mesh_out)
-    cases = _row_cases(config)
-
-    def one(case):
-        n, pdict, spec = case
+    rows = []
+    for n, pdict, spec in _row_cases(config):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                return _solve_case(config, n, pdict, spec)
+                rows.append(_solve_case(config, n, pdict, spec))
         except Exception as exc:  # row-level containment, sweep continues
-            return ResultRow(
+            rows.append(ResultRow(
                 experiment=config.experiment, dim=config.dim, level=n, cells=0,
                 trace_dofs=0, xi=pdict.get("xi", 1.0), gamma=pdict.get("gamma", 1.0),
                 nu=pdict.get("nu", 1.0), zeta=pdict.get("zeta", 0.0),
-                precond=spec.label(), iters=0, converged=False, resid=np.nan,
-                failed=f"{type(exc).__name__}: {exc}")
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(one, cases))
-    else:
-        rows = [one(c) for c in cases]
+                precond=spec.label(), iters=0, converged=False, resid=None,
+                failed=f"{type(exc).__name__}: {exc}"))
     if config.dump_matrices:
         _dump_matrices(config, rows)
     return rows

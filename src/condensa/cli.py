@@ -40,8 +40,6 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--maxit", type=int, default=999)
     ap.add_argument("--format", choices=("csv", "md", "json"), default="csv")
     ap.add_argument("--out", default=None)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--no-timing", action="store_true",
                     help="zero the seconds column (byte-reproducible output)")
     ap.add_argument("--dump-matrices", default=None, metavar="DIR")
@@ -108,8 +106,7 @@ def main(argv=None) -> int:
         experiment=args.experiment, dim=args.dim, levels=tuple(args.levels),
         k=args.k, eta=args.eta, xi=args.xi, gamma=args.gamma, nu=args.nu,
         zeta=args.zeta, precond=args.precond, hatted=args.hatted, tol=args.tol,
-        maxit=args.maxit, seed=args.seed, threads=args.threads,
-        timing=not args.no_timing, mesh_out=args.mesh_out,
+        maxit=args.maxit, timing=not args.no_timing, mesh_out=args.mesh_out,
         dump_matrices=args.dump_matrices)
     rows = run(config)
     text = emit(rows, fmt=args.format, path=args.out, maxit=args.maxit)

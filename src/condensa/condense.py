@@ -1,36 +1,41 @@
 """Static condensation: per-cell elimination onto the trace unknowns.
 
-Hybridization makes A11 block diagonal over cells, so the trace Schur
-complement S = A22 - A21 A11^-1 A21^T is assembled cell by cell, exactly,
-and back-substitution is a local solve per cell.  The same elimination
-applied to a preconditioner inner product produces the reduced
-preconditioner S_P; positivity of its cell blocks is certified by
-Cholesky.
+Hybridization makes A11 block diagonal over cells, so one batched solve
+over the stacked cell blocks gives X = A11^-1 A21^T and y = A11^-1 rhs_cell
+for every cell.  The trace Schur complement S = A22 - A21 X, the trace
+right-hand side, back-substitution and the lifting matrix all read X and y.
+The same elimination applied to a preconditioner inner product produces
+the reduced preconditioner S_P; positivity of its cell blocks is certified
+by Cholesky.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import BlockSystem
 
 __all__ = ["CondensedSystem", "condense", "condense_precond",
-           "back_substitute", "local_solve"]
+           "back_substitute", "local_solve", "eliminate"]
 
 
 @dataclass
 class CondensedSystem:
-    """Trace system with the per-cell data needed for back-substitution."""
+    """Trace system with the per-cell data needed for back-substitution.
+
+    X (cells, cell dofs, local trace dofs) holds A11^-1 A21^T and y (cells,
+    cell dofs) holds A11^-1 rhs_cell; both are None when the cell block
+    couples across cells and is not eliminated locally.
+    """
 
     system: BlockSystem
     S: sp.csr_matrix
     rhs: np.ndarray
-    lu_factors: list
+    X: np.ndarray | None
+    y: np.ndarray | None
     null_vectors: tuple = ()
 
     @property
@@ -41,52 +46,62 @@ class CondensedSystem:
         """Local trace coefficients of a cell: free entries from xbar,
         fixed entries from the Dirichlet data lifted at assembly (zero,
         because their effect already sits in rhs_cell)."""
-        tids = self.system.tids[cell]
-        vals = np.zeros(tids.shape[0])
-        free = tids >= 0
-        vals[free] = xbar[tids[free]]
-        return vals
+        return _local_traces(self.system.tids[cell], xbar)
 
 
-def _eliminate(system: BlockSystem, factor, solve, spd_error: str | None):
-    nc = system.a11.shape[0]
+def _local_traces(tids: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+    vals = np.zeros(tids.shape)
+    free = tids >= 0
+    vals[free] = xbar[tids[free]]
+    return vals
+
+
+def eliminate(system: BlockSystem, spd: bool = False):
+    """(X, y) = (A11^-1 A21^T, A11^-1 rhs_cell) for all cells in one batch.
+
+    spd=True first certifies every cell block positive definite by
+    Cholesky.  A block that fails, or that yields a non-finite result, is
+    named by cell in the raised ValueError.
+    """
+    a11 = system.a11
+    rhs = np.concatenate([np.transpose(system.a21, (0, 2, 1)),
+                          system.rhs_cell[:, :, None]], axis=2)
+    Xy = _solve_cells(a11, rhs, spd)
+    if Xy is None:  # the per-cell search runs on this failure path only
+        c = next((c for c in range(a11.shape[0])
+                  if _solve_cells(a11[c], rhs[c], spd) is None), None)
+        if spd:
+            raise ValueError(f"P11 cell block is not positive definite (cell {c})")
+        raise ValueError(f"singular local block in cell {c}")
+    return Xy[:, :, :-1], Xy[:, :, -1]
+
+
+def _solve_cells(a11, rhs, spd: bool):
+    """a11^-1 rhs for one block or a stack of them; None when a block is
+    singular (not SPD, if spd) or the result is not finite."""
+    try:
+        if spd:
+            np.linalg.cholesky(a11)
+        out = np.linalg.solve(a11, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def _condense(system: BlockSystem, spd: bool) -> CondensedSystem:
+    """S = A22 - A21 X and rhs_trace - A21 y, scattered over free pairs."""
+    X, y = eliminate(system, spd)
     n = system.n_trace
-    factors = []
-    rows, cols, vals = [], [], []
+    tids, a21 = system.tids, system.a21
+    free = tids >= 0
+    pair = free[:, :, None] & free[:, None, :]
+    rows = np.broadcast_to(tids[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(tids[:, None, :], pair.shape)[pair]
+    S = system.a22.tocsr() + sp.coo_matrix(
+        (-(a21 @ X)[pair], (rows, cols)), shape=(n, n)).tocsr()
     rhs = system.rhs_trace.copy()
-    for c in range(nc):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                fac = factor(system.a11[c])
-            if not isinstance(fac[1], (bool, np.bool_)):  # LU path: check pivots
-                diag = np.abs(np.diag(fac[0]))
-                if diag.size and (diag.min() == 0.0 or not np.isfinite(diag).all()):
-                    raise np.linalg.LinAlgError("zero pivot")
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            if spd_error:
-                raise ValueError(f"{spd_error} (cell {c})") from exc
-            raise ValueError(f"singular local block in cell {c}") from exc
-        factors.append(fac)
-        tids = system.tids[c]
-        free = tids >= 0
-        if not free.any():
-            continue
-        a21 = system.a21[c][free]
-        X = solve(fac, a21.T)  # A11^-1 A21^T
-        contrib = a21 @ X
-        tfree = tids[free]
-        r = np.repeat(tfree, tfree.size)
-        rows.append(r)
-        cols.append(np.tile(tfree, tfree.size))
-        vals.append(-contrib.ravel())
-        rhs[tfree] -= a21 @ solve(fac, system.rhs_cell[c])
-    S = system.a22.copy().tocsr()
-    if rows:
-        S = (S + sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)).tocsr())
-    return S, rhs, factors
+    np.add.at(rhs, tids[free], -np.einsum("btc,bc->bt", a21, y)[free])
+    return CondensedSystem(system, S, rhs, X, y, null_vectors=_reduced_null(system))
 
 
 def _reduced_null(system: BlockSystem):
@@ -103,8 +118,7 @@ def condense(system: BlockSystem) -> CondensedSystem:
     local Darcy/Stokes blocks are indefinite but invertible)."""
     if system.coupling is not None and system.coupling.nnz and np.abs(system.a21).max() > 0:
         raise ValueError("cross-cell coupling with trace-coupled cells is not condensable")
-    S, rhs, factors = _eliminate(system, sla.lu_factor, sla.lu_solve, None)
-    return CondensedSystem(system, S, rhs, factors, null_vectors=_reduced_null(system))
+    return _condense(system, spd=False)
 
 
 def condense_precond(inner: BlockSystem) -> CondensedSystem:
@@ -116,34 +130,19 @@ def condense_precond(inner: BlockSystem) -> CondensedSystem:
             raise ValueError("coupled P11 with nonzero P21 is not condensable")
         # P21 = 0: the reduced operator is exactly P22
         return CondensedSystem(inner, inner.a22.copy().tocsr(),
-                               inner.rhs_trace.copy(), [],
+                               inner.rhs_trace.copy(), None, None,
                                null_vectors=_reduced_null(inner))
-    S, rhs, factors = _eliminate(
-        inner, sla.cho_factor, sla.cho_solve,
-        "P11 cell block is not positive definite")
-    return CondensedSystem(inner, S, rhs, factors, null_vectors=_reduced_null(inner))
+    return _condense(inner, spd=True)
 
 
 def back_substitute(condensed: CondensedSystem, xbar: np.ndarray) -> np.ndarray:
     """Recover the monolithic solution from the trace solution.
 
-    Per cell: cell dofs = A11^-1 (rhs_cell - A21^T xbar_local); returns the
-    monolithic free vector [cells; trace]."""
-    system = condensed.system
-    nc = system.a11.shape[0]
-    solve = sla.cho_solve if _is_chol(condensed) else sla.lu_solve
-    cells = np.empty_like(system.rhs_cell)
-    for c in range(nc):
-        rhs = system.rhs_cell[c] - system.a21[c].T @ condensed.trace_values_local(c, xbar)
-        cells[c] = solve(condensed.lu_factors[c], rhs)
+    Per cell: cell dofs = y - X xbar_local; returns the monolithic free
+    vector [cells; trace]."""
+    xloc = _local_traces(condensed.system.tids, xbar)
+    cells = condensed.y - np.einsum("bct,bt->bc", condensed.X, xloc)
     return np.concatenate([cells.ravel(), xbar])
-
-
-def _is_chol(condensed: CondensedSystem) -> bool:
-    if not condensed.lu_factors:
-        return False
-    fac = condensed.lu_factors[0]
-    return isinstance(fac, tuple) and isinstance(fac[1], (bool, np.bool_))
 
 
 def local_solve(condensed: CondensedSystem, cell: int, trace_values: np.ndarray,
@@ -153,5 +152,4 @@ def local_solve(condensed: CondensedSystem, cell: int, trace_values: np.ndarray,
     system = condensed.system
     rhs = np.zeros(system.a11.shape[1]) if source is None else np.asarray(source, dtype=float).copy()
     rhs -= system.a21[cell].T @ np.asarray(trace_values, dtype=float)
-    solve = sla.cho_solve if _is_chol(condensed) else sla.lu_solve
-    return solve(condensed.lu_factors[cell], rhs)
+    return np.linalg.solve(system.a11[cell], rhs)

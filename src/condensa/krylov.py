@@ -27,7 +27,12 @@ __all__ = [
     "minres",
     "generalized_eigs",
     "as_operator",
+    "DENSE_MAX",
 ]
+
+# largest pencil dimension for dense eigh: mode="extreme" switches to ARPACK
+# above it, and measure_constants refuses larger pencils
+DENSE_MAX = 3200
 
 
 class NotSymmetricPositiveDefinite(np.linalg.LinAlgError):
@@ -93,10 +98,6 @@ def factor_sym_indef(S) -> Factor:
     except RuntimeError as exc:
         raise np.linalg.LinAlgError(f"singular matrix: {exc}") from exc
     return Factor(lu, spd=False)
-
-
-def solve(factor: Factor, b: np.ndarray) -> np.ndarray:
-    return factor.solve(b)
 
 
 def as_operator(A):
@@ -251,13 +252,13 @@ def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0, k: int = 6):
 
     mode="full": all eigenvalues (dense reduction, dimension <= a few
     thousand).  mode="extreme": (min, max) only; uses sparse iteration
-    above the dense cutoff.  n_drop declared kernel eigenvalues (smallest
+    above DENSE_MAX.  n_drop declared kernel eigenvalues (smallest
     in magnitude) are removed after checking they are negligible.
     """
     n = A.shape[0]
     if mode not in ("full", "extreme"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "full" or n <= 3200:
+    if mode == "full" or n <= DENSE_MAX:
         Ad, Bd = _dense(A), _dense(B)
         try:
             vals = sla.eigh(Ad, Bd, eigvals_only=True)

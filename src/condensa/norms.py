@@ -20,23 +20,17 @@ from .assembly import BlockSystem, _coef
 __all__ = ["evaluate_norms", "xnorm", "l2_errors", "trace_full_values"]
 
 
-def trace_full_values(system: BlockSystem, name: str, xbar: np.ndarray,
-                      include_fixed: bool = False) -> np.ndarray:
+def trace_full_values(system: BlockSystem, name: str, xbar: np.ndarray) -> np.ndarray:
     """Full facet coefficient array of one trace field.
 
     Free entries come from the coefficient vector; fixed (Dirichlet)
-    entries are zero unless ``include_fixed`` asks for the interpolated
-    boundary data (wanted for plotting a solution, not for norms of
-    coefficient increments).
+    entries are zero, as norms of coefficient increments need.
     """
     lay = system.layout
     spc = dict(lay.trace_fields)[name]
     off, end = lay.trace_field_range(name)
     full = np.zeros(spc.ndofs)
     full[spc.free_to_full] = xbar[off:end]
-    g = system.fixed_full.get(name)
-    if include_fixed and g is not None and spc.zero_boundary:
-        full[spc.boundary_dofs] = np.asarray(g)[spc.boundary_dofs]
     return full
 
 

@@ -22,8 +22,8 @@ from .assembly import (BlockSystem, ProblemParams, aux_spaces, assemble_aux_hdg,
                        assemble_darcy, assemble_darcy_inner, assemble_stokes,
                        assemble_stokes_ch, assemble_stokes_inner, darcy_spaces,
                        qpair_matrix, stokes_spaces)
-from .condense import condense, condense_precond
-from .krylov import generalized_eigs
+from .condense import condense, condense_precond, eliminate
+from .krylov import DENSE_MAX, generalized_eigs
 from .mesh import unit_box_mesh
 
 __all__ = [
@@ -77,11 +77,11 @@ def measure_constants(A, P, kernel_dim: int = 0):
     c_b = max |lambda|, c_i = min |lambda| over the nonzero spectrum;
     valid for symmetric A, where the sup-sup and inf-sup of the
     well-posedness conditions coincide with extreme |eigenvalues| in the
-    P-norm.  Dense eigensolve: dimension <= ~3000.
+    P-norm.  Dense eigensolve: dimension <= DENSE_MAX.
     """
     n = A.shape[0]
-    if n > 3200:
-        raise ValueError("measure_constants is contracted to dense sizes (<= ~3000)")
+    if n > DENSE_MAX:
+        raise ValueError(f"measure_constants is contracted to dense sizes (<= {DENSE_MAX})")
     vals = generalized_eigs(A, P, mode="full", n_drop=kernel_dim)
     a = np.abs(vals)
     c_b, c_i = float(a.max()), float(a.min())
@@ -92,27 +92,13 @@ def measure_constants(A, P, kernel_dim: int = 0):
 
 def lifting_matrix(system: BlockSystem) -> sp.csr_matrix:
     """Sparse matrix of the lifting x_bar -> (-A11^-1 A21^T x_bar, x_bar)."""
-    import scipy.linalg as sla
-
-    lay = system.layout
-    nc = system.a11.shape[0]
-    rows, cols, vals = [], [], []
-    cs = lay.cell_size
-    for c in range(nc):
-        tids = system.tids[c]
-        free = tids >= 0
-        if not free.any():
-            continue
-        a21 = system.a21[c][free]
-        W = -sla.lu_solve(sla.lu_factor(system.a11[c]), a21.T)  # (cs, ntr_free)
-        r = np.repeat(np.arange(c * cs, (c + 1) * cs), free.sum())
-        rows.append(r)
-        cols.append(np.tile(tids[free], cs))
-        vals.append(W.ravel())
-    n_cell, n_tr = lay.n_cell_total, lay.n_trace
-    Wmat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_cell, n_tr)).tocsr()
+    X, _ = eliminate(system)
+    nc, cs = X.shape[:2]
+    n_tr = system.n_trace
+    mask = np.broadcast_to((system.tids >= 0)[:, None, :], X.shape)
+    rows = np.broadcast_to(np.arange(nc * cs).reshape(nc, cs, 1), X.shape)[mask]
+    cols = np.broadcast_to(system.tids[:, None, :], X.shape)[mask]
+    Wmat = sp.coo_matrix((-X[mask], (rows, cols)), shape=(nc * cs, n_tr)).tocsr()
     return sp.vstack([Wmat, sp.identity(n_tr, format="csr")]).tocsr()
 
 
@@ -227,37 +213,20 @@ def _probe_stokes_condensed_velocity(mesh, params):
 
     The lifting here is the full Stokes local solver with zero trace
     pressure (it carries the local divergence constraint)."""
-    import scipy.linalg as sla
-
     k = params.k
     spaces = stokes_spaces(mesh, k)
     system = assemble_stokes(mesh, spaces, params)
     ch = assemble_stokes_ch(mesh, spaces, params)
     lay = system.layout
-    chlay = ch.layout
-    nc = mesh.n_cells
     # lifting (ubar) -> u through the scheme's local solver, restricted to
-    # the ubar columns; rows = u dofs in the ch layout (cell = u only)
-    n_ub = chlay.n_trace
+    # the ubar columns (ubar dofs come first in the trace group); rows =
+    # u dofs in the ch layout (cell = u only), then the ubar identity
+    n_ub = ch.layout.n_trace
     usl = lay.cell_field_slice("u")
-    nu_loc = usl.stop - usl.start
-    rows, cols, vals = [], [], []
-    for c in range(nc):
-        tids = system.tids[c]
-        free = tids >= 0
-        a21 = system.a21[c][free]
-        W = -sla.lu_solve(sla.lu_factor(system.a11[c]), a21.T)
-        tfree = tids[free]
-        ub_mask = tfree < n_ub  # ubar dofs come first in the trace group
-        Wu = W[usl, :][:, ub_mask]
-        r = np.repeat(np.arange(c * nu_loc, (c + 1) * nu_loc), int(ub_mask.sum()))
-        rows.append(r)
-        cols.append(np.tile(tfree[ub_mask], nu_loc))
-        vals.append(Wu.ravel())
-    Wmat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nc * nu_loc, n_ub)).tocsr()
-    L = sp.vstack([Wmat, sp.identity(n_ub, format="csr")]).tocsr()
+    uidx = (np.arange(mesh.n_cells)[:, None] * lay.cell_size
+            + np.arange(usl.start, usl.stop)[None, :]).ravel()
+    keep = np.concatenate([uidx, lay.n_cell_total + np.arange(n_ub)])
+    L = lifting_matrix(system)[keep][:, :n_ub]
     Q = (L.T @ (ch.to_sparse() @ L)).tocsr()
     H = _hu_seminorm_matrix(ch, params) * float(params.nu)
     lo, hi = generalized_eigs(Q, H, mode="extreme")

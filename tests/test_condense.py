@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condensa.assembly import (BlockSystem, ProblemParams, assemble_aux_hdg,
                                assemble_counterexample_inner, assemble_darcy,
@@ -12,6 +17,7 @@ from condensa.krylov import factor_spd, factor_sym_indef
 from condensa.manufactured import manufactured_rhs
 from condensa.mesh import unit_box_mesh
 from condensa.norms import xnorm
+from condensa.spectra import lifting_matrix
 
 from conftest import darcy_problem, stokes_problem
 
@@ -249,3 +255,99 @@ def test_smallest_eig_of_reduced_precond_positive():
             S = condense_precond(inner).S
             vals = generalized_eigs(S.toarray(), np.eye(S.shape[0]), mode="extreme")
             assert vals[0] > 0
+
+
+# ----------------------------------------------------------------------
+# batched elimination against the per-cell scipy.linalg path
+
+
+def _random_block_system(rng, nc, cs, ntr, n, spd):
+    """Toy system: invertible symmetric cell blocks (SPD when asked),
+    distinct trace ids per cell with some fixed (-1) whose a21 rows are
+    zeroed, as assembly leaves them."""
+    a11 = np.empty((nc, cs, cs))
+    for c in range(nc):
+        q, _ = np.linalg.qr(rng.standard_normal((cs, cs)))
+        s = rng.uniform(0.5, 2.0, cs)
+        if not spd:
+            s *= rng.choice([-1.0, 1.0], cs)
+        a11[c] = (q * s) @ q.T
+    tids = np.array([rng.permutation(n)[:ntr] for _ in range(nc)], dtype=np.int64)
+    tids[rng.random(tids.shape) < 0.3] = -1
+    a21 = rng.standard_normal((nc, ntr, cs))
+    a21[tids < 0] = 0.0
+    a22 = rng.standard_normal((n, n))
+    return BlockSystem(
+        layout=_ToyLayout(n), a11=a11, a21=a21, tids=tids,
+        a22=sp.csr_matrix(a22 + a22.T), rhs_cell=rng.standard_normal((nc, cs)),
+        rhs_trace=rng.standard_normal(n), params=ProblemParams(), problem="toy")
+
+
+def _per_cell_oracle(system, spd, xbar):
+    """S, rhs, back-substitution and lifting matrix, one cell at a time."""
+    factor, solve = (sla.cho_factor, sla.cho_solve) if spd else (sla.lu_factor, sla.lu_solve)
+    nc, cs, _ = system.a11.shape
+    n = system.n_trace
+    S = system.a22.toarray()
+    rhs = system.rhs_trace.copy()
+    cells = np.empty((nc, cs))
+    L = np.zeros((nc * cs, n))
+    for c in range(nc):
+        fac = factor(system.a11[c])
+        free = system.tids[c] >= 0
+        tfree = system.tids[c][free]
+        a21 = system.a21[c][free]
+        X = solve(fac, a21.T)
+        S[np.ix_(tfree, tfree)] -= a21 @ X
+        rhs[tfree] -= a21 @ solve(fac, system.rhs_cell[c])
+        xloc = np.zeros(system.tids.shape[1])
+        xloc[free] = xbar[tfree]
+        cells[c] = solve(fac, system.rhs_cell[c] - system.a21[c].T @ xloc)
+        L[c * cs:(c + 1) * cs, tfree] = -X
+    return S, rhs, np.concatenate([cells.ravel(), xbar]), np.vstack([L, np.eye(n)])
+
+
+def _close(a, b):
+    return np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+_sizes = dict(nc=st.integers(1, 6), cs=st.integers(1, 5), ntr=st.integers(1, 5),
+              extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("spd", [False, True])
+@_property
+@given(**_sizes)
+def test_batched_elimination_matches_per_cell(spd, nc, cs, ntr, extra, seed):
+    rng = np.random.default_rng(seed)
+    system = _random_block_system(rng, nc, cs, ntr, ntr + extra, spd)
+    xbar = rng.standard_normal(system.n_trace)
+    S, rhs, full, L = _per_cell_oracle(system, spd, xbar)
+    cond = (condense_precond if spd else condense)(system)
+    assert _close(cond.S.toarray(), S)
+    assert _close(cond.rhs, rhs)
+    assert _close(back_substitute(cond, xbar), full)
+    assert _close(lifting_matrix(system).toarray(), L)
+
+
+@pytest.mark.parametrize("spd,fault", [(False, "singular"), (True, "singular"),
+                                       (True, "negative"), (False, "nan"), (True, "nan")])
+@_property
+@given(cell=st.integers(0, 5), **_sizes)
+def test_bad_cell_block_named(spd, fault, cell, nc, cs, ntr, extra, seed):
+    rng = np.random.default_rng(seed)
+    system = _random_block_system(rng, nc, cs, ntr, ntr + extra, spd)
+    c = cell % nc
+    j = rng.integers(cs)
+    if fault == "singular":
+        system.a11[c, j, :] = 0.0
+        system.a11[c, :, j] = 0.0
+    elif fault == "negative":
+        system.a11[c, j, j] = -system.a11[c, j, j] - 10.0 * np.abs(system.a11[c]).sum()
+    else:
+        system.a11[c, j, rng.integers(cs)] = np.nan
+    msg = (f"P11 cell block is not positive definite (cell {c})" if spd
+           else f"singular local block in cell {c}")
+    with pytest.raises(ValueError, match=re.escape(msg) + "$"):
+        (condense_precond if spd else condense)(system)
