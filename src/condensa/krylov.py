@@ -28,11 +28,16 @@ __all__ = [
     "generalized_eigs",
     "as_operator",
     "DENSE_MAX",
+    "ARPACK_MAXITER",
 ]
 
-# largest pencil dimension for dense eigh: mode="extreme" switches to ARPACK
-# above it, and measure_constants refuses larger pencils
+# largest pencil dimension for dense eigh: generalized_eigs switches to ARPACK
+# above it (except for mode="full"), and measure_constants refuses larger pencils
 DENSE_MAX = 3200
+
+# cap on ARPACK restarts; the seeded "max" solve of the slowest probe pencil
+# (condensed_velocity at 2D n=16, nu=1e-6) converges well within it
+ARPACK_MAXITER = 1000
 
 
 class NotSymmetricPositiveDefinite(np.linalg.LinAlgError):
@@ -247,39 +252,63 @@ def _dense(M):
     return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
 
 
-def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0, k: int = 6):
+def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0):
     """Eigenvalues of the symmetric pencil A v = lambda B v with B SPD.
 
-    mode="full": all eigenvalues (dense reduction, dimension <= a few
-    thousand).  mode="extreme": (min, max) only; uses sparse iteration
-    above DENSE_MAX.  n_drop declared kernel eigenvalues (smallest
-    in magnitude) are removed after checking they are negligible.
+    mode="full" returns all eigenvalues, ascending; "min" and "max" return
+    one end of the spectrum as a float and "extreme" returns (min, max).
+    n_drop declared kernel eigenvalues (smallest in magnitude) are removed
+    after checking they are negligible.
+
+    Up to DENSE_MAX, and always for mode="full", one dense LAPACK ?sygv
+    solve gives every eigenvalue.  Above DENSE_MAX the ends come from
+    ARPACK with a fixed start vector and at most ARPACK_MAXITER restarts:
+    "max" from one regular-mode solve preconditioned by the factor of B,
+    "min" (and the kernel check) from the eigenvalues nearest zero by
+    shift-invert at sigma=0.  That "min" is the smallest eigenvalue only
+    when A is positive semidefinite, as every probe pencil is.  A non-SPD
+    B raises NotSymmetricPositiveDefinite; ARPACK running out of restarts
+    raises ValueError.
     """
-    n = A.shape[0]
-    if mode not in ("full", "extreme"):
+    if mode not in ("full", "extreme", "min", "max"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "full" or n <= DENSE_MAX:
-        Ad, Bd = _dense(A), _dense(B)
+    if mode == "full" or A.shape[0] <= DENSE_MAX:
         try:
-            vals = sla.eigh(Ad, Bd, eigvals_only=True)
+            vals = sla.eigh(_dense(A), _dense(B), eigvals_only=True, driver="gv")
         except sla.LinAlgError as exc:
             raise NotSymmetricPositiveDefinite(f"B side of the pencil: {exc}") from exc
         vals = _drop_kernel(vals, n_drop)
-        if mode == "extreme":
-            return float(vals.min()), float(vals.max())
-        return vals
-    Bop = factor_spd(B)
-    Asp = A.tocsc() if sp.issparse(A) else sp.csc_matrix(A)
-    kk = max(k, n_drop + 2)
-    hi = spla.eigsh(Asp, k=1, M=_as_csc(B), which="LA",
-                    Minv=spla.LinearOperator((n, n), matvec=Bop.solve))[0]
-    lo = spla.eigsh(Asp, k=1, M=_as_csc(B), which="SA",
-                    Minv=spla.LinearOperator((n, n), matvec=Bop.solve))[0]
-    near0 = spla.eigsh(Asp, k=kk, M=_as_csc(B), sigma=0.0, which="LM",
-                       return_eigenvectors=False)
-    vals = np.unique(np.concatenate([lo, hi, near0]))
-    vals = _drop_kernel(vals, n_drop)
-    return float(vals.min()), float(vals.max())
+        if mode == "full":
+            return vals
+    else:
+        vals = _drop_kernel(_sparse_ends(A, B, mode, n_drop), n_drop)
+    lo, hi = float(vals[0]), float(vals[-1])
+    return {"min": lo, "max": hi, "extreme": (lo, hi)}[mode]
+
+
+def _sparse_ends(A, B, mode, n_drop):
+    """ARPACK eigenvalues holding the requested ends and the kernel."""
+    n = A.shape[0]
+    Asp, Bsp = _as_csc(A), _as_csc(B)
+    Bop = factor_spd(Bsp)  # also the SPD certificate of B for mode="min"
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals = []
+    if mode != "min":
+        Minv = spla.LinearOperator((n, n), matvec=Bop.solve)
+        vals.append(_arpack("max", Asp, k=1, M=Bsp, Minv=Minv, which="LA", v0=v0))
+    if mode != "max" or n_drop:
+        vals.append(_arpack("min", Asp, k=max(3, n_drop + 2), M=Bsp, sigma=0.0,
+                            which="LM", v0=v0))
+    return np.concatenate(vals)
+
+
+def _arpack(end, A, **kwargs):
+    try:
+        return spla.eigsh(A, maxiter=ARPACK_MAXITER, return_eigenvectors=False,
+                          **kwargs)
+    except spla.ArpackNoConvergence as exc:
+        raise ValueError(f"ARPACK did not converge to the {end!r} end of a pencil "
+                         f"of size {A.shape[0]} within {ARPACK_MAXITER} restarts") from exc
 
 
 def _drop_kernel(vals, n_drop):

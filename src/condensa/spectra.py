@@ -8,6 +8,15 @@ G the P-energy of the lifted trace functions, and each lemma inequality
 to an extreme eigenvalue over its own pair of quadratic forms.  Declared
 kernel vectors are removed by dropping their (numerically zero)
 eigenvalues, which equals restriction to the P-orthogonal complement.
+
+Every eigenvalue comes from krylov.generalized_eigs, and each caller asks
+only for what it reports: c_b, c_i and the reduced bounds use all
+eigenvalues (mode="full", dense), the lifting constants the largest
+eigenvalue (mode="max"), the inf-sup probe the smallest (mode="min") and
+the two-sided probes (aux_coercivity, ch_coercivity, condensed_velocity)
+both ends (mode="extreme").  Pencils larger than DENSE_MAX go to ARPACK,
+whose "min" end assumes the first form is positive semidefinite; every
+probe pencil is.
 """
 
 from __future__ import annotations
@@ -111,8 +120,7 @@ def lifting_constant(system: BlockSystem, inner: BlockSystem,
     G = (L.T @ (P @ L)).tocsr()
     if S_P is None:
         S_P = condense_precond(inner).S
-    lo, hi = generalized_eigs(G, S_P, mode="extreme")
-    return float(np.sqrt(hi))
+    return float(np.sqrt(generalized_eigs(G, S_P, mode="max")))
 
 
 def reduced_bounds_check(system: BlockSystem, inner: BlockSystem, tol: float = 1e-8):
@@ -160,8 +168,7 @@ def _probe_darcy_lifting_vs_aux(mesh, params):
     L = lifting_matrix(system)
     G = (L.T @ (inner.to_sparse() @ L)).tocsr()
     S_aux = condense(assemble_aux_hdg(mesh, aux_spaces(mesh, k), params)).S
-    lo, hi = generalized_eigs(G, S_aux, mode="extreme")
-    return {"lifting_vs_aux": hi}
+    return {"lifting_vs_aux": generalized_eigs(G, S_aux, mode="max")}
 
 
 def _probe_inf_sup_darcy(mesh, params):
@@ -187,7 +194,7 @@ def _probe_inf_sup_darcy(mesh, params):
     minv = sp.diags(np.repeat(1.0 / ctx.detJa, usl.stop - usl.start))
     S = (B.T @ (minv @ B)).tocsr()
     Npair = qpair_matrix(assemble_darcy_inner(mesh, spaces, one))
-    lo, hi = generalized_eigs(S, Npair, mode="extreme")
+    lo = generalized_eigs(S, Npair, mode="min")
     return {"beta": float(np.sqrt(max(lo, 0.0)))}
 
 
@@ -294,8 +301,7 @@ def _probe_stokes_lifting(mesh, params):
     # the pbar block of the inner product has no cell coupling: S_Pp = P22^p
     S_Pp = inner.a22[off:end, off:end]
     R = sp.block_diag([eta**2 * S_C, eta * S_Pp]).tocsr()
-    lo, hi = generalized_eigs(G, R, mode="extreme")
-    return {"stokes_lifting_bound": hi}
+    return {"stokes_lifting_bound": generalized_eigs(G, R, mode="max")}
 
 
 PROBE_SETS = {

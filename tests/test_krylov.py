@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+from condensa import krylov, spectra
+from condensa.assembly import (ProblemParams, assemble_aux_hdg, aux_spaces,
+                               build_space)
+from condensa.condense import condense
 from condensa.krylov import (NotSymmetricPositiveDefinite, cg, factor_spd,
                              factor_sym_indef, generalized_eigs, minres)
+from condensa.mesh import unit_box_mesh
 
-from conftest import darcy_problem, stokes_problem
+from conftest import cached, darcy_problem, stokes_problem
 
 
 def test_factor_spd_identity_and_diag():
@@ -148,6 +154,8 @@ def test_generalized_eigs_toys():
     assert np.abs(vals - 2.0).max() < 1e-12
     vals = generalized_eigs(np.diag([1.0, 3.0]), np.eye(2), mode="full")
     assert np.allclose(vals, [1.0, 3.0])
+    assert generalized_eigs(np.diag([1.0, 3.0]), np.eye(2), mode="min") == 1.0
+    assert generalized_eigs(np.diag([1.0, 3.0]), np.eye(2), mode="max") == 3.0
 
 
 def test_generalized_eigs_against_cholesky_oracle(rng):
@@ -162,11 +170,92 @@ def test_generalized_eigs_against_cholesky_oracle(rng):
     assert np.abs(np.sort(vals) - np.sort(oracle)).max() < 1e-9
 
 
-def test_generalized_eigs_rejects_non_spd_b():
+def test_generalized_eigs_rejects_non_spd_b(monkeypatch):
     with pytest.raises((NotSymmetricPositiveDefinite, ValueError)):
         generalized_eigs(np.eye(3), np.diag([1.0, -1.0, 2.0]), mode="full")
     with pytest.raises(ValueError):
         generalized_eigs(np.eye(2), np.eye(2), mode="everything")
+    monkeypatch.setattr(krylov, "DENSE_MAX", 0)
+    B = sp.diags(np.r_[np.ones(9), -1.0])
+    for mode in ("min", "max", "extreme"):
+        with pytest.raises(NotSymmetricPositiveDefinite):
+            generalized_eigs(sp.identity(10), B, mode=mode)
+
+
+# ----------------------------------------------------------------------
+# the sparse (ARPACK) branch against dense eigh, at toy sizes
+
+
+def _pencils():
+    """name -> (A, B, n_drop): the pencil of each lemma probe and of
+    lifting_constant at 2D n=4, plus a condensed auxiliary operator with
+    its one-dimensional constant kernel."""
+    def build():
+        out = {}
+        real = spectra.generalized_eigs
+
+        def record(name):
+            def call(A, B, mode="full", n_drop=0):
+                out[name] = (A, B, n_drop)
+                return real(A, B, mode=mode, n_drop=n_drop)
+            return call
+
+        with pytest.MonkeyPatch.context() as mp:
+            for problem, names in spectra.PROBE_SETS.items():
+                for name in names:
+                    mp.setattr(spectra, "generalized_eigs", record(name))
+                    spectra.lemma_probes(problem, 2, (4,), ProblemParams(k=2),
+                                         probes=(name,))
+            _, _, _, system, inner = darcy_problem(n=4)
+            mp.setattr(spectra, "generalized_eigs", record("lifting"))
+            spectra.lifting_constant(system, inner)
+        mesh = unit_box_mesh(2, 4)
+        spaces = aux_spaces(mesh, 2)
+        spaces["pbar"] = build_space(mesh, "facet-scalar", 2)  # unmasked
+        aux = assemble_aux_hdg(mesh, spaces, ProblemParams(k=2, xi=3.0, gamma=0.0))
+        S = condense(aux).S
+        out["aux_kernel"] = (S, sp.identity(S.shape[0], format="csr"), 1)
+        return out
+    return cached(("krylov-pencils",), build)
+
+
+PENCILS = (*spectra.PROBE_SETS["darcy"], *spectra.PROBE_SETS["stokes"],
+           "lifting", "aux_kernel")
+
+
+@pytest.mark.parametrize("name", PENCILS)
+def test_sparse_ends_match_dense_eigh(name, monkeypatch):
+    A, B, n_drop = _pencils()[name]
+    vals = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)
+    if n_drop:
+        assert np.abs(vals[:n_drop]).max() <= 1e-10 * np.abs(vals).max()
+        vals = vals[n_drop:]
+    monkeypatch.setattr(krylov, "DENSE_MAX", 0)
+    lo = generalized_eigs(A, B, mode="min", n_drop=n_drop)
+    hi = generalized_eigs(A, B, mode="max", n_drop=n_drop)
+    ends = generalized_eigs(A, B, mode="extreme", n_drop=n_drop)
+    assert isinstance(lo, float) and isinstance(hi, float)
+    for got, want in ((lo, vals[0]), (hi, vals[-1]), (ends[0], vals[0]),
+                      (ends[1], vals[-1])):
+        assert abs(got - want) <= 1e-8 * abs(want), (got, want)
+
+
+def test_sparse_ends_repeat_bitwise(monkeypatch):
+    monkeypatch.setattr(krylov, "DENSE_MAX", 0)
+    for name in ("condensed_velocity", "aux_kernel"):
+        A, B, n_drop = _pencils()[name]
+        first = generalized_eigs(A, B, mode="extreme", n_drop=n_drop)
+        assert generalized_eigs(A, B, mode="extreme", n_drop=n_drop) == first
+
+
+@pytest.mark.parametrize("end", ("min", "max"))
+def test_arpack_iteration_cap_names_the_end(end, monkeypatch):
+    A, B, _ = _pencils()["condensed_velocity"]
+    monkeypatch.setattr(krylov, "DENSE_MAX", 0)
+    monkeypatch.setattr(krylov, "ARPACK_MAXITER", 1)
+    with pytest.raises(ValueError, match=f"'{end}' end of a pencil of size "
+                                         f"{A.shape[0]}"):
+        generalized_eigs(A, B, mode=end)
 
 
 def test_direct_and_iterative_agree(rng):
