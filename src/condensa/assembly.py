@@ -189,24 +189,12 @@ class BlockSystem:
         nc, cs = self.a11.shape[0], self.a11.shape[1]
         nct, n = lay.n_cell_total, lay.n_total
         cell_ids = np.arange(nct).reshape(nc, cs)
-        r11 = np.repeat(cell_ids[:, :, None], cs, axis=2)
-        c11 = np.repeat(cell_ids[:, None, :], cs, axis=1)
-        rows = [r11.ravel()]
-        cols = [c11.ravel()]
-        vals = [self.a11.ravel()]
-
-        mask = self.tids >= 0
-        tglob = self.tids + nct
-        ntr = self.a21.shape[1]
-        r21 = np.repeat(tglob[:, :, None], cs, axis=2)
-        c21 = np.repeat(cell_ids[:, None, :], ntr, axis=1)
-        m21 = np.repeat(mask[:, :, None], cs, axis=2)
-        rows += [r21[m21], c21[m21]]
-        cols += [c21[m21], r21[m21]]
-        vals += [self.a21[m21], self.a21[m21]]
-
+        r11, c11, v11 = _block_triplets(self.a11, cell_ids, cell_ids)
+        r21, c21, v21 = _block_triplets(
+            self.a21, np.where(self.tids >= 0, self.tids + nct, -1), cell_ids)
         K = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate([v11, v21, v21]),
+             (np.concatenate([r11, r21, c21]), np.concatenate([c11, c21, r21]))),
             shape=(n, n),
         ).tocsr()
         if self.a22.nnz:
@@ -215,25 +203,6 @@ class BlockSystem:
         if self.coupling is not None and self.coupling.nnz:
             cc = self.coupling.tocoo()
             K += sp.coo_matrix((cc.data, (cc.row, cc.col)), shape=(n, n)).tocsr()
-        return K
-
-    def cell_block_sparse(self, names) -> sp.csr_matrix:
-        """Global sparse matrix of selected cell fields (block diagonal
-        plus any cross-cell coupling restricted to those fields)."""
-        lay = self.layout
-        nc = self.a11.shape[0]
-        sl = [lay.cell_field_slice(n) for n in names]
-        idx = np.concatenate([np.arange(s.start, s.stop) for s in sl])
-        sub = self.a11[:, idx[:, None], idx[None, :]]
-        m = idx.size
-        base = np.arange(nc)[:, None] * m + np.arange(m)[None, :]
-        rows = np.repeat(base[:, :, None], m, axis=2).ravel()
-        cols = np.repeat(base[:, None, :], m, axis=1).ravel()
-        K = sp.coo_matrix((sub.ravel(), (rows, cols)), shape=(nc * m, nc * m)).tocsr()
-        if self.coupling is not None and self.coupling.nnz:
-            cs = lay.cell_size
-            gsel = (np.arange(nc)[:, None] * cs + idx[None, :]).ravel()
-            K += self.coupling.tocsr()[gsel][:, gsel]
         return K
 
 
@@ -330,12 +299,10 @@ class _Accumulator:
         if a22e is not None:
             lift = np.einsum("bts,bs->bt", a22e, gloc)
             np.add.at(self.rhs_trace, tids[free], -lift[free])
-            pair = free[:, :, None] & free[:, None, :]
-            r = np.broadcast_to(tids[:, :, None], a22e.shape)[pair]
-            c = np.broadcast_to(tids[:, None, :], a22e.shape)[pair]
+            r, c, v = _block_triplets(a22e, tids, tids)
             self.a22_rows.append(r)
             self.a22_cols.append(c)
-            self.a22_vals.append(a22e[pair])
+            self.a22_vals.append(v)
 
     def finish(self, coupling=None, null_vectors=()) -> BlockSystem:
         n = self.layout.n_trace
@@ -401,6 +368,16 @@ def _blockdiag(blocks):
     for l in range(m):
         out[:, l, :, l, :] = blocks[:, l]
     return out.reshape(B, m * nb, m * nb)
+
+
+def _block_triplets(blocks, rows, cols):
+    """COO triplets (row ids, column ids, values) of per-cell blocks
+    (B, m, n) placed at row ids (B, m) and column ids (B, n); every entry
+    with a negative row or column id is dropped."""
+    keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+    r = np.broadcast_to(rows[:, :, None], blocks.shape)[keep]
+    c = np.broadcast_to(cols[:, None, :], blocks.shape)[keep]
+    return r, c, blocks[keep]
 
 
 def _components(blocks, d):
@@ -590,10 +567,7 @@ def _normal_jump_coupling(ctx: ElementContext, lay: BlockLayout, coef: float):
     interior = np.nonzero(~mesh.boundary_flags)[0]
     if interior.size == 0:
         return None
-    usl = lay.cell_field_slice("u")
-    cs = lay.cell_size
     nbu, d = ctx.nbu, mesh.dim
-    rows, cols, vals = [], [], []
     wq = ctx.frule.weights
     cells_ab = mesh.facet_cells[interior]
     N = mesh.facet_normals[interior]
@@ -608,19 +582,13 @@ def _normal_jump_coupling(ctx: ElementContext, lay: BlockLayout, coef: float):
         sgn = np.where(mesh.facet_cells[interior, 0] == cidx, 1.0, -1.0)
         Pn = np.einsum("f,fc,fqn->fqcn", sgn, N, V).reshape(interior.size, wq.size, d * nbu)
         P.append(Pn)
-    for a in range(2):
-        for b in range(2):
-            blk = np.einsum("f,q,fqi,fqj->fij", wF, wq, P[a], P[b])
-            ra = cells_ab[:, a][:, None] * cs + usl.start + np.arange(d * nbu)[None, :]
-            cb = cells_ab[:, b][:, None] * cs + usl.start + np.arange(d * nbu)[None, :]
-            rows.append(np.repeat(ra[:, :, None], d * nbu, axis=2).ravel())
-            cols.append(np.repeat(cb[:, None, :], d * nbu, axis=1).ravel())
-            vals.append(blk.ravel())
+    uidx = lay.indices("u").reshape(mesh.n_cells, d * nbu)
+    triplets = [_block_triplets(np.einsum("f,q,fqi,fqj->fij", wF, wq, P[a], P[b]),
+                                uidx[cells_ab[:, a]], uidx[cells_ab[:, b]])
+                for a in range(2) for b in range(2)]
+    rows, cols, vals = (np.concatenate(t) for t in zip(*triplets))
     n = lay.n_cell_total
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 # ----------------------------------------------------------------------
@@ -911,10 +879,5 @@ def constant_pressure_vector(layout: BlockLayout) -> np.ndarray:
 def qpair_matrix(system: BlockSystem) -> sp.csr_matrix:
     """Monolithic sparse matrix restricted to the (p, pbar) pair of a
     Darcy-type system (u rows/columns dropped)."""
-    lay = system.layout
-    psl = lay.cell_field_slice("p")
-    nc, cs = lay.mesh.n_cells, lay.cell_size
-    keep_cell = (np.arange(nc)[:, None] * cs + np.arange(psl.start, psl.stop)[None, :]).ravel()
-    keep = np.concatenate([keep_cell, lay.n_cell_total + np.arange(lay.n_trace)])
-    K = system.to_sparse().tocsr()
-    return K[keep][:, keep]
+    keep = system.layout.indices("p", "pbar")
+    return system.to_sparse().tocsr()[keep][:, keep]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockSystem
+from .assembly import BlockSystem, _block_triplets
 
 __all__ = ["CondensedSystem", "condense", "condense_precond",
            "back_substitute", "local_solve", "eliminate"]
@@ -93,13 +93,10 @@ def _condense(system: BlockSystem, spd: bool) -> CondensedSystem:
     X, y = eliminate(system, spd)
     n = system.n_trace
     tids, a21 = system.tids, system.a21
-    free = tids >= 0
-    pair = free[:, :, None] & free[:, None, :]
-    rows = np.broadcast_to(tids[:, :, None], pair.shape)[pair]
-    cols = np.broadcast_to(tids[:, None, :], pair.shape)[pair]
-    S = system.a22.tocsr() + sp.coo_matrix(
-        (-(a21 @ X)[pair], (rows, cols)), shape=(n, n)).tocsr()
+    rows, cols, vals = _block_triplets(-(a21 @ X), tids, tids)
+    S = system.a22.tocsr() + sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     rhs = system.rhs_trace.copy()
+    free = tids >= 0
     np.add.at(rhs, tids[free], -np.einsum("btc,bc->bt", a21, y)[free])
     return CondensedSystem(system, S, rhs, X, y, null_vectors=_reduced_null(system))
 

@@ -67,9 +67,8 @@ def _as_csc(S):
 
 
 class Factor:
-    def __init__(self, lu, spd: bool):
+    def __init__(self, lu):
         self._lu = lu
-        self.spd = spd
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=float))
@@ -92,7 +91,7 @@ def factor_spd(S) -> Factor:
         raise NotSymmetricPositiveDefinite(str(exc)) from exc
     if lu.U.diagonal().min() <= 0.0:
         raise NotSymmetricPositiveDefinite("non-positive pivot: matrix is not SPD")
-    return Factor(lu, spd=True)
+    return Factor(lu)
 
 
 def factor_sym_indef(S) -> Factor:
@@ -102,7 +101,7 @@ def factor_sym_indef(S) -> Factor:
         lu = spla.splu(A)
     except RuntimeError as exc:
         raise np.linalg.LinAlgError(f"singular matrix: {exc}") from exc
-    return Factor(lu, spd=False)
+    return Factor(lu)
 
 
 def as_operator(A):

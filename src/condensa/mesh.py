@@ -82,17 +82,6 @@ class Mesh:
     def n_facets(self) -> int:
         return self.facets.shape[0]
 
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    def cell_coords(self, cell: int) -> np.ndarray:
-        return self.vertices[self.cells[cell]]
-
-    def boundary_measure(self, cell: int) -> float:
-        """|dK|, the total facet area of a cell."""
-        return float(self.facet_areas[self.cell_facets[cell]].sum())
-
 
 @dataclass(frozen=True)
 class CellGeometry:

@@ -34,20 +34,13 @@ def trace_full_values(system: BlockSystem, name: str, xbar: np.ndarray) -> np.nd
     return full
 
 
-def _field_tables(system: BlockSystem):
-    ctx = system.context
-    mesh = ctx.mesh
-    sl = slice(0, mesh.n_cells)
-    fids, nrm, scale, xf = ctx.facet_frame(sl)
-    return ctx, mesh, fids, scale, xf
-
-
-def evaluate_norms(system: BlockSystem, x: np.ndarray, fields=None) -> dict:
+def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
     """Norms of a monolithic coefficient vector (free dofs).
 
     Returns a dict of *norms* (not squares): the plain mesh-dependent
-    quantities listed above plus the parameter-weighted energies matching
-    the system's parameters.
+    quantities listed above that the system's fields support, plus the
+    parameter-weighted energies matching the system's parameters (each
+    only where the fields it reads exist; tnorm_X needs both).
     """
     lay = system.layout
     ctx = system.context
@@ -73,9 +66,8 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray, fields=None) -> dict:
         out["eps_u_sq"] = float(np.einsum("bq,bqck->", wdet, eps**2))
         out["div_u_sq"] = float(np.einsum("bq,bq->", wdet,
                                           np.einsum("bqcc->bq", G) ** 2))
-        out["u_l2_sq"] = float(np.einsum(
-            "bq,bqc->", wdet,
-            np.einsum("bcn,qn->bqc", U, ctx.vals_u) ** 2))
+        uv = np.einsum("bcn,qn->bqc", U, ctx.vals_u)
+        out["u_l2_sq"] = float(np.einsum("bq,bqc->", wdet, uv**2))
         Vu, _ = ctx.facet_cell_tables(sl, xf, which="u")
         u_f = np.einsum("bcn,blqn->blqc", U, Vu)
         if "ubar" in names:
@@ -95,10 +87,10 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray, fields=None) -> dict:
     if "p" in names:
         P = cells[:, lay.cell_field_slice("p")]
         gp = ctx.phys_grads(sl, ctx.gref_p)
-        out["p_l2_sq"] = float(np.einsum(
-            "bq,bq->", wdet, np.einsum("bn,qn->bq", P, ctx.vals_p) ** 2))
-        out["grad_p_sq"] = float(np.einsum(
-            "bq,bqk->", wdet, np.einsum("bn,bqnk->bqk", P, gp) ** 2))
+        pv = np.einsum("bn,qn->bq", P, ctx.vals_p)
+        gpv = np.einsum("bn,bqnk->bqk", P, gp)
+        out["p_l2_sq"] = float(np.einsum("bq,bq->", wdet, pv**2))
+        out["grad_p_sq"] = float(np.einsum("bq,bqk->", wdet, gpv**2))
         if "pbar" in names:
             pb_full = trace_full_values(system, "pbar", xbar)
             spc = dict(lay.trace_fields)["pbar"]
@@ -128,39 +120,28 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray, fields=None) -> dict:
     if "hp_sq" in out:
         out["tnorm_hp"] = np.sqrt(out["hp_sq"])
 
-    # parameter-weighted energies
+    # parameter-weighted energies, each where the fields it reads exist
+    weighted = {}
     if system.problem.startswith("darcy"):
-        w_ixi = wdet / _coef(params.xi, xq)
-        U = cells[:, lay.cell_field_slice("u")].reshape(mesh.n_cells, mesh.dim, ctx.nbu)
-        uv = np.einsum("bcn,qn->bqc", U, ctx.vals_u)
-        v_d_sq = float(np.einsum("bq,bqc->", w_ixi, uv**2))
-        P = cells[:, lay.cell_field_slice("p")]
-        w_gam = wdet * _coef(params.gamma, xq)
-        w_xi = wdet * _coef(params.xi, xq)
-        gp = ctx.phys_grads(sl, ctx.gref_p)
-        pv = np.einsum("bn,qn->bq", P, ctx.vals_p)
-        gpv = np.einsum("bn,bqnk->bqk", P, gp)
-        Vp, _ = ctx.facet_cell_tables(sl, xf, which="p")
-        pb_full = trace_full_values(system, "pbar", xbar)
-        spc = dict(lay.trace_fields)["pbar"]
-        PB = pb_full.reshape(mesh.n_facets, spc.nb)[fids]
-        pb_f = np.einsum("blm,qm->blq", PB, ctx.fv)
-        p_f = np.einsum("bn,blqn->blq", P, Vp)
-        xif = _coef(params.xi, xf)
-        q_d_sq = (float(np.einsum("bq,bq->", w_gam, pv**2))
-                  + float(np.einsum("bq,bqk->", w_xi, gpv**2))
-                  + eta * float(np.einsum(
-                      "blq,blq->", wfs * xif / hK[:, None, None], (p_f - pb_f) ** 2)))
-        out["tnorm_v_D"] = np.sqrt(v_d_sq)
-        out["tnorm_q_D"] = np.sqrt(q_d_sq)
-        out["tnorm_X"] = np.sqrt(v_d_sq + q_d_sq)
+        if "u" in names:
+            weighted["v_D"] = float(np.einsum("bq,bqc->", wdet / _coef(params.xi, xq), uv**2))
+        if "jump_p_sq" in out:
+            xif = _coef(params.xi, xf)
+            weighted["q_D"] = (
+                float(np.einsum("bq,bq->", wdet * _coef(params.gamma, xq), pv**2))
+                + float(np.einsum("bq,bqk->", wdet * _coef(params.xi, xq), gpv**2))
+                + eta * float(np.einsum(
+                    "blq,blq->", wfs * xif / hK[:, None, None], (p_f - pb_f) ** 2)))
     elif system.problem.startswith("stokes"):
         nu = float(params.nu)
-        v_s_sq = nu * (out["eps_u_sq"] + eta * out["jump_u_sq"])
-        q_s_sq = out["p_l2_sq"] / nu + out["pbar_h_sq"] / (nu * eta)
-        out["tnorm_v_S"] = np.sqrt(v_s_sq)
-        out["tnorm_q_S"] = np.sqrt(q_s_sq)
-        out["tnorm_X"] = np.sqrt(v_s_sq + q_s_sq)
+        if "jump_u_sq" in out:
+            weighted["v_S"] = nu * (out["eps_u_sq"] + eta * out["jump_u_sq"])
+        if "pbar_h_sq" in out:
+            weighted["q_S"] = out["p_l2_sq"] / nu + out["pbar_h_sq"] / (nu * eta)
+    for key, val in weighted.items():
+        out[f"tnorm_{key}"] = np.sqrt(val)
+    if len(weighted) == 2:
+        out["tnorm_X"] = np.sqrt(sum(weighted.values()))
     return out
 
 

@@ -1,9 +1,10 @@
 """Preconditioner application operators, full and reduced.
 
 Every preconditioner here is applied exactly: block-diagonal pieces by
-per-cell dense Cholesky, globally coupled pieces by a sparse SPD
-factorization.  Factorization failure is the (intended) certificate that
-a block is not positive definite.
+explicit per-cell inverses, globally coupled pieces by a sparse SPD
+factorization.  A batched Cholesky of the cell blocks, computed only as
+a check, and the sparse factorization certify positivity: their failure
+is the (intended) certificate that a block is not positive definite.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def assemble_inner(spec: PreconditionerSpec, mesh, spaces,
 
 
 class _CellBlockSolve:
-    """Per-cell dense SPD solves for a cell field (certified by Cholesky)."""
+    """Explicit per-cell inverses of a cell field's blocks (SPD certified
+    by Cholesky)."""
 
     def __init__(self, system: BlockSystem, name: str):
         lay = system.layout
@@ -74,9 +76,7 @@ class _CellBlockSolve:
             raise NotSymmetricPositiveDefinite(
                 f"cell block {name!r} is not positive definite") from exc
         self.inv = np.linalg.inv(blocks)
-        nc, cs = lay.mesh.n_cells, lay.cell_size
-        self.idx = (np.arange(nc)[:, None] * cs
-                    + np.arange(sl.start, sl.stop)[None, :])
+        self.idx = lay.indices(name).reshape(lay.mesh.n_cells, -1)
 
     def apply(self, r, out):
         out[self.idx] = np.einsum("bij,bj->bi", self.inv, r[self.idx])
@@ -112,23 +112,6 @@ class PrecondOperator:
 
     __call__ = apply
 
-    def as_sparse(self) -> sp.csr_matrix:
-        """The inner-product matrix itself (for pencils and tests)."""
-        if self.S is not None:
-            return self.S
-        return self.system.to_sparse()
-
-
-def _trace_indices(layout, name):
-    off, end = layout.trace_field_range(name)
-    return layout.n_cell_total + np.arange(off, end)
-
-
-def _cell_field_indices(layout, name):
-    nc, cs = layout.mesh.n_cells, layout.cell_size
-    sl = layout.cell_field_slice(name)
-    return (np.arange(nc)[:, None] * cs + np.arange(sl.start, sl.stop)[None, :]).ravel()
-
 
 def build_full(spec: PreconditionerSpec, mesh, spaces, params: ProblemParams,
                inner: BlockSystem | None = None) -> PrecondOperator:
@@ -142,21 +125,21 @@ def build_full(spec: PreconditionerSpec, mesh, spaces, params: ProblemParams,
     if spec.problem == "darcy" and spec.kind == "robust":
         # velocity mass: per-cell; coupled (p, pbar): one sparse factor
         solves.append(_CellBlockSolve(system, "u"))
-        idx = np.concatenate([_cell_field_indices(lay, "p"), _trace_indices(lay, "pbar")])
+        idx = lay.indices("p", "pbar")
         solves.append(_SparseBlockSolve(K[idx][:, idx], idx, "pressure pair"))
     elif spec.problem == "darcy":
         # counterexample: velocity couples across cells through normal jumps
-        idx_u = _cell_field_indices(lay, "u")
+        idx_u = lay.indices("u")
         solves.append(_SparseBlockSolve(K[idx_u][:, idx_u], idx_u, "velocity+jumps"))
         solves.append(_CellBlockSolve(system, "p"))
-        idx_pb = _trace_indices(lay, "pbar")
+        idx_pb = lay.indices("pbar")
         solves.append(_SparseBlockSolve(K[idx_pb][:, idx_pb], idx_pb, "trace mass"))
     else:
         # Stokes: coupled (u, ubar); p per-cell mass; pbar weighted mass
-        idx_v = np.concatenate([_cell_field_indices(lay, "u"), _trace_indices(lay, "ubar")])
+        idx_v = lay.indices("u", "ubar")
         solves.append(_SparseBlockSolve(K[idx_v][:, idx_v], idx_v, "velocity pair"))
         solves.append(_CellBlockSolve(system, "p"))
-        idx_pb = _trace_indices(lay, "pbar")
+        idx_pb = lay.indices("pbar")
         solves.append(_SparseBlockSolve(K[idx_pb][:, idx_pb], idx_pb, "pressure trace"))
     return PrecondOperator(spec, system, solves, lay.n_total)
 

@@ -109,8 +109,7 @@ def interpolate_boundary(space: FunctionSpace, g) -> np.ndarray:
     # orthonormal reference basis: the facet mass solve reduces to the
     # weighted sum (the affine scale factor cancels between mass and load)
     coef = np.einsum("q,fqc,qm->fcm", rule.weights, gv, fvals)
-    for i, f in enumerate(bfacets):
-        out[space.entity_dofs(f)] = coef[i].ravel()
+    out.reshape(mesh.n_facets, -1)[bfacets] = coef.reshape(bfacets.size, -1)
     return out
 
 
@@ -159,6 +158,21 @@ class BlockLayout:
                 return off, off + sp.n_free
             off += sp.n_free
         raise KeyError(name)
+
+    def indices(self, *names: str) -> np.ndarray:
+        """Monolithic indices of the named cell and trace fields,
+        concatenated in argument order; a cell field's are cell-major."""
+        cell_names = {fname for fname, _ in self.cell_fields}
+        parts = []
+        for name in names:
+            if name in cell_names:
+                sl = self.cell_field_slice(name)
+                parts.append((np.arange(self.mesh.n_cells)[:, None] * self.cell_size
+                              + np.arange(sl.start, sl.stop)[None, :]).ravel())
+            else:
+                off, end = self.trace_field_range(name)
+                parts.append(self.n_cell_total + np.arange(off, end))
+        return np.concatenate(parts)
 
     def cell_dofs(self, cell: int) -> np.ndarray:
         return np.arange(cell * self.cell_size, (cell + 1) * self.cell_size)

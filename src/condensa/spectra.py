@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from .assembly import (BlockSystem, ProblemParams, aux_spaces, assemble_aux_hdg,
                        assemble_darcy, assemble_darcy_inner, assemble_stokes,
                        assemble_stokes_ch, assemble_stokes_inner, darcy_spaces,
-                       qpair_matrix, stokes_spaces)
+                       qpair_matrix, stokes_spaces, _block_triplets)
 from .condense import condense, condense_precond, eliminate
 from .krylov import DENSE_MAX, generalized_eigs
 from .mesh import unit_box_mesh
@@ -104,10 +104,8 @@ def lifting_matrix(system: BlockSystem) -> sp.csr_matrix:
     X, _ = eliminate(system)
     nc, cs = X.shape[:2]
     n_tr = system.n_trace
-    mask = np.broadcast_to((system.tids >= 0)[:, None, :], X.shape)
-    rows = np.broadcast_to(np.arange(nc * cs).reshape(nc, cs, 1), X.shape)[mask]
-    cols = np.broadcast_to(system.tids[:, None, :], X.shape)[mask]
-    Wmat = sp.coo_matrix((-X[mask], (rows, cols)), shape=(nc * cs, n_tr)).tocsr()
+    rows, cols, vals = _block_triplets(-X, np.arange(nc * cs).reshape(nc, cs), system.tids)
+    Wmat = sp.coo_matrix((vals, (rows, cols)), shape=(nc * cs, n_tr)).tocsr()
     return sp.vstack([Wmat, sp.identity(n_tr, format="csr")]).tocsr()
 
 
@@ -179,19 +177,14 @@ def _probe_inf_sup_darcy(mesh, params):
     one = ProblemParams(k=k, xi=1.0, gamma=0.0, eta=params.eta_for(mesh.dim))
     system = assemble_darcy(mesh, spaces, one)
     lay = system.layout
-    usl = lay.cell_field_slice("u")
-    nc, cs = mesh.n_cells, lay.cell_size
-    uidx = (np.arange(nc)[:, None] * cs + np.arange(usl.start, usl.stop)[None, :]).ravel()
-    keep_p = (np.arange(nc)[:, None] * cs
-              + np.arange(lay.cell_field_slice("p").start,
-                          lay.cell_field_slice("p").stop)[None, :]).ravel()
-    keep = np.concatenate([keep_p, lay.n_cell_total + np.arange(lay.n_trace)])
+    uidx = lay.indices("u")
+    keep = lay.indices("p", "pbar")
     K = system.to_sparse().tocsr()
     # momentum rows are stored negated: b_h(v, qpair) = -(K restricted)
     B = (-K[uidx][:, keep]).tocsr()
     ctx = system.context
     # plain L2 velocity mass is diagonal for the orthonormal basis
-    minv = sp.diags(np.repeat(1.0 / ctx.detJa, usl.stop - usl.start))
+    minv = sp.diags(np.repeat(1.0 / ctx.detJa, uidx.size // mesh.n_cells))
     S = (B.T @ (minv @ B)).tocsr()
     Npair = qpair_matrix(assemble_darcy_inner(mesh, spaces, one))
     lo = generalized_eigs(S, Npair, mode="min")
@@ -203,13 +196,8 @@ def _probe_stokes_ch_coercivity(mesh, params):
     spaces = stokes_spaces(mesh, params.k)
     ch = assemble_stokes_ch(mesh, spaces, params)
     inner = assemble_stokes_inner(mesh, spaces, params)
-    lay = inner.layout
     # velocity-pair submatrix of the inner product
-    nc, cs = mesh.n_cells, lay.cell_size
-    usl = lay.cell_field_slice("u")
-    uidx = (np.arange(nc)[:, None] * cs + np.arange(usl.start, usl.stop)[None, :]).ravel()
-    off, end = lay.trace_field_range("ubar")
-    keep = np.concatenate([uidx, lay.n_cell_total + np.arange(off, end)])
+    keep = inner.layout.indices("u", "ubar")
     Pv = inner.to_sparse().tocsr()[keep][:, keep]
     lo, hi = generalized_eigs(ch.to_sparse(), Pv, mode="extreme")
     return {"ch_coercivity_lo": lo, "ch_coercivity_hi": hi}
@@ -224,15 +212,11 @@ def _probe_stokes_condensed_velocity(mesh, params):
     spaces = stokes_spaces(mesh, k)
     system = assemble_stokes(mesh, spaces, params)
     ch = assemble_stokes_ch(mesh, spaces, params)
-    lay = system.layout
     # lifting (ubar) -> u through the scheme's local solver, restricted to
     # the ubar columns (ubar dofs come first in the trace group); rows =
     # u dofs in the ch layout (cell = u only), then the ubar identity
     n_ub = ch.layout.n_trace
-    usl = lay.cell_field_slice("u")
-    uidx = (np.arange(mesh.n_cells)[:, None] * lay.cell_size
-            + np.arange(usl.start, usl.stop)[None, :]).ravel()
-    keep = np.concatenate([uidx, lay.n_cell_total + np.arange(n_ub)])
+    keep = system.layout.indices("u", "ubar")
     L = lifting_matrix(system)[keep][:, :n_ub]
     Q = (L.T @ (ch.to_sparse() @ L)).tocsr()
     H = _hu_seminorm_matrix(ch, params) * float(params.nu)
@@ -244,9 +228,8 @@ def _hu_seminorm_matrix(ch_system: BlockSystem, params) -> sp.csr_matrix:
     """Matrix of ||h^-1/2 (vbar - m_K(vbar))||^2 over cell boundaries."""
     ctx = ch_system.context
     mesh = ctx.mesh
-    lay = ch_system.layout
     sl = slice(0, mesh.n_cells)
-    fids, nrm, scale, xf = ctx.facet_frame(sl)
+    _, _, scale, _ = ctx.facet_frame(sl)
     wfs = ctx.frule.weights[None, None, :] * scale[:, :, None]
     d, nbf = mesh.dim, ctx.nbf
     d1 = d + 1
@@ -262,27 +245,13 @@ def _hu_seminorm_matrix(ch_system: BlockSystem, params) -> sp.csr_matrix:
     mean = np.einsum("bq,btq->bt", wm, V) / area[:, None]
     dev = V - mean[:, :, None]
     M = np.einsum("bq,btq,bsq->bts", w, dev, dev)
-    # scatter into the ubar free numbering, identical per component
-    spc = dict(lay.trace_fields)["ubar"]
-    n = lay.n_trace
-    rows, cols, vals = [], [], []
-    for c in range(mesh.n_cells):
-        full = (_scalar_ids(fids[c], nbf))
-        for comp in range(d):
-            ids = spc.full_to_free[(full // nbf) * d * nbf + comp * nbf + full % nbf]
-            ok = ids >= 0
-            r = np.repeat(ids, ids.size)
-            cmask = np.repeat(ok, ids.size) & np.tile(ok, ids.size)
-            rows.append(r[cmask])
-            cols.append(np.tile(ids, ids.size)[cmask])
-            vals.append(M[c].ravel()[cmask])
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-
-
-def _scalar_ids(fids_c, nbf):
-    return (fids_c[:, None] * nbf + np.arange(nbf)[None, :]).ravel()
+    # the same block for every velocity component at that component's ubar
+    # ids; a cell's tids run over (local facet, component, basis function)
+    ids = ch_system.tids.reshape(mesh.n_cells, d1, d, nbf).transpose(0, 2, 1, 3)
+    ids = ids.reshape(mesh.n_cells * d, d1 * nbf)
+    rows, cols, vals = _block_triplets(np.repeat(M, d, axis=0), ids, ids)
+    n = ch_system.n_trace
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _probe_stokes_lifting(mesh, params):

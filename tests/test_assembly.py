@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from condensa.assembly import (ProblemParams, assemble_aux_hdg,
+from condensa.assembly import (ProblemParams, _block_triplets, assemble_aux_hdg,
                                assemble_counterexample_inner, assemble_darcy,
                                assemble_darcy_inner, assemble_stokes,
                                assemble_stokes_ch, assemble_stokes_inner,
@@ -376,6 +379,23 @@ def test_norms_vanish_on_constants():
     assert norms["tnorm_hu"] < 1e-13         # m_K subtracts the mean
 
 
+def test_norms_of_single_pair_systems(rng):
+    """The c_h system (u, ubar) and the auxiliary system (p, pbar) carry one
+    field pair each: their plain norms and that pair's weighted energy."""
+    mesh = unit_box_mesh(2, 2)
+    params = ProblemParams(k=2, xi=0.5, gamma=2.0, nu=0.25)
+    ch = assemble_stokes_ch(mesh, stokes_spaces(mesh, 2), params)
+    norms = evaluate_norms(ch, rng.standard_normal(ch.layout.n_total))
+    assert {"tnorm_v", "tnorm_hu", "tnorm_v_S"} <= set(norms)
+    assert "tnorm_X" not in norms and "tnorm_0p" not in norms
+    assert norms["tnorm_v_S"] == pytest.approx(0.5 * norms["tnorm_v"], rel=1e-14)
+    aux = assemble_aux_hdg(mesh, aux_spaces(mesh, 2), params)
+    norms = evaluate_norms(aux, rng.standard_normal(aux.layout.n_total))
+    assert {"tnorm_0p", "tnorm_p", "tnorm_hp", "tnorm_q_D"} <= set(norms)
+    assert "tnorm_X" not in norms and "tnorm_v" not in norms
+    assert all(np.isfinite(v) and v > 0 for v in norms.values())
+
+
 def test_norm_0p_cross_check_independent_quadrature(rng):
     # |||(q, qbar)|||_{0,p}^2 against a hand-rolled quadrature loop
     from condensa.elements import facet_global_points, simplex_quadrature
@@ -479,3 +499,27 @@ def test_cavity_boundary_data():
 def test_unknown_problem_tag():
     with pytest.raises(ValueError):
         manufactured_rhs("heat", 2, ProblemParams())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nc=st.integers(1, 6), m=st.integers(1, 5), n=st.integers(1, 5),
+       square=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_triplets_match_dense_loop(nc, m, n, square, seed):
+    """The block scatter against a dense per-cell double loop: entries with
+    a negative row or column id are dropped and repeated ids add up."""
+    rng = np.random.default_rng(seed)
+    n = m if square else n
+    size = max(m, n) + 2
+    blocks = rng.standard_normal((nc, m, n))
+    rows = rng.integers(-2, size, (nc, m))
+    cols = rows if square else rng.integers(-2, size, (nc, n))
+    r, c, v = _block_triplets(blocks, rows, cols)
+    dense, kept = np.zeros((size, size)), 0
+    for b in range(nc):
+        for i in range(m):
+            for j in range(n):
+                if rows[b, i] >= 0 and cols[b, j] >= 0:
+                    dense[rows[b, i], cols[b, j]] += blocks[b, i, j]
+                    kept += 1
+    assert r.size == c.size == v.size == kept
+    assert np.array_equal(sp.coo_matrix((v, (r, c)), shape=(size, size)).toarray(), dense)

@@ -105,6 +105,17 @@ def test_block_layout_round_trip():
         seen[layout.global_index("trace", "pbar", full_id // pbar.nb,
                                  full_id % pbar.nb)] += 1
     assert (seen == 1).all()
+    # indices(): argument order, cell-major cell fields, global_index agrees
+    assert np.array_equal(np.sort(layout.indices("u", "p", "pbar")),
+                          np.arange(layout.n_total))
+    u = layout.indices("u").reshape(mesh.n_cells, -1)
+    assert all(u[c, i] == layout.global_index("cell", "u", c, i)
+               for c in range(mesh.n_cells) for i in range(u.shape[1]))
+    assert layout.indices("pbar").tolist() == [
+        layout.global_index("trace", "pbar", f // pbar.nb, f % pbar.nb)
+        for f in pbar.free_to_full]
+    assert np.array_equal(layout.indices("pbar", "p"),
+                          np.concatenate([layout.indices("pbar"), layout.indices("p")]))
     with pytest.raises(ValueError):
         layout.global_index("trace", "pbar", int(pbar.boundary_dofs[0]) // pbar.nb,
                             int(pbar.boundary_dofs[0]) % pbar.nb)

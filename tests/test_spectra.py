@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from condensa.assembly import ProblemParams, assemble_counterexample_inner
+from condensa.assembly import (ProblemParams, assemble_counterexample_inner,
+                               assemble_stokes_ch, stokes_spaces)
 from condensa.condense import condense, condense_precond
-from condensa.spectra import (lemma_probes, lifting_constant, lifting_matrix,
-                              measure_constants, reduced_bounds_check,
+from condensa.mesh import unit_box_mesh
+from condensa.norms import evaluate_norms
+from condensa.spectra import (_hu_seminorm_matrix, lemma_probes, lifting_constant,
+                              lifting_matrix, measure_constants, reduced_bounds_check,
                               write_constants_csv)
 
 from conftest import darcy_problem, stokes_problem
@@ -178,3 +181,19 @@ def test_spectral_report_bundle_and_validation():
     with pytest.raises(ValueError):
         SpectralReport(c_b=np.nan, c_i=1.0, kappa_full=1.0, kappa_reduced=1.0,
                        c_l=1.0).validate()
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
+def test_hu_seminorm_matrix_matches_quadrature(dim, n):
+    """The assembled ||h^-1/2 (vbar - m_K(vbar))||^2 against the matrix-free
+    quadrature of norms.evaluate_norms on random trace vectors."""
+    params = ProblemParams(k=2)
+    mesh = unit_box_mesh(dim, n)
+    ch = assemble_stokes_ch(mesh, stokes_spaces(mesh, 2), params)
+    H = _hu_seminorm_matrix(ch, params)
+    rng = np.random.default_rng(dim * 10 + n)
+    for _ in range(3):
+        xbar = rng.standard_normal(ch.n_trace)
+        x = np.concatenate([np.zeros(ch.layout.n_cell_total), xbar])
+        ref = evaluate_norms(ch, x)["hu_sq"]
+        assert abs(xbar @ H @ xbar - ref) <= 1e-12 * ref
