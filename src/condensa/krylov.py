@@ -29,6 +29,7 @@ __all__ = [
     "as_operator",
     "DENSE_MAX",
     "ARPACK_MAXITER",
+    "ARPACK_TOL",
 ]
 
 # largest pencil dimension for dense eigh: generalized_eigs switches to ARPACK
@@ -38,6 +39,13 @@ DENSE_MAX = 3200
 # cap on ARPACK restarts; the seeded "max" solve of the slowest probe pencil
 # (condensed_velocity at 2D n=16, nu=1e-6) converges well within it
 ARPACK_MAXITER = 1000
+
+# relative Ritz residual ARPACK must reach, which bounds the relative error
+# of each returned eigenvalue.  Its default (machine precision) can be out
+# of reach when the wanted end is a cluster: the regular-mode "max" solve of
+# condensed_velocity (top eigenvalue 16, highly multiple) then stalls for
+# some start vectors and converges in a fraction of a second at this value.
+ARPACK_TOL = 1e-12
 
 
 class NotSymmetricPositiveDefinite(np.linalg.LinAlgError):
@@ -76,16 +84,21 @@ class Factor:
     __call__ = solve
 
 
-def factor_spd(S) -> Factor:
+def factor_spd(S, reorder: bool = False) -> Factor:
     """Factor an SPD sparse matrix; doubles as the SPD certificate.
 
     SuperLU in symmetric mode with a zero diagonal-pivot threshold never
     pivots off the diagonal, so the factorization is Cholesky-like and a
-    non-positive pivot certifies the matrix is not SPD.
+    non-positive pivot certifies the matrix is not SPD.  It eliminates in
+    the order the matrix is given: trace operators come in the mesh's
+    nested-dissection facet order, which fills less than a minimum-degree
+    order.  reorder=True applies SuperLU's minimum-degree order instead,
+    for the blocks where that fills less (see precond).
     """
     A = _as_csc(S)
     try:
-        lu = spla.splu(A, diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(A, diag_pivot_thresh=0.0,
+                       permc_spec="MMD_AT_PLUS_A" if reorder else "NATURAL",
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # exactly singular
         raise NotSymmetricPositiveDefinite(str(exc)) from exc
@@ -261,7 +274,8 @@ def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0):
 
     Up to DENSE_MAX, and always for mode="full", one dense LAPACK ?sygv
     solve gives every eigenvalue.  Above DENSE_MAX the ends come from
-    ARPACK with a fixed start vector and at most ARPACK_MAXITER restarts:
+    ARPACK with a fixed start vector, to a relative residual of ARPACK_TOL
+    and in at most ARPACK_MAXITER restarts:
     "max" from one regular-mode solve preconditioned by the factor of B,
     "min" (and the kernel check) from the eigenvalues nearest zero by
     shift-invert at sigma=0.  That "min" is the smallest eigenvalue only
@@ -303,8 +317,8 @@ def _sparse_ends(A, B, mode, n_drop):
 
 def _arpack(end, A, **kwargs):
     try:
-        return spla.eigsh(A, maxiter=ARPACK_MAXITER, return_eigenvectors=False,
-                          **kwargs)
+        return spla.eigsh(A, maxiter=ARPACK_MAXITER, tol=ARPACK_TOL,
+                          return_eigenvectors=False, **kwargs)
     except spla.ArpackNoConvergence as exc:
         raise ValueError(f"ARPACK did not converge to the {end!r} end of a pencil "
                          f"of size {A.shape[0]} within {ARPACK_MAXITER} restarts") from exc

@@ -3,7 +3,9 @@
 Meshes are immutable after construction.  Cells are positively oriented
 simplices; every facet stores one canonical unit normal (outward with
 respect to its first adjacent cell) and per-cell orientation signs, so jump
-and trace terms have a single source of truth.
+and trace terms have a single source of truth.  Facets are numbered by
+nested dissection of the cells, so the facet-major trace operators come
+out in a fill-reducing elimination order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class Mesh:
     dim : 2 or 3
     vertices : (nv, dim) float array
     cells : (nc, dim+1) int array, positively oriented
-    facets : (nf, dim) int array of sorted vertex ids (canonical order)
+    facets : (nf, dim) int array of sorted vertex ids, in nested-dissection
+        order
     cell_facets : (nc, dim+1) facet id of each local facet; local facet l
         is the one opposite local vertex l
     cell_facet_signs : (nc, dim+1) +1 if the stored facet normal points out
@@ -109,33 +112,107 @@ def _orient_positively(verts, cells, dim):
 
 def _build_connectivity(mesh: Mesh):
     dim, cells = mesh.dim, mesh.cells
-    nc = cells.shape[0]
-    facet_index: dict[tuple, int] = {}
-    facets = []
-    facet_cells = []
-    cell_facets = np.empty((nc, dim + 1), dtype=np.int64)
+    nc, nv = cells.shape[0], mesh.vertices.shape[0]
+    if nv ** dim >= 2 ** 63:
+        raise ValueError(f"{nv} vertices are too many to key {dim}D facets in int64")
     # local facet l = vertices of the cell without local vertex l
-    local = [tuple(j for j in range(dim + 1) if j != l) for l in range(dim + 1)]
-    for c in range(nc):
-        for l, loc in enumerate(local):
-            key = tuple(sorted(cells[c, j] for j in loc))
-            fid = facet_index.get(key)
-            if fid is None:
-                fid = len(facets)
-                facet_index[key] = fid
-                facets.append(key)
-                facet_cells.append([c, -1])
-            else:
-                if facet_cells[fid][1] != -1:
-                    raise ValueError(f"facet {key} shared by more than two cells")
-                facet_cells[fid][1] = c
-            cell_facets[c, l] = fid
-    facets = np.array(facets, dtype=np.int64)
-    facet_cells = np.array(facet_cells, dtype=np.int64)
-    object.__setattr__(mesh, "facets", facets)
-    object.__setattr__(mesh, "cell_facets", cell_facets)
+    local = np.array([[j for j in range(dim + 1) if j != l] for l in range(dim + 1)])
+    keys = np.sort(cells[:, local], axis=2).reshape(-1, dim)
+    code = keys[:, 0]
+    for j in range(1, dim):
+        code = code * nv + keys[:, j]
+    # the keys are cell-major, so a stable sort lists each facet's cells in
+    # ascending order and facets in lexicographic vertex order
+    order = np.argsort(code, kind="stable")
+    sc = code[order]
+    head = np.r_[True, sc[1:] != sc[:-1]]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(head) - 1
+    first = np.nonzero(head)[0]
+    counts = np.diff(np.r_[first, order.size])
+    if counts.max() > 2:
+        key = tuple(int(v) for v in keys[order[first[np.argmax(counts)]]])
+        raise ValueError(f"facet {key} shared by more than two cells")
+    owner = order // (dim + 1)
+    facet_cells = np.stack([owner[first], np.full(first.size, -1)], axis=1)
+    two = counts == 2
+    facet_cells[two, 1] = owner[first[two] + 1]
+    perm = _dissection_order(mesh.vertices, cells, facet_cells)
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(perm.size)
+    facet_cells = facet_cells[perm]
+    object.__setattr__(mesh, "facets", keys[order[first[perm]]])
+    object.__setattr__(mesh, "cell_facets", new_id[inverse].reshape(nc, dim + 1))
     object.__setattr__(mesh, "facet_cells", facet_cells)
     object.__setattr__(mesh, "boundary_flags", facet_cells[:, 1] < 0)
+
+
+# regions with at most this many facets are not bisected further
+_DISSECTION_LEAF = 8
+
+
+def _dissection_order(verts, cells, facet_cells):
+    """Facet ids in nested-dissection order (George 1973).
+
+    The cells are bisected recursively, one tree level at a time: a region
+    is cut across the longest extent of its cell centroids, at the vertex
+    coordinate nearest the median centroid (the lower one on a tie).  A
+    facet whose cells lie on one side goes to that side; a facet cut by
+    the plane is a separator and is numbered after both sides.  Regions
+    of at most _DISSECTION_LEAF facets, and regions the plane leaves
+    whole, are leaves.  Within a leaf and within a separator facets keep
+    their input order.
+    """
+    cell_vx = verts[cells]
+    centroids = cell_vx.mean(axis=1)
+    c0 = facet_cells[:, 0]
+    c1 = np.where(facet_cells[:, 1] < 0, c0, facet_cells[:, 1])
+    # region of each cell after each level: 2k + side in the k-th region
+    # split at that level, -1 once the cell's region is a leaf
+    region = np.zeros(cells.shape[0], dtype=np.int64)
+    regions = []
+    live = np.arange(cells.shape[0])  # cells of unfinished regions, by region
+    while live.size:
+        c_region = region[live]
+        cnt = np.bincount(c_region)
+        first = np.cumsum(cnt) - cnt
+        cen = centroids[live]
+        axis = np.argmax(np.maximum.reduceat(cen, first) - np.minimum.reduceat(cen, first),
+                         axis=1)[c_region]
+        x = cen[np.arange(live.size), axis]
+        xs = x[np.lexsort((x, c_region))]
+        median = 0.5 * (xs[first + (cnt - 1) // 2] + xs[first + cnt // 2])
+        # cut plane: the region's vertex coordinate nearest the median (the
+        # cells' vertex coordinates, flattened, stay sorted by region)
+        vx = cell_vx[live, :, axis].ravel()
+        v_region = np.repeat(c_region, cells.shape[1])
+        dist = np.abs(vx - median[v_region])
+        v_first = cells.shape[1] * first
+        nearest = np.minimum.reduceat(dist, v_first)[v_region]
+        plane = np.minimum.reduceat(np.where(dist == nearest, vx, np.inf), v_first)
+        cut = x >= plane[c_region]
+        # a region's facets are those with both cells in it
+        r0 = region[c0]
+        inside = (r0 == region[c1]) & (r0 >= 0)
+        ones = np.bincount(c_region, weights=cut)
+        split = ((np.bincount(r0[inside], minlength=cnt.size) > _DISSECTION_LEAF)
+                 & (ones > 0) & (ones < cnt))
+        keep = split[c_region]
+        region[live] = -1
+        live = live[keep]
+        region[live] = 2 * (np.cumsum(split) - 1)[c_region[keep]] + cut[keep]
+        regions.append(region.copy())
+        live = live[np.argsort(region[live], kind="stable")]
+    # per level and facet: 0 or 1 for the side it goes to, 2 for a
+    # separator, 0 in a leaf and after it is numbered; sorting on these
+    # digits, first level first, gives the order
+    regions = np.array(regions)
+    r0, r1 = regions[:, c0], regions[:, c1]
+    sep = r0 != r1
+    digit = np.where(sep, 2, np.maximum(r0, 0) % 2).astype(np.int8)
+    numbered = sep | (r0 < 0)
+    digit[np.cumsum(numbered, axis=0) > numbered] = 0
+    return np.lexsort(digit[::-1])
 
 
 def _facet_area_normal(verts, facets, dim):
@@ -154,14 +231,18 @@ def _facet_area_normal(verts, facets, dim):
     return area, normal
 
 
+def _longest_edge(pts):
+    """Longest edge of each simplex given by its vertex coordinates (n, k, dim)."""
+    i, j = np.array(list(combinations(range(pts.shape[1]), 2))).T
+    return np.linalg.norm(pts[:, i] - pts[:, j], axis=2).max(axis=1)
+
+
 def _build_geometry(mesh: Mesh):
     verts, cells, dim = mesh.vertices, mesh.cells, mesh.dim
     e = verts[cells[:, 1:]] - verts[cells[:, :1]]
     vol = np.abs(np.linalg.det(e)) * _VOLUME_FACTOR[dim]
     coords = verts[cells]
-    diam = np.zeros(cells.shape[0])
-    for i, j in combinations(range(dim + 1), 2):
-        diam = np.maximum(diam, np.linalg.norm(coords[:, i] - coords[:, j], axis=1))
+    diam = _longest_edge(coords)
     area, normal = _facet_area_normal(verts, mesh.facets, dim)
 
     # orient each stored normal outward with respect to the first adjacent cell
@@ -171,13 +252,7 @@ def _build_geometry(mesh: Mesh):
     outward = np.einsum("fd,fd->f", normal, centroid_facet - centroid_cell)
     normal[outward < 0] *= -1.0
 
-    fverts = verts[mesh.facets]
-    fdiam = np.zeros(mesh.facets.shape[0])
-    for i, j in combinations(range(dim), 2):
-        fdiam = np.maximum(fdiam, np.linalg.norm(fverts[:, i] - fverts[:, j], axis=1))
-    if dim == 2:
-        fdiam = area.copy()
-
+    fdiam = _longest_edge(verts[mesh.facets])
     signs = np.where(mesh.facet_cells[mesh.cell_facets, 0] == np.arange(cells.shape[0])[:, None], 1, -1)
     object.__setattr__(mesh, "facet_normals", normal)
     object.__setattr__(mesh, "facet_areas", area)
@@ -200,42 +275,22 @@ def unit_box_mesh(dim: int, n: int, origin=None, extent=None) -> Mesh:
     origin = np.zeros(dim) if origin is None else np.asarray(origin, dtype=float)
     extent = np.ones(dim) if extent is None else np.asarray(extent, dtype=float)
 
-    grid1 = [origin[k] + extent[k] * np.arange(n + 1) / n for k in range(dim)]
-    if dim == 2:
-        X, Y = np.meshgrid(grid1[0], grid1[1], indexing="ij")
-        verts = np.stack([X.ravel(), Y.ravel()], axis=1)
-
-        def vid(i, j):
-            return i * (n + 1) + j
-
-        cells = []
-        for i in range(n):
-            for j in range(n):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
-    else:
-        X, Y, Z = np.meshgrid(grid1[0], grid1[1], grid1[2], indexing="ij")
-        verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-
-        def vid(i, j, k):
-            return (i * (n + 1) + j) * (n + 1) + k
-
-        steps = list(permutations(range(3)))
-        cells = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    base = np.array([i, j, k])
-                    for perm in steps:
-                        path = [base.copy()]
-                        for ax in perm:
-                            nxt = path[-1].copy()
-                            nxt[ax] += 1
-                            path.append(nxt)
-                        cells.append(tuple(vid(*p) for p in path))
-    return Mesh(dim, verts, np.array(cells, dtype=np.int64))
+    verts = origin + extent * np.indices((n + 1,) * dim).reshape(dim, -1).T / n
+    # vertex id of grid point (i, j[, k]) is its index dotted with stride
+    stride = (n + 1) ** np.arange(dim - 1, -1, -1)
+    lower = np.indices((n,) * dim).reshape(dim, -1).T @ stride
+    # each box splits into one simplex per axis order: the monotone lattice
+    # path from its lower to its upper corner; an odd order gives a
+    # negatively oriented path, so its last two vertices are swapped
+    paths = []
+    for perm in permutations(range(dim)):
+        path = np.r_[0, np.cumsum(stride[list(perm)])]
+        if sum(a > b for a, b in combinations(perm, 2)) % 2:
+            path[-2:] = path[-1], path[-2]
+        paths.append(path)
+    paths = np.array(paths)
+    cells = (lower[:, None, None] + paths[None]).reshape(-1, dim + 1)
+    return Mesh(dim, verts, cells)
 
 
 def refine(mesh: Mesh) -> Mesh:

@@ -5,6 +5,15 @@ explicit per-cell inverses, globally coupled pieces by a sparse SPD
 factorization.  A batched Cholesky of the cell blocks, computed only as
 a check, and the sparse factorization certify positivity: their failure
 is the (intended) certificate that a block is not positive definite.
+
+The sparse factors eliminate in the order the matrix is given.  Trace
+dofs are facet-major and the mesh numbers facets by nested dissection,
+so S_P and the trace parts of the full blocks arrive in a fill-reducing
+order; cell dofs precede them and are eliminated cell by cell.  Two
+full-preconditioner blocks are factored in minimum-degree order instead
+(reorder=True): the counterexample's cell-coupled velocity, which has no
+trace structure, and the Darcy pressure pair (p, pbar), where minimum
+degree measured less fill than the given order.
 """
 
 from __future__ import annotations
@@ -85,10 +94,11 @@ class _CellBlockSolve:
 class _SparseBlockSolve:
     """Sparse SPD factor of a subset of monolithic indices."""
 
-    def __init__(self, K: sp.spmatrix, idx: np.ndarray, label: str):
+    def __init__(self, K: sp.spmatrix, idx: np.ndarray, label: str,
+                 reorder: bool = False):
         self.idx = idx
         try:
-            self.factor = factor_spd(K)
+            self.factor = factor_spd(K, reorder=reorder)
         except NotSymmetricPositiveDefinite as exc:
             raise NotSymmetricPositiveDefinite(f"block {label!r}: {exc}") from exc
 
@@ -123,14 +133,18 @@ def build_full(spec: PreconditionerSpec, mesh, spaces, params: ProblemParams,
     K = system.to_sparse().tocsr()
     solves = []
     if spec.problem == "darcy" and spec.kind == "robust":
-        # velocity mass: per-cell; coupled (p, pbar): one sparse factor
+        # velocity mass: per-cell; coupled (p, pbar): one sparse factor, in
+        # minimum-degree order, which fills less here than the given order
         solves.append(_CellBlockSolve(system, "u"))
         idx = lay.indices("p", "pbar")
-        solves.append(_SparseBlockSolve(K[idx][:, idx], idx, "pressure pair"))
+        solves.append(_SparseBlockSolve(K[idx][:, idx], idx, "pressure pair",
+                                        reorder=True))
     elif spec.problem == "darcy":
-        # counterexample: velocity couples across cells through normal jumps
+        # counterexample: velocity couples across cells through normal jumps;
+        # with no trace structure it is factored in minimum-degree order
         idx_u = lay.indices("u")
-        solves.append(_SparseBlockSolve(K[idx_u][:, idx_u], idx_u, "velocity+jumps"))
+        solves.append(_SparseBlockSolve(K[idx_u][:, idx_u], idx_u, "velocity+jumps",
+                                        reorder=True))
         solves.append(_CellBlockSolve(system, "p"))
         idx_pb = lay.indices("pbar")
         solves.append(_SparseBlockSolve(K[idx_pb][:, idx_pb], idx_pb, "trace mass"))

@@ -219,12 +219,12 @@ def _probe_stokes_condensed_velocity(mesh, params):
     keep = system.layout.indices("u", "ubar")
     L = lifting_matrix(system)[keep][:, :n_ub]
     Q = (L.T @ (ch.to_sparse() @ L)).tocsr()
-    H = _hu_seminorm_matrix(ch, params) * float(params.nu)
+    H = _hu_seminorm_matrix(ch) * float(params.nu)
     lo, hi = generalized_eigs(Q, H, mode="extreme")
     return {"condensed_velocity_lo": lo, "condensed_velocity_hi": hi}
 
 
-def _hu_seminorm_matrix(ch_system: BlockSystem, params) -> sp.csr_matrix:
+def _hu_seminorm_matrix(ch_system: BlockSystem) -> sp.csr_matrix:
     """Matrix of ||h^-1/2 (vbar - m_K(vbar))||^2 over cell boundaries."""
     ctx = ch_system.context
     mesh = ctx.mesh

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from condensa.mesh import (Mesh, cell_geometry, read_mesh_text, refine,
-                           unit_box_mesh, write_mesh_text)
+from condensa.mesh import (Mesh, _dissection_order, cell_geometry, read_mesh_text,
+                           refine, unit_box_mesh, write_mesh_text)
 
 
 def test_unit_square_one_cell_per_edge():
@@ -134,3 +136,74 @@ def test_box_origin_extent():
     m = unit_box_mesh(2, 2, origin=(-1.0, -1.0), extent=(2.0, 2.0))
     assert abs(m.volumes.sum() - 4.0) < 1e-12
     assert m.vertices.min() == -1.0 and m.vertices.max() == 1.0
+
+
+def test_facet_shared_by_three_cells_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [2.0, 0.5]])
+    with pytest.raises(ValueError, match="more than two cells"):
+        Mesh(2, verts, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+def test_facet_cells_lower_id_first(dim, n):
+    fc = unit_box_mesh(dim, n).facet_cells
+    assert ((fc[:, 1] > fc[:, 0]) | (fc[:, 1] == -1)).all()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_first_separator_numbered_last(dim):
+    """Nested dissection: the facets on the first cut plane x = 1/2 come
+    after every other facet."""
+    m = unit_box_mesh(dim, 4)
+    on_plane = np.isclose(m.vertices[m.facets][:, :, 0], 0.5).all(axis=1)
+    k = int(on_plane.sum())
+    assert k > 0 and on_plane[-k:].all()
+
+
+def _recursive_dissection(verts, cells, facet_cells):
+    """Nested dissection one region at a time: the oracle of the
+    level-by-level _dissection_order."""
+    centroids = verts[cells].mean(axis=1)
+    c1 = np.where(facet_cells[:, 1] < 0, facet_cells[:, 0], facet_cells[:, 1])
+
+    def order(region, facets):
+        pts = centroids[region]
+        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        coords = np.unique(verts[cells[region]][..., axis])
+        plane = coords[np.argmin(np.abs(coords - np.median(pts[:, axis])))]
+        right = pts[:, axis] >= plane
+        if len(facets) <= 8 or right.all() or not right.any():
+            return facets
+        side = dict(zip(region, right))
+        parts = ([], [], [])
+        for f in facets:
+            a, b = side[facet_cells[f, 0]], side[c1[f]]
+            parts[2 if a != b else int(a)].append(f)
+        return order(region[~right], parts[0]) + order(region[right], parts[1]) + parts[2]
+
+    return np.array(order(np.arange(cells.shape[0]), list(range(facet_cells.shape[0]))))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from([2, 3]), n=st.integers(1, 3), refined=st.booleans(),
+       origin=st.floats(-2.0, 2.0), extent=st.floats(0.25, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_nested_dissection_numbering(dim, n, refined, origin, extent,
+                                     seed, tmp_path_factory):
+    """Facets (as vertex tuples) come out in the same order whatever the
+    order of the cells, the dissection agrees with its recursive oracle on
+    any facet input order, and a text round trip reproduces the facets."""
+    m = unit_box_mesh(dim, n, origin=(origin,) * dim, extent=(extent,) * dim)
+    if refined:
+        m = refine(m)
+    rng = np.random.default_rng(seed)
+    fc = m.facet_cells[rng.permutation(m.n_facets)]
+    assert np.array_equal(_dissection_order(m.vertices, m.cells, fc),
+                          _recursive_dissection(m.vertices, m.cells, fc))
+    perm = rng.permutation(m.n_cells)
+    shuffled = Mesh(dim, m.vertices, m.cells[perm])
+    assert np.array_equal(shuffled.facets, m.facets)
+    assert np.array_equal(shuffled.boundary_flags, m.boundary_flags)
+    path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
+    write_mesh_text(m, path)
+    assert np.array_equal(read_mesh_text(path).facets, m.facets)

@@ -190,7 +190,7 @@ def test_hu_seminorm_matrix_matches_quadrature(dim, n):
     params = ProblemParams(k=2)
     mesh = unit_box_mesh(dim, n)
     ch = assemble_stokes_ch(mesh, stokes_spaces(mesh, 2), params)
-    H = _hu_seminorm_matrix(ch, params)
+    H = _hu_seminorm_matrix(ch)
     rng = np.random.default_rng(dim * 10 + n)
     for _ in range(3):
         xbar = rng.standard_normal(ch.n_trace)
