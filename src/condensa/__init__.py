@@ -11,8 +11,7 @@ from .condense import (CondensedSystem, back_substitute, condense,
                        condense_precond, local_solve)
 from .elements import (PolynomialBasis, QuadratureRule, facet_trace_table,
                        pk_basis, simplex_quadrature)
-from .krylov import (KrylovReport, cg, factor_spd, factor_sym_indef,
-                     generalized_eigs, minres)
+from .krylov import KrylovReport, cg, factor_spd, generalized_eigs, minres
 from .manufactured import ManufacturedCase, manufactured_rhs
 from .mesh import (Mesh, cell_geometry, read_mesh_text, refine, unit_box_mesh,
                    write_mesh_text)
@@ -20,6 +19,6 @@ from .norms import evaluate_norms, l2_errors, xnorm
 from .precond import PrecondOperator, PreconditionerSpec, build_full, build_reduced
 from .spaces import BlockLayout, FunctionSpace, build_space, interpolate_boundary
 from .spectra import (SpectralReport, lemma_probes, lifting_constant,
-                      measure_constants, spectral_report, reduced_bounds_check)
+                      measure_constants, reduced_bounds_check)
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ __all__ = [
     "KrylovReport",
     "NotSymmetricPositiveDefinite",
     "factor_spd",
-    "factor_sym_indef",
     "cg",
     "minres",
     "generalized_eigs",
@@ -30,11 +29,16 @@ __all__ = [
     "DENSE_MAX",
     "ARPACK_MAXITER",
     "ARPACK_TOL",
+    "KERNEL_SHIFT",
 ]
 
 # largest pencil dimension for dense eigh: generalized_eigs switches to ARPACK
-# above it (except for mode="full"), and measure_constants refuses larger pencils
-DENSE_MAX = 3200
+# above it (except for mode="full").  Measured crossover, 2D k=2 on 2 CPUs:
+# the probe pencils took dense/ARPACK 0.09/0.10 s at size 936,
+# 0.11/0.14 s at 990 and 0.14/0.17 s at 1056, but 0.22/0.11 s at 1281 and
+# 0.26/0.19 s at 1440; the monolithic (A, P) pencils favour ARPACK from
+# about 600 (0.04/0.03 s), and at 2448 took 2.2/0.84 s
+DENSE_MAX = 1200
 
 # cap on ARPACK restarts; the seeded "max" solve of the slowest probe pencil
 # (condensed_velocity at 2D n=16, nu=1e-6) converges well within it
@@ -46,6 +50,12 @@ ARPACK_MAXITER = 1000
 # condensed_velocity (top eigenvalue 16, highly multiple) then stalls for
 # some start vectors and converges in a fraction of a second at this value.
 ARPACK_TOL = 1e-12
+
+# the shift-invert solve for the eigenvalues nearest zero factors A - sigma B
+# at sigma = -KERNEL_SHIFT * max_i |A_ii / B_ii|, never at 0: with a declared
+# kernel A is singular, and a shift of 0 returned c_i of the monolithic
+# Stokes pencil (2D, nu=1e-6) 85% off at n=4 and 65% off at n=6
+KERNEL_SHIFT = 1e-8
 
 
 class NotSymmetricPositiveDefinite(np.linalg.LinAlgError):
@@ -104,16 +114,6 @@ def factor_spd(S, reorder: bool = False) -> Factor:
         raise NotSymmetricPositiveDefinite(str(exc)) from exc
     if lu.U.diagonal().min() <= 0.0:
         raise NotSymmetricPositiveDefinite("non-positive pivot: matrix is not SPD")
-    return Factor(lu)
-
-
-def factor_sym_indef(S) -> Factor:
-    """LU with partial pivoting for symmetric indefinite oracle solves."""
-    A = _as_csc(S)
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise np.linalg.LinAlgError(f"singular matrix: {exc}") from exc
     return Factor(lu)
 
 
@@ -268,22 +268,27 @@ def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0):
     """Eigenvalues of the symmetric pencil A v = lambda B v with B SPD.
 
     mode="full" returns all eigenvalues, ascending; "min" and "max" return
-    one end of the spectrum as a float and "extreme" returns (min, max).
-    n_drop declared kernel eigenvalues (smallest in magnitude) are removed
-    after checking they are negligible.
+    one end of the spectrum as a float, "extreme" returns (min, max) and
+    "magnitude" returns (min |lambda|, max |lambda|), for an A that may be
+    indefinite.  n_drop declared kernel eigenvalues (smallest in magnitude)
+    are removed after checking they are negligible.
 
     Up to DENSE_MAX, and always for mode="full", one dense LAPACK ?sygv
     solve gives every eigenvalue.  Above DENSE_MAX the ends come from
     ARPACK with a fixed start vector, to a relative residual of ARPACK_TOL
-    and in at most ARPACK_MAXITER restarts:
-    "max" from one regular-mode solve preconditioned by the factor of B,
-    "min" (and the kernel check) from the eigenvalues nearest zero by
-    shift-invert at sigma=0.  That "min" is the smallest eigenvalue only
+    and in at most ARPACK_MAXITER restarts.  The top comes from one
+    regular-mode solve preconditioned by the factor of B: the largest
+    eigenvalue ("LA"), or the largest in magnitude for mode="magnitude"
+    ("LM").  The bottom, and the kernel check, come from one shift-invert
+    solve for the n_drop + 3 eigenvalues nearest sigma = -KERNEL_SHIFT *
+    max_i |A_ii / B_ii|, a small negative shift (that maximum is a lower
+    bound of max |lambda|), so that a declared kernel never makes
+    A - sigma B singular.  The "min" end is the smallest eigenvalue only
     when A is positive semidefinite, as every probe pencil is.  A non-SPD
     B raises NotSymmetricPositiveDefinite; ARPACK running out of restarts
     raises ValueError.
     """
-    if mode not in ("full", "extreme", "min", "max"):
+    if mode not in ("full", "extreme", "min", "max", "magnitude"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "full" or A.shape[0] <= DENSE_MAX:
         try:
@@ -295,6 +300,9 @@ def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0):
             return vals
     else:
         vals = _drop_kernel(_sparse_ends(A, B, mode, n_drop), n_drop)
+    if mode == "magnitude":
+        a = np.abs(vals)
+        return float(a.min()), float(a.max())
     lo, hi = float(vals[0]), float(vals[-1])
     return {"min": lo, "max": hi, "extreme": (lo, hi)}[mode]
 
@@ -303,14 +311,17 @@ def _sparse_ends(A, B, mode, n_drop):
     """ARPACK eigenvalues holding the requested ends and the kernel."""
     n = A.shape[0]
     Asp, Bsp = _as_csc(A), _as_csc(B)
-    Bop = factor_spd(Bsp)  # also the SPD certificate of B for mode="min"
+    Bop = factor_spd(Bsp)  # also the SPD certificate of B
     v0 = np.random.default_rng(0).standard_normal(n)
     vals = []
     if mode != "min":
         Minv = spla.LinearOperator((n, n), matvec=Bop.solve)
-        vals.append(_arpack("max", Asp, k=1, M=Bsp, Minv=Minv, which="LA", v0=v0))
+        vals.append(_arpack("max", Asp, k=1, M=Bsp, Minv=Minv, v0=v0,
+                            which="LM" if mode == "magnitude" else "LA"))
     if mode != "max" or n_drop:
-        vals.append(_arpack("min", Asp, k=max(3, n_drop + 2), M=Bsp, sigma=0.0,
+        # Rayleigh quotients of unit vectors: a bound below max |lambda|
+        scale = np.abs(Asp.diagonal() / Bsp.diagonal()).max()
+        vals.append(_arpack("min", Asp, k=n_drop + 3, M=Bsp, sigma=-KERNEL_SHIFT * scale,
                             which="LM", v0=v0))
     return np.concatenate(vals)
 

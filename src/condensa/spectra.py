@@ -10,19 +10,22 @@ kernel vectors are removed by dropping their (numerically zero)
 eigenvalues, which equals restriction to the P-orthogonal complement.
 
 Every eigenvalue comes from krylov.generalized_eigs, and each caller asks
-only for what it reports: c_b, c_i and the reduced bounds use all
-eigenvalues (mode="full", dense), the lifting constants the largest
-eigenvalue (mode="max"), the inf-sup probe the smallest (mode="min") and
-the two-sided probes (aux_coercivity, ch_coercivity, condensed_velocity)
-both ends (mode="extreme").  Pencils larger than DENSE_MAX go to ARPACK,
-whose "min" end assumes the first form is positive semidefinite; every
+only for what it reports: c_b and c_i the largest and smallest
+|eigenvalue| (mode="magnitude", for the indefinite full pencil), the
+reduced bounds all eigenvalues (mode="full", dense), the lifting constants
+the largest eigenvalue (mode="max"), the inf-sup probe the smallest
+(mode="min") and the two-sided probes (aux_coercivity, ch_coercivity,
+condensed_velocity) both ends (mode="extreme").  Pencils larger than
+DENSE_MAX go to ARPACK, whose bottom end comes from the eigenvalues
+nearest a small negative shift, never 0, so a declared kernel is safe;
+its "min" end assumes the first form is positive semidefinite, as every
 probe pencil is.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,12 +35,11 @@ from .assembly import (BlockSystem, ProblemParams, aux_spaces, assemble_aux_hdg,
                        assemble_stokes_ch, assemble_stokes_inner, darcy_spaces,
                        qpair_matrix, stokes_spaces, _block_triplets)
 from .condense import condense, condense_precond, eliminate
-from .krylov import DENSE_MAX, generalized_eigs
+from .krylov import generalized_eigs
 from .mesh import unit_box_mesh
 
 __all__ = [
     "SpectralReport",
-    "spectral_report",
     "measure_constants",
     "lifting_constant",
     "reduced_bounds_check",
@@ -54,7 +56,6 @@ class SpectralReport:
     kappa_full: float = np.nan
     kappa_reduced: float = np.nan
     c_l: float = np.nan
-    lemma_ratios: dict = field(default_factory=dict)
     level: int = 0
     params: ProblemParams | None = None
 
@@ -69,31 +70,16 @@ class SpectralReport:
         return self
 
 
-def spectral_report(system: BlockSystem, inner: BlockSystem, level: int = 0,
-                    lemma_ratios: dict | None = None) -> SpectralReport:
-    """Bundle the measured constants of one (system, inner) pair."""
-    rep = reduced_bounds_check(system, inner)
-    return SpectralReport(
-        c_b=rep["c_b"], c_i=rep["c_i"], kappa_full=rep["kappa_full"],
-        kappa_reduced=rep["kappa_reduced"], c_l=rep["c_l"],
-        lemma_ratios=dict(lemma_ratios or {}), level=level,
-        params=system.params).validate()
-
-
 def measure_constants(A, P, kernel_dim: int = 0):
     """(c_b, c_i, kappa) from the full pencil (A, P), P SPD.
 
     c_b = max |lambda|, c_i = min |lambda| over the nonzero spectrum;
     valid for symmetric A, where the sup-sup and inf-sup of the
     well-posedness conditions coincide with extreme |eigenvalues| in the
-    P-norm.  Dense eigensolve: dimension <= DENSE_MAX.
+    P-norm.  Both come from generalized_eigs(mode="magnitude"): dense up to
+    DENSE_MAX, ARPACK above it.
     """
-    n = A.shape[0]
-    if n > DENSE_MAX:
-        raise ValueError(f"measure_constants is contracted to dense sizes (<= {DENSE_MAX})")
-    vals = generalized_eigs(A, P, mode="full", n_drop=kernel_dim)
-    a = np.abs(vals)
-    c_b, c_i = float(a.max()), float(a.min())
+    c_i, c_b = generalized_eigs(A, P, mode="magnitude", n_drop=kernel_dim)
     if c_i <= 0:
         raise ValueError("singular operator beyond the declared kernel: ill-posed")
     return c_b, c_i, c_b / c_i

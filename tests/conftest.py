@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from condensa import krylov
 from condensa.assembly import (ProblemParams, assemble_darcy, assemble_darcy_inner,
                                assemble_stokes, assemble_stokes_inner,
                                darcy_spaces, stokes_spaces)
@@ -47,6 +50,27 @@ def stokes_problem(dim=2, n=4, nu=1.0, zeta=0.0, hatted=False, k=2, with_data=Tr
         inner = assemble_stokes_inner(mesh, spaces, params, hatted=hatted)
         return mesh, spaces, params, system, inner
     return cached(("stokes", dim, n, nu, zeta, hatted, k, with_data), build)
+
+
+def sparse_modes(monkeypatch) -> list:
+    """Send every generalized_eigs call to ARPACK (DENSE_MAX = 0) and
+    return the list that records the mode of each sparse solve."""
+    modes = []
+    real = krylov._sparse_ends
+
+    def spy(A, B, mode, n_drop):
+        modes.append(mode)
+        return real(A, B, mode, n_drop)
+
+    monkeypatch.setattr(krylov, "DENSE_MAX", 0)
+    monkeypatch.setattr(krylov, "_sparse_ends", spy)
+    return modes
+
+
+def factor_sym_indef(S):
+    """Sparse LU with partial pivoting of a symmetric indefinite matrix:
+    the monolithic oracle that condensed solves are checked against."""
+    return spla.splu(sp.csc_matrix(S))
 
 
 @pytest.fixture(scope="session")

@@ -15,12 +15,14 @@ from condensa.assembly import (ProblemParams, assemble_aux_hdg,
                                stokes_spaces)
 from condensa.bench import RunConfig, emit, run
 from condensa.condense import back_substitute, condense, condense_precond
-from condensa.krylov import cg, factor_spd, factor_sym_indef, minres
+from condensa.krylov import cg, factor_spd, minres
 from condensa.manufactured import manufactured_rhs
 from condensa.mesh import unit_box_mesh
 from condensa.norms import xnorm
 from condensa.precond import PreconditionerSpec, build_reduced
 from condensa.spectra import lemma_probes, lifting_constant, reduced_bounds_check
+
+from conftest import factor_sym_indef
 
 _cache: dict = {}
 

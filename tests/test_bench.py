@@ -7,6 +7,8 @@ from condensa.bench import (CSV_HEADER, ResultRow, RunConfig, emit,
                             parse_json_rows, run)
 from condensa.cli import main
 
+from conftest import sparse_modes
+
 
 def small_config(**kw):
     base = dict(experiment="darcy-manufactured", dim=2, levels=(4,),
@@ -135,15 +137,25 @@ def test_cli_mesh_out_and_dump(tmp_path):
     assert int(line[0]) >= 1 and int(line[1]) >= 1  # 1-based indices
 
 
-def test_cli_spectrum(tmp_path):
-    out = tmp_path / "spec.csv"
-    code = main(["spectrum", "--levels", "2", "--problem", "darcy",
-                 "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "level,params,constant,value"
-    names = {l.split(",")[2] for l in lines[1:]}
-    assert {"c_b", "c_i", "c_l", "kappa_full", "aux_coercivity_lo", "beta"} <= names
+def test_cli_spectrum(tmp_path, monkeypatch):
+    def spectrum(out):
+        code = main(["spectrum", "--levels", "2", "--problem", "darcy",
+                     "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "level,params,constant,value"
+        return {l.split(",")[2]: float(l.split(",")[3]) for l in lines[1:]}
+
+    dense = spectrum(tmp_path / "spec.csv")
+    assert {"c_b", "c_i", "c_l", "kappa_full", "aux_coercivity_lo", "beta"} <= set(dense)
+    # every pencil of the level above DENSE_MAX: the full pencil's c_b and
+    # c_i, and the probes, come from ARPACK
+    modes = sparse_modes(monkeypatch)
+    sparse = spectrum(tmp_path / "spec_sparse.csv")
+    assert "magnitude" in modes
+    assert sparse.keys() == dense.keys()
+    for name, want in dense.items():
+        assert abs(sparse[name] - want) <= 1e-8 * abs(want), name
 
 
 def test_invalid_config():

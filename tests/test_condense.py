@@ -13,13 +13,13 @@ from condensa.assembly import (BlockSystem, ProblemParams, assemble_aux_hdg,
 from condensa.condense import (back_substitute, condense, condense_precond,
                                local_solve)
 from condensa.elements import pk_basis, reference_measure
-from condensa.krylov import factor_spd, factor_sym_indef
+from condensa.krylov import factor_spd
 from condensa.manufactured import manufactured_rhs
 from condensa.mesh import unit_box_mesh
 from condensa.norms import xnorm
 from condensa.spectra import lifting_matrix
 
-from conftest import darcy_problem, stokes_problem
+from conftest import darcy_problem, factor_sym_indef, stokes_problem
 
 
 class _ToyLayout:

@@ -8,10 +8,10 @@ from condensa.assembly import (ProblemParams, assemble_aux_hdg, aux_spaces,
                                build_space)
 from condensa.condense import condense
 from condensa.krylov import (NotSymmetricPositiveDefinite, cg, factor_spd,
-                             factor_sym_indef, generalized_eigs, minres)
+                             generalized_eigs, minres)
 from condensa.mesh import unit_box_mesh
 
-from conftest import cached, darcy_problem, stokes_problem
+from conftest import cached, darcy_problem, factor_sym_indef, stokes_problem
 
 
 def test_factor_spd_identity_and_diag():
@@ -185,6 +185,8 @@ def test_generalized_eigs_toys():
     assert np.allclose(vals, [1.0, 3.0])
     assert generalized_eigs(np.diag([1.0, 3.0]), np.eye(2), mode="min") == 1.0
     assert generalized_eigs(np.diag([1.0, 3.0]), np.eye(2), mode="max") == 3.0
+    assert generalized_eigs(np.diag([-3.0, 0.0, 1.0, 2.0]), np.eye(4),
+                            mode="magnitude", n_drop=1) == (1.0, 3.0)
 
 
 def test_generalized_eigs_against_cholesky_oracle(rng):
@@ -206,7 +208,7 @@ def test_generalized_eigs_rejects_non_spd_b(monkeypatch):
         generalized_eigs(np.eye(2), np.eye(2), mode="everything")
     monkeypatch.setattr(krylov, "DENSE_MAX", 0)
     B = sp.diags(np.r_[np.ones(9), -1.0])
-    for mode in ("min", "max", "extreme"):
+    for mode in ("min", "max", "extreme", "magnitude"):
         with pytest.raises(NotSymmetricPositiveDefinite):
             generalized_eigs(sp.identity(10), B, mode=mode)
 
@@ -269,25 +271,62 @@ def test_sparse_ends_match_dense_eigh(name, monkeypatch):
         assert abs(got - want) <= 1e-8 * abs(want), (got, want)
 
 
+# the full pencils (A, P) of measure_constants at 2D n=4
+MONOLITHIC = {
+    "darcy-1-1": lambda: darcy_problem(n=4, with_data=False),
+    "darcy-1e-6-1e4": lambda: darcy_problem(n=4, xi=1e-6, gamma=1e4, with_data=False),
+    "stokes-1": lambda: stokes_problem(n=4, with_data=False),
+    # A is indefinite with a one-dimensional kernel; a shift-invert solve
+    # that factors A itself (a shift of 0) returns c_i 85% off
+    "stokes-1e-6": lambda: stokes_problem(n=4, nu=1e-6, with_data=False),
+}
+
+
+def _monolithic(name):
+    *_, system, inner = MONOLITHIC[name]()
+    return system.to_sparse(), inner.to_sparse(), len(system.null_vectors)
+
+
+@pytest.mark.parametrize("name", MONOLITHIC)
+def test_magnitude_ends_match_dense_eigh(name, monkeypatch):
+    """mode="magnitude" on the indefinite full pencils, dense and ARPACK,
+    against the magnitudes of every eigenvalue from dense eigh."""
+    A, B, n_drop = _monolithic(name)
+    a = np.sort(np.abs(sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)))
+    assert a[:n_drop].max(initial=0.0) <= 1e-10 * a[-1]
+    want = a[n_drop], a[-1]
+    dense = generalized_eigs(A, B, mode="magnitude", n_drop=n_drop)
+    monkeypatch.setattr(krylov, "DENSE_MAX", 0)
+    sparse = generalized_eigs(A, B, mode="magnitude", n_drop=n_drop)
+    for got in (dense, sparse):
+        assert all(isinstance(v, float) for v in got)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-8 * w, (got, want)
+
+
 def test_sparse_ends_repeat_bitwise(monkeypatch):
     monkeypatch.setattr(krylov, "DENSE_MAX", 0)
     for name in ("condensed_velocity", "aux_kernel"):
         A, B, n_drop = _pencils()[name]
         first = generalized_eigs(A, B, mode="extreme", n_drop=n_drop)
         assert generalized_eigs(A, B, mode="extreme", n_drop=n_drop) == first
+    A, B, n_drop = _monolithic("stokes-1e-6")
+    first = generalized_eigs(A, B, mode="magnitude", n_drop=n_drop)
+    assert generalized_eigs(A, B, mode="magnitude", n_drop=n_drop) == first
 
 
-@pytest.mark.parametrize("end", ("min", "max"))
-def test_arpack_iteration_cap_names_the_end(end, monkeypatch):
+@pytest.mark.parametrize("mode", ("min", "max", "magnitude"))
+def test_arpack_iteration_cap_names_the_end(mode, monkeypatch):
     A, B, _ = _pencils()["condensed_velocity"]
     monkeypatch.setattr(krylov, "DENSE_MAX", 0)
     monkeypatch.setattr(krylov, "ARPACK_MAXITER", 1)
     # at ARPACK_TOL the shift-invert "min" solve of this toy pencil converges
     # within one restart; machine precision keeps both ends short of it
     monkeypatch.setattr(krylov, "ARPACK_TOL", 0.0)
+    end = "min" if mode == "min" else "max"  # "magnitude" solves its top first
     with pytest.raises(ValueError, match=f"'{end}' end of a pencil of size "
                                          f"{A.shape[0]}"):
-        generalized_eigs(A, B, mode=end)
+        generalized_eigs(A, B, mode=mode)
 
 
 def test_direct_and_iterative_agree(rng):

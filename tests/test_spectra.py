@@ -6,11 +6,12 @@ from condensa.assembly import (ProblemParams, assemble_counterexample_inner,
 from condensa.condense import condense, condense_precond
 from condensa.mesh import unit_box_mesh
 from condensa.norms import evaluate_norms
-from condensa.spectra import (_hu_seminorm_matrix, lemma_probes, lifting_constant,
-                              lifting_matrix, measure_constants, reduced_bounds_check,
-                              write_constants_csv)
+from condensa import krylov
+from condensa.spectra import (SpectralReport, _hu_seminorm_matrix, lemma_probes,
+                              lifting_constant, lifting_matrix, measure_constants,
+                              reduced_bounds_check, write_constants_csv)
 
-from conftest import darcy_problem, stokes_problem
+from conftest import darcy_problem, sparse_modes, stokes_problem
 
 
 def test_measure_constants_identity_and_diag():
@@ -19,6 +20,18 @@ def test_measure_constants_identity_and_diag():
     assert abs(c_b - 1) < 1e-12 and abs(c_i - 1) < 1e-12 and abs(kappa - 1) < 1e-12
     c_b, c_i, kappa = measure_constants(np.diag([1.0, -2.0]), np.eye(2))
     assert (c_b, c_i, kappa) == (2.0, 1.0, 2.0)
+
+
+def test_measure_constants_above_dense_max(monkeypatch):
+    """Above DENSE_MAX the ARPACK ends reproduce the dense constants."""
+    *_, system, inner = stokes_problem(n=4, nu=1e-6, with_data=False)
+    args = system.to_sparse(), inner.to_sparse(), len(system.null_vectors)
+    assert args[0].shape[0] <= krylov.DENSE_MAX
+    dense = measure_constants(*args)
+    modes = sparse_modes(monkeypatch)
+    for got, want in zip(measure_constants(*args), dense):
+        assert abs(got - want) <= 1e-8 * want
+    assert modes == ["magnitude"]
 
 
 def test_measure_constants_rejects_singular():
@@ -170,11 +183,9 @@ def test_stokes_probes_positive():
     assert r["stokes_lifting_bound"] > 0
 
 
-def test_spectral_report_bundle_and_validation():
-    from condensa.spectra import SpectralReport, spectral_report
-    _, _, _, system, inner = darcy_problem(n=2, with_data=False)
-    rep = spectral_report(system, inner, level=2)
-    assert rep.kappa_full >= 1.0 and rep.c_b >= rep.c_i > 0
+def test_spectral_report_validation():
+    rep = SpectralReport(c_b=2.0, c_i=1.0, kappa_full=2.0, kappa_reduced=1.5, c_l=1.0)
+    assert rep.validate() is rep
     with pytest.raises(ValueError):
         SpectralReport(c_b=1.0, c_i=2.0, kappa_full=0.5, kappa_reduced=1.0,
                        c_l=1.0).validate()
