@@ -9,12 +9,10 @@ from .assembly import (BlockSystem, ProblemParams, assemble_aux_hdg,
 from .bench import ResultRow, RunConfig, emit, run
 from .condense import (CondensedSystem, back_substitute, condense,
                        condense_precond, local_solve)
-from .elements import (PolynomialBasis, QuadratureRule, facet_trace_table,
-                       pk_basis, simplex_quadrature)
+from .elements import PolynomialBasis, QuadratureRule, pk_basis, simplex_quadrature
 from .krylov import KrylovReport, cg, factor_spd, generalized_eigs, minres
 from .manufactured import ManufacturedCase, manufactured_rhs
-from .mesh import (Mesh, cell_geometry, read_mesh_text, refine, unit_box_mesh,
-                   write_mesh_text)
+from .mesh import Mesh, read_mesh_text, refine, unit_box_mesh, write_mesh_text
 from .norms import evaluate_norms, l2_errors, xnorm
 from .precond import PrecondOperator, PreconditionerSpec, build_full, build_reduced
 from .spaces import BlockLayout, FunctionSpace, build_space, interpolate_boundary

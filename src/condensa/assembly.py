@@ -5,6 +5,16 @@ Every bilinear form is integrated with collapsed Gauss rules of order
 manufactured right-hand sides).  Spatially varying coefficients are
 evaluated pointwise at quadrature nodes.
 
+Element kernels use the tensor representation of affine simplices (Kirby
+and Logg, ACM TOMS 32, 2006).  A quadrature sum is one GEMM, (cells, q) @
+(q, table): per-cell weights w_q |det J| coef(x_q) against a reference
+table of basis products built once per ElementContext, such as
+values x values or gradients x gradients.  J^-1 enters afterwards through
+one small product per cell, for example J^-1 J^-T for grad-grad.  Constant
+and callable coefficients take the same path.  Facet terms gather the
+cell-basis values on a facet from tables indexed by the arrangement code
+of the facet's vertices inside the cell, one GEMM per code.
+
 Storage convention: the monolithic operator is kept exactly symmetric.
 The Darcy scheme (which couples +b_h / -b_h) is stored with its momentum
 rows negated; this flips no solution values and makes the condensed trace
@@ -19,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import pk_basis, reference_measure, simplex_quadrature
+from .elements import (arrangement_codes, arrangement_points, facet_barycentric,
+                       pk_basis, reference_measure, simplex_quadrature)
 from .spaces import BlockLayout, build_space, interpolate_boundary
 
 __all__ = [
@@ -80,8 +91,41 @@ def _coef(c, pts):
     return np.full(pts.shape[:-1], float(c))
 
 
+def _outer(a, b, lead=1):
+    """Pointwise products over the ``lead`` leading axes a and b share:
+    a[p.., i..] b[p.., j..] -> (p.., i.., j..)."""
+    return (a.reshape(a.shape + (1,) * (b.ndim - lead))
+            * b.reshape(b.shape[:lead] + (1,) * (a.ndim - lead) + b.shape[lead:]))
+
+
 class ElementContext:
-    """Batched geometry and reference tables for one (mesh, degree) pair."""
+    """Reference tables and per-cell affine geometry for one (mesh, degree)
+    pair.
+
+    Cell tables are pointwise products of reference basis values and
+    gradients at the quadrature points, (q, ...), contracted by _gemm:
+
+      uu, pp  values x values           (q, nb, nb)
+      pgu     p values x u gradients    (q, nbp, nbu, d)
+      gpgp    gradients x gradients     (q, nbp, nbp, d, d)
+      gugu    gradients x gradients     (q, nbu, nbu, d, d)
+      ff      facet values x values     (qf, nbf, nbf)
+
+    Gradients stay in reference coordinates; the kernels apply J^-1 per
+    cell after the quadrature sum.
+
+    The cell-basis values at a facet's quadrature points depend on the
+    cell only through the arrangement code of the facet's vertices in it
+    (elements.arrangement_codes).  Facet tables carry a leading axis over
+    the codes present in the mesh, and ``codes`` (cells, d+1) indexes it:
+    ``fvals_u[codes[c, l]]`` (qf, nbu) are the values on local facet l of
+    cell c.  The product tables fuu, fpp, ffu, ffp (values x values), fguu,
+    fguf (gradients x values, (codes, qf, d, n, m)) are contracted by
+    _facet_gemm; the rows of fgpp and fgfp run over (gradient direction,
+    point), so their weights carry the conormal J^-1 n.  fu_normal and
+    fu_pairs are the weight-free sums the normal-trace and normal-jump
+    terms gather.
+    """
 
     def __init__(self, mesh, k: int, quad_order: int | None = None):
         self.mesh = mesh
@@ -102,6 +146,37 @@ class ElementContext:
         self.vals_p = self.basis_p.eval(self.rule.points)
         self.gref_p = self.basis_p.eval_grad(self.rule.points)
         self.fv = self.basis_f.eval(self.frule.points)  # same table for every facet
+        self.uu = _outer(self.vals_u, self.vals_u)
+        self.pp = _outer(self.vals_p, self.vals_p)
+        self.pgu = _outer(self.vals_p, self.gref_u)
+        self.gpgp = _outer(self.gref_p, self.gref_p).transpose(0, 1, 3, 2, 4)
+        self.gugu = _outer(self.gref_u, self.gref_u).transpose(0, 1, 3, 2, 4)
+        self.ff = _outer(self.fv, self.fv)
+
+        present, codes = np.unique(arrangement_codes(mesh), return_inverse=True)
+        self.codes = codes.reshape(mesh.n_cells, d + 1)
+        fpts = arrangement_points(d, self.frule)[present]
+        fv = np.broadcast_to(self.fv, (present.size,) + self.fv.shape)
+        self.fvals_u = self.basis_u.eval(fpts)
+        self.fvals_p = self.basis_p.eval(fpts)
+        self.fgrad_u = self.basis_u.eval_grad(fpts)
+        self.fgrad_p = self.basis_p.eval_grad(fpts)
+        gu = self.fgrad_u.transpose(0, 1, 3, 2)  # (codes, qf, d, nbu)
+        gp = self.fgrad_p.transpose(0, 1, 3, 2)
+        self.fuu = _outer(self.fvals_u, self.fvals_u, 2)
+        self.fpp = _outer(self.fvals_p, self.fvals_p, 2)
+        self.ffu = _outer(fv, self.fvals_u, 2)
+        self.ffp = _outer(fv, self.fvals_p, 2)
+        self.fguu = _outer(gu, self.fvals_u, 2)
+        self.fguf = _outer(gu, fv, 2)
+        nq = self.frule.n_points
+        self.fgpp = _outer(gp, self.fvals_p, 2).transpose(0, 2, 1, 3, 4).reshape(
+            present.size, d * nq, self.nbp, self.nbp)
+        self.fgfp = _outer(gp, fv, 2).transpose(0, 2, 1, 4, 3).reshape(
+            present.size, d * nq, self.nbf, self.nbp)
+        self.fu_normal = np.tensordot(self.frule.weights, self.ffu, axes=([0], [1]))
+        wv = self.fvals_u * self.frule.weights[None, :, None]
+        self.fu_pairs = np.tensordot(wv, self.fvals_u, axes=([1], [1])).transpose(0, 2, 1, 3)
 
         verts, cells = mesh.vertices, mesh.cells
         self.v0 = verts[cells[:, 0]]
@@ -112,22 +187,21 @@ class ElementContext:
         self.hK = mesh.diameters
 
         # global facet quadrature points, canonical facet parameterization
-        t = self.frule.points
-        lam = np.concatenate([(1.0 - t.sum(axis=1))[:, None], t], axis=1)
-        self.Xf = np.einsum("qv,fvd->fqd", lam, verts[mesh.facets])
+        self.Xf = facet_barycentric(self.frule) @ verts[mesh.facets]
         self.fscale = mesh.facet_areas / reference_measure(d - 1)
 
-    # -- chunked tables ------------------------------------------------
+    # -- per-cell geometry -------------------------------------------------
     def chunks(self, max_cells: int = _CHUNK):
         nc = self.mesh.n_cells
         for lo in range(0, nc, max_cells):
             yield slice(lo, min(lo + max_cells, nc))
 
-    def cell_points(self, sl) -> np.ndarray:
-        return np.einsum("qe,bde->bqd", self.rule.points, self.J[sl]) + self.v0[sl, None, :]
+    def cell_weights(self, sl) -> np.ndarray:
+        """w_q |det J| per cell and quadrature point: (B, q)."""
+        return self.detJa[sl, None] * self.rule.weights[None, :]
 
-    def phys_grads(self, sl, gref) -> np.ndarray:
-        return np.einsum("qne,bek->bqnk", gref, self.Jinv[sl])
+    def cell_points(self, sl) -> np.ndarray:
+        return self.v0[sl, None, :] + self.rule.points @ self.J[sl].transpose(0, 2, 1)
 
     def facet_frame(self, sl):
         """Per (cell, local facet): facet ids, outward normals, scales, points."""
@@ -139,18 +213,14 @@ class ElementContext:
         xf = self.Xf[fids]  # (B, d+1, nqf, d)
         return fids, nrm, scale, xf
 
-    def facet_cell_tables(self, sl, xf, grads: bool = False, which: str = "u"):
-        """Cell-basis values (and physical gradients) at facet points."""
-        rel = xf - self.v0[sl, None, None, :]
-        xr = np.einsum("bke,blqe->blqk", self.Jinv[sl], rel)
-        basis = self.basis_u if which == "u" else self.basis_p
-        flat = xr.reshape(-1, self.mesh.dim)
-        V = basis.eval(flat).reshape(xr.shape[:3] + (basis.n_basis,))
-        if not grads:
-            return V, None
-        G = basis.eval_grad(flat).reshape(xr.shape[:3] + (basis.n_basis, self.mesh.dim))
-        G = np.einsum("blqne,bek->blqnk", G, self.Jinv[sl])
-        return V, G
+    def facet_weights(self, scale) -> np.ndarray:
+        """w_q |F| / |F_ref| per (cell, local facet) and facet point."""
+        return scale[:, :, None] * self.frule.weights[None, None, :]
+
+    def facet_values(self, sl, which: str = "u") -> np.ndarray:
+        """Cell-basis values at each local facet's quadrature points,
+        gathered by arrangement code: (B, d+1, qf, nb)."""
+        return (self.fvals_u if which == "u" else self.fvals_p)[self.codes[sl]]
 
 
 @dataclass
@@ -285,7 +355,13 @@ class _Accumulator:
         self.tids[sl] = np.concatenate(pieces, axis=1)
         self.gloc[sl] = np.concatenate(gpieces, axis=1)
 
-    def add(self, sl, a11e=None, a21e=None, a22e=None, rhs_celle=None):
+    def add(self, sl, a11e=None, a21e=None, a22b=None, rhs_celle=None):
+        """Add a chunk's blocks.  a22b holds the trace-trace block by its
+        diagonal blocks (B, m, s, s): the leading m*s local trace dofs, in
+        runs of s (one local facet, one component) that couple only within
+        a run; the trace dofs after them have no trace-trace entries.  A run
+        is all free or all fixed (boundary data fixes whole facets), so only
+        a21 lifts the fixed values into the right-hand side."""
         tids, gloc = self.tids[sl], self.gloc[sl]
         free = tids >= 0
         if a11e is not None:
@@ -293,13 +369,12 @@ class _Accumulator:
         if rhs_celle is not None:
             self.rhs_cell[sl] += rhs_celle
         if a21e is not None:
-            self.rhs_cell[sl] -= np.einsum("btc,bt->bc", a21e, gloc)
-            a21m = np.where(free[:, :, None], a21e, 0.0)
-            self.a21[sl] += a21m
-        if a22e is not None:
-            lift = np.einsum("bts,bs->bt", a22e, gloc)
-            np.add.at(self.rhs_trace, tids[free], -lift[free])
-            r, c, v = _block_triplets(a22e, tids, tids)
+            self.rhs_cell[sl] -= (gloc[:, None, :] @ a21e)[:, 0]
+            self.a21[sl] += np.where(free[:, :, None], a21e, 0.0)
+        if a22b is not None:
+            B, m, s = a22b.shape[:3]
+            ids = tids[:, :m * s].reshape(B * m, s)
+            r, c, v = _block_triplets(a22b.reshape(B * m, s, s), ids, ids)
             self.a22_rows.append(r)
             self.a22_cols.append(c)
             self.a22_vals.append(v)
@@ -324,41 +399,69 @@ class _Accumulator:
 
 
 # ----------------------------------------------------------------------
-# einsum kernels
+# element kernels: one GEMM against a reference table, then geometry
 
 
-def _scalar_mass(wq, vals):
-    return np.einsum("bq,qi,qj->bij", wq, vals, vals)
+def _gemm(w, table):
+    """Quadrature sum w[..., q] table[q, ...] as one GEMM: (..., table...)."""
+    return (w.reshape(-1, table.shape[0]) @ table.reshape(table.shape[0], -1)).reshape(
+        w.shape[:-1] + table.shape[1:])
 
 
-def _grad_grad(wq, g):
-    return np.einsum("bq,bqik,bqjk->bij", wq, g, g)
+def _facet_gemm(codes, w, tables):
+    """w[b, l] @ tables[codes[b, l]] for every (cell, local facet) pair,
+    one GEMM per arrangement code: (B, d+1, table...)."""
+    c = codes.ravel()
+    K = tables.shape[1]
+    w2 = w.reshape(c.size, K)
+    flat = tables.reshape(tables.shape[0], K, -1)
+    out = np.empty((c.size, flat.shape[2]))
+    order = np.argsort(c, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(c[order])) + 1):
+        out[idx] = w2[idx] @ flat[c[idx[0]]]
+    return out.reshape(codes.shape + tables.shape[2:])
 
 
-def _div_matrix(wq, vals_p, gu):
-    """(q_j, div v_(c,n)) -> (B, nbp, d*nbu), u columns component-major."""
-    D = np.einsum("bq,qj,bqnc->bjcn", wq, vals_p, gu)
-    B, nbp = D.shape[0], D.shape[1]
-    return D.reshape(B, nbp, -1)
+def _grad_grad(w, table, Jinv):
+    """sum_q w (grad phi_i . grad phi_j) from a gradients x gradients
+    table (q, n, n, d, d): the reference sum contracted with J^-1 J^-T."""
+    R = _gemm(w, table)
+    B, n, d = R.shape[0], R.shape[1], R.shape[3]
+    K = Jinv @ Jinv.transpose(0, 2, 1)
+    return (R.reshape(B, n * n, d * d) @ K.reshape(B, d * d, 1)).reshape(B, n, n)
 
 
-def _div_div(wq, gu):
-    DD = np.einsum("bq,bqnc,bqme->bcnem", wq, gu, gu)
-    B, d, nb = DD.shape[0], DD.shape[1], DD.shape[2]
-    return DD.reshape(B, d * nb, d * nb)
+def _grad_pairs(w, table, Jinv):
+    """Y[b, c, n, e, m] = sum_q w d_c phi_n d_e phi_m (physical partial
+    derivatives) from a gradients x gradients table (q, n, n, d, d)."""
+    R = _gemm(w, table)
+    B, n, d = R.shape[0], R.shape[1], R.shape[3]
+    # J^-T (d_f phi_n d_g phi_m) J^-1 for every (n, m) as one product per cell
+    K = (Jinv[:, :, None, :, None] * Jinv[:, None, :, None, :]).reshape(B, d * d, d * d)
+    Y = (R.reshape(B, n * n, d * d) @ K).reshape(B, n, n, d, d)
+    return Y.transpose(0, 3, 1, 4, 2)
 
 
-def _eps_eps(wq, gu):
-    d, nb = gu.shape[3], gu.shape[2]
-    dot = np.einsum("bq,bqnk,bqmk->bnm", wq, gu, gu)
-    E = 0.5 * np.einsum("bq,bqne,bqmc->bcnem", wq, gu, gu)
-    for c in range(d):
-        E[:, c, :, c, :] += 0.5 * dot
-    return E.reshape(E.shape[0], d * nb, d * nb)
+def _div_div(Y):
+    """(div v_(c,n), div v_(e,m)) -> (B, d*nb, d*nb), u component-major."""
+    B, d, nb = Y.shape[:3]
+    return Y.reshape(B, d * nb, d * nb)
 
 
-def _facet_scalar_mass(wlq, V):
-    return np.einsum("blq,blqi,blqj->bij", wlq, V, V)
+def _eps_eps(Y):
+    """(eps(phi_n e_c), eps(phi_m e_e)) = (eps(phi_n e_c) grad phi_m)_e
+    -> (B, d*nb, d*nb)."""
+    B, d, nb = Y.shape[:3]
+    return _eps_dot(Y.transpose(0, 3, 1, 2, 4)).reshape(B, d * nb, d * nb)
+
+
+def _div_matrix(w, table, Jinv):
+    """(q_j, div v_(c,n)) -> (B, nbp, d*nbu), u columns component-major,
+    from the p values x u gradients table (q, nbp, nbu, d)."""
+    R = _gemm(w, table)
+    B, nbp, nbu, d = R.shape
+    D = R.reshape(B, nbp * nbu, d) @ Jinv
+    return D.reshape(B, nbp, nbu, d).transpose(0, 1, 3, 2).reshape(B, nbp, d * nbu)
 
 
 def _blockdiag(blocks):
@@ -386,33 +489,33 @@ def _components(blocks, d):
     return np.repeat(blocks, d, axis=1)
 
 
-def _facet_cross_scalar(wlq, fv, V):
-    """-< p, fbar > rows (l, m), cols p_j: (B, (d+1)*nbf, nbp) WITHOUT sign."""
-    C = np.einsum("blq,qm,blqj->blmj", wlq, fv, V)
-    return C.reshape(C.shape[0], -1, C.shape[3])
+def _normal_trace(base, nrm, scale):
+    """< fbar_m, v.n > rows (l, m), u columns (c, n): (B, ntr, d*nbu), from
+    the gathered blocks base[b, l] = sum_q w_q fbar_m phi_n (fu_normal)."""
+    T = base[:, :, :, None, :] * (nrm * scale[..., None])[:, :, None, :, None]
+    B, d1, nbf, d, nbu = T.shape
+    return T.reshape(B, d1 * nbf, d * nbu)
 
 
-def _facet_bar_blocks(wlq, fv):
-    """Per-local-facet fbar x fbar blocks (B, d+1, nbf, nbf)."""
-    return np.einsum("blq,qm,qn->blmn", wlq, fv, fv)
-
-
-def _normal_trace(wf, fv, Vu, nrm, scale):
-    """< fbar_m, v.n > rows (l,m), u cols (c,n): (B, ntr, d*nbu)."""
-    base = np.einsum("q,qm,blqn->blmn", wf, fv, Vu)
-    T = np.einsum("blmn,blc,bl->blmcn", base, nrm, scale)
-    B = T.shape[0]
-    return T.reshape(B, -1, T.shape[3] * T.shape[4])
-
-
-def _eps_normal(Gu, nrm):
-    """(eps(phi_n e_c) nhat)_a at facet points: (B, l, q, c, n, a)."""
-    gn = np.einsum("blqnk,blk->blqn", Gu, nrm)
-    B, d1, nqf, nb, d = Gu.shape
-    EN = 0.5 * np.einsum("blc,blqna->blqcna", nrm, Gu)
+def _eps_dot(F):
+    """Sums of (eps(phi_n e_c) a)_e psi_m, as (..., c, n, e, m), from
+    F[..., c, e, n, m], the sums of a_c (d_e phi_n) psi_m; a is the facet
+    normal in the consistency terms."""
+    d = F.shape[-4]
+    E = 0.5 * F
+    tr = 0.5 * np.trace(F, axis1=-4, axis2=-3)
     for c in range(d):
-        EN[:, :, :, c, :, c] += 0.5 * gn
-    return EN
+        E[..., c, c, :, :] += tr
+    return np.swapaxes(E, -3, -2)
+
+
+def _physical(R, Jinv):
+    """d_e phi_n = sum_f J^-1[f, e] d_f phi_n on the gradient axis (-3) of
+    reference sums R[b, ..., f, n, m]; Jinv is (B, d, d)."""
+    lead = R.shape[:-3]
+    d, n, m = R.shape[-3:]
+    JT = Jinv.transpose(0, 2, 1).reshape((Jinv.shape[0],) + (1,) * (len(lead) - 1) + (d, d))
+    return (JT @ R.reshape(lead + (d, n * m))).reshape(R.shape)
 
 
 # ----------------------------------------------------------------------
@@ -422,6 +525,11 @@ def _eps_normal(Gu, nrm):
 def _darcy_layout(mesh, spaces):
     return BlockLayout(mesh, (("u", spaces["u"]), ("p", spaces["p"])),
                        (("pbar", spaces["pbar"]),))
+
+
+def _velocity_mass(ctx, w):
+    """Vector velocity mass, one scalar block per component: (B, d*nbu, d*nbu)."""
+    return _blockdiag(_components(_gemm(w, ctx.uu)[:, None], ctx.mesh.dim))
 
 
 def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None,
@@ -442,39 +550,29 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None
             build_space(mesh, "facet-scalar", k), p_dirichlet)
     acc.fixed_full = fixed
 
-    d, nbu, nbp = mesh.dim, ctx.nbu, ctx.nbp
-    du = d * nbu
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
+    cs = lay.cell_size
     for sl in ctx.chunks():
         xq = ctx.cell_points(sl)
-        wdet = ctx.rule.weights[None, :] * ctx.detJa[sl, None]
-        gu = ctx.phys_grads(sl, ctx.gref_u)
-        w_ixi = wdet / _coef(params.xi, xq)
-        w_gam = wdet * _coef(params.gamma, xq)
+        wdet = ctx.cell_weights(sl)
+        D = _div_matrix(wdet, ctx.pgu, ctx.Jinv[sl])
 
-        Mu = _blockdiag(_components(_scalar_mass(w_ixi, ctx.vals_u)[:, None], d))
-        D = _div_matrix(wdet, ctx.vals_p, gu)
-        Mp = _scalar_mass(w_gam, ctx.vals_p)
-
-        cs = lay.cell_size
         a11e = np.zeros((xq.shape[0], cs, cs))
-        a11e[:, usl, usl] = -Mu
+        a11e[:, usl, usl] = -_velocity_mass(ctx, wdet / _coef(params.xi, xq))
         a11e[:, usl, psl] = np.transpose(D, (0, 2, 1))
         a11e[:, psl, usl] = D
-        a11e[:, psl, psl] = Mp
+        a11e[:, psl, psl] = _gemm(wdet * _coef(params.gamma, xq), ctx.pp)
 
-        fids, nrm, scale, xf = ctx.facet_frame(sl)
+        fids, nrm, scale, _ = ctx.facet_frame(sl)
         acc.set_trace_ids(sl, fids, fixed)
-        Vu, _ = ctx.facet_cell_tables(sl, xf, which="u")
-        T = _normal_trace(ctx.frule.weights, ctx.fv, Vu, nrm, scale)
+        T = _normal_trace(ctx.fu_normal[ctx.codes[sl]], nrm, scale)
         a21e = np.zeros((xq.shape[0], T.shape[1], cs))
         a21e[:, :, usl] = -T
 
         rhs_celle = None
         if f is not None:
-            wf_ = wdet * _coef(f, xq)
             rhs_celle = np.zeros((xq.shape[0], cs))
-            rhs_celle[:, psl] = np.einsum("bq,qj->bj", wf_, ctx.vals_p)
+            rhs_celle[:, psl] = (wdet * _coef(f, xq)) @ ctx.vals_p
         acc.add(sl, a11e=a11e, a21e=a21e, rhs_celle=rhs_celle)
     return acc.finish()
 
@@ -491,32 +589,27 @@ def assemble_darcy_inner(mesh, spaces, params: ProblemParams,
     acc = _Accumulator(lay, params, "darcy-inner", ctx)
     eta = params.eta_for(mesh.dim)
 
-    d = mesh.dim
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
+    cs = lay.cell_size
     for sl in ctx.chunks():
         xq = ctx.cell_points(sl)
-        wdet = ctx.rule.weights[None, :] * ctx.detJa[sl, None]
-        gp = ctx.phys_grads(sl, ctx.gref_p)
-        w_ixi = wdet / _coef(params.xi, xq)
-        w_gam = wdet * _coef(params.gamma, xq)
-        w_xi = wdet * _coef(params.xi, xq)
+        wdet = ctx.cell_weights(sl)
+        xi = _coef(params.xi, xq)
 
-        cs = lay.cell_size
         a11e = np.zeros((xq.shape[0], cs, cs))
-        a11e[:, usl, usl] = _blockdiag(_components(_scalar_mass(w_ixi, ctx.vals_u)[:, None], d))
-        a11e[:, psl, psl] = _scalar_mass(w_gam, ctx.vals_p) + _grad_grad(w_xi, gp)
+        a11e[:, usl, usl] = _velocity_mass(ctx, wdet / xi)
+        a11e[:, psl, psl] = (_gemm(wdet * _coef(params.gamma, xq), ctx.pp)
+                             + _grad_grad(wdet * xi, ctx.gpgp, ctx.Jinv[sl]))
 
-        fids, nrm, scale, xf = ctx.facet_frame(sl)
+        fids, _, scale, xf = ctx.facet_frame(sl)
         acc.set_trace_ids(sl, fids, {})
-        Vp, _ = ctx.facet_cell_tables(sl, xf, which="p")
-        wpen = (ctx.frule.weights[None, None, :] * scale[:, :, None]
-                * _coef(params.xi, xf) * eta / ctx.hK[sl, None, None])
-        a11e[:, psl, psl] += _facet_scalar_mass(wpen, Vp)
-        cross = _facet_cross_scalar(wpen, ctx.fv, Vp)
-        a21e = np.zeros((xq.shape[0], cross.shape[1], cs))
-        a21e[:, :, psl] = -cross
-        a22e = _blockdiag(_facet_bar_blocks(wpen, ctx.fv))
-        acc.add(sl, a11e=a11e, a21e=a21e, a22e=a22e)
+        codes = ctx.codes[sl]
+        wpen = ctx.facet_weights(scale) * (_coef(params.xi, xf) * eta / ctx.hK[sl, None, None])
+        a11e[:, psl, psl] += _facet_gemm(codes, wpen, ctx.fpp).sum(axis=1)
+        cross = _facet_gemm(codes, wpen, ctx.ffp)
+        a21e = np.zeros((xq.shape[0], cross.shape[1] * cross.shape[2], cs))
+        a21e[:, :, psl] = -cross.reshape(a21e.shape[0], -1, cross.shape[3])
+        acc.add(sl, a11e=a11e, a21e=a21e, a22b=_gemm(wpen, ctx.ff))
     return acc.finish()
 
 
@@ -536,25 +629,20 @@ def assemble_counterexample_inner(mesh, spaces, params: ProblemParams,
     lay = _darcy_layout(mesh, spaces)
     acc = _Accumulator(lay, params, "darcy-counterexample-inner", ctx)
 
-    d = mesh.dim
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
+    cs = lay.cell_size
     for sl in ctx.chunks():
-        xq = ctx.cell_points(sl)
-        wdet = ctx.rule.weights[None, :] * ctx.detJa[sl, None]
-        gu = ctx.phys_grads(sl, ctx.gref_u)
+        wdet = ctx.cell_weights(sl)
+        Y = _grad_pairs(wdet / M, ctx.gugu, ctx.Jinv[sl])
 
-        cs = lay.cell_size
-        a11e = np.zeros((xq.shape[0], cs, cs))
-        Mu = _blockdiag(_components(_scalar_mass(wdet / xi, ctx.vals_u)[:, None], d))
-        a11e[:, usl, usl] = Mu + _div_div(wdet / M, gu)
-        a11e[:, psl, psl] = _scalar_mass(wdet * M, ctx.vals_p)
+        a11e = np.zeros((wdet.shape[0], cs, cs))
+        a11e[:, usl, usl] = _velocity_mass(ctx, wdet / xi) + _div_div(Y)
+        a11e[:, psl, psl] = _gemm(wdet * M, ctx.pp)
 
-        fids, nrm, scale, xf = ctx.facet_frame(sl)
+        fids, _, scale, _ = ctx.facet_frame(sl)
         acc.set_trace_ids(sl, fids, {})
-        wbar = (ctx.frule.weights[None, None, :] * scale[:, :, None]
-                * xi * ctx.hK[sl, None, None])
-        a22e = _blockdiag(_facet_bar_blocks(wbar, ctx.fv))
-        acc.add(sl, a11e=a11e, a22e=a22e)
+        wbar = ctx.facet_weights(scale) * (xi * ctx.hK[sl, None, None])
+        acc.add(sl, a11e=a11e, a22b=_gemm(wbar, ctx.ff))
 
     coupling = _normal_jump_coupling(ctx, lay, 1.0 / xi)
     return acc.finish(coupling=coupling)
@@ -568,24 +656,23 @@ def _normal_jump_coupling(ctx: ElementContext, lay: BlockLayout, coef: float):
     if interior.size == 0:
         return None
     nbu, d = ctx.nbu, mesh.dim
-    wq = ctx.frule.weights
     cells_ab = mesh.facet_cells[interior]
     N = mesh.facet_normals[interior]
     wF = coef * ctx.fscale[interior] / mesh.facet_diameters[interior]
-    # normal-component trace tables for both sides
-    P = []
-    for side in range(2):
-        cidx = cells_ab[:, side]
-        rel = ctx.Xf[interior] - ctx.v0[cidx, None, :]
-        xr = np.einsum("bke,bqe->bqk", ctx.Jinv[cidx], rel)
-        V = ctx.basis_u.eval(xr.reshape(-1, d)).reshape(interior.size, wq.size, nbu)
-        sgn = np.where(mesh.facet_cells[interior, 0] == cidx, 1.0, -1.0)
-        Pn = np.einsum("f,fc,fqn->fqcn", sgn, N, V).reshape(interior.size, wq.size, d * nbu)
-        P.append(Pn)
+    # arrangement code of the facet in each of its two cells
+    codes = np.stack([
+        ctx.codes[c, np.argmax(mesh.cell_facets[c] == interior[:, None], axis=1)]
+        for c in cells_ab.T], axis=1)
+    # stored normals point out of the first cell: n_a n_b = +-N N^T
+    NN = wF[:, None, None] * N[:, :, None] * N[:, None, :]
     uidx = lay.indices("u").reshape(mesh.n_cells, d * nbu)
-    triplets = [_block_triplets(np.einsum("f,q,fqi,fqj->fij", wF, wq, P[a], P[b]),
-                                uidx[cells_ab[:, a]], uidx[cells_ab[:, b]])
-                for a in range(2) for b in range(2)]
+    triplets = []
+    for a in range(2):
+        for b in range(2):
+            pairs = ctx.fu_pairs[codes[:, a], codes[:, b]]  # (nf, nbu, nbu)
+            blk = (NN if a == b else -NN)[:, :, None, :, None] * pairs[:, None, :, None, :]
+            triplets.append(_block_triplets(blk.reshape(-1, d * nbu, d * nbu),
+                                            uidx[cells_ab[:, a]], uidx[cells_ab[:, b]]))
     rows, cols, vals = (np.concatenate(t) for t in zip(*triplets))
     n = lay.n_cell_total
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
@@ -593,6 +680,15 @@ def _normal_jump_coupling(ctx: ElementContext, lay: BlockLayout, coef: float):
 
 # ----------------------------------------------------------------------
 # auxiliary HDG (elliptic) problem on (p, pbar)
+
+
+def _aux_consistency(ctx, codes, w, nrm, Jinv):
+    """Facet sums of w (grad q_i . n) q_j and w (grad q_j . n) fbar_m:
+    ((B, nbp, nbp) summed over the facets, (B, d+1, nbf, nbp)).  The
+    weights carry the conormal J^-1 n, one per gradient direction."""
+    conormal = nrm @ Jinv.transpose(0, 2, 1)  # (B, d+1, d)
+    wn = (conormal[..., None] * w[:, :, None, :]).reshape(w.shape[0], w.shape[1], -1)
+    return _facet_gemm(codes, wn, ctx.fgpp).sum(axis=1), _facet_gemm(codes, wn, ctx.fgfp)
 
 
 def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None,
@@ -607,33 +703,26 @@ def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None,
 
     for sl in ctx.chunks():
         xq = ctx.cell_points(sl)
-        wdet = ctx.rule.weights[None, :] * ctx.detJa[sl, None]
-        gp = ctx.phys_grads(sl, ctx.gref_p)
-        w_gam = wdet * _coef(params.gamma, xq)
-        w_xi = wdet * _coef(params.xi, xq)
-
-        a11e = _scalar_mass(w_gam, ctx.vals_p) + _grad_grad(w_xi, gp)
+        wdet = ctx.cell_weights(sl)
+        a11e = (_gemm(wdet * _coef(params.gamma, xq), ctx.pp)
+                + _grad_grad(wdet * _coef(params.xi, xq), ctx.gpgp, ctx.Jinv[sl]))
 
         fids, nrm, scale, xf = ctx.facet_frame(sl)
         acc.set_trace_ids(sl, fids, {})
-        Vp, Gp = ctx.facet_cell_tables(sl, xf, grads=True, which="p")
-        xif = _coef(params.xi, xf)
-        wpen = (ctx.frule.weights[None, None, :] * scale[:, :, None]
-                * xif * eta / ctx.hK[sl, None, None])
-        wcons = ctx.frule.weights[None, None, :] * scale[:, :, None] * xif
-        a11e += _facet_scalar_mass(wpen, Vp)
-        gn = np.einsum("blqjk,blk->blqj", Gp, nrm)
-        cons = np.einsum("blq,blqi,blqj->bij", wcons, gn, Vp)
+        codes = ctx.codes[sl]
+        wcons = ctx.facet_weights(scale) * _coef(params.xi, xf)
+        wpen = wcons * (eta / ctx.hK[sl, None, None])
+        cons, cons_bar = _aux_consistency(ctx, codes, wcons, nrm, ctx.Jinv[sl])
+        a11e += _facet_gemm(codes, wpen, ctx.fpp).sum(axis=1)
         a11e -= cons + np.transpose(cons, (0, 2, 1))
 
-        a21e = -_facet_cross_scalar(wpen, ctx.fv, Vp)
-        a21e += np.einsum("blq,qm,blqj->blmj", wcons, ctx.fv, gn).reshape(a21e.shape)
-        a22e = _blockdiag(_facet_bar_blocks(wpen, ctx.fv))
+        a21e = (cons_bar - _facet_gemm(codes, wpen, ctx.ffp)).reshape(
+            wdet.shape[0], -1, ctx.nbp)
 
         rhs_celle = None
         if f is not None:
-            rhs_celle = np.einsum("bq,qj->bj", wdet * _coef(f, xq), ctx.vals_p)
-        acc.add(sl, a11e=a11e, a21e=a21e, a22e=a22e, rhs_celle=rhs_celle)
+            rhs_celle = (wdet * _coef(f, xq)) @ ctx.vals_p
+        acc.add(sl, a11e=a11e, a21e=a21e, a22b=_gemm(wpen, ctx.ff), rhs_celle=rhs_celle)
     return acc.finish()
 
 
@@ -646,38 +735,52 @@ def _stokes_layout(mesh, spaces):
                        (("ubar", spaces["ubar"]), ("pbar", spaces["pbar"])))
 
 
-def _ch_blocks(ctx, sl, nu, eta, zeta=0.0):
-    """Element blocks of c_h (+ zeta div-div): returns (cell_uu, ubar_u, ubar_ubar)."""
+def _penalty_blocks(ctx, codes, wpen):
+    """The velocity penalty nu eta <h^-1 (u - ubar), (v - vbar)>:
+    (cell_uu, ubar_u, ubar_ubar), ubar rows (l, c, m), u columns (c, n),
+    ubar_ubar by its (l, c) diagonal blocks."""
     d = ctx.mesh.dim
-    wdet = ctx.rule.weights[None, :] * ctx.detJa[sl, None] * nu
-    gu = ctx.phys_grads(sl, ctx.gref_u)
-    uu = _eps_eps(wdet, gu)
+    B = wpen.shape[0]
+    uu = _blockdiag(_components(_facet_gemm(codes, wpen, ctx.fuu).sum(axis=1)[:, None], d))
+    pen = _facet_gemm(codes, wpen, ctx.ffu)  # (B, d+1, nbf, nbu)
+    cross = np.zeros((B, d + 1, d, ctx.nbf, d, ctx.nbu))
+    for c in range(d):
+        cross[:, :, c, :, c, :] = -pen
+    ubu = _components(_gemm(wpen, ctx.ff), d)
+    return uu, cross.reshape(B, -1, d * ctx.nbu), ubu
+
+
+def _ch_blocks(ctx, sl, Y, nu, eta, zeta=0.0):
+    """Element blocks of c_h (+ zeta div-div): returns (cell_uu, ubar_u,
+    ubar_ubar diagonal blocks); Y holds the cell's gradient pairs
+    (_grad_pairs)."""
+    _, nrm, scale, _ = ctx.facet_frame(sl)
+    codes = ctx.codes[sl]
+    wcons = ctx.facet_weights(scale) * nu
+    uu, cross, ubu = _penalty_blocks(ctx, codes, wcons * (eta / ctx.hK[sl, None, None]))
+    uu += nu * _eps_eps(Y)
     if zeta:
-        uu += _div_div(wdet * (zeta / nu), gu)
+        uu += zeta * _div_div(Y)
 
-    fids, nrm, scale, xf = ctx.facet_frame(sl)
-    Vu, Gu = ctx.facet_cell_tables(sl, xf, grads=True, which="u")
-    wpen = (ctx.frule.weights[None, None, :] * scale[:, :, None]
-            * nu * eta / ctx.hK[sl, None, None])
-    wcons = ctx.frule.weights[None, None, :] * scale[:, :, None] * nu
-
-    uu += _blockdiag(_components(_facet_scalar_mass(wpen, Vu)[:, None], d))
-    EN = _eps_normal(Gu, nrm)
-    nb = ctx.nbu
-    B = Vu.shape[0]
-    cons = np.einsum("blq,blqcne,blqm->bcnem", wcons, EN, Vu).reshape(B, d * nb, d * nb)
+    # -< eps(u) n, v - vbar > - < eps(v) n, u - ubar > consistency terms
+    cons, cons_bar = _ch_consistency(ctx, codes, wcons, nrm, ctx.Jinv[sl])
     uu -= cons + np.transpose(cons, (0, 2, 1))
-
-    # ubar rows x u columns
-    pen_cross = np.einsum("blq,qm,blqn->blmn", wpen, ctx.fv, Vu)
-    cross = np.zeros((B, (d + 1) * d * ctx.nbf, d * nb))
-    pc = np.einsum("blmn,xy->blxmyn", pen_cross, np.eye(d))  # (b,l,c,m,e,n)
-    cross -= pc.reshape(B, -1, d * nb)
-    en_cross = np.einsum("blq,blqcne,qm->blemcn", wcons, EN, ctx.fv)
-    cross += en_cross.reshape(B, -1, d * nb)
-
-    ubu = _blockdiag(_components(_facet_bar_blocks(wpen, ctx.fv), d))
+    cross += cons_bar
     return uu, cross, ubu
+
+
+def _ch_consistency(ctx, codes, w, nrm, Jinv):
+    """Facet sums of w (eps(phi_n e_c) n) . phi_m e_e, summed over the
+    facets, (B, d*nbu, d*nbu), and of w (eps(phi_n e_c) n) . fbar_m e_e,
+    rows (l, e, m), columns (c, n): (B, (d+1)*d*nbf, d*nbu)."""
+    B, d1 = codes.shape
+    d, nb = d1 - 1, ctx.nbu
+    R = _facet_gemm(codes, w, ctx.fguu)  # (B, l, f, n, m), reference gradients
+    F = (nrm.transpose(0, 2, 1) @ R.reshape(B, d1, -1)).reshape(B, d, d, nb, nb)
+    cons = _eps_dot(_physical(F, Jinv)).reshape(B, d * nb, d * nb)
+    G = _physical(_facet_gemm(codes, w, ctx.fguf), Jinv)  # (B, l, e, n, m)
+    EN = _eps_dot(nrm[:, :, :, None, None, None] * G[:, :, None])  # (B, l, c, n, e, m)
+    return cons, EN.transpose(0, 1, 4, 5, 2, 3).reshape(B, d1 * d * ctx.nbf, d * nb)
 
 
 def assemble_stokes(mesh, spaces, params: ProblemParams, f=None, u_dirichlet=None,
@@ -698,18 +801,17 @@ def assemble_stokes(mesh, spaces, params: ProblemParams, f=None, u_dirichlet=Non
             build_space(mesh, "facet-vector", k), u_dirichlet)
     acc.fixed_full = fixed
 
-    d, nbu, nbf = mesh.dim, ctx.nbu, ctx.nbf
+    d, nbf = mesh.dim, ctx.nbf
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
     n_ub = (d + 1) * d * nbf
+    cs = lay.cell_size
     for sl in ctx.chunks():
-        xq = ctx.cell_points(sl)
-        wdet = ctx.rule.weights[None, :] * ctx.detJa[sl, None]
-        gu = ctx.phys_grads(sl, ctx.gref_u)
-        uu, cross, ubu = _ch_blocks(ctx, sl, nu, eta)
-        D = _div_matrix(wdet, ctx.vals_p, gu)
+        wdet = ctx.cell_weights(sl)
+        B = wdet.shape[0]
+        Jinv = ctx.Jinv[sl]
+        uu, cross, ubu = _ch_blocks(ctx, sl, _grad_pairs(wdet, ctx.gugu, Jinv), nu, eta)
+        D = _div_matrix(wdet, ctx.pgu, Jinv)
 
-        cs = lay.cell_size
-        B = xq.shape[0]
         a11e = np.zeros((B, cs, cs))
         a11e[:, usl, usl] = uu
         a11e[:, usl, psl] = -np.transpose(D, (0, 2, 1))
@@ -717,22 +819,20 @@ def assemble_stokes(mesh, spaces, params: ProblemParams, f=None, u_dirichlet=Non
 
         fids, nrm, scale, xf = ctx.facet_frame(sl)
         acc.set_trace_ids(sl, fids, fixed)
-        Vu, _ = ctx.facet_cell_tables(sl, xf, which="u")
-        T = _normal_trace(ctx.frule.weights, ctx.fv, Vu, nrm, scale)
+        T = _normal_trace(ctx.fu_normal[ctx.codes[sl]], nrm, scale)
 
         ntr = acc.a21.shape[1]
         a21e = np.zeros((B, ntr, cs))
         a21e[:, :n_ub, usl] = cross
         a21e[:, n_ub:, usl] = T
-        a22e = np.zeros((B, ntr, ntr))
-        a22e[:, :n_ub, :n_ub] = ubu
 
         rhs_celle = None
         if f is not None:
-            fx = np.asarray(f(xq.reshape(-1, d)), dtype=float).reshape(B, -1, d)
+            xq = ctx.cell_points(sl)
+            wf = wdet[:, :, None] * np.asarray(f(xq.reshape(-1, d)), dtype=float).reshape(B, -1, d)
             rhs_celle = np.zeros((B, cs))
-            rhs_celle[:, usl] = np.einsum("bq,bqc,qn->bcn", wdet, fx, ctx.vals_u).reshape(B, -1)
-        acc.add(sl, a11e=a11e, a21e=a21e, a22e=a22e, rhs_celle=rhs_celle)
+            rhs_celle[:, usl] = _gemm(wf.transpose(0, 2, 1), ctx.vals_u).reshape(B, -1)
+        acc.add(sl, a11e=a11e, a21e=a21e, a22b=ubu, rhs_celle=rhs_celle)
 
         if u_dirichlet is not None:
             # consistency of the mass-balance trace rows with u = g on the
@@ -742,12 +842,12 @@ def assemble_stokes(mesh, spaces, params: ProblemParams, f=None, u_dirichlet=Non
                 bb, ll = np.nonzero(bmask)
                 gv = np.asarray(u_dirichlet(xf[bb, ll].reshape(-1, d)),
                                 dtype=float).reshape(bb.size, -1, d)
-                gn = np.einsum("fqc,fc->fq", gv, nrm[bb, ll])
-                load = np.einsum("f,q,fq,qm->fm",
-                                 scale[bb, ll], ctx.frule.weights, gn, ctx.fv)
+                gn = (gv @ nrm[bb, ll][:, :, None])[:, :, 0]
+                load = (scale[bb, ll, None] * ctx.frule.weights[None, :] * gn) @ ctx.fv
                 pb_ids = acc.tids[sl][bb[:, None], n_ub + ll[:, None] * ctx.nbf
                                       + np.arange(ctx.nbf)[None, :]]
-                np.add.at(acc.rhs_trace, pb_ids, load)
+                acc.rhs_trace += np.bincount(pb_ids.ravel(), weights=load.ravel(),
+                                             minlength=acc.rhs_trace.size)
 
     return acc.finish(null_vectors=(constant_pressure_vector(lay),))
 
@@ -769,46 +869,36 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams, hatted: bool = Fa
     acc = _Accumulator(lay, params, tag, ctx)
     eta = params.eta_for(mesh.dim)
 
-    d, nbu, nbf = mesh.dim, ctx.nbu, ctx.nbf
+    d, nbf = mesh.dim, ctx.nbf
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
     n_ub = (d + 1) * d * nbf
+    cs = lay.cell_size
     for sl in ctx.chunks():
-        xq = ctx.cell_points(sl)
-        wdet = ctx.rule.weights[None, :] * ctx.detJa[sl, None]
-        gu = ctx.phys_grads(sl, ctx.gref_u)
-        B = xq.shape[0]
+        wdet = ctx.cell_weights(sl)
+        B = wdet.shape[0]
+        Y = _grad_pairs(wdet, ctx.gugu, ctx.Jinv[sl])
+        fids, _, scale, _ = ctx.facet_frame(sl)
 
         if hatted:
-            uu, cross, ubu = _ch_blocks(ctx, sl, nu, eta, zeta=zeta)
-            fids, nrm, scale, xf = ctx.facet_frame(sl)
+            uu, cross, ubu = _ch_blocks(ctx, sl, Y, nu, eta, zeta=zeta)
         else:
-            uu = _eps_eps(wdet * nu, gu)
+            wpen = ctx.facet_weights(scale) * (nu * eta / ctx.hK[sl, None, None])
+            uu, cross, ubu = _penalty_blocks(ctx, ctx.codes[sl], wpen)
+            uu += nu * _eps_eps(Y)
             if zeta:
-                uu += _div_div(wdet * zeta, gu)
-            fids, nrm, scale, xf = ctx.facet_frame(sl)
-            Vu, _ = ctx.facet_cell_tables(sl, xf, which="u")
-            wpen = (ctx.frule.weights[None, None, :] * scale[:, :, None]
-                    * nu * eta / ctx.hK[sl, None, None])
-            uu += _blockdiag(_components(_facet_scalar_mass(wpen, Vu)[:, None], d))
-            pen_cross = np.einsum("blq,qm,blqn->blmn", wpen, ctx.fv, Vu)
-            cross = -np.einsum("blmn,xy->blxmyn", pen_cross, np.eye(d)).reshape(B, -1, d * nbu)
-            ubu = _blockdiag(_components(_facet_bar_blocks(wpen, ctx.fv), d))
+                uu += zeta * _div_div(Y)
 
-        cs = lay.cell_size
         a11e = np.zeros((B, cs, cs))
         a11e[:, usl, usl] = uu
-        a11e[:, psl, psl] = _scalar_mass(wdet / nu, ctx.vals_p)
+        a11e[:, psl, psl] = _gemm(wdet / nu, ctx.pp)
 
         acc.set_trace_ids(sl, fids, {})
         ntr = acc.a21.shape[1]
         a21e = np.zeros((B, ntr, cs))
         a21e[:, :n_ub, usl] = cross
-        a22e = np.zeros((B, ntr, ntr))
-        a22e[:, :n_ub, :n_ub] = ubu
-        wbar = (ctx.frule.weights[None, None, :] * scale[:, :, None]
-                * ctx.hK[sl, None, None] / (nu * eta))
-        a22e[:, n_ub:, n_ub:] = _blockdiag(_facet_bar_blocks(wbar, ctx.fv))
-        acc.add(sl, a11e=a11e, a21e=a21e, a22e=a22e)
+        wbar = ctx.facet_weights(scale) * (ctx.hK[sl, None, None] / (nu * eta))
+        a22b = np.concatenate([ubu, _gemm(wbar, ctx.ff)], axis=1)
+        acc.add(sl, a11e=a11e, a21e=a21e, a22b=a22b)
     return acc.finish()
 
 
@@ -823,10 +913,10 @@ def assemble_stokes_ch(mesh, spaces, params: ProblemParams,
     acc = _Accumulator(lay, params, "stokes-ch", ctx)
     eta = params.eta_for(mesh.dim)
     for sl in ctx.chunks():
-        uu, cross, ubu = _ch_blocks(ctx, sl, nu, eta)
-        fids, _, _, _ = ctx.facet_frame(sl)
-        acc.set_trace_ids(sl, fids, {})
-        acc.add(sl, a11e=uu, a21e=cross, a22e=ubu)
+        Y = _grad_pairs(ctx.cell_weights(sl), ctx.gugu, ctx.Jinv[sl])
+        uu, cross, ubu = _ch_blocks(ctx, sl, Y, nu, eta)
+        acc.set_trace_ids(sl, ctx.mesh.cell_facets[sl], {})
+        acc.add(sl, a11e=uu, a21e=cross, a22b=ubu)
     return acc.finish()
 
 

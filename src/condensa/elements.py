@@ -24,7 +24,8 @@ __all__ = [
     "monomial_exponents",
     "monomial_integral",
     "reference_measure",
-    "facet_trace_table",
+    "arrangement_codes",
+    "arrangement_points",
 ]
 
 _REF_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
@@ -223,17 +224,27 @@ def facet_global_points(mesh, facet: int, rule: QuadratureRule) -> np.ndarray:
     return lam @ coords
 
 
-def facet_trace_table(mesh, basis: PolynomialBasis, cell: int, local_facet: int,
-                      rule: QuadratureRule):
-    """Cell-basis values at the quadrature points of one of the cell's facets.
+def arrangement_codes(mesh) -> np.ndarray:
+    """(n_cells, dim+1) arrangement code of every (cell, local facet).
 
-    Returns (global_points, values); values has shape (nq, n_basis).
+    Facet quadrature points are generated from the facet's sorted vertex
+    list (facet_global_points).  If vertex v of that list is local vertex
+    pi(v) of the cell, the code is sum_v pi(v) (dim+1)^v, one of
+    (dim+1)^dim values.  The points land on the same reference-cell points
+    for every pair with the same code, so cell-basis values on facets are
+    gathered from one table per code (arrangement_points).
     """
-    fids = mesh.cell_facets[cell]
-    if not 0 <= local_facet < len(fids):
-        raise IndexError(f"local facet {local_facet} out of range")
-    pts = facet_global_points(mesh, fids[local_facet], rule)
-    v0 = mesh.vertices[mesh.cells[cell, 0]]
-    J = (mesh.vertices[mesh.cells[cell, 1:]] - v0).T
-    ref = np.linalg.solve(J, (pts - v0).T).T
-    return pts, basis.eval(ref)
+    d = mesh.dim
+    fverts = mesh.facets[mesh.cell_facets]  # (nc, d+1, d) global vertex ids
+    pi = np.argmax(fverts[..., None] == mesh.cells[:, None, None, :], axis=-1)
+    return pi @ (d + 1) ** np.arange(d)
+
+
+def arrangement_points(dim: int, rule: QuadratureRule) -> np.ndarray:
+    """Reference-cell coordinates ((dim+1)^dim, nq, dim) of a facet rule's
+    points under every arrangement code (codes that repeat a vertex give
+    degenerate facets; no mesh produces them)."""
+    d1 = dim + 1
+    ref_vertices = np.vstack([np.zeros(dim), np.eye(dim)])
+    pi = (np.arange(d1**dim)[:, None] // d1 ** np.arange(dim)) % d1  # (ncode, dim)
+    return facet_barycentric(rule) @ ref_vertices[pi]

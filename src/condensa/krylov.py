@@ -57,6 +57,10 @@ ARPACK_TOL = 1e-12
 # Stokes pencil (2D, nu=1e-6) 85% off at n=4 and 65% off at n=6
 KERNEL_SHIFT = 1e-8
 
+# an eigenvalue at most KERNEL_RTOL times the largest |eigenvalue| counts as
+# a kernel eigenvalue: declared ones are dropped, undeclared ones rejected
+KERNEL_RTOL = 1e-7
+
 
 class NotSymmetricPositiveDefinite(np.linalg.LinAlgError):
     pass
@@ -341,7 +345,7 @@ def _drop_kernel(vals, n_drop):
         order = np.argsort(np.abs(vals))
         scale = np.abs(vals).max()
         small = order[:n_drop]
-        if np.abs(vals[small]).max() > 1e-7 * scale:
+        if np.abs(vals[small]).max() > KERNEL_RTOL * scale:
             raise ValueError("declared kernel eigenvalues are not negligible")
         keep = np.ones(vals.size, dtype=bool)
         keep[small] = False

@@ -17,10 +17,8 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "CellGeometry",
     "unit_box_mesh",
     "refine",
-    "cell_geometry",
     "write_mesh_text",
     "read_mesh_text",
 ]
@@ -84,15 +82,6 @@ class Mesh:
     @property
     def n_facets(self) -> int:
         return self.facets.shape[0]
-
-
-@dataclass(frozen=True)
-class CellGeometry:
-    volume: float
-    diameter: float
-    facet_areas: np.ndarray
-    facet_normals: np.ndarray  # outward, one row per local facet
-    boundary_measure: float
 
 
 def _orient_positively(verts, cells, dim):
@@ -328,26 +317,6 @@ def refine(mesh: Mesh) -> Mesh:
                 (m02, m12, m13, m23),
             ]
     return Mesh(mesh.dim, np.array(verts, dtype=float), np.array(cells, dtype=np.int64))
-
-
-def cell_geometry(mesh: Mesh, cell: int) -> CellGeometry:
-    """Volume, diameter h_K, facet areas, outward normals, and |dK| of one cell."""
-    if not 0 <= cell < mesh.n_cells:
-        raise IndexError(f"cell index {cell} out of range")
-    vol = float(mesh.volumes[cell])
-    if vol <= 0.0 or not np.isfinite(vol):
-        raise ValueError(f"degenerate cell {cell}")
-    fids = mesh.cell_facets[cell]
-    signs = mesh.cell_facet_signs[cell].astype(float)
-    normals = mesh.facet_normals[fids] * signs[:, None]
-    areas = mesh.facet_areas[fids]
-    return CellGeometry(
-        volume=vol,
-        diameter=float(mesh.diameters[cell]),
-        facet_areas=areas.copy(),
-        facet_normals=normals,
-        boundary_measure=float(areas.sum()),
-    )
 
 
 def write_mesh_text(mesh: Mesh, path) -> None:

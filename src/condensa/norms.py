@@ -50,26 +50,24 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
     cells, xbar = lay.split(np.asarray(x, dtype=float))
 
     sl = slice(0, mesh.n_cells)
-    wdet = ctx.rule.weights[None, :] * ctx.detJa[sl, None]
+    wdet = ctx.cell_weights(sl)
     xq = ctx.cell_points(sl)
     fids, nrm, scale, xf = ctx.facet_frame(sl)
-    wfs = ctx.frule.weights[None, None, :] * scale[:, :, None]  # (nc, d+1, nqf)
+    wfs = ctx.facet_weights(scale)  # (nc, d+1, nqf)
     hK = ctx.hK
     out: dict[str, float] = {}
     names = {n for n, _ in lay.cell_fields} | {n for n, _ in lay.trace_fields}
 
     if "u" in names:
         U = cells[:, lay.cell_field_slice("u")].reshape(mesh.n_cells, mesh.dim, ctx.nbu)
-        gu = ctx.phys_grads(sl, ctx.gref_u)
-        G = np.einsum("bcn,bqnk->bqck", U, gu)
+        G = _field_grads(ctx, U, ctx.gref_u)
         eps = 0.5 * (G + np.transpose(G, (0, 1, 3, 2)))
         out["eps_u_sq"] = float(np.einsum("bq,bqck->", wdet, eps**2))
         out["div_u_sq"] = float(np.einsum("bq,bq->", wdet,
                                           np.einsum("bqcc->bq", G) ** 2))
-        uv = np.einsum("bcn,qn->bqc", U, ctx.vals_u)
+        uv = (U @ ctx.vals_u.T).transpose(0, 2, 1)
         out["u_l2_sq"] = float(np.einsum("bq,bqc->", wdet, uv**2))
-        Vu, _ = ctx.facet_cell_tables(sl, xf, which="u")
-        u_f = np.einsum("bcn,blqn->blqc", U, Vu)
+        u_f = ctx.facet_values(sl, "u") @ U.transpose(0, 2, 1)[:, None]
         if "ubar" in names:
             ub_full = trace_full_values(system, "ubar", xbar)
             spc = dict(lay.trace_fields)["ubar"]
@@ -86,9 +84,8 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
 
     if "p" in names:
         P = cells[:, lay.cell_field_slice("p")]
-        gp = ctx.phys_grads(sl, ctx.gref_p)
-        pv = np.einsum("bn,qn->bq", P, ctx.vals_p)
-        gpv = np.einsum("bn,bqnk->bqk", P, gp)
+        pv = P @ ctx.vals_p.T
+        gpv = _field_grads(ctx, P[:, None, :], ctx.gref_p)[:, :, 0]
         out["p_l2_sq"] = float(np.einsum("bq,bq->", wdet, pv**2))
         out["grad_p_sq"] = float(np.einsum("bq,bqk->", wdet, gpv**2))
         if "pbar" in names:
@@ -96,8 +93,7 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
             spc = dict(lay.trace_fields)["pbar"]
             PB = pb_full.reshape(mesh.n_facets, spc.nb)[fids]
             pb_f = np.einsum("blm,qm->blq", PB, ctx.fv)
-            Vp, _ = ctx.facet_cell_tables(sl, xf, which="p")
-            p_f = np.einsum("bn,blqn->blq", P, Vp)
+            p_f = (ctx.facet_values(sl, "p") @ P[:, None, :, None])[..., 0]
             jump = p_f - pb_f
             out["jump_p_sq"] = float(np.einsum(
                 "blq,blq->", wfs / hK[:, None, None], jump**2))
@@ -145,6 +141,15 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
     return out
 
 
+def _field_grads(ctx, U, gref):
+    """Physical gradients at the cell quadrature points of fields with
+    coefficients U (cells, components, nb): (cells, q, components, d)."""
+    B, c, n = U.shape
+    q, _, d = gref.shape
+    G = (U.reshape(B * c, n) @ gref.transpose(1, 0, 2).reshape(n, q * d)).reshape(B, c * q, d)
+    return (G @ ctx.Jinv).reshape(B, c, q, d).transpose(0, 2, 1, 3)
+
+
 def xnorm(system: BlockSystem, x: np.ndarray) -> float:
     """The X_h energy norm of a monolithic coefficient vector."""
     return evaluate_norms(system, x)["tnorm_X"]
@@ -158,17 +163,17 @@ def l2_errors(system: BlockSystem, x: np.ndarray, exact_u=None, exact_p=None,
     mesh = ctx.mesh
     cells, _ = lay.split(np.asarray(x, dtype=float))
     sl = slice(0, mesh.n_cells)
-    wdet = ctx.rule.weights[None, :] * ctx.detJa[sl, None]
+    wdet = ctx.cell_weights(sl)
     xq = ctx.cell_points(sl)
     out = {}
     if exact_u is not None:
         U = cells[:, lay.cell_field_slice("u")].reshape(mesh.n_cells, mesh.dim, ctx.nbu)
-        uh = np.einsum("bcn,qn->bqc", U, ctx.vals_u)
+        uh = (U @ ctx.vals_u.T).transpose(0, 2, 1)
         ue = np.asarray(exact_u(xq.reshape(-1, mesh.dim))).reshape(uh.shape)
         out["err_u"] = float(np.sqrt(np.einsum("bq,bqc->", wdet, (uh - ue) ** 2)))
     if exact_p is not None:
         P = cells[:, lay.cell_field_slice("p")]
-        ph = np.einsum("bn,qn->bq", P, ctx.vals_p)
+        ph = P @ ctx.vals_p.T
         if shift_p_mean:
             vol = wdet.sum()
             ph = ph - np.einsum("bq,bq->", wdet, ph) / vol

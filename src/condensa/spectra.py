@@ -35,7 +35,7 @@ from .assembly import (BlockSystem, ProblemParams, aux_spaces, assemble_aux_hdg,
                        assemble_stokes_ch, assemble_stokes_inner, darcy_spaces,
                        qpair_matrix, stokes_spaces, _block_triplets)
 from .condense import condense, condense_precond, eliminate
-from .krylov import generalized_eigs
+from .krylov import KERNEL_RTOL, generalized_eigs
 from .mesh import unit_box_mesh
 
 __all__ = [
@@ -77,11 +77,14 @@ def measure_constants(A, P, kernel_dim: int = 0):
     valid for symmetric A, where the sup-sup and inf-sup of the
     well-posedness conditions coincide with extreme |eigenvalues| in the
     P-norm.  Both come from generalized_eigs(mode="magnitude"): dense up to
-    DENSE_MAX, ARPACK above it.
+    DENSE_MAX, ARPACK above it.  A c_i at most KERNEL_RTOL c_b is a kernel
+    the caller did not declare (the threshold that drops declared kernel
+    eigenvalues), so it raises rather than return c_i at roundoff level.
     """
     c_i, c_b = generalized_eigs(A, P, mode="magnitude", n_drop=kernel_dim)
-    if c_i <= 0:
-        raise ValueError("singular operator beyond the declared kernel: ill-posed")
+    if c_i <= KERNEL_RTOL * c_b:
+        raise ValueError("singular operator beyond the declared kernel: ill-posed "
+                         f"(c_i = {c_i:.3g}, c_b = {c_b:.3g})")
     return c_b, c_i, c_b / c_i
 
 
@@ -216,7 +219,7 @@ def _hu_seminorm_matrix(ch_system: BlockSystem) -> sp.csr_matrix:
     mesh = ctx.mesh
     sl = slice(0, mesh.n_cells)
     _, _, scale, _ = ctx.facet_frame(sl)
-    wfs = ctx.frule.weights[None, None, :] * scale[:, :, None]
+    wfs = ctx.facet_weights(scale)
     d, nbf = mesh.dim, ctx.nbf
     d1 = d + 1
     # per cell: B[(l,m), q-pair] values of fbar basis at all boundary pts
@@ -228,9 +231,9 @@ def _hu_seminorm_matrix(ch_system: BlockSystem) -> sp.csr_matrix:
     w = (wfs / ctx.hK[sl, None, None]).reshape(mesh.n_cells, d1 * nq)
     wm = wfs.reshape(mesh.n_cells, d1 * nq)
     area = wm.sum(axis=1)
-    mean = np.einsum("bq,btq->bt", wm, V) / area[:, None]
+    mean = (V @ wm[:, :, None])[:, :, 0] / area[:, None]
     dev = V - mean[:, :, None]
-    M = np.einsum("bq,btq,bsq->bts", w, dev, dev)
+    M = (dev * w[:, None, :]) @ dev.transpose(0, 2, 1)
     # the same block for every velocity component at that component's ubar
     # ids; a cell's tids run over (local facet, component, basis function)
     ids = ch_system.tids.reshape(mesh.n_cells, d1, d, nbf).transpose(0, 2, 1, 3)

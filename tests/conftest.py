@@ -9,6 +9,7 @@ from condensa import krylov
 from condensa.assembly import (ProblemParams, assemble_darcy, assemble_darcy_inner,
                                assemble_stokes, assemble_stokes_inner,
                                darcy_spaces, stokes_spaces)
+from condensa.elements import facet_global_points
 from condensa.manufactured import manufactured_rhs
 from condensa.mesh import unit_box_mesh
 
@@ -71,6 +72,21 @@ def factor_sym_indef(S):
     """Sparse LU with partial pivoting of a symmetric indefinite matrix:
     the monolithic oracle that condensed solves are checked against."""
     return spla.splu(sp.csc_matrix(S))
+
+
+def facet_trace_table(mesh, basis, cell: int, local_facet: int, rule):
+    """Cell-basis values at the quadrature points of one of the cell's
+    facets, by mapping each point back through J^-1: the per-cell oracle of
+    the arrangement-code tables.  Returns (global_points, values); values
+    has shape (nq, n_basis)."""
+    fids = mesh.cell_facets[cell]
+    if not 0 <= local_facet < len(fids):
+        raise IndexError(f"local facet {local_facet} out of range")
+    pts = facet_global_points(mesh, fids[local_facet], rule)
+    v0 = mesh.vertices[mesh.cells[cell, 0]]
+    J = (mesh.vertices[mesh.cells[cell, 1:]] - v0).T
+    ref = np.linalg.solve(J, (pts - v0).T).T
+    return pts, basis.eval(ref)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from condensa.krylov import factor_spd
 from condensa.manufactured import manufactured_rhs
 from condensa.mesh import Mesh, unit_box_mesh
 from condensa.norms import evaluate_norms
-from condensa.spaces import build_space
+from condensa.spaces import build_space, interpolate_boundary
 
 from conftest import darcy_problem, stokes_problem
 
@@ -481,6 +481,43 @@ def test_heterogeneous_case_fields():
     assert np.allclose(case.xi_fn(pts), [1.0, 1.32, 1.04])
     assert np.allclose(case.gamma_fn(pts), [1.0, 1e4, 1e4])
     assert np.allclose(case.f(pts), 1.0)
+
+
+@pytest.mark.parametrize("problem", ["darcy", "stokes"])
+def test_dirichlet_lift_matches_full_trace_system(problem):
+    # assembling with boundary data on the zero-boundary trace space equals
+    # the operator with every trace dof free, restricted to the free dofs,
+    # with the fixed columns times the data moved to the right-hand side
+    mesh = unit_box_mesh(2, 2)
+    params = ProblemParams(k=2)
+    trace, kind = ("pbar", "facet-scalar") if problem == "darcy" else ("ubar", "facet-vector")
+    if problem == "darcy":
+        spaces, assemble, key = darcy_spaces(mesh, 2), assemble_darcy, "p_dirichlet"
+
+        def g(x):
+            return 1.0 + x[:, 0] ** 2 - 0.5 * x[:, 1]
+    else:
+        spaces, assemble, key = stokes_spaces(mesh, 2), assemble_stokes, "u_dirichlet"
+
+        def g(x):
+            return np.stack([1.0 + x[:, 1] ** 2, x[:, 0] - 0.3], axis=1)
+    full_spaces = dict(spaces, **{trace: build_space(mesh, kind, 2)})
+    lifted = assemble(mesh, spaces, params, **{key: g})
+    full = assemble(mesh, full_spaces, params)
+
+    lay, flay = lifted.layout, full.layout
+    nct = lay.n_cell_total
+    space = spaces[trace]
+    off, end = flay.trace_field_range(trace)
+    keep = np.concatenate([np.arange(nct), nct + off + space.free_to_full,
+                           np.arange(nct + end, flay.n_total)])
+    fixed = nct + off + np.nonzero(space.full_to_free < 0)[0]
+    gfull = interpolate_boundary(build_space(mesh, kind, 2), g)
+    K = full.to_sparse().tocsr()
+    want = full.rhs() - K[:, fixed] @ gfull[fixed - nct - off]
+    assert np.abs((lifted.to_sparse() - K[keep][:, keep])).max() == 0.0
+    rows = lay.indices(*[n for n, _ in lay.cell_fields], trace)  # the pbar load differs
+    assert np.abs(lifted.rhs()[rows] - want[keep][rows]).max() < 1e-12 * np.abs(want).max()
 
 
 def test_cavity_boundary_data():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from condensa.elements import (PolynomialBasis, facet_trace_table, monomial_integral,
-                               pk_basis, pk_dim, reference_measure, simplex_quadrature)
+from condensa.elements import (PolynomialBasis, monomial_integral, pk_basis, pk_dim,
+                               reference_measure, simplex_quadrature)
 from condensa.mesh import unit_box_mesh
+
+from conftest import facet_trace_table
 
 
 def test_weights_sum_to_reference_measure():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condensa.mesh import (Mesh, _dissection_order, cell_geometry, read_mesh_text,
-                           refine, unit_box_mesh, write_mesh_text)
+from condensa.mesh import (Mesh, _dissection_order, read_mesh_text, refine, unit_box_mesh,
+                           write_mesh_text)
 
 
 def test_unit_square_one_cell_per_edge():
@@ -69,19 +69,20 @@ def test_refine_boundary_stays_on_parent_boundary(dim):
 def test_cell_geometry_right_triangle():
     m = Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
              np.array([[0, 1, 2]]))
-    g = cell_geometry(m, 0)
-    assert abs(g.volume - 0.5) < 1e-15
-    assert abs(g.diameter - np.sqrt(2)) < 1e-15
-    assert abs(g.boundary_measure - (2 + np.sqrt(2))) < 1e-14
-    # hypotenuse normal
-    hyp = int(np.argmax(g.facet_areas))
-    assert np.abs(g.facet_normals[hyp] - np.array([1, 1]) / np.sqrt(2)).max() < 1e-14
+    areas = m.facet_areas[m.cell_facets[0]]
+    normals = m.facet_normals[m.cell_facets[0]] * m.cell_facet_signs[0][:, None]
+    assert abs(m.volumes[0] - 0.5) < 1e-15
+    assert abs(m.diameters[0] - np.sqrt(2)) < 1e-15
+    assert abs(areas.sum() - (2 + np.sqrt(2))) < 1e-14
+    # hypotenuse normal, outward
+    hyp = int(np.argmax(areas))
+    assert np.abs(normals[hyp] - np.array([1, 1]) / np.sqrt(2)).max() < 1e-14
 
 
 def test_reference_tet_volume():
     m = Mesh(3, np.array([[0., 0., 0.], [1., 0., 0.], [0., 1., 0.], [0., 0., 1.]]),
              np.array([[0, 1, 2, 3]]))
-    assert abs(cell_geometry(m, 0).volume - 1.0 / 6.0) < 1e-15
+    assert abs(m.volumes[0] - 1.0 / 6.0) < 1e-15
 
 
 def test_degenerate_cell_rejected():
@@ -92,10 +93,10 @@ def test_degenerate_cell_rejected():
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
 def test_closed_surface_identity(dim, n):
     m = unit_box_mesh(dim, n)
-    for c in range(m.n_cells):
-        g = cell_geometry(m, c)
-        s = (g.facet_areas[:, None] * g.facet_normals).sum(axis=0)
-        assert np.abs(s).max() < 1e-12
+    # sum over each cell's facets of |F| times the outward normal
+    outward = m.facet_normals[m.cell_facets] * m.cell_facet_signs[..., None]
+    s = (m.facet_areas[m.cell_facets][..., None] * outward).sum(axis=1)
+    assert np.abs(s).max() < 1e-12
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])

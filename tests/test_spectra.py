@@ -39,6 +39,20 @@ def test_measure_constants_rejects_singular():
         measure_constants(np.diag([1.0, 0.0]), np.eye(2))
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_measure_constants_rejects_undeclared_kernel(monkeypatch, sparse):
+    # the Stokes pencil has the constant-pressure kernel; undeclared, its
+    # eigenvalue comes back at roundoff level (1e-15 dense, 2e-16 ARPACK)
+    _, _, _, system, inner = stokes_problem(n=4, with_data=False)
+    A, P = system.to_sparse(), inner.to_sparse()
+    if sparse:
+        sparse_modes(monkeypatch)
+    with pytest.raises(ValueError, match="beyond the declared kernel"):
+        measure_constants(A, P, kernel_dim=0)
+    c_b, c_i, _ = measure_constants(A, P, kernel_dim=1)
+    assert c_i > 1e-3 * c_b
+
+
 def test_darcy_kappa_robust_across_sweep():
     kappas = []
     for xi in (1e-6, 1.0):
