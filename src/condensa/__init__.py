@@ -12,7 +12,7 @@ from .condense import (CondensedSystem, back_substitute, condense,
 from .elements import PolynomialBasis, QuadratureRule, pk_basis, simplex_quadrature
 from .krylov import KrylovReport, cg, factor_spd, generalized_eigs, minres
 from .manufactured import ManufacturedCase, manufactured_rhs
-from .mesh import Mesh, read_mesh_text, refine, unit_box_mesh, write_mesh_text
+from .mesh import Mesh, read_mesh_text, unit_box_mesh, write_mesh_text
 from .norms import evaluate_norms, l2_errors, xnorm
 from .precond import PrecondOperator, PreconditionerSpec, build_full, build_reduced
 from .spaces import BlockLayout, FunctionSpace, build_space, interpolate_boundary

@@ -229,15 +229,20 @@ class BlockSystem:
 
     a21 rows belonging to Dirichlet-fixed trace dofs are zeroed; their
     contributions are lifted into the right-hand side at assembly time.
-    ``coupling`` holds cross-cell entries on the cell group (only the
-    counterexample's normal-jump term produces them).
+    A22 is kept as the pair `_block_triplets` reads: blocks a22b (N, s, s)
+    at trace ids a22_ids (N, s).  Assemblers store one block per (local
+    facet, component), cell-major, so a22b.reshape(n_cells, -1, s, s)
+    holds each cell's own A22_K.  ``coupling`` holds cross-cell entries on
+    the cell group (only the counterexample's normal-jump term produces
+    them).
     """
 
     layout: BlockLayout
     a11: np.ndarray
     a21: np.ndarray
     tids: np.ndarray
-    a22: sp.csr_matrix
+    a22b: np.ndarray
+    a22_ids: np.ndarray
     rhs_cell: np.ndarray
     rhs_trace: np.ndarray
     params: ProblemParams
@@ -254,26 +259,27 @@ class BlockSystem:
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.rhs_cell.ravel(), self.rhs_trace])
 
+    def a22_triplets(self):
+        return _block_triplets(self.a22b, self.a22_ids, self.a22_ids)
+
+    @property
+    def a22(self) -> sp.csr_matrix:
+        """A22 as a CSR matrix, built from its blocks."""
+        return _triplets_csr([self.a22_triplets()], (self.n_trace,) * 2)
+
     def to_sparse(self) -> sp.csr_matrix:
         lay = self.layout
-        nc, cs = self.a11.shape[0], self.a11.shape[1]
-        nct, n = lay.n_cell_total, lay.n_total
+        nc, cs = self.a11.shape[:2]
+        nct = lay.n_cell_total
         cell_ids = np.arange(nct).reshape(nc, cs)
-        r11, c11, v11 = _block_triplets(self.a11, cell_ids, cell_ids)
-        r21, c21, v21 = _block_triplets(
-            self.a21, np.where(self.tids >= 0, self.tids + nct, -1), cell_ids)
-        K = sp.coo_matrix(
-            (np.concatenate([v11, v21, v21]),
-             (np.concatenate([r11, r21, c21]), np.concatenate([c11, c21, r21]))),
-            shape=(n, n),
-        ).tocsr()
-        if self.a22.nnz:
-            a22 = self.a22.tocoo()
-            K += sp.coo_matrix((a22.data, (a22.row + nct, a22.col + nct)), shape=(n, n)).tocsr()
-        if self.coupling is not None and self.coupling.nnz:
+        r21, c21, v21 = _block_triplets(self.a21, self.tids, cell_ids)
+        r22, c22, v22 = self.a22_triplets()
+        parts = [_block_triplets(self.a11, cell_ids, cell_ids),
+                 (r21 + nct, c21, v21), (c21, r21 + nct, v21), (r22 + nct, c22 + nct, v22)]
+        if self.coupling is not None:
             cc = self.coupling.tocoo()
-            K += sp.coo_matrix((cc.data, (cc.row, cc.col)), shape=(n, n)).tocsr()
-        return K
+            parts.append((cc.row, cc.col, cc.data))
+        return _triplets_csr(parts, (lay.n_total,) * 2)
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +326,8 @@ def _trace_ids_vector(space, fids):
 
 
 class _Accumulator:
-    """Scatters chunk element blocks into global storage with Dirichlet lift."""
+    """Stores chunk element blocks in global per-cell storage with
+    Dirichlet lift."""
 
     def __init__(self, layout: BlockLayout, params, problem, context):
         nc, cs = layout.mesh.n_cells, layout.cell_size
@@ -330,10 +337,10 @@ class _Accumulator:
             ntr_local += (layout.mesh.dim + 1) * spc.ncomp * spc.nb
         self.a11 = np.zeros((nc, cs, cs))
         self.a21 = np.zeros((nc, ntr_local, cs))
+        self.a22b = None  # (nc, m, s, s), allocated by the first add
         self.tids = np.full((nc, ntr_local), -1, dtype=np.int64)
         self.rhs_cell = np.zeros((nc, cs))
         self.rhs_trace = np.zeros(layout.n_trace)
-        self.a22_rows, self.a22_cols, self.a22_vals = [], [], []
         self.params, self.problem, self.context = params, problem, context
         self.fixed_full: dict = {}
         self.gloc = np.zeros((nc, ntr_local))
@@ -356,42 +363,37 @@ class _Accumulator:
         self.gloc[sl] = np.concatenate(gpieces, axis=1)
 
     def add(self, sl, a11e=None, a21e=None, a22b=None, rhs_celle=None):
-        """Add a chunk's blocks.  a22b holds the trace-trace block by its
-        diagonal blocks (B, m, s, s): the leading m*s local trace dofs, in
-        runs of s (one local facet, one component) that couple only within
-        a run; the trace dofs after them have no trace-trace entries.  A run
-        is all free or all fixed (boundary data fixes whole facets), so only
-        a21 lifts the fixed values into the right-hand side."""
-        tids, gloc = self.tids[sl], self.gloc[sl]
-        free = tids >= 0
+        """Store a chunk's blocks.  Every assembler calls add exactly once
+        per chunk, so each block is assigned, not added.  a22b holds the
+        trace-trace block by its diagonal blocks (B, m, s, s): the leading
+        m*s local trace dofs, in runs of s (one local facet, one component)
+        that couple only within a run; the trace dofs after them have no
+        trace-trace entries.  A run is all free or all fixed (boundary data
+        fixes whole facets), so only a21 lifts the fixed values into the
+        right-hand side."""
         if a11e is not None:
-            self.a11[sl] += a11e
+            self.a11[sl] = a11e
         if rhs_celle is not None:
-            self.rhs_cell[sl] += rhs_celle
+            self.rhs_cell[sl] = rhs_celle
         if a21e is not None:
-            self.rhs_cell[sl] -= (gloc[:, None, :] @ a21e)[:, 0]
-            self.a21[sl] += np.where(free[:, :, None], a21e, 0.0)
+            a21 = self.a21[sl]
+            a21[...] = a21e
+            a21[self.tids[sl] < 0] = 0.0
+            self.rhs_cell[sl] -= (self.gloc[sl][:, None, :] @ a21e)[:, 0]
         if a22b is not None:
-            B, m, s = a22b.shape[:3]
-            ids = tids[:, :m * s].reshape(B * m, s)
-            r, c, v = _block_triplets(a22b.reshape(B * m, s, s), ids, ids)
-            self.a22_rows.append(r)
-            self.a22_cols.append(c)
-            self.a22_vals.append(v)
+            if self.a22b is None:
+                self.a22b = np.empty((self.a11.shape[0],) + a22b.shape[1:])
+            self.a22b[sl] = a22b
 
     def finish(self, coupling=None, null_vectors=()) -> BlockSystem:
-        n = self.layout.n_trace
-        if self.a22_rows:
-            a22 = sp.coo_matrix(
-                (np.concatenate(self.a22_vals),
-                 (np.concatenate(self.a22_rows), np.concatenate(self.a22_cols))),
-                shape=(n, n),
-            ).tocsr()
-        else:
-            a22 = sp.csr_matrix((n, n))
+        nc = self.a11.shape[0]
+        a22b = np.empty((nc, 0, 0, 0)) if self.a22b is None else self.a22b
+        m, s = a22b.shape[1:3]
         return BlockSystem(
             layout=self.layout, a11=self.a11, a21=self.a21, tids=self.tids,
-            a22=a22, rhs_cell=self.rhs_cell, rhs_trace=self.rhs_trace,
+            a22b=a22b.reshape(nc * m, s, s),
+            a22_ids=self.tids[:, :m * s].reshape(nc * m, s),
+            rhs_cell=self.rhs_cell, rhs_trace=self.rhs_trace,
             params=self.params, problem=self.problem, coupling=coupling,
             fixed_full=self.fixed_full, context=self.context,
             null_vectors=tuple(null_vectors),
@@ -475,12 +477,25 @@ def _blockdiag(blocks):
 
 def _block_triplets(blocks, rows, cols):
     """COO triplets (row ids, column ids, values) of per-cell blocks
-    (B, m, n) placed at row ids (B, m) and column ids (B, n); every entry
-    with a negative row or column id is dropped."""
-    keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+    (B, m, n) placed at row ids (B, m) and column ids (B, n).  An entry is
+    dropped when its row or column id is negative or its value is exactly
+    0.0, so a structurally zero sub-block never enters a pattern."""
+    keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0) & (blocks != 0)
     r = np.broadcast_to(rows[:, :, None], blocks.shape)[keep]
     c = np.broadcast_to(cols[:, None, :], blocks.shape)[keep]
     return r, c, blocks[keep]
+
+
+def _triplets_csr(parts, shape) -> sp.csr_matrix:
+    """One CSR matrix from a list of (rows, cols, values) triplets;
+    repeated positions add up, and the pattern is every listed position.
+    Ids are concatenated straight into the index type of the result, so
+    coo_matrix keeps them rather than holding a second, converted copy."""
+    idx = np.int32 if max(shape) < 2**31 else np.int64
+    rows, cols, vals = zip(*parts)
+    rows = np.concatenate(rows, dtype=idx, casting="same_kind")
+    cols = np.concatenate(cols, dtype=idx, casting="same_kind")
+    return sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape).tocsr()
 
 
 def _components(blocks, d):
@@ -673,9 +688,7 @@ def _normal_jump_coupling(ctx: ElementContext, lay: BlockLayout, coef: float):
             blk = (NN if a == b else -NN)[:, :, None, :, None] * pairs[:, None, :, None, :]
             triplets.append(_block_triplets(blk.reshape(-1, d * nbu, d * nbu),
                                             uidx[cells_ab[:, a]], uidx[cells_ab[:, b]]))
-    rows, cols, vals = (np.concatenate(t) for t in zip(*triplets))
-    n = lay.n_cell_total
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return _triplets_csr(triplets, (lay.n_cell_total,) * 2)
 
 
 # ----------------------------------------------------------------------

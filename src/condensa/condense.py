@@ -4,6 +4,9 @@ Hybridization makes A11 block diagonal over cells, so one batched solve
 over the stacked cell blocks gives X = A11^-1 A21^T and y = A11^-1 rhs_cell
 for every cell.  The trace Schur complement S = A22 - A21 X, the trace
 right-hand side, back-substitution and the lifting matrix all read X and y.
+S is one COO of the A22 facet blocks and the cell blocks -A21 X, converted
+to CSR once: its pattern is the set of positions that receive a nonzero
+contribution, whatever the sums cancel to.
 The same elimination applied to a preconditioner inner product produces
 the reduced preconditioner S_P; positivity of its cell blocks is certified
 by Cholesky.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockSystem, _block_triplets
+from .assembly import BlockSystem, _block_triplets, _triplets_csr
 
 __all__ = ["CondensedSystem", "condense", "condense_precond",
            "back_substitute", "local_solve", "eliminate"]
@@ -91,10 +94,9 @@ def _solve_cells(a11, rhs, spd: bool):
 def _condense(system: BlockSystem, spd: bool) -> CondensedSystem:
     """S = A22 - A21 X and rhs_trace - A21 y, scattered over free pairs."""
     X, y = eliminate(system, spd)
-    n = system.n_trace
     tids, a21 = system.tids, system.a21
-    rows, cols, vals = _block_triplets(-(a21 @ X), tids, tids)
-    S = system.a22.tocsr() + sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    S = _triplets_csr([system.a22_triplets(), _block_triplets(-(a21 @ X), tids, tids)],
+                      (system.n_trace,) * 2)
     rhs = system.rhs_trace.copy()
     free = tids >= 0
     np.add.at(rhs, tids[free], -np.einsum("btc,bc->bt", a21, y)[free])
@@ -126,8 +128,7 @@ def condense_precond(inner: BlockSystem) -> CondensedSystem:
         if np.abs(inner.a21).max() > 0:
             raise ValueError("coupled P11 with nonzero P21 is not condensable")
         # P21 = 0: the reduced operator is exactly P22
-        return CondensedSystem(inner, inner.a22.copy().tocsr(),
-                               inner.rhs_trace.copy(), None, None,
+        return CondensedSystem(inner, inner.a22, inner.rhs_trace.copy(), None, None,
                                null_vectors=_reduced_null(inner))
     return _condense(inner, spd=True)
 

@@ -213,26 +213,16 @@ def facet_barycentric(rule: QuadratureRule) -> np.ndarray:
     return np.concatenate([lam0[:, None], t], axis=1)
 
 
-def facet_global_points(mesh, facet: int, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature points of a facet in global coordinates.
-
-    Points are generated from the facet's canonical (sorted) vertex order,
-    so both adjacent cells integrate the identical trace points.
-    """
-    lam = facet_barycentric(rule)
-    coords = mesh.vertices[mesh.facets[facet]]
-    return lam @ coords
-
-
 def arrangement_codes(mesh) -> np.ndarray:
     """(n_cells, dim+1) arrangement code of every (cell, local facet).
 
     Facet quadrature points are generated from the facet's sorted vertex
-    list (facet_global_points).  If vertex v of that list is local vertex
-    pi(v) of the cell, the code is sum_v pi(v) (dim+1)^v, one of
-    (dim+1)^dim values.  The points land on the same reference-cell points
-    for every pair with the same code, so cell-basis values on facets are
-    gathered from one table per code (arrangement_points).
+    list, so both adjacent cells integrate the identical points.  If
+    vertex v of that list is local vertex pi(v) of the cell, the code is
+    sum_v pi(v) (dim+1)^v, one of (dim+1)^dim values.  The points land on
+    the same reference-cell points for every pair with the same code, so
+    cell-basis values on facets are gathered from one table per code
+    (arrangement_points).
     """
     d = mesh.dim
     fverts = mesh.facets[mesh.cell_facets]  # (nc, d+1, d) global vertex ids

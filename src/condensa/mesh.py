@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Mesh",
     "unit_box_mesh",
-    "refine",
     "write_mesh_text",
     "read_mesh_text",
 ]
@@ -280,43 +279,6 @@ def unit_box_mesh(dim: int, n: int, origin=None, extent=None) -> Mesh:
     paths = np.array(paths)
     cells = (lower[:, None, None] + paths[None]).reshape(-1, dim + 1)
     return Mesh(dim, verts, cells)
-
-
-def refine(mesh: Mesh) -> Mesh:
-    """Uniform red refinement: x4 cells in 2D, x8 in 3D (Bey's scheme)."""
-    verts = list(map(tuple, mesh.vertices))
-    edge_mid: dict[tuple, int] = {}
-
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        idx = edge_mid.get(key)
-        if idx is None:
-            idx = len(verts)
-            edge_mid[key] = idx
-            verts.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
-        return idx
-
-    cells = []
-    if mesh.dim == 2:
-        for v0, v1, v2 in mesh.cells:
-            m01, m12, m02 = mid(v0, v1), mid(v1, v2), mid(v0, v2)
-            cells += [(v0, m01, m02), (m01, v1, m12), (m02, m12, v2), (m01, m12, m02)]
-    else:
-        for v0, v1, v2, v3 in mesh.cells:
-            m01, m02, m03 = mid(v0, v1), mid(v0, v2), mid(v0, v3)
-            m12, m13, m23 = mid(v1, v2), mid(v1, v3), mid(v2, v3)
-            cells += [
-                (v0, m01, m02, m03),
-                (v1, m01, m12, m13),
-                (v2, m02, m12, m23),
-                (v3, m03, m13, m23),
-                # interior octahedron cut along the m02-m13 diagonal
-                (m01, m02, m03, m13),
-                (m01, m02, m12, m13),
-                (m02, m03, m13, m23),
-                (m02, m12, m13, m23),
-            ]
-    return Mesh(mesh.dim, np.array(verts, dtype=float), np.array(cells, dtype=np.int64))
 
 
 def write_mesh_text(mesh: Mesh, path) -> None:

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .assembly import (BlockSystem, ProblemParams, aux_spaces, assemble_aux_hdg,
                        assemble_darcy, assemble_darcy_inner, assemble_stokes,
                        assemble_stokes_ch, assemble_stokes_inner, darcy_spaces,
-                       qpair_matrix, stokes_spaces, _block_triplets)
+                       qpair_matrix, stokes_spaces, _block_triplets, _triplets_csr)
 from .condense import condense, condense_precond, eliminate
 from .krylov import KERNEL_RTOL, generalized_eigs
 from .mesh import unit_box_mesh
@@ -93,8 +93,8 @@ def lifting_matrix(system: BlockSystem) -> sp.csr_matrix:
     X, _ = eliminate(system)
     nc, cs = X.shape[:2]
     n_tr = system.n_trace
-    rows, cols, vals = _block_triplets(-X, np.arange(nc * cs).reshape(nc, cs), system.tids)
-    Wmat = sp.coo_matrix((vals, (rows, cols)), shape=(nc * cs, n_tr)).tocsr()
+    Wmat = _triplets_csr([_block_triplets(-X, np.arange(nc * cs).reshape(nc, cs), system.tids)],
+                         (nc * cs, n_tr))
     return sp.vstack([Wmat, sp.identity(n_tr, format="csr")]).tocsr()
 
 
@@ -238,9 +238,8 @@ def _hu_seminorm_matrix(ch_system: BlockSystem) -> sp.csr_matrix:
     # ids; a cell's tids run over (local facet, component, basis function)
     ids = ch_system.tids.reshape(mesh.n_cells, d1, d, nbf).transpose(0, 2, 1, 3)
     ids = ids.reshape(mesh.n_cells * d, d1 * nbf)
-    rows, cols, vals = _block_triplets(np.repeat(M, d, axis=0), ids, ids)
-    n = ch_system.n_trace
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return _triplets_csr([_block_triplets(np.repeat(M, d, axis=0), ids, ids)],
+                         (ch_system.n_trace,) * 2)
 
 
 def _probe_stokes_lifting(mesh, params):

@@ -9,9 +9,10 @@ from condensa import krylov
 from condensa.assembly import (ProblemParams, assemble_darcy, assemble_darcy_inner,
                                assemble_stokes, assemble_stokes_inner,
                                darcy_spaces, stokes_spaces)
-from condensa.elements import facet_global_points
+from condensa.condense import eliminate
+from condensa.elements import facet_barycentric
 from condensa.manufactured import manufactured_rhs
-from condensa.mesh import unit_box_mesh
+from condensa.mesh import Mesh, unit_box_mesh
 
 _cache = {}
 
@@ -74,6 +75,50 @@ def factor_sym_indef(S):
     return spla.splu(sp.csc_matrix(S))
 
 
+def refine(mesh: Mesh) -> Mesh:
+    """Uniform red refinement: x4 cells in 2D, x8 in 3D (Bey's scheme).
+    Its 3D mesh is not a Kuhn mesh, which the kernel tests need."""
+    verts = list(map(tuple, mesh.vertices))
+    edge_mid: dict[tuple, int] = {}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        idx = edge_mid.get(key)
+        if idx is None:
+            idx = len(verts)
+            edge_mid[key] = idx
+            verts.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
+        return idx
+
+    cells = []
+    if mesh.dim == 2:
+        for v0, v1, v2 in mesh.cells:
+            m01, m12, m02 = mid(v0, v1), mid(v1, v2), mid(v0, v2)
+            cells += [(v0, m01, m02), (m01, v1, m12), (m02, m12, v2), (m01, m12, m02)]
+    else:
+        for v0, v1, v2, v3 in mesh.cells:
+            m01, m02, m03 = mid(v0, v1), mid(v0, v2), mid(v0, v3)
+            m12, m13, m23 = mid(v1, v2), mid(v1, v3), mid(v2, v3)
+            cells += [
+                (v0, m01, m02, m03),
+                (v1, m01, m12, m13),
+                (v2, m02, m12, m23),
+                (v3, m03, m13, m23),
+                # interior octahedron cut along the m02-m13 diagonal
+                (m01, m02, m03, m13),
+                (m01, m02, m12, m13),
+                (m02, m03, m13, m23),
+                (m02, m12, m13, m23),
+            ]
+    return Mesh(mesh.dim, np.array(verts, dtype=float), np.array(cells, dtype=np.int64))
+
+
+def facet_global_points(mesh, facet: int, rule) -> np.ndarray:
+    """Quadrature points of a facet in global coordinates, from the
+    facet's sorted vertex list."""
+    return facet_barycentric(rule) @ mesh.vertices[mesh.facets[facet]]
+
+
 def facet_trace_table(mesh, basis, cell: int, local_facet: int, rule):
     """Cell-basis values at the quadrature points of one of the cell's
     facets, by mapping each point back through J^-1: the per-cell oracle of
@@ -87,6 +132,41 @@ def facet_trace_table(mesh, basis, cell: int, local_facet: int, rule):
     J = (mesh.vertices[mesh.cells[cell, 1:]] - v0).T
     ref = np.linalg.solve(J, (pts - v0).T).T
     return pts, basis.eval(ref)
+
+
+def _all_triplets(blocks, rows, cols):
+    """COO triplets of every block entry with nonnegative ids, zeros kept."""
+    keep = np.broadcast_to((rows[:, :, None] >= 0) & (cols[:, None, :] >= 0), blocks.shape)
+    r = np.broadcast_to(rows[:, :, None], blocks.shape)[keep]
+    c = np.broadcast_to(cols[:, None, :], blocks.shape)[keep]
+    return r, c, blocks[keep]
+
+
+def sparse_addition_oracle(system, spd=None):
+    """K, or S when spd is given, built by adding CSR matrices: the a11
+    and a21 blocks in one COO, then A22 and the coupling, or -A21 X, added
+    as separate sparse matrices.  The values oracle of the one-COO
+    construction; its pattern depends on which sums cancel to 0.0."""
+    nct = system.a11.shape[0] * system.a11.shape[1]
+    ntr = system.n_trace
+    r22, c22, v22 = _all_triplets(system.a22b, system.a22_ids, system.a22_ids)
+    if spd is not None:
+        X, _ = eliminate(system, spd)
+        r, c, v = _all_triplets(-(system.a21 @ X), system.tids, system.tids)
+        return (sp.coo_matrix((v22, (r22, c22)), shape=(ntr, ntr)).tocsr()
+                + sp.coo_matrix((v, (r, c)), shape=(ntr, ntr)).tocsr())
+    n = nct + ntr
+    cell_ids = np.arange(nct).reshape(system.a11.shape[:2])
+    r11, c11, v11 = _all_triplets(system.a11, cell_ids, cell_ids)
+    r21, c21, v21 = _all_triplets(system.a21, system.tids, cell_ids)
+    K = sp.coo_matrix((np.concatenate([v11, v21, v21]),
+                       (np.concatenate([r11, r21 + nct, c21]),
+                        np.concatenate([c11, c21, r21 + nct]))), shape=(n, n)).tocsr()
+    K += sp.coo_matrix((v22, (r22 + nct, c22 + nct)), shape=(n, n)).tocsr()
+    if system.coupling is not None:
+        cc = system.coupling.tocoo()
+        K += sp.coo_matrix((cc.data, (cc.row, cc.col)), shape=(n, n)).tocsr()
+    return K
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from condensa.assembly import (ProblemParams, _block_triplets, assemble_aux_hdg,
                                assemble_darcy_inner, assemble_stokes,
                                assemble_stokes_ch, assemble_stokes_inner,
                                aux_spaces, darcy_spaces, stokes_spaces)
-from condensa.condense import back_substitute, condense
+from condensa.condense import back_substitute, condense, condense_precond, eliminate
 from condensa.elements import monomial_integral, pk_basis
 from condensa.krylov import factor_spd
 from condensa.manufactured import manufactured_rhs
@@ -17,7 +17,7 @@ from condensa.mesh import Mesh, unit_box_mesh
 from condensa.norms import evaluate_norms
 from condensa.spaces import build_space, interpolate_boundary
 
-from conftest import darcy_problem, stokes_problem
+from conftest import darcy_problem, facet_global_points, sparse_addition_oracle, stokes_problem
 
 
 def one_triangle():
@@ -398,7 +398,7 @@ def test_norms_of_single_pair_systems(rng):
 
 def test_norm_0p_cross_check_independent_quadrature(rng):
     # |||(q, qbar)|||_{0,p}^2 against a hand-rolled quadrature loop
-    from condensa.elements import facet_global_points, simplex_quadrature
+    from condensa.elements import simplex_quadrature
     mesh, spaces, params, system, _ = darcy_problem(n=2, with_data=False)
     lay = system.layout
     x = rng.standard_normal(lay.n_total)
@@ -487,7 +487,8 @@ def test_heterogeneous_case_fields():
 def test_dirichlet_lift_matches_full_trace_system(problem):
     # assembling with boundary data on the zero-boundary trace space equals
     # the operator with every trace dof free, restricted to the free dofs,
-    # with the fixed columns times the data moved to the right-hand side
+    # with the fixed columns times the data moved to the right-hand side;
+    # a source term makes the lift and the cell load meet in rhs_cell
     mesh = unit_box_mesh(2, 2)
     params = ProblemParams(k=2)
     trace, kind = ("pbar", "facet-scalar") if problem == "darcy" else ("ubar", "facet-vector")
@@ -496,14 +497,20 @@ def test_dirichlet_lift_matches_full_trace_system(problem):
 
         def g(x):
             return 1.0 + x[:, 0] ** 2 - 0.5 * x[:, 1]
+
+        def f(x):
+            return np.sin(x[:, 0]) + x[:, 1]
     else:
         spaces, assemble, key = stokes_spaces(mesh, 2), assemble_stokes, "u_dirichlet"
 
         def g(x):
             return np.stack([1.0 + x[:, 1] ** 2, x[:, 0] - 0.3], axis=1)
+
+        def f(x):
+            return np.stack([x[:, 0] * x[:, 1], 1.0 - x[:, 0]], axis=1)
     full_spaces = dict(spaces, **{trace: build_space(mesh, kind, 2)})
-    lifted = assemble(mesh, spaces, params, **{key: g})
-    full = assemble(mesh, full_spaces, params)
+    lifted = assemble(mesh, spaces, params, f=f, **{key: g})
+    full = assemble(mesh, full_spaces, params, f=f)
 
     lay, flay = lifted.layout, full.layout
     nct = lay.n_cell_total
@@ -543,11 +550,13 @@ def test_unknown_problem_tag():
        square=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_block_triplets_match_dense_loop(nc, m, n, square, seed):
     """The block scatter against a dense per-cell double loop: entries with
-    a negative row or column id are dropped and repeated ids add up."""
+    a negative row or column id or an exactly zero value are dropped, and
+    repeated ids add up."""
     rng = np.random.default_rng(seed)
     n = m if square else n
     size = max(m, n) + 2
     blocks = rng.standard_normal((nc, m, n))
+    blocks[rng.random(blocks.shape) < 0.3] = 0.0
     rows = rng.integers(-2, size, (nc, m))
     cols = rows if square else rng.integers(-2, size, (nc, n))
     r, c, v = _block_triplets(blocks, rows, cols)
@@ -555,8 +564,88 @@ def test_block_triplets_match_dense_loop(nc, m, n, square, seed):
     for b in range(nc):
         for i in range(m):
             for j in range(n):
-                if rows[b, i] >= 0 and cols[b, j] >= 0:
+                if rows[b, i] >= 0 and cols[b, j] >= 0 and blocks[b, i, j] != 0:
                     dense[rows[b, i], cols[b, j]] += blocks[b, i, j]
                     kept += 1
     assert r.size == c.size == v.size == kept
     assert np.array_equal(sp.coo_matrix((v, (r, c)), shape=(size, size)).toarray(), dense)
+
+
+# ----------------------------------------------------------------------
+# every global matrix is one COO of the element blocks
+
+
+def _all_assemblers(dim, n):
+    """{name: (system, reductions)} for the eight assemblers on one mesh;
+    a reduction is condense (spd=False) or condense_precond (spd=True)."""
+    mesh, dspaces, params, darcy, darcy_inner = darcy_problem(dim, n)
+    _, sspaces, sparams, stokes, stokes_inner = stokes_problem(dim, n)
+    return {
+        "darcy": (darcy, (False,)),
+        "darcy-inner": (darcy_inner, (True,)),
+        "aux": (assemble_aux_hdg(mesh, aux_spaces(mesh, 2), params), (False, True)),
+        "counterexample": (assemble_counterexample_inner(mesh, dspaces, params), (True,)),
+        "stokes": (stokes, (False,)),
+        "stokes-inner": (stokes_inner, (True,)),
+        "stokes-inner-hat": (stokes_problem(dim, n, hatted=True)[4], (True,)),
+        "stokes-ch": (assemble_stokes_ch(mesh, sspaces, sparams), (True,)),
+    }
+
+
+def _mark(mask, block, rows, cols):
+    keep = (rows[:, None] >= 0) & (cols[None, :] >= 0) & (block != 0)
+    i, j = np.nonzero(keep)
+    mask[rows[i], cols[j]] = True
+
+
+def _contributed(system, spd=None):
+    """Positions of K (spd None) or of S that receive a nonzero element
+    contribution, one cell at a time."""
+    nc, cs = system.a11.shape[:2]
+    nct = nc * cs if spd is None else 0
+    n = nct + system.n_trace
+    m, s = system.a22b.shape[0] // nc, system.a22b.shape[-1]
+    a22b = system.a22b.reshape(nc, m, s, s)
+    a22_ids = np.where(system.a22_ids >= 0, system.a22_ids + nct, -1).reshape(nc, m, s)
+    tids = np.where(system.tids >= 0, system.tids + nct, -1)
+    cell_ids = np.arange(nc * cs).reshape(nc, cs)
+    X = None if spd is None else eliminate(system, spd)[0]
+    mask = np.zeros((n, n), dtype=bool)
+    for c in range(nc):
+        for blk, ids in zip(a22b[c], a22_ids[c]):
+            _mark(mask, blk, ids, ids)
+        if spd is None:
+            _mark(mask, system.a11[c], cell_ids[c], cell_ids[c])
+            _mark(mask, system.a21[c], tids[c], cell_ids[c])
+            _mark(mask, system.a21[c].T, cell_ids[c], tids[c])
+        else:
+            _mark(mask, -(system.a21[c] @ X[c]), tids[c], tids[c])
+    if spd is None and system.coupling is not None:
+        cc = system.coupling.tocoo()
+        mask[cc.row, cc.col] = True
+    return mask
+
+
+def _check_one_coo(got, oracle, contributed):
+    assert np.abs(got - oracle).max() <= 1e-14 * np.abs(oracle).max()
+    coo = got.tocoo()
+    stored = np.zeros(got.shape, dtype=bool)
+    stored[coo.row, coo.col] = True
+    assert coo.nnz == stored.sum()  # no duplicate entries
+    assert np.array_equal(stored, contributed)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
+def test_global_matrices_are_one_coo(dim, n):
+    """to_sparse and both Schur complements equal the sparse-addition
+    construction in value, and store exactly the positions that receive a
+    nonzero element contribution; the Darcy K stores no explicit zero."""
+    systems = _all_assemblers(dim, n)
+    for system, reductions in systems.values():
+        K = system.to_sparse()
+        _check_one_coo(K, sparse_addition_oracle(system), _contributed(system))
+        for spd in reductions:
+            S = (condense_precond if spd else condense)(system).S
+            _check_one_coo(S, sparse_addition_oracle(system, spd), _contributed(system, spd))
+    K = systems["darcy"][0].to_sparse()
+    assert K.nnz and (K.data != 0).all()

@@ -38,7 +38,7 @@ def toy_system(a11, a21, a22, rhs_cell=None, rhs_trace=None):
         layout=_ToyLayout(ntr),
         a11=a11, a21=a21,
         tids=np.arange(ntr, dtype=np.int64)[None, :],
-        a22=sp.csr_matrix(np.asarray(a22, dtype=float)),
+        a22b=np.asarray(a22, dtype=float)[None], a22_ids=np.arange(ntr)[None],
         rhs_cell=(np.zeros((1, a11.shape[1])) if rhs_cell is None
                   else np.asarray(rhs_cell, dtype=float)[None, :]),
         rhs_trace=(np.zeros(ntr) if rhs_trace is None
@@ -279,7 +279,8 @@ def _random_block_system(rng, nc, cs, ntr, n, spd):
     a22 = rng.standard_normal((n, n))
     return BlockSystem(
         layout=_ToyLayout(n), a11=a11, a21=a21, tids=tids,
-        a22=sp.csr_matrix(a22 + a22.T), rhs_cell=rng.standard_normal((nc, cs)),
+        a22b=(a22 + a22.T)[None], a22_ids=np.arange(n)[None],
+        rhs_cell=rng.standard_normal((nc, cs)),
         rhs_trace=rng.standard_normal(n), params=ProblemParams(), problem="toy")
 
 

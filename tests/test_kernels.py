@@ -21,9 +21,9 @@ from condensa.assembly import (ElementContext, ProblemParams, _aux_consistency,
                                _normal_jump_coupling, _normal_trace, assemble_counterexample_inner,
                                darcy_spaces)
 from condensa.elements import arrangement_codes
-from condensa.mesh import Mesh, refine, unit_box_mesh
+from condensa.mesh import Mesh, unit_box_mesh
 
-from conftest import facet_trace_table
+from conftest import facet_trace_table, refine
 
 # ----------------------------------------------------------------------
 # per-point oracles

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from condensa.elements import facet_global_points, pk_basis, simplex_quadrature
+from condensa.elements import pk_basis, simplex_quadrature
 from condensa.mesh import unit_box_mesh
 from condensa.spaces import BlockLayout, build_space, interpolate_boundary
+
+from conftest import facet_global_points
 
 
 def test_facet_scalar_counts_two_triangles():
