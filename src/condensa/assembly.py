@@ -276,6 +276,7 @@ class BlockSystem:
         r22, c22, v22 = self.a22_triplets()
         parts = [_block_triplets(self.a11, cell_ids, cell_ids),
                  (r21 + nct, c21, v21), (c21, r21 + nct, v21), (r22 + nct, c22 + nct, v22)]
+        del r21, c21, v21, r22, c22, v22  # parts holds the only references
         if self.coupling is not None:
             cc = self.coupling.tocoo()
             parts.append((cc.row, cc.col, cc.data))
@@ -489,13 +490,22 @@ def _block_triplets(blocks, rows, cols):
 def _triplets_csr(parts, shape) -> sp.csr_matrix:
     """One CSR matrix from a list of (rows, cols, values) triplets;
     repeated positions add up, and the pattern is every listed position.
-    Ids are concatenated straight into the index type of the result, so
-    coo_matrix keeps them rather than holding a second, converted copy."""
+    The list is consumed: each part is copied into preallocated id and
+    value arrays (ids in the index type of the result, which coo_matrix
+    then keeps as they are) and released before the next part is copied,
+    so a part that only the list holds does not outlive its copy."""
     idx = np.int32 if max(shape) < 2**31 else np.int64
-    rows, cols, vals = zip(*parts)
-    rows = np.concatenate(rows, dtype=idx, casting="same_kind")
-    cols = np.concatenate(cols, dtype=idx, casting="same_kind")
-    return sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape).tocsr()
+    n = sum(v.size for _, _, v in parts)
+    rows, cols = np.empty(n, dtype=idx), np.empty(n, dtype=idx)
+    vals = np.empty(n, dtype=np.result_type(*(v.dtype for _, _, v in parts)))
+    start = 0
+    for i, (r, c, v) in enumerate(parts):
+        parts[i] = None
+        end = start + v.size
+        rows[start:end], cols[start:end], vals[start:end] = r, c, v
+        start = end
+    del r, c, v
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def _components(blocks, d):

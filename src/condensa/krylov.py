@@ -28,28 +28,47 @@ __all__ = [
     "as_operator",
     "DENSE_MAX",
     "ARPACK_MAXITER",
-    "ARPACK_TOL",
+    "ARPACK_TOL_TOP",
+    "ARPACK_TOL_BOTTOM",
     "KERNEL_SHIFT",
 ]
 
 # largest pencil dimension for dense eigh: generalized_eigs switches to ARPACK
-# above it (except for mode="full").  Measured crossover, 2D k=2 on 2 CPUs:
-# the probe pencils took dense/ARPACK 0.09/0.10 s at size 936,
-# 0.11/0.14 s at 990 and 0.14/0.17 s at 1056, but 0.22/0.11 s at 1281 and
-# 0.26/0.19 s at 1440; the monolithic (A, P) pencils favour ARPACK from
-# about 600 (0.04/0.03 s), and at 2448 took 2.2/0.84 s
-DENSE_MAX = 1200
+# above it (except for mode="full").  Measured crossover at the ARPACK_TOL_*
+# below, 2D k=2 on 2 CPUs, best of 3, dense/ARPACK: one-end probe pencils
+# ("max", "min") 0.03/0.02 s at size 504, 0.05/0.05 s at 645, 0.05/0.03 s
+# at 693, 0.10/0.03 s at 936 and 0.23/0.07 s at 1281; the monolithic
+# (A, P) pencils ("magnitude") 0.04/0.04 s at 495, 0.05/0.04 s at 600 and
+# 0.11/0.05 s at 888.  Two-end probe pencils ("extreme", two solves) cross
+# later: 0.04/0.06 s at 693, 0.06/0.05 s at 798, 0.10/0.11 s at 912 and
+# 0.17/0.11 s at 1056.  Whole spectra2d passes (seeds 1, 2 and 201) took
+# 5.2 s summed at 600, 5.4 s at 300 and 6.0 s at 1200
+DENSE_MAX = 600
 
 # cap on ARPACK restarts; the seeded "max" solve of the slowest probe pencil
 # (condensed_velocity at 2D n=16, nu=1e-6) converges well within it
 ARPACK_MAXITER = 1000
 
-# relative Ritz residual ARPACK must reach, which bounds the relative error
-# of each returned eigenvalue.  Its default (machine precision) can be out
-# of reach when the wanted end is a cluster: the regular-mode "max" solve of
+# relative Ritz residual ||A v - theta B v|| / |theta| that each ARPACK end
+# must reach, sized to the accuracy the constants are reported to (the
+# tests check them to 1e-8 against a 1e-12 oracle).  For a symmetric
+# pencil the Ritz value is off by about the squared residual over the gap
+# to the next eigenvalue, so each end needs less than the 1e-12 both used
+# before.  Machine precision (ARPACK's default) can be out of reach when
+# the wanted end is a cluster: the regular-mode "max" solve of
 # condensed_velocity (top eigenvalue 16, highly multiple) then stalls for
-# some start vectors and converges in a fraction of a second at this value.
-ARPACK_TOL = 1e-12
+# some start vectors.
+#
+# The top (regular mode, "LA" or "LM") sits in a cluster for some probes,
+# where the gap is small: ch_coercivity_hi at 2D n=16 moved 3.4e-8 from its
+# 1e-12 value at a residual of 1e-6.  At 1e-8 every top value of
+# acceptance criteria 6-8 (n <= 16) stayed within 4.6e-13 of its 1e-12 value
+ARPACK_TOL_TOP = 1e-8
+# The bottom (shift-invert) solves for theta = 1 / (lambda - sigma), whose
+# wanted values are the largest and well apart relative to their size.  At
+# 1e-6 every bottom value of criteria 6-8 stayed within 1.9e-13 of its
+# 1e-12 value
+ARPACK_TOL_BOTTOM = 1e-6
 
 # the shift-invert solve for the eigenvalues nearest zero factors A - sigma B
 # at sigma = -KERNEL_SHIFT * max_i |A_ii / B_ii|, never at 0: with a declared
@@ -279,15 +298,16 @@ def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0):
 
     Up to DENSE_MAX, and always for mode="full", one dense LAPACK ?sygv
     solve gives every eigenvalue.  Above DENSE_MAX the ends come from
-    ARPACK with a fixed start vector, to a relative residual of ARPACK_TOL
-    and in at most ARPACK_MAXITER restarts.  The top comes from one
-    regular-mode solve preconditioned by the factor of B: the largest
-    eigenvalue ("LA"), or the largest in magnitude for mode="magnitude"
-    ("LM").  The bottom, and the kernel check, come from one shift-invert
-    solve for the n_drop + 3 eigenvalues nearest sigma = -KERNEL_SHIFT *
-    max_i |A_ii / B_ii|, a small negative shift (that maximum is a lower
-    bound of max |lambda|), so that a declared kernel never makes
-    A - sigma B singular.  The "min" end is the smallest eigenvalue only
+    ARPACK with a fixed start vector, in at most ARPACK_MAXITER restarts,
+    each end to its own relative residual (ARPACK_TOL_TOP and
+    ARPACK_TOL_BOTTOM, sized to the accuracy the constants are reported
+    to).  The top comes from one regular-mode solve preconditioned by the
+    factor of B: the largest eigenvalue ("LA"), or the largest in magnitude
+    for mode="magnitude" ("LM").  The bottom, and the kernel check, come
+    from one shift-invert solve for the n_drop + 3 eigenvalues nearest
+    sigma = -KERNEL_SHIFT * max_i |A_ii / B_ii|, a small negative shift
+    (that maximum is a lower bound of max |lambda|), so that a declared
+    kernel never makes A - sigma B singular.  The "min" end is the smallest eigenvalue only
     when A is positive semidefinite, as every probe pencil is.  A non-SPD
     B raises NotSymmetricPositiveDefinite; ARPACK running out of restarts
     raises ValueError.
@@ -331,8 +351,9 @@ def _sparse_ends(A, B, mode, n_drop):
 
 
 def _arpack(end, A, **kwargs):
+    tol = ARPACK_TOL_TOP if end == "max" else ARPACK_TOL_BOTTOM
     try:
-        return spla.eigsh(A, maxiter=ARPACK_MAXITER, tol=ARPACK_TOL,
+        return spla.eigsh(A, maxiter=ARPACK_MAXITER, tol=tol,
                           return_eigenvectors=False, **kwargs)
     except spla.ArpackNoConvergence as exc:
         raise ValueError(f"ARPACK did not converge to the {end!r} end of a pencil "

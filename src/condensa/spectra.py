@@ -19,7 +19,10 @@ condensed_velocity) both ends (mode="extreme").  Pencils larger than
 DENSE_MAX go to ARPACK, whose bottom end comes from the eigenvalues
 nearest a small negative shift, never 0, so a declared kernel is safe;
 its "min" end assumes the first form is positive semidefinite, as every
-probe pencil is.
+probe pencil is.  ARPACK solves each end only as accurately as the
+constants are reported (krylov.ARPACK_TOL_TOP and ARPACK_TOL_BOTTOM):
+every constant of the acceptance suite at n <= 16 is within 5e-13 of its
+value from solves to a 1e-12 residual.
 """
 
 from __future__ import annotations

@@ -527,6 +527,21 @@ def test_dirichlet_lift_matches_full_trace_system(problem):
     assert np.abs(lifted.rhs()[rows] - want[keep][rows]).max() < 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("dim,n", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("problem", ["darcy", "stokes"])
+def test_a21_rows_of_fixed_trace_dofs_are_zero(problem, dim, n):
+    """The BlockSystem invariant for the assemblers that take Dirichlet
+    data: the a21 rows of fixed trace dofs (tids < 0) are zero.
+    local_solve and the coupling guards of condense read a21 with those
+    rows in; only to_sparse and the Schur complements drop them."""
+    build = darcy_problem if problem == "darcy" else stokes_problem
+    *_, system, _ = build(dim=dim, n=n)
+    fixed = system.tids < 0
+    assert fixed.any() and (~fixed).any()
+    assert np.abs(system.a21[fixed]).max() == 0.0
+    assert np.abs(system.a21[~fixed]).max() > 0.0
+
+
 def test_cavity_boundary_data():
     case = manufactured_rhs("stokes-cavity", 2, ProblemParams(k=2))
     pts = np.array([[0.0, 1.0], [0.5, 1.0], [-1.0, 0.0], [1.0, -0.3]])

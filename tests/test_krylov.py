@@ -214,13 +214,15 @@ def test_generalized_eigs_rejects_non_spd_b(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the sparse (ARPACK) branch against dense eigh, at toy sizes
+# the sparse (ARPACK) branch at its per-end tolerances, against two
+# references: the same call at 1e-12 for both ends, and dense eigh
 
 
 def _pencils():
     """name -> (A, B, n_drop): the pencil of each lemma probe and of
-    lifting_constant at 2D n=4, plus a condensed auxiliary operator with
-    its one-dimensional constant kernel."""
+    lifting_constant at 2D n=4, the ch_coercivity pencil at 2D n=8 (its top
+    eigenvalue is clustered), plus a condensed auxiliary operator with its
+    one-dimensional constant kernel."""
     def build():
         out = {}
         real = spectra.generalized_eigs
@@ -237,6 +239,9 @@ def _pencils():
                     mp.setattr(spectra, "generalized_eigs", record(name))
                     spectra.lemma_probes(problem, 2, (4,), ProblemParams(k=2),
                                          probes=(name,))
+            mp.setattr(spectra, "generalized_eigs", record("ch_coercivity_n8"))
+            spectra.lemma_probes("stokes", 2, (8,), ProblemParams(k=2),
+                                 probes=("ch_coercivity",))
             _, _, _, system, inner = darcy_problem(n=4)
             mp.setattr(spectra, "generalized_eigs", record("lifting"))
             spectra.lifting_constant(system, inner)
@@ -251,24 +256,45 @@ def _pencils():
 
 
 PENCILS = (*spectra.PROBE_SETS["darcy"], *spectra.PROBE_SETS["stokes"],
-           "lifting", "aux_kernel")
+           "ch_coercivity_n8", "lifting", "aux_kernel")
+
+
+def _arpack_ends(A, B, n_drop, modes, tol=None):
+    """generalized_eigs through ARPACK (DENSE_MAX = 0) for each mode, at
+    the module's per-end tolerances or, given tol, at tol for both ends."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(krylov, "DENSE_MAX", 0)
+        if tol is not None:
+            mp.setattr(krylov, "ARPACK_TOL_TOP", tol)
+            mp.setattr(krylov, "ARPACK_TOL_BOTTOM", tol)
+        return {m: generalized_eigs(A, B, mode=m, n_drop=n_drop) for m in modes}
+
+
+def _assert_ends_agree(got, want, rtol=1e-8):
+    for mode, val in got.items():
+        for g, w in zip(np.atleast_1d(val), np.atleast_1d(want[mode])):
+            assert abs(g - w) <= rtol * abs(w), (mode, got[mode], want[mode])
+
+
+def _dense_spectrum(A, B, n_drop):
+    vals = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)
+    order = np.argsort(np.abs(vals))
+    assert np.abs(vals[order[:n_drop]]).max(initial=0.0) <= 1e-10 * np.abs(vals).max()
+    return np.sort(vals[order[n_drop:]])
 
 
 @pytest.mark.parametrize("name", PENCILS)
-def test_sparse_ends_match_dense_eigh(name, monkeypatch):
+def test_sparse_ends_match_dense_eigh(name):
+    """Every end of the positive semidefinite probe pencils: "max" (regular
+    mode, LA), "min" (shift-invert), "extreme" and "magnitude" (LM top)."""
     A, B, n_drop = _pencils()[name]
-    vals = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)
-    if n_drop:
-        assert np.abs(vals[:n_drop]).max() <= 1e-10 * np.abs(vals).max()
-        vals = vals[n_drop:]
-    monkeypatch.setattr(krylov, "DENSE_MAX", 0)
-    lo = generalized_eigs(A, B, mode="min", n_drop=n_drop)
-    hi = generalized_eigs(A, B, mode="max", n_drop=n_drop)
-    ends = generalized_eigs(A, B, mode="extreme", n_drop=n_drop)
-    assert isinstance(lo, float) and isinstance(hi, float)
-    for got, want in ((lo, vals[0]), (hi, vals[-1]), (ends[0], vals[0]),
-                      (ends[1], vals[-1])):
-        assert abs(got - want) <= 1e-8 * abs(want), (got, want)
+    vals = _dense_spectrum(A, B, n_drop)
+    lo, hi = vals[0], vals[-1]
+    dense = {"min": lo, "max": hi, "extreme": (lo, hi), "magnitude": (lo, hi)}
+    got = _arpack_ends(A, B, n_drop, dense)
+    assert isinstance(got["min"], float) and isinstance(got["max"], float)
+    _assert_ends_agree(got, dense)
+    _assert_ends_agree(got, _arpack_ends(A, B, n_drop, dense, tol=1e-12))
 
 
 # the full pencils (A, P) of measure_constants at 2D n=4
@@ -288,20 +314,19 @@ def _monolithic(name):
 
 
 @pytest.mark.parametrize("name", MONOLITHIC)
-def test_magnitude_ends_match_dense_eigh(name, monkeypatch):
-    """mode="magnitude" on the indefinite full pencils, dense and ARPACK,
-    against the magnitudes of every eigenvalue from dense eigh."""
+def test_magnitude_ends_match_dense_eigh(name):
+    """mode="magnitude" (LM top) on the indefinite full pencils, dense and
+    ARPACK, against dense eigh and against ARPACK at 1e-12 for both ends."""
     A, B, n_drop = _monolithic(name)
-    a = np.sort(np.abs(sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)))
-    assert a[:n_drop].max(initial=0.0) <= 1e-10 * a[-1]
-    want = a[n_drop], a[-1]
+    a = np.sort(np.abs(_dense_spectrum(A, B, n_drop)))
+    want = {"magnitude": (a[0], a[-1])}
     dense = generalized_eigs(A, B, mode="magnitude", n_drop=n_drop)
-    monkeypatch.setattr(krylov, "DENSE_MAX", 0)
-    sparse = generalized_eigs(A, B, mode="magnitude", n_drop=n_drop)
-    for got in (dense, sparse):
-        assert all(isinstance(v, float) for v in got)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-8 * w, (got, want)
+    assert all(isinstance(v, float) for v in dense)
+    _assert_ends_agree({"magnitude": dense}, want)
+    got = _arpack_ends(A, B, n_drop, want)
+    assert all(isinstance(v, float) for v in got["magnitude"])
+    _assert_ends_agree(got, want)
+    _assert_ends_agree(got, _arpack_ends(A, B, n_drop, want, tol=1e-12))
 
 
 def test_sparse_ends_repeat_bitwise(monkeypatch):
@@ -320,9 +345,10 @@ def test_arpack_iteration_cap_names_the_end(mode, monkeypatch):
     A, B, _ = _pencils()["condensed_velocity"]
     monkeypatch.setattr(krylov, "DENSE_MAX", 0)
     monkeypatch.setattr(krylov, "ARPACK_MAXITER", 1)
-    # at ARPACK_TOL the shift-invert "min" solve of this toy pencil converges
-    # within one restart; machine precision keeps both ends short of it
-    monkeypatch.setattr(krylov, "ARPACK_TOL", 0.0)
+    # at ARPACK_TOL_BOTTOM the shift-invert "min" solve of this toy pencil
+    # converges within one restart; machine precision keeps both ends short
+    monkeypatch.setattr(krylov, "ARPACK_TOL_TOP", 0.0)
+    monkeypatch.setattr(krylov, "ARPACK_TOL_BOTTOM", 0.0)
     end = "min" if mode == "min" else "max"  # "magnitude" solves its top first
     with pytest.raises(ValueError, match=f"'{end}' end of a pencil of size "
                                          f"{A.shape[0]}"):
