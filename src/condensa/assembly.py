@@ -15,6 +15,10 @@ and callable coefficients take the same path.  Facet terms gather the
 cell-basis values on a facet from tables indexed by the arrangement code
 of the facet's vertices inside the cell, one GEMM per code.
 
+Each assembler builds its blocks for all cells in one pass and writes
+every cell's A11_K, A21_K and A22_K once, into the arrays BlockSystem
+keeps; _block_system then lifts Dirichlet data and numbers the traces.
+
 Storage convention: the monolithic operator is kept exactly symmetric.
 The Darcy scheme (which couples +b_h / -b_h) is stored with its momentum
 rows negated; this flips no solution values and makes the condensed trace
@@ -24,7 +28,7 @@ The Stokes scheme is symmetric as written and is stored untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,8 +53,6 @@ __all__ = [
     "qpair_matrix",
     "constant_trace_vector",
 ]
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -191,36 +193,28 @@ class ElementContext:
         self.fscale = mesh.facet_areas / reference_measure(d - 1)
 
     # -- per-cell geometry -------------------------------------------------
-    def chunks(self, max_cells: int = _CHUNK):
-        nc = self.mesh.n_cells
-        for lo in range(0, nc, max_cells):
-            yield slice(lo, min(lo + max_cells, nc))
+    def cell_weights(self) -> np.ndarray:
+        """w_q |det J| per cell and quadrature point: (cells, q)."""
+        return self.detJa[:, None] * self.rule.weights[None, :]
 
-    def cell_weights(self, sl) -> np.ndarray:
-        """w_q |det J| per cell and quadrature point: (B, q)."""
-        return self.detJa[sl, None] * self.rule.weights[None, :]
+    def cell_points(self) -> np.ndarray:
+        return self.v0[:, None, :] + self.rule.points @ self.J.transpose(0, 2, 1)
 
-    def cell_points(self, sl) -> np.ndarray:
-        return self.v0[sl, None, :] + self.rule.points @ self.J[sl].transpose(0, 2, 1)
-
-    def facet_frame(self, sl):
+    def facet_frame(self):
         """Per (cell, local facet): facet ids, outward normals, scales, points."""
         mesh = self.mesh
-        fids = mesh.cell_facets[sl]
-        signs = mesh.cell_facet_signs[sl].astype(float)
-        nrm = mesh.facet_normals[fids] * signs[..., None]
-        scale = self.fscale[fids]
-        xf = self.Xf[fids]  # (B, d+1, nqf, d)
-        return fids, nrm, scale, xf
+        fids = mesh.cell_facets
+        nrm = mesh.facet_normals[fids] * mesh.cell_facet_signs.astype(float)[..., None]
+        return fids, nrm, self.fscale[fids], self.Xf[fids]
 
     def facet_weights(self, scale) -> np.ndarray:
         """w_q |F| / |F_ref| per (cell, local facet) and facet point."""
         return scale[:, :, None] * self.frule.weights[None, None, :]
 
-    def facet_values(self, sl, which: str = "u") -> np.ndarray:
+    def facet_values(self, which: str = "u") -> np.ndarray:
         """Cell-basis values at each local facet's quadrature points,
-        gathered by arrangement code: (B, d+1, qf, nb)."""
-        return (self.fvals_u if which == "u" else self.fvals_p)[self.codes[sl]]
+        gathered by arrangement code: (cells, d+1, qf, nb)."""
+        return (self.fvals_u if which == "u" else self.fvals_p)[self.codes]
 
 
 @dataclass
@@ -248,7 +242,6 @@ class BlockSystem:
     params: ProblemParams
     problem: str
     coupling: sp.csr_matrix | None = None
-    fixed_full: dict = field(default_factory=dict)
     context: ElementContext | None = None
     null_vectors: tuple = ()
 
@@ -311,94 +304,59 @@ def aux_spaces(mesh, k: int) -> dict:
     }
 
 
-def _trace_ids_scalar(space, fids):
-    """(B, (d+1)*nbf) full dof ids for a scalar facet space."""
-    nbf = space.nb
-    return (fids[:, :, None] * nbf + np.arange(nbf)[None, None, :]).reshape(fids.shape[0], -1)
+def _trace_ids(lay: BlockLayout, fixed: dict):
+    """Each cell's trace dofs: the free ids (cells, ntr) as int32, -1 where
+    a dof is fixed, and the values of the fixed dofs, zero at free ones.
+    ``fixed`` maps a trace field to its values in the field's full dof
+    numbering (boundary facets included).  A cell's dofs run over the trace fields
+    in layout order, each over (local facet, component, basis function)."""
+    fids = lay.mesh.cell_facets
+    ids, vals = [], []
+    for name, spc in lay.trace_fields:
+        comp = np.arange(spc.ncomp)[:, None]
+        full = ((fids[:, :, None, None] * spc.ncomp + comp) * spc.nb
+                + np.arange(spc.nb)).reshape(fids.shape[0], -1)
+        free = spc.full_to_free[full]
+        off, _ = lay.trace_field_range(name)
+        ids.append(np.where(free >= 0, free + off, -1))
+        g = fixed.get(name)
+        vals.append(np.zeros(full.shape) if g is None else np.where(free >= 0, 0.0, g[full]))
+    return np.concatenate(ids, axis=1).astype(np.int32), np.concatenate(vals, axis=1)
 
 
-def _trace_ids_vector(space, fids):
-    d1 = fids.shape[1]
-    nbf, d = space.nb, space.ncomp
-    comp = np.arange(d)[None, None, :, None]
-    m = np.arange(nbf)[None, None, None, :]
-    full = (fids[:, :, None, None] * d + comp) * nbf + m
-    return full.reshape(fids.shape[0], d1 * d * nbf)
+def _block_system(lay, params, problem, ctx, a11, a21=None, a22b=None, rhs_cell=None,
+                  rhs_trace=None, fixed=None, coupling=None, null_vectors=()) -> BlockSystem:
+    """The BlockSystem of every cell's blocks: a11 (cells, cs, cs), a21
+    (cells, ntr, cs) on the cell's trace dofs in _trace_ids order (zero
+    when None), and a22b (cells, m, s, s), the trace-trace block by its
+    diagonal blocks.  These cover the leading m*s local trace dofs, in
+    runs of s (one local facet, one component) that couple only within a
+    run; the trace dofs after them have no trace-trace entries.
 
-
-class _Accumulator:
-    """Stores chunk element blocks in global per-cell storage with
-    Dirichlet lift."""
-
-    def __init__(self, layout: BlockLayout, params, problem, context):
-        nc, cs = layout.mesh.n_cells, layout.cell_size
-        self.layout = layout
-        ntr_local = 0
-        for _, spc in layout.trace_fields:
-            ntr_local += (layout.mesh.dim + 1) * spc.ncomp * spc.nb
-        self.a11 = np.zeros((nc, cs, cs))
-        self.a21 = np.zeros((nc, ntr_local, cs))
-        self.a22b = None  # (nc, m, s, s), allocated by the first add
-        self.tids = np.full((nc, ntr_local), -1, dtype=np.int64)
-        self.rhs_cell = np.zeros((nc, cs))
-        self.rhs_trace = np.zeros(layout.n_trace)
-        self.params, self.problem, self.context = params, problem, context
-        self.fixed_full: dict = {}
-        self.gloc = np.zeros((nc, ntr_local))
-
-    def set_trace_ids(self, sl, fids, fixed_values: dict):
-        """Build free trace ids and fixed local values for a chunk."""
-        lay = self.layout
-        pieces, gpieces = [], []
-        for name, spc in lay.trace_fields:
-            full = (_trace_ids_vector if spc.ncomp > 1 else _trace_ids_scalar)(spc, fids)
-            free = spc.full_to_free[full]
-            off, _ = lay.trace_field_range(name)
-            free = np.where(free >= 0, free + off, -1)
-            pieces.append(free)
-            g = fixed_values.get(name)
-            gv = np.zeros(full.shape) if g is None else np.asarray(g)[full]
-            gv[free >= 0] = 0.0
-            gpieces.append(gv)
-        self.tids[sl] = np.concatenate(pieces, axis=1)
-        self.gloc[sl] = np.concatenate(gpieces, axis=1)
-
-    def add(self, sl, a11e=None, a21e=None, a22b=None, rhs_celle=None):
-        """Store a chunk's blocks.  Every assembler calls add exactly once
-        per chunk, so each block is assigned, not added.  a22b holds the
-        trace-trace block by its diagonal blocks (B, m, s, s): the leading
-        m*s local trace dofs, in runs of s (one local facet, one component)
-        that couple only within a run; the trace dofs after them have no
-        trace-trace entries.  A run is all free or all fixed (boundary data
-        fixes whole facets), so only a21 lifts the fixed values into the
-        right-hand side."""
-        if a11e is not None:
-            self.a11[sl] = a11e
-        if rhs_celle is not None:
-            self.rhs_cell[sl] = rhs_celle
-        if a21e is not None:
-            a21 = self.a21[sl]
-            a21[...] = a21e
-            a21[self.tids[sl] < 0] = 0.0
-            self.rhs_cell[sl] -= (self.gloc[sl][:, None, :] @ a21e)[:, 0]
-        if a22b is not None:
-            if self.a22b is None:
-                self.a22b = np.empty((self.a11.shape[0],) + a22b.shape[1:])
-            self.a22b[sl] = a22b
-
-    def finish(self, coupling=None, null_vectors=()) -> BlockSystem:
-        nc = self.a11.shape[0]
-        a22b = np.empty((nc, 0, 0, 0)) if self.a22b is None else self.a22b
-        m, s = a22b.shape[1:3]
-        return BlockSystem(
-            layout=self.layout, a11=self.a11, a21=self.a21, tids=self.tids,
-            a22b=a22b.reshape(nc * m, s, s),
-            a22_ids=self.tids[:, :m * s].reshape(nc * m, s),
-            rhs_cell=self.rhs_cell, rhs_trace=self.rhs_trace,
-            params=self.params, problem=self.problem, coupling=coupling,
-            fixed_full=self.fixed_full, context=self.context,
-            null_vectors=tuple(null_vectors),
-        )
+    The Dirichlet values ``fixed`` are lifted into rhs_cell through the
+    unmasked a21, whose rows of fixed dofs are then zeroed.  A run is all
+    free or all fixed (boundary data fixes whole facets), so only a21
+    lifts."""
+    nc, cs = a11.shape[:2]
+    tids, gloc = _trace_ids(lay, fixed or {})
+    if a21 is None:
+        a21 = np.zeros((nc, tids.shape[1], cs))
+    if rhs_cell is None:
+        rhs_cell = np.zeros((nc, cs))
+    if fixed:
+        rhs_cell -= (gloc[:, None, :] @ a21)[:, 0]
+    a21[tids < 0] = 0.0
+    if a22b is None:
+        a22b = np.empty((nc, 0, 0, 0))
+    m, s = a22b.shape[1:3]
+    return BlockSystem(
+        layout=lay, a11=a11, a21=a21, tids=tids,
+        a22b=a22b.reshape(nc * m, s, s), a22_ids=tids[:, :m * s].reshape(nc * m, s),
+        rhs_cell=rhs_cell,
+        rhs_trace=np.zeros(lay.n_trace) if rhs_trace is None else rhs_trace,
+        params=params, problem=problem, coupling=coupling, context=ctx,
+        null_vectors=tuple(null_vectors),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -568,38 +526,31 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None
     _check_darcy_spaces(mesh, spaces, k)
     ctx = ElementContext(mesh, k, quad_order)
     lay = _darcy_layout(mesh, spaces)
-    acc = _Accumulator(lay, params, "darcy", ctx)
     fixed = {}
     if p_dirichlet is not None:
         fixed["pbar"] = interpolate_boundary(
             build_space(mesh, "facet-scalar", k), p_dirichlet)
-    acc.fixed_full = fixed
 
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
-    cs = lay.cell_size
-    for sl in ctx.chunks():
-        xq = ctx.cell_points(sl)
-        wdet = ctx.cell_weights(sl)
-        D = _div_matrix(wdet, ctx.pgu, ctx.Jinv[sl])
+    nc, cs = mesh.n_cells, lay.cell_size
+    xq = ctx.cell_points()
+    wdet = ctx.cell_weights()
+    D = _div_matrix(wdet, ctx.pgu, ctx.Jinv)
+    a11 = np.empty((nc, cs, cs))
+    a11[:, usl, usl] = _velocity_mass(ctx, -wdet / _coef(params.xi, xq))
+    a11[:, usl, psl] = np.transpose(D, (0, 2, 1))
+    a11[:, psl, usl] = D
+    a11[:, psl, psl] = _gemm(wdet * _coef(params.gamma, xq), ctx.pp)
 
-        a11e = np.zeros((xq.shape[0], cs, cs))
-        a11e[:, usl, usl] = -_velocity_mass(ctx, wdet / _coef(params.xi, xq))
-        a11e[:, usl, psl] = np.transpose(D, (0, 2, 1))
-        a11e[:, psl, usl] = D
-        a11e[:, psl, psl] = _gemm(wdet * _coef(params.gamma, xq), ctx.pp)
+    _, nrm, scale, _ = ctx.facet_frame()
+    T = _normal_trace(ctx.fu_normal[ctx.codes], nrm, scale)
+    a21 = np.zeros((nc, T.shape[1], cs))
+    a21[:, :, usl] = -T
 
-        fids, nrm, scale, _ = ctx.facet_frame(sl)
-        acc.set_trace_ids(sl, fids, fixed)
-        T = _normal_trace(ctx.fu_normal[ctx.codes[sl]], nrm, scale)
-        a21e = np.zeros((xq.shape[0], T.shape[1], cs))
-        a21e[:, :, usl] = -T
-
-        rhs_celle = None
-        if f is not None:
-            rhs_celle = np.zeros((xq.shape[0], cs))
-            rhs_celle[:, psl] = (wdet * _coef(f, xq)) @ ctx.vals_p
-        acc.add(sl, a11e=a11e, a21e=a21e, rhs_celle=rhs_celle)
-    return acc.finish()
+    rhs_cell = np.zeros((nc, cs))
+    if f is not None:
+        rhs_cell[:, psl] = (wdet * _coef(f, xq)) @ ctx.vals_p
+    return _block_system(lay, params, "darcy", ctx, a11, a21, rhs_cell=rhs_cell, fixed=fixed)
 
 
 def assemble_darcy_inner(mesh, spaces, params: ProblemParams,
@@ -611,31 +562,25 @@ def assemble_darcy_inner(mesh, spaces, params: ProblemParams,
     _check_darcy_spaces(mesh, spaces, k)
     ctx = ElementContext(mesh, k, quad_order)
     lay = _darcy_layout(mesh, spaces)
-    acc = _Accumulator(lay, params, "darcy-inner", ctx)
     eta = params.eta_for(mesh.dim)
 
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
-    cs = lay.cell_size
-    for sl in ctx.chunks():
-        xq = ctx.cell_points(sl)
-        wdet = ctx.cell_weights(sl)
-        xi = _coef(params.xi, xq)
+    nc, cs = mesh.n_cells, lay.cell_size
+    xq = ctx.cell_points()
+    wdet = ctx.cell_weights()
+    xi = _coef(params.xi, xq)
+    _, _, scale, xf = ctx.facet_frame()
+    wpen = ctx.facet_weights(scale) * (_coef(params.xi, xf) * eta / ctx.hK[:, None, None])
 
-        a11e = np.zeros((xq.shape[0], cs, cs))
-        a11e[:, usl, usl] = _velocity_mass(ctx, wdet / xi)
-        a11e[:, psl, psl] = (_gemm(wdet * _coef(params.gamma, xq), ctx.pp)
-                             + _grad_grad(wdet * xi, ctx.gpgp, ctx.Jinv[sl]))
-
-        fids, _, scale, xf = ctx.facet_frame(sl)
-        acc.set_trace_ids(sl, fids, {})
-        codes = ctx.codes[sl]
-        wpen = ctx.facet_weights(scale) * (_coef(params.xi, xf) * eta / ctx.hK[sl, None, None])
-        a11e[:, psl, psl] += _facet_gemm(codes, wpen, ctx.fpp).sum(axis=1)
-        cross = _facet_gemm(codes, wpen, ctx.ffp)
-        a21e = np.zeros((xq.shape[0], cross.shape[1] * cross.shape[2], cs))
-        a21e[:, :, psl] = -cross.reshape(a21e.shape[0], -1, cross.shape[3])
-        acc.add(sl, a11e=a11e, a21e=a21e, a22b=_gemm(wpen, ctx.ff))
-    return acc.finish()
+    a11 = np.zeros((nc, cs, cs))
+    a11[:, usl, usl] = _velocity_mass(ctx, wdet / xi)
+    a11[:, psl, psl] = (_gemm(wdet * _coef(params.gamma, xq), ctx.pp)
+                        + _grad_grad(wdet * xi, ctx.gpgp, ctx.Jinv)
+                        + _facet_gemm(ctx.codes, wpen, ctx.fpp).sum(axis=1))
+    cross = _facet_gemm(ctx.codes, wpen, ctx.ffp)
+    a21 = np.zeros((nc, cross.shape[1] * cross.shape[2], cs))
+    a21[:, :, psl] = -cross.reshape(nc, -1, ctx.nbp)
+    return _block_system(lay, params, "darcy-inner", ctx, a11, a21, a22b=_gemm(wpen, ctx.ff))
 
 
 def assemble_counterexample_inner(mesh, spaces, params: ProblemParams,
@@ -652,25 +597,20 @@ def assemble_counterexample_inner(mesh, spaces, params: ProblemParams,
     xi = float(params.xi)
     ctx = ElementContext(mesh, k, quad_order)
     lay = _darcy_layout(mesh, spaces)
-    acc = _Accumulator(lay, params, "darcy-counterexample-inner", ctx)
 
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
-    cs = lay.cell_size
-    for sl in ctx.chunks():
-        wdet = ctx.cell_weights(sl)
-        Y = _grad_pairs(wdet / M, ctx.gugu, ctx.Jinv[sl])
+    nc, cs = mesh.n_cells, lay.cell_size
+    wdet = ctx.cell_weights()
+    a11 = np.zeros((nc, cs, cs))
+    a11[:, usl, usl] = (_velocity_mass(ctx, wdet / xi)
+                        + _div_div(_grad_pairs(wdet / M, ctx.gugu, ctx.Jinv)))
+    a11[:, psl, psl] = _gemm(wdet * M, ctx.pp)
 
-        a11e = np.zeros((wdet.shape[0], cs, cs))
-        a11e[:, usl, usl] = _velocity_mass(ctx, wdet / xi) + _div_div(Y)
-        a11e[:, psl, psl] = _gemm(wdet * M, ctx.pp)
-
-        fids, _, scale, _ = ctx.facet_frame(sl)
-        acc.set_trace_ids(sl, fids, {})
-        wbar = ctx.facet_weights(scale) * (xi * ctx.hK[sl, None, None])
-        acc.add(sl, a11e=a11e, a22b=_gemm(wbar, ctx.ff))
-
-    coupling = _normal_jump_coupling(ctx, lay, 1.0 / xi)
-    return acc.finish(coupling=coupling)
+    _, _, scale, _ = ctx.facet_frame()
+    wbar = ctx.facet_weights(scale) * (xi * ctx.hK[:, None, None])
+    return _block_system(lay, params, "darcy-counterexample-inner", ctx, a11,
+                         a22b=_gemm(wbar, ctx.ff),
+                         coupling=_normal_jump_coupling(ctx, lay, 1.0 / xi))
 
 
 def _normal_jump_coupling(ctx: ElementContext, lay: BlockLayout, coef: float):
@@ -721,32 +661,24 @@ def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None,
     k = params.k
     ctx = ElementContext(mesh, k, quad_order)
     lay = BlockLayout(mesh, (("p", spaces["p"]),), (("pbar", spaces["pbar"]),))
-    acc = _Accumulator(lay, params, "darcy-aux", ctx)
     eta = params.eta_for(mesh.dim)
 
-    for sl in ctx.chunks():
-        xq = ctx.cell_points(sl)
-        wdet = ctx.cell_weights(sl)
-        a11e = (_gemm(wdet * _coef(params.gamma, xq), ctx.pp)
-                + _grad_grad(wdet * _coef(params.xi, xq), ctx.gpgp, ctx.Jinv[sl]))
+    xq = ctx.cell_points()
+    wdet = ctx.cell_weights()
+    a11 = (_gemm(wdet * _coef(params.gamma, xq), ctx.pp)
+           + _grad_grad(wdet * _coef(params.xi, xq), ctx.gpgp, ctx.Jinv))
 
-        fids, nrm, scale, xf = ctx.facet_frame(sl)
-        acc.set_trace_ids(sl, fids, {})
-        codes = ctx.codes[sl]
-        wcons = ctx.facet_weights(scale) * _coef(params.xi, xf)
-        wpen = wcons * (eta / ctx.hK[sl, None, None])
-        cons, cons_bar = _aux_consistency(ctx, codes, wcons, nrm, ctx.Jinv[sl])
-        a11e += _facet_gemm(codes, wpen, ctx.fpp).sum(axis=1)
-        a11e -= cons + np.transpose(cons, (0, 2, 1))
+    _, nrm, scale, xf = ctx.facet_frame()
+    wcons = ctx.facet_weights(scale) * _coef(params.xi, xf)
+    wpen = wcons * (eta / ctx.hK[:, None, None])
+    cons, cons_bar = _aux_consistency(ctx, ctx.codes, wcons, nrm, ctx.Jinv)
+    a11 += _facet_gemm(ctx.codes, wpen, ctx.fpp).sum(axis=1)
+    a11 -= cons + np.transpose(cons, (0, 2, 1))
+    a21 = (cons_bar - _facet_gemm(ctx.codes, wpen, ctx.ffp)).reshape(mesh.n_cells, -1, ctx.nbp)
 
-        a21e = (cons_bar - _facet_gemm(codes, wpen, ctx.ffp)).reshape(
-            wdet.shape[0], -1, ctx.nbp)
-
-        rhs_celle = None
-        if f is not None:
-            rhs_celle = (wdet * _coef(f, xq)) @ ctx.vals_p
-        acc.add(sl, a11e=a11e, a21e=a21e, a22b=_gemm(wpen, ctx.ff), rhs_celle=rhs_celle)
-    return acc.finish()
+    rhs_cell = None if f is None else (wdet * _coef(f, xq)) @ ctx.vals_p
+    return _block_system(lay, params, "darcy-aux", ctx, a11, a21,
+                         a22b=_gemm(wpen, ctx.ff), rhs_cell=rhs_cell)
 
 
 # ----------------------------------------------------------------------
@@ -773,20 +705,19 @@ def _penalty_blocks(ctx, codes, wpen):
     return uu, cross.reshape(B, -1, d * ctx.nbu), ubu
 
 
-def _ch_blocks(ctx, sl, Y, nu, eta, zeta=0.0):
+def _ch_blocks(ctx, Y, nu, eta, zeta=0.0):
     """Element blocks of c_h (+ zeta div-div): returns (cell_uu, ubar_u,
     ubar_ubar diagonal blocks); Y holds the cell's gradient pairs
     (_grad_pairs)."""
-    _, nrm, scale, _ = ctx.facet_frame(sl)
-    codes = ctx.codes[sl]
+    _, nrm, scale, _ = ctx.facet_frame()
     wcons = ctx.facet_weights(scale) * nu
-    uu, cross, ubu = _penalty_blocks(ctx, codes, wcons * (eta / ctx.hK[sl, None, None]))
+    uu, cross, ubu = _penalty_blocks(ctx, ctx.codes, wcons * (eta / ctx.hK[:, None, None]))
     uu += nu * _eps_eps(Y)
     if zeta:
         uu += zeta * _div_div(Y)
 
     # -< eps(u) n, v - vbar > - < eps(v) n, u - ubar > consistency terms
-    cons, cons_bar = _ch_consistency(ctx, codes, wcons, nrm, ctx.Jinv[sl])
+    cons, cons_bar = _ch_consistency(ctx, ctx.codes, wcons, nrm, ctx.Jinv)
     uu -= cons + np.transpose(cons, (0, 2, 1))
     cross += cons_bar
     return uu, cross, ubu
@@ -815,64 +746,58 @@ def assemble_stokes(mesh, spaces, params: ProblemParams, f=None, u_dirichlet=Non
     nu = float(params.nu)
     ctx = ElementContext(mesh, k, quad_order)
     lay = _stokes_layout(mesh, spaces)
-    acc = _Accumulator(lay, params, "stokes", ctx)
     eta = params.eta_for(mesh.dim)
 
     fixed = {}
     if u_dirichlet is not None:
         fixed["ubar"] = interpolate_boundary(
             build_space(mesh, "facet-vector", k), u_dirichlet)
-    acc.fixed_full = fixed
 
-    d, nbf = mesh.dim, ctx.nbf
+    d = mesh.dim
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
-    n_ub = (d + 1) * d * nbf
-    cs = lay.cell_size
-    for sl in ctx.chunks():
-        wdet = ctx.cell_weights(sl)
-        B = wdet.shape[0]
-        Jinv = ctx.Jinv[sl]
-        uu, cross, ubu = _ch_blocks(ctx, sl, _grad_pairs(wdet, ctx.gugu, Jinv), nu, eta)
-        D = _div_matrix(wdet, ctx.pgu, Jinv)
+    nc, cs = mesh.n_cells, lay.cell_size
+    wdet = ctx.cell_weights()
+    uu, cross, ubu = _ch_blocks(ctx, _grad_pairs(wdet, ctx.gugu, ctx.Jinv), nu, eta)
+    D = _div_matrix(wdet, ctx.pgu, ctx.Jinv)
+    a11 = np.zeros((nc, cs, cs))
+    a11[:, usl, usl] = uu
+    a11[:, usl, psl] = -np.transpose(D, (0, 2, 1))
+    a11[:, psl, usl] = -D
 
-        a11e = np.zeros((B, cs, cs))
-        a11e[:, usl, usl] = uu
-        a11e[:, usl, psl] = -np.transpose(D, (0, 2, 1))
-        a11e[:, psl, usl] = -D
+    _, nrm, scale, _ = ctx.facet_frame()
+    T = _normal_trace(ctx.fu_normal[ctx.codes], nrm, scale)
+    n_ub = cross.shape[1]
+    a21 = np.zeros((nc, n_ub + T.shape[1], cs))
+    a21[:, :n_ub, usl] = cross
+    a21[:, n_ub:, usl] = T
 
-        fids, nrm, scale, xf = ctx.facet_frame(sl)
-        acc.set_trace_ids(sl, fids, fixed)
-        T = _normal_trace(ctx.fu_normal[ctx.codes[sl]], nrm, scale)
+    rhs_cell = None
+    if f is not None:
+        xq = ctx.cell_points()
+        wf = wdet[:, :, None] * np.asarray(f(xq.reshape(-1, d)), dtype=float).reshape(nc, -1, d)
+        rhs_cell = np.zeros((nc, cs))
+        rhs_cell[:, usl] = _gemm(wf.transpose(0, 2, 1), ctx.vals_u).reshape(nc, -1)
+    rhs_trace = None if u_dirichlet is None else _boundary_flux_load(ctx, lay, u_dirichlet)
+    return _block_system(lay, params, "stokes", ctx, a11, a21, a22b=ubu, rhs_cell=rhs_cell,
+                         rhs_trace=rhs_trace, fixed=fixed,
+                         null_vectors=(constant_pressure_vector(lay),))
 
-        ntr = acc.a21.shape[1]
-        a21e = np.zeros((B, ntr, cs))
-        a21e[:, :n_ub, usl] = cross
-        a21e[:, n_ub:, usl] = T
 
-        rhs_celle = None
-        if f is not None:
-            xq = ctx.cell_points(sl)
-            wf = wdet[:, :, None] * np.asarray(f(xq.reshape(-1, d)), dtype=float).reshape(B, -1, d)
-            rhs_celle = np.zeros((B, cs))
-            rhs_celle[:, usl] = _gemm(wf.transpose(0, 2, 1), ctx.vals_u).reshape(B, -1)
-        acc.add(sl, a11e=a11e, a21e=a21e, a22b=ubu, rhs_celle=rhs_celle)
-
-        if u_dirichlet is not None:
-            # consistency of the mass-balance trace rows with u = g on the
-            # boundary: <qbar, g.n> on boundary facets
-            bmask = mesh.boundary_flags[fids]
-            if bmask.any():
-                bb, ll = np.nonzero(bmask)
-                gv = np.asarray(u_dirichlet(xf[bb, ll].reshape(-1, d)),
-                                dtype=float).reshape(bb.size, -1, d)
-                gn = (gv @ nrm[bb, ll][:, :, None])[:, :, 0]
-                load = (scale[bb, ll, None] * ctx.frule.weights[None, :] * gn) @ ctx.fv
-                pb_ids = acc.tids[sl][bb[:, None], n_ub + ll[:, None] * ctx.nbf
-                                      + np.arange(ctx.nbf)[None, :]]
-                acc.rhs_trace += np.bincount(pb_ids.ravel(), weights=load.ravel(),
-                                             minlength=acc.rhs_trace.size)
-
-    return acc.finish(null_vectors=(constant_pressure_vector(lay),))
+def _boundary_flux_load(ctx, lay, g):
+    """The trace right-hand side <qbar, g.n> over the boundary facets, on
+    the pbar rows: it makes the mass-balance trace rows consistent with
+    u = g on the boundary."""
+    mesh = ctx.mesh
+    bf = np.nonzero(mesh.boundary_flags)[0]  # stored normals point outward here
+    d, nbf = mesh.dim, ctx.nbf
+    gv = np.asarray(g(ctx.Xf[bf].reshape(-1, d)), dtype=float).reshape(bf.size, -1, d)
+    gn = (gv @ mesh.facet_normals[bf][:, :, None])[:, :, 0]
+    load = (ctx.fscale[bf, None] * ctx.frule.weights[None, :] * gn) @ ctx.fv
+    pbar = dict(lay.trace_fields)["pbar"]
+    off, _ = lay.trace_field_range("pbar")
+    out = np.zeros(lay.n_trace)
+    out[off + pbar.full_to_free[bf[:, None] * nbf + np.arange(nbf)]] = load
+    return out
 
 
 def assemble_stokes_inner(mesh, spaces, params: ProblemParams, hatted: bool = False,
@@ -888,41 +813,33 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams, hatted: bool = Fa
     nu, zeta = float(params.nu), float(params.zeta)
     ctx = ElementContext(mesh, k, quad_order)
     lay = _stokes_layout(mesh, spaces)
-    tag = "stokes-inner-hat" if hatted else "stokes-inner"
-    acc = _Accumulator(lay, params, tag, ctx)
     eta = params.eta_for(mesh.dim)
 
-    d, nbf = mesh.dim, ctx.nbf
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
-    n_ub = (d + 1) * d * nbf
-    cs = lay.cell_size
-    for sl in ctx.chunks():
-        wdet = ctx.cell_weights(sl)
-        B = wdet.shape[0]
-        Y = _grad_pairs(wdet, ctx.gugu, ctx.Jinv[sl])
-        fids, _, scale, _ = ctx.facet_frame(sl)
+    nc, cs = mesh.n_cells, lay.cell_size
+    wdet = ctx.cell_weights()
+    Y = _grad_pairs(wdet, ctx.gugu, ctx.Jinv)
+    _, _, scale, _ = ctx.facet_frame()
+    if hatted:
+        uu, cross, ubu = _ch_blocks(ctx, Y, nu, eta, zeta=zeta)
+    else:
+        wpen = ctx.facet_weights(scale) * (nu * eta / ctx.hK[:, None, None])
+        uu, cross, ubu = _penalty_blocks(ctx, ctx.codes, wpen)
+        uu += nu * _eps_eps(Y)
+        if zeta:
+            uu += zeta * _div_div(Y)
 
-        if hatted:
-            uu, cross, ubu = _ch_blocks(ctx, sl, Y, nu, eta, zeta=zeta)
-        else:
-            wpen = ctx.facet_weights(scale) * (nu * eta / ctx.hK[sl, None, None])
-            uu, cross, ubu = _penalty_blocks(ctx, ctx.codes[sl], wpen)
-            uu += nu * _eps_eps(Y)
-            if zeta:
-                uu += zeta * _div_div(Y)
-
-        a11e = np.zeros((B, cs, cs))
-        a11e[:, usl, usl] = uu
-        a11e[:, psl, psl] = _gemm(wdet / nu, ctx.pp)
-
-        acc.set_trace_ids(sl, fids, {})
-        ntr = acc.a21.shape[1]
-        a21e = np.zeros((B, ntr, cs))
-        a21e[:, :n_ub, usl] = cross
-        wbar = ctx.facet_weights(scale) * (ctx.hK[sl, None, None] / (nu * eta))
-        a22b = np.concatenate([ubu, _gemm(wbar, ctx.ff)], axis=1)
-        acc.add(sl, a11e=a11e, a21e=a21e, a22b=a22b)
-    return acc.finish()
+    a11 = np.zeros((nc, cs, cs))
+    a11[:, usl, usl] = uu
+    a11[:, psl, psl] = _gemm(wdet / nu, ctx.pp)
+    wbar = ctx.facet_weights(scale) * (ctx.hK[:, None, None] / (nu * eta))
+    pbb = _gemm(wbar, ctx.ff)  # (cells, d+1, nbf, nbf)
+    n_ub = cross.shape[1]
+    a21 = np.zeros((nc, n_ub + pbb.shape[1] * pbb.shape[2], cs))
+    a21[:, :n_ub, usl] = cross
+    tag = "stokes-inner-hat" if hatted else "stokes-inner"
+    return _block_system(lay, params, tag, ctx, a11, a21,
+                         a22b=np.concatenate([ubu, pbb], axis=1))
 
 
 def assemble_stokes_ch(mesh, spaces, params: ProblemParams,
@@ -930,17 +847,11 @@ def assemble_stokes_ch(mesh, spaces, params: ProblemParams,
     """The c_h velocity form alone on (u; ubar): probe support for the
     condensed-velocity estimates."""
     k = params.k
-    nu = float(params.nu)
     ctx = ElementContext(mesh, k, quad_order)
     lay = BlockLayout(mesh, (("u", spaces["u"]),), (("ubar", spaces["ubar"]),))
-    acc = _Accumulator(lay, params, "stokes-ch", ctx)
-    eta = params.eta_for(mesh.dim)
-    for sl in ctx.chunks():
-        Y = _grad_pairs(ctx.cell_weights(sl), ctx.gugu, ctx.Jinv[sl])
-        uu, cross, ubu = _ch_blocks(ctx, sl, Y, nu, eta)
-        acc.set_trace_ids(sl, ctx.mesh.cell_facets[sl], {})
-        acc.add(sl, a11e=uu, a21e=cross, a22b=ubu)
-    return acc.finish()
+    Y = _grad_pairs(ctx.cell_weights(), ctx.gugu, ctx.Jinv)
+    uu, cross, ubu = _ch_blocks(ctx, Y, float(params.nu), params.eta_for(mesh.dim))
+    return _block_system(lay, params, "stokes-ch", ctx, uu, cross, a22b=ubu)
 
 
 # ----------------------------------------------------------------------

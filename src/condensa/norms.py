@@ -49,10 +49,9 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
     eta = params.eta_for(mesh.dim)
     cells, xbar = lay.split(np.asarray(x, dtype=float))
 
-    sl = slice(0, mesh.n_cells)
-    wdet = ctx.cell_weights(sl)
-    xq = ctx.cell_points(sl)
-    fids, nrm, scale, xf = ctx.facet_frame(sl)
+    wdet = ctx.cell_weights()
+    xq = ctx.cell_points()
+    fids, _, scale, xf = ctx.facet_frame()
     wfs = ctx.facet_weights(scale)  # (nc, d+1, nqf)
     hK = ctx.hK
     out: dict[str, float] = {}
@@ -67,7 +66,7 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
                                           np.einsum("bqcc->bq", G) ** 2))
         uv = (U @ ctx.vals_u.T).transpose(0, 2, 1)
         out["u_l2_sq"] = float(np.einsum("bq,bqc->", wdet, uv**2))
-        u_f = ctx.facet_values(sl, "u") @ U.transpose(0, 2, 1)[:, None]
+        u_f = ctx.facet_values("u") @ U.transpose(0, 2, 1)[:, None]
         if "ubar" in names:
             ub_full = trace_full_values(system, "ubar", xbar)
             spc = dict(lay.trace_fields)["ubar"]
@@ -93,7 +92,7 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
             spc = dict(lay.trace_fields)["pbar"]
             PB = pb_full.reshape(mesh.n_facets, spc.nb)[fids]
             pb_f = np.einsum("blm,qm->blq", PB, ctx.fv)
-            p_f = (ctx.facet_values(sl, "p") @ P[:, None, :, None])[..., 0]
+            p_f = (ctx.facet_values("p") @ P[:, None, :, None])[..., 0]
             jump = p_f - pb_f
             out["jump_p_sq"] = float(np.einsum(
                 "blq,blq->", wfs / hK[:, None, None], jump**2))
@@ -162,9 +161,8 @@ def l2_errors(system: BlockSystem, x: np.ndarray, exact_u=None, exact_p=None,
     ctx = system.context
     mesh = ctx.mesh
     cells, _ = lay.split(np.asarray(x, dtype=float))
-    sl = slice(0, mesh.n_cells)
-    wdet = ctx.cell_weights(sl)
-    xq = ctx.cell_points(sl)
+    wdet = ctx.cell_weights()
+    xq = ctx.cell_points()
     out = {}
     if exact_u is not None:
         U = cells[:, lay.cell_field_slice("u")].reshape(mesh.n_cells, mesh.dim, ctx.nbu)

@@ -220,8 +220,7 @@ def _hu_seminorm_matrix(ch_system: BlockSystem) -> sp.csr_matrix:
     """Matrix of ||h^-1/2 (vbar - m_K(vbar))||^2 over cell boundaries."""
     ctx = ch_system.context
     mesh = ctx.mesh
-    sl = slice(0, mesh.n_cells)
-    _, _, scale, _ = ctx.facet_frame(sl)
+    _, _, scale, _ = ctx.facet_frame()
     wfs = ctx.facet_weights(scale)
     d, nbf = mesh.dim, ctx.nbf
     d1 = d + 1
@@ -231,7 +230,7 @@ def _hu_seminorm_matrix(ch_system: BlockSystem) -> sp.csr_matrix:
     for l in range(d1):
         V[:, l * nbf:(l + 1) * nbf, l * nq:(l + 1) * nq] = \
             np.broadcast_to(ctx.fv.T[None], (mesh.n_cells, nbf, nq))
-    w = (wfs / ctx.hK[sl, None, None]).reshape(mesh.n_cells, d1 * nq)
+    w = (wfs / ctx.hK[:, None, None]).reshape(mesh.n_cells, d1 * nq)
     wm = wfs.reshape(mesh.n_cells, d1 * nq)
     area = wm.sum(axis=1)
     mean = (V @ wm[:, :, None])[:, :, 0] / area[:, None]

@@ -8,7 +8,8 @@ from condensa.assembly import (ProblemParams, _block_triplets, assemble_aux_hdg,
                                assemble_counterexample_inner, assemble_darcy,
                                assemble_darcy_inner, assemble_stokes,
                                assemble_stokes_ch, assemble_stokes_inner,
-                               aux_spaces, darcy_spaces, stokes_spaces)
+                               aux_spaces, constant_trace_vector, darcy_spaces,
+                               stokes_spaces)
 from condensa.condense import back_substitute, condense, condense_precond, eliminate
 from condensa.elements import monomial_integral, pk_basis
 from condensa.krylov import factor_spd
@@ -483,13 +484,15 @@ def test_heterogeneous_case_fields():
     assert np.allclose(case.f(pts), 1.0)
 
 
-@pytest.mark.parametrize("problem", ["darcy", "stokes"])
-def test_dirichlet_lift_matches_full_trace_system(problem):
+@pytest.mark.parametrize("problem,dim,n", [
+    pytest.param("darcy", 2, 2, id="darcy"), pytest.param("stokes", 2, 2, id="stokes"),
+    pytest.param("darcy", 3, 1, id="darcy-3d"), pytest.param("stokes", 3, 1, id="stokes-3d")])
+def test_dirichlet_lift_matches_full_trace_system(problem, dim, n):
     # assembling with boundary data on the zero-boundary trace space equals
     # the operator with every trace dof free, restricted to the free dofs,
     # with the fixed columns times the data moved to the right-hand side;
     # a source term makes the lift and the cell load meet in rhs_cell
-    mesh = unit_box_mesh(2, 2)
+    mesh = unit_box_mesh(dim, n)
     params = ProblemParams(k=2)
     trace, kind = ("pbar", "facet-scalar") if problem == "darcy" else ("ubar", "facet-vector")
     if problem == "darcy":
@@ -504,10 +507,10 @@ def test_dirichlet_lift_matches_full_trace_system(problem):
         spaces, assemble, key = stokes_spaces(mesh, 2), assemble_stokes, "u_dirichlet"
 
         def g(x):
-            return np.stack([1.0 + x[:, 1] ** 2, x[:, 0] - 0.3], axis=1)
+            return np.stack([1.0 + x[:, 1] ** 2, x[:, 0] - 0.3, x[:, 0] * x[:, -1]][:dim], axis=1)
 
         def f(x):
-            return np.stack([x[:, 0] * x[:, 1], 1.0 - x[:, 0]], axis=1)
+            return np.stack([x[:, 0] * x[:, 1], 1.0 - x[:, 0], x[:, 1] + x[:, -1]][:dim], axis=1)
     full_spaces = dict(spaces, **{trace: build_space(mesh, kind, 2)})
     lifted = assemble(mesh, spaces, params, f=f, **{key: g})
     full = assemble(mesh, full_spaces, params, f=f)
@@ -525,6 +528,24 @@ def test_dirichlet_lift_matches_full_trace_system(problem):
     assert np.abs((lifted.to_sparse() - K[keep][:, keep])).max() == 0.0
     rows = lay.indices(*[n for n, _ in lay.cell_fields], trace)  # the pbar load differs
     assert np.abs(lifted.rhs()[rows] - want[keep][rows]).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim,n", [(2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("which", ["identity", "quadratic"])
+def test_stokes_boundary_load_is_boundary_flux(which, dim, n):
+    """The pbar rows of the Stokes rhs_trace hold <qbar, g.n> over the
+    boundary facets; against qbar = 1 they sum to the boundary flux of g,
+    which is int div g: d |Omega| for g(x) = x, and 1 for g = x0^2 e0."""
+    mesh = unit_box_mesh(dim, n)
+    spaces = stokes_spaces(mesh, 2)
+    if which == "identity":
+        g, flux = (lambda x: x), float(dim)
+    else:
+        g, flux = (lambda x: np.eye(dim)[0] * x[:, :1] ** 2), 1.0
+    system = assemble_stokes(mesh, spaces, ProblemParams(k=2), u_dirichlet=g)
+    off, end = system.layout.trace_field_range("pbar")
+    got = constant_trace_vector(spaces["pbar"]) @ system.rhs_trace[off:end]
+    assert abs(got - flux) < 1e-12 * flux
 
 
 @pytest.mark.parametrize("dim,n", [(2, 2), (3, 1)])

@@ -225,7 +225,7 @@ def test_arrangement_gather_matches_trace_table(name):
     assert np.isin(codes, permutation_codes(mesh.dim)).all()
     assert len(np.unique(codes)) > 1
     for which, basis in (("u", ctx.basis_u), ("p", ctx.basis_p)):
-        gathered = ctx.facet_values(slice(None), which)
+        gathered = ctx.facet_values(which)
         for c in range(mesh.n_cells):
             for l in range(mesh.dim + 1):
                 _, want = facet_trace_table(mesh, basis, c, l, ctx.frule)
