@@ -7,8 +7,7 @@ from .assembly import (BlockSystem, ProblemParams, assemble_aux_hdg,
                        assemble_stokes_inner, aux_spaces, darcy_spaces,
                        stokes_spaces)
 from .bench import ResultRow, RunConfig, emit, run
-from .condense import (CondensedSystem, back_substitute, condense,
-                       condense_precond, local_solve)
+from .condense import CondensedSystem, back_substitute, condense, condense_precond
 from .elements import PolynomialBasis, QuadratureRule, pk_basis, simplex_quadrature
 from .krylov import KrylovReport, cg, factor_spd, generalized_eigs, minres
 from .manufactured import ManufacturedCase, manufactured_rhs

@@ -221,12 +221,12 @@ class ElementContext:
 class BlockSystem:
     """Symmetric 2x2 block operator with per-cell dense A11 storage.
 
+    tids (cells, ntr) are each cell's trace ids, -1 where a dof is fixed.
     a21 rows belonging to Dirichlet-fixed trace dofs are zeroed; their
     contributions are lifted into the right-hand side at assembly time.
-    A22 is kept as the pair `_block_triplets` reads: blocks a22b (N, s, s)
-    at trace ids a22_ids (N, s).  Assemblers store one block per (local
-    facet, component), cell-major, so a22b.reshape(n_cells, -1, s, s)
-    holds each cell's own A22_K.  ``coupling`` holds cross-cell entries on
+    A22 is kept as each cell's diagonal blocks a22b (cells, m, s, s), one
+    per (local facet, component), on the cell's leading trace ids
+    tids[:, :m*s] in runs of s.  ``coupling`` holds cross-cell entries on
     the cell group (only the counterexample's normal-jump term produces
     them).
     """
@@ -236,7 +236,6 @@ class BlockSystem:
     a21: np.ndarray
     tids: np.ndarray
     a22b: np.ndarray
-    a22_ids: np.ndarray
     rhs_cell: np.ndarray
     rhs_trace: np.ndarray
     params: ProblemParams
@@ -253,7 +252,9 @@ class BlockSystem:
         return np.concatenate([self.rhs_cell.ravel(), self.rhs_trace])
 
     def a22_triplets(self):
-        return _block_triplets(self.a22b, self.a22_ids, self.a22_ids)
+        nc, m, s = self.a22b.shape[:3]
+        ids = self.tids[:, :m * s].reshape(nc * m, s)
+        return _block_triplets(self.a22b.reshape(nc * m, s, s), ids, ids)
 
     @property
     def a22(self) -> sp.csr_matrix:
@@ -264,7 +265,7 @@ class BlockSystem:
         lay = self.layout
         nc, cs = self.a11.shape[:2]
         nct = lay.n_cell_total
-        cell_ids = np.arange(nct).reshape(nc, cs)
+        cell_ids = np.arange(nct, dtype=self.tids.dtype).reshape(nc, cs)
         r21, c21, v21 = _block_triplets(self.a21, self.tids, cell_ids)
         r22, c22, v22 = self.a22_triplets()
         parts = [_block_triplets(self.a11, cell_ids, cell_ids),
@@ -329,9 +330,10 @@ def _block_system(lay, params, problem, ctx, a11, a21=None, a22b=None, rhs_cell=
     """The BlockSystem of every cell's blocks: a11 (cells, cs, cs), a21
     (cells, ntr, cs) on the cell's trace dofs in _trace_ids order (zero
     when None), and a22b (cells, m, s, s), the trace-trace block by its
-    diagonal blocks.  These cover the leading m*s local trace dofs, in
-    runs of s (one local facet, one component) that couple only within a
-    run; the trace dofs after them have no trace-trace entries.
+    diagonal blocks, kept as BlockSystem.a22b (no blocks when None).  These
+    cover the leading m*s local trace dofs, in runs of s (one local facet,
+    one component) that couple only within a run; the trace dofs after
+    them have no trace-trace entries.
 
     The Dirichlet values ``fixed`` are lifted into rhs_cell through the
     unmasked a21, whose rows of fixed dofs are then zeroed.  A run is all
@@ -346,13 +348,9 @@ def _block_system(lay, params, problem, ctx, a11, a21=None, a22b=None, rhs_cell=
     if fixed:
         rhs_cell -= (gloc[:, None, :] @ a21)[:, 0]
     a21[tids < 0] = 0.0
-    if a22b is None:
-        a22b = np.empty((nc, 0, 0, 0))
-    m, s = a22b.shape[1:3]
     return BlockSystem(
         layout=lay, a11=a11, a21=a21, tids=tids,
-        a22b=a22b.reshape(nc * m, s, s), a22_ids=tids[:, :m * s].reshape(nc * m, s),
-        rhs_cell=rhs_cell,
+        a22b=np.empty((nc, 0, 0, 0)) if a22b is None else a22b, rhs_cell=rhs_cell,
         rhs_trace=np.zeros(lay.n_trace) if rhs_trace is None else rhs_trace,
         params=params, problem=problem, coupling=coupling, context=ctx,
         null_vectors=tuple(null_vectors),

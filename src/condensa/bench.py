@@ -135,16 +135,12 @@ def _row_cases(config: RunConfig):
     return cases
 
 
-def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec):
-    t0 = time.perf_counter()
-    exp = config.experiment
+def _assemble_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec):
+    """(mesh, spaces, params, case, system): the scheme one row solves."""
     mesh = _mesh_for(config, n)
     params = config.params(**pdict)
-    tol = config.tolerance()
-    errs: dict = {}
-
     if spec.problem == "darcy":
-        if exp == "darcy-heterogeneous":
+        if config.experiment == "darcy-heterogeneous":
             case = manufactured_rhs("darcy-heterogeneous", config.dim, params)
             params = config.params(xi=case.xi_fn, gamma=case.gamma_fn)
         else:
@@ -152,7 +148,22 @@ def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec
         spaces = darcy_spaces(mesh, config.k)
         system = assemble_darcy(mesh, spaces, params, f=case.f,
                                 p_dirichlet=case.dirichlet)
-        condensed = condense(system)
+    else:
+        tag = "stokes-cavity" if config.experiment == "stokes-cavity" else "stokes"
+        case = manufactured_rhs(tag, config.dim, params)
+        spaces = stokes_spaces(mesh, config.k)
+        system = assemble_stokes(mesh, spaces, params, f=case.f,
+                                 u_dirichlet=case.dirichlet)
+    return mesh, spaces, params, case, system
+
+
+def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec):
+    t0 = time.perf_counter()
+    tol = config.tolerance()
+    errs: dict = {}
+    mesh, spaces, params, case, system = _assemble_case(config, n, pdict, spec)
+    condensed = condense(system)
+    if spec.problem == "darcy":
         if spec.level == "reduced":
             pre = build_reduced(spec, mesh, spaces, params)
             x, rep = cg(lambda v: condensed.S @ v, pre.apply, condensed.rhs,
@@ -166,12 +177,6 @@ def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec
         if case.exact_u is not None:
             errs = l2_errors(system, full, exact_u=case.exact_u, exact_p=case.exact_p)
     else:
-        tag = "stokes-cavity" if exp == "stokes-cavity" else "stokes"
-        case = manufactured_rhs(tag, config.dim, params)
-        spaces = stokes_spaces(mesh, config.k)
-        system = assemble_stokes(mesh, spaces, params, f=case.f,
-                                 u_dirichlet=case.dirichlet)
-        condensed = condense(system)
         pre = build_reduced(spec, mesh, spaces, params)
         x, rep = minres(lambda v: condensed.S @ v, pre.apply, condensed.rhs,
                         tol=tol, maxit=config.maxit,
@@ -183,7 +188,7 @@ def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec
 
     seconds = time.perf_counter() - t0 if config.timing else 0.0
     return ResultRow(
-        experiment=exp, dim=config.dim, level=n, cells=mesh.n_cells,
+        experiment=config.experiment, dim=config.dim, level=n, cells=mesh.n_cells,
         trace_dofs=condensed.n_trace,
         xi=("fn" if callable(params.xi) else float(params.xi)),
         gamma=("fn" if callable(params.gamma) else float(params.gamma)),
@@ -214,35 +219,24 @@ def run(config: RunConfig) -> list[ResultRow]:
                 precond=spec.label(), iters=0, converged=False, resid=None,
                 failed=f"{type(exc).__name__}: {exc}"))
     if config.dump_matrices:
-        _dump_matrices(config, rows)
+        _dump_matrices(config)
     return rows
 
 
-def _dump_matrices(config: RunConfig, rows):
-    """Coordinate-list text dump (1-based) of the first level's operators."""
+def _dump_matrices(config: RunConfig):
+    """Coordinate-list text dump (1-based) of the first row's operators."""
     import os
 
     os.makedirs(config.dump_matrices, exist_ok=True)
-    n = config.levels[0]
-    mesh = _mesh_for(config, n)
-    if config.experiment.startswith("stokes"):
-        params = config.params(nu=config.nu[0], zeta=config.zeta[0])
-        case = manufactured_rhs("stokes-cavity" if config.experiment == "stokes-cavity"
-                                else "stokes", config.dim, params)
-        system = assemble_stokes(mesh, stokes_spaces(mesh, config.k), params,
-                                 f=case.f, u_dirichlet=case.dirichlet)
-    else:
-        params = config.params(xi=config.xi[0], gamma=config.gamma[0])
-        case = manufactured_rhs("darcy", config.dim, params)
-        system = assemble_darcy(mesh, darcy_spaces(mesh, config.k), params,
-                                f=case.f, p_dirichlet=case.dirichlet)
+    n, pdict, spec = _row_cases(config)[0]
+    system = _assemble_case(config, n, pdict, spec)[-1]
     for name, M in (("monolithic", system.to_sparse()),
                     ("schur", condense(system).S)):
         coo = M.tocoo()
         path = f"{config.dump_matrices}/{config.experiment}-n{n}-{name}.txt"
         with open(path, "w") as fh:
             for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r + 1} {c + 1} {v!r}\n")
+                fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,14 @@ Hybridization makes A11 block diagonal over cells, so one batched solve
 over the stacked cell blocks gives X = A11^-1 A21^T and y = A11^-1 rhs_cell
 for every cell.  The trace Schur complement S = A22 - A21 X, the trace
 right-hand side, back-substitution and the lifting matrix all read X and y.
-S is one COO of the A22 facet blocks and the cell blocks -A21 X, converted
-to CSR once: its pattern is the set of positions that receive a nonzero
-contribution, whatever the sums cancel to.
+S is one COO of each cell's A22_K blocks (on the cell's leading trace ids)
+and its -A21_K X_K, converted to CSR once: its pattern is the set of
+positions that receive a nonzero contribution, whatever the sums cancel to.
 The same elimination applied to a preconditioner inner product produces
 the reduced preconditioner S_P; positivity of its cell blocks is certified
-by Cholesky.
+by Cholesky.  Cross-cell coupling in A11 is condensable only where A21 and
+rhs_cell vanish (the counterexample inner product): X and y are then zero
+and S is A22.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 from .assembly import BlockSystem, _block_triplets, _triplets_csr
 
 __all__ = ["CondensedSystem", "condense", "condense_precond",
-           "back_substitute", "local_solve", "eliminate"]
+           "back_substitute", "eliminate"]
 
 
 @dataclass
@@ -30,29 +32,24 @@ class CondensedSystem:
     """Trace system with the per-cell data needed for back-substitution.
 
     X (cells, cell dofs, local trace dofs) holds A11^-1 A21^T and y (cells,
-    cell dofs) holds A11^-1 rhs_cell; both are None when the cell block
-    couples across cells and is not eliminated locally.
+    cell dofs) holds A11^-1 rhs_cell.
     """
 
     system: BlockSystem
     S: sp.csr_matrix
     rhs: np.ndarray
-    X: np.ndarray | None
-    y: np.ndarray | None
+    X: np.ndarray
+    y: np.ndarray
     null_vectors: tuple = ()
 
     @property
     def n_trace(self) -> int:
         return self.S.shape[0]
 
-    def trace_values_local(self, cell: int, xbar: np.ndarray) -> np.ndarray:
-        """Local trace coefficients of a cell: free entries from xbar,
-        fixed entries from the Dirichlet data lifted at assembly (zero,
-        because their effect already sits in rhs_cell)."""
-        return _local_traces(self.system.tids[cell], xbar)
-
 
 def _local_traces(tids: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+    """Local trace coefficients of every cell: free entries from xbar,
+    fixed entries zero (their Dirichlet values already sit in rhs_cell)."""
     vals = np.zeros(tids.shape)
     free = tids >= 0
     vals[free] = xbar[tids[free]]
@@ -93,6 +90,10 @@ def _solve_cells(a11, rhs, spd: bool):
 
 def _condense(system: BlockSystem, spd: bool) -> CondensedSystem:
     """S = A22 - A21 X and rhs_trace - A21 y, scattered over free pairs."""
+    if (system.coupling is not None and system.coupling.nnz
+            and (system.a21.any() or system.rhs_cell.any())):
+        raise ValueError("cross-cell coupling with trace-coupled or loaded cells "
+                         "is not condensable")
     X, y = eliminate(system, spd)
     tids, a21 = system.tids, system.a21
     S = _triplets_csr([system.a22_triplets(), _block_triplets(-(a21 @ X), tids, tids)],
@@ -115,8 +116,6 @@ def _reduced_null(system: BlockSystem):
 def condense(system: BlockSystem) -> CondensedSystem:
     """Eliminate cell dofs of a scheme operator (LU with partial pivoting;
     local Darcy/Stokes blocks are indefinite but invertible)."""
-    if system.coupling is not None and system.coupling.nnz and np.abs(system.a21).max() > 0:
-        raise ValueError("cross-cell coupling with trace-coupled cells is not condensable")
     return _condense(system, spd=False)
 
 
@@ -124,12 +123,6 @@ def condense_precond(inner: BlockSystem) -> CondensedSystem:
     """Eliminate cell dofs of an inner product; every local block must be
     symmetric positive definite for the reduced operator to define an
     inner product."""
-    if inner.coupling is not None and inner.coupling.nnz:
-        if np.abs(inner.a21).max() > 0:
-            raise ValueError("coupled P11 with nonzero P21 is not condensable")
-        # P21 = 0: the reduced operator is exactly P22
-        return CondensedSystem(inner, inner.a22, inner.rhs_trace.copy(), None, None,
-                               null_vectors=_reduced_null(inner))
     return _condense(inner, spd=True)
 
 
@@ -141,13 +134,3 @@ def back_substitute(condensed: CondensedSystem, xbar: np.ndarray) -> np.ndarray:
     xloc = _local_traces(condensed.system.tids, xbar)
     cells = condensed.y - np.einsum("bct,bt->bc", condensed.X, xloc)
     return np.concatenate([cells.ravel(), xbar])
-
-
-def local_solve(condensed: CondensedSystem, cell: int, trace_values: np.ndarray,
-                source: np.ndarray | None = None) -> np.ndarray:
-    """Cell coefficients for given local trace data and local load vector
-    (the local solvers l_.(xbar) + (.)^f; linear in both arguments)."""
-    system = condensed.system
-    rhs = np.zeros(system.a11.shape[1]) if source is None else np.asarray(source, dtype=float).copy()
-    rhs -= system.a21[cell].T @ np.asarray(trace_values, dtype=float)
-    return np.linalg.solve(system.a11[cell], rhs)

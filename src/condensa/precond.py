@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .assembly import (BlockSystem, ProblemParams, assemble_counterexample_inner,
                        assemble_darcy_inner, assemble_stokes_inner)
-from .condense import condense_precond
+from .condense import _solve_cells, condense_precond
 from .krylov import NotSymmetricPositiveDefinite, factor_spd
 
 __all__ = ["PreconditionerSpec", "PrecondOperator", "build_full", "build_reduced"]
@@ -72,19 +72,17 @@ def assemble_inner(spec: PreconditionerSpec, mesh, spaces,
 
 
 class _CellBlockSolve:
-    """Explicit per-cell inverses of a cell field's blocks (SPD certified
-    by Cholesky)."""
+    """Explicit per-cell inverses of a cell field's blocks, from the
+    condensation's batched cell solve (SPD certified by Cholesky)."""
 
     def __init__(self, system: BlockSystem, name: str):
         lay = system.layout
         sl = lay.cell_field_slice(name)
         blocks = system.a11[:, sl, sl]
-        try:
-            np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError as exc:
-            raise NotSymmetricPositiveDefinite(
-                f"cell block {name!r} is not positive definite") from exc
-        self.inv = np.linalg.inv(blocks)
+        self.inv = _solve_cells(blocks, np.broadcast_to(np.eye(blocks.shape[1]), blocks.shape),
+                                spd=True)
+        if self.inv is None:
+            raise NotSymmetricPositiveDefinite(f"cell block {name!r} is not positive definite")
         self.idx = lay.indices(name).reshape(lay.mesh.n_cells, -1)
 
     def apply(self, r, out):

@@ -53,11 +53,6 @@ class FunctionSpace:
     def is_facet(self) -> bool:
         return self.kind.startswith("facet")
 
-    def entity_dofs(self, entity: int) -> np.ndarray:
-        """Full dof ids of one cell or facet (component-major)."""
-        base = entity * self.ncomp * self.nb
-        return np.arange(base, base + self.ncomp * self.nb)
-
 
 def build_space(mesh, kind: str, degree: int, zero_boundary: bool = False) -> FunctionSpace:
     """Build V_h/Q_h (cell kinds) or the trace spaces (facet kinds)."""
@@ -173,20 +168,6 @@ class BlockLayout:
                 off, end = self.trace_field_range(name)
                 parts.append(self.n_cell_total + np.arange(off, end))
         return np.concatenate(parts)
-
-    def cell_dofs(self, cell: int) -> np.ndarray:
-        return np.arange(cell * self.cell_size, (cell + 1) * self.cell_size)
-
-    def global_index(self, group: str, name: str, entity: int, local: int) -> int:
-        """Monolithic index of one dof; trace dofs must be free."""
-        if group == "cell":
-            return entity * self.cell_size + self.cell_field_slice(name).start + local
-        off, _ = self.trace_field_range(name)
-        sp = dict(self.trace_fields)[name]
-        free = sp.full_to_free[entity * sp.ncomp * sp.nb + local]
-        if free < 0:
-            raise ValueError("dof is fixed by a boundary condition")
-        return self.n_cell_total + off + free
 
     def split(self, x: np.ndarray):
         """Split a monolithic vector into (cells (nc, cell_size), trace)."""

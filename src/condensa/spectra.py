@@ -96,8 +96,8 @@ def lifting_matrix(system: BlockSystem) -> sp.csr_matrix:
     X, _ = eliminate(system)
     nc, cs = X.shape[:2]
     n_tr = system.n_trace
-    Wmat = _triplets_csr([_block_triplets(-X, np.arange(nc * cs).reshape(nc, cs), system.tids)],
-                         (nc * cs, n_tr))
+    cell_ids = np.arange(nc * cs, dtype=system.tids.dtype).reshape(nc, cs)
+    Wmat = _triplets_csr([_block_triplets(-X, cell_ids, system.tids)], (nc * cs, n_tr))
     return sp.vstack([Wmat, sp.identity(n_tr, format="csr")]).tocsr()
 
 

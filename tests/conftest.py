@@ -149,7 +149,9 @@ def sparse_addition_oracle(system, spd=None):
     construction; its pattern depends on which sums cancel to 0.0."""
     nct = system.a11.shape[0] * system.a11.shape[1]
     ntr = system.n_trace
-    r22, c22, v22 = _all_triplets(system.a22b, system.a22_ids, system.a22_ids)
+    nc, m, s = system.a22b.shape[:3]
+    ids = system.tids[:, :m * s].reshape(nc * m, s)
+    r22, c22, v22 = _all_triplets(system.a22b.reshape(nc * m, s, s), ids, ids)
     if spd is not None:
         X, _ = eliminate(system, spd)
         r, c, v = _all_triplets(-(system.a21 @ X), system.tids, system.tids)
@@ -167,6 +169,48 @@ def sparse_addition_oracle(system, spd=None):
         cc = system.coupling.tocoo()
         K += sp.coo_matrix((cc.data, (cc.row, cc.col)), shape=(n, n)).tocsr()
     return K
+
+
+def entity_dofs(space, entity: int) -> np.ndarray:
+    """Full dof ids of one cell or facet of a space (component-major)."""
+    base = entity * space.ncomp * space.nb
+    return np.arange(base, base + space.ncomp * space.nb)
+
+
+def cell_dofs(layout, cell: int) -> np.ndarray:
+    """Monolithic indices of one cell's dofs."""
+    return np.arange(cell * layout.cell_size, (cell + 1) * layout.cell_size)
+
+
+def global_index(layout, group: str, name: str, entity: int, local: int) -> int:
+    """Monolithic index of one dof, from the layout's field offsets: the
+    per-dof oracle of BlockLayout.indices.  Trace dofs must be free."""
+    if group == "cell":
+        return entity * layout.cell_size + layout.cell_field_slice(name).start + local
+    off, _ = layout.trace_field_range(name)
+    space = dict(layout.trace_fields)[name]
+    free = space.full_to_free[entity * space.ncomp * space.nb + local]
+    if free < 0:
+        raise ValueError("dof is fixed by a boundary condition")
+    return layout.n_cell_total + off + free
+
+
+def trace_values_local(system, cell: int, xbar: np.ndarray) -> np.ndarray:
+    """Local trace coefficients of one cell: free entries from xbar, fixed
+    entries zero (their Dirichlet values already sit in rhs_cell)."""
+    tids = system.tids[cell]
+    vals = np.zeros(tids.shape)
+    vals[tids >= 0] = xbar[tids[tids >= 0]]
+    return vals
+
+
+def local_solve(system, cell: int, trace_values, source=None) -> np.ndarray:
+    """Cell coefficients for given local trace data and local load vector,
+    one dense solve of the cell block (the local solvers l_.(xbar) + (.)^f;
+    linear in both arguments)."""
+    rhs = np.zeros(system.a11.shape[1]) if source is None else np.asarray(source, dtype=float).copy()
+    rhs -= system.a21[cell].T @ np.asarray(trace_values, dtype=float)
+    return np.linalg.solve(system.a11[cell], rhs)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,8 @@ from condensa.mesh import Mesh, unit_box_mesh
 from condensa.norms import evaluate_norms
 from condensa.spaces import build_space, interpolate_boundary
 
-from conftest import darcy_problem, facet_global_points, sparse_addition_oracle, stokes_problem
+from conftest import (darcy_problem, entity_dofs, facet_global_points, sparse_addition_oracle,
+                      stokes_problem)
 
 
 def one_triangle():
@@ -423,7 +424,7 @@ def test_norm_0p_cross_check_independent_quadrature(rng):
     full[pbar.free_to_full] = trace
     for c in range(mesh.n_cells):
         for f in mesh.cell_facets[c]:
-            vals = fvb @ full[pbar.entity_dofs(f)]
+            vals = fvb @ full[entity_dofs(pbar, f)]
             scale = mesh.facet_areas[f]  # 2D: reference edge has measure 1
             total += mesh.diameters[c] * scale * (q1.weights * vals**2).sum()
     assert abs(got - total) < 1e-12 * max(1.0, total)
@@ -553,8 +554,8 @@ def test_stokes_boundary_load_is_boundary_flux(which, dim, n):
 def test_a21_rows_of_fixed_trace_dofs_are_zero(problem, dim, n):
     """The BlockSystem invariant for the assemblers that take Dirichlet
     data: the a21 rows of fixed trace dofs (tids < 0) are zero.
-    local_solve and the coupling guards of condense read a21 with those
-    rows in; only to_sparse and the Schur complements drop them."""
+    The coupling guard of condense and the tests' local_solve read a21
+    with those rows in; only to_sparse and the Schur complements drop them."""
     build = darcy_problem if problem == "darcy" else stokes_problem
     *_, system, _ = build(dim=dim, n=n)
     fixed = system.tids < 0
@@ -640,15 +641,14 @@ def _contributed(system, spd=None):
     nc, cs = system.a11.shape[:2]
     nct = nc * cs if spd is None else 0
     n = nct + system.n_trace
-    m, s = system.a22b.shape[0] // nc, system.a22b.shape[-1]
-    a22b = system.a22b.reshape(nc, m, s, s)
-    a22_ids = np.where(system.a22_ids >= 0, system.a22_ids + nct, -1).reshape(nc, m, s)
+    m, s = system.a22b.shape[1:3]
     tids = np.where(system.tids >= 0, system.tids + nct, -1)
+    a22_ids = tids[:, :m * s].reshape(nc, m, s)
     cell_ids = np.arange(nc * cs).reshape(nc, cs)
     X = None if spd is None else eliminate(system, spd)[0]
     mask = np.zeros((n, n), dtype=bool)
     for c in range(nc):
-        for blk, ids in zip(a22b[c], a22_ids[c]):
+        for blk, ids in zip(system.a22b[c], a22_ids[c]):
             _mark(mask, blk, ids, ids)
         if spd is None:
             _mark(mask, system.a11[c], cell_ids[c], cell_ids[c])

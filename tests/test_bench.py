@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from condensa.assembly import ProblemParams, assemble_darcy, darcy_spaces
 from condensa.bench import (CSV_HEADER, ResultRow, RunConfig, emit,
                             parse_json_rows, run)
 from condensa.cli import main
+from condensa.condense import condense
+from condensa.manufactured import manufactured_rhs
+from condensa.mesh import unit_box_mesh
 
 from conftest import sparse_modes
 
@@ -133,8 +138,36 @@ def test_cli_mesh_out_and_dump(tmp_path):
     assert m.n_cells == 8
     dumped = list(dumpd.iterdir())
     assert len(dumped) == 2
-    line = dumped[0].read_text().splitlines()[0].split()
-    assert int(line[0]) >= 1 and int(line[1]) >= 1  # 1-based indices
+    for path in dumped:
+        for line in path.read_text().splitlines():
+            i, j, v = line.split()
+            assert int(i) >= 1 and int(j) >= 1  # 1-based indices
+            float(v)
+
+
+def _read_coordinate(path, n):
+    rows, cols, vals = np.loadtxt(path, unpack=True)
+    return sp.coo_matrix((vals, (rows.astype(int) - 1, cols.astype(int) - 1)),
+                         shape=(n, n)).tocsr()
+
+
+def test_dump_matrices_is_the_solved_system(tmp_path):
+    """The heterogeneous dump is the variable-coefficient system its row
+    solves, value for value (repr round-trips a float exactly)."""
+    dumpd = tmp_path / "mats"
+    run(small_config(experiment="darcy-heterogeneous", levels=(4,), dump_matrices=str(dumpd)))
+    params = ProblemParams(k=2)
+    case = manufactured_rhs("darcy-heterogeneous", 2, params)
+    mesh = unit_box_mesh(2, 4)
+    system = assemble_darcy(mesh, darcy_spaces(mesh, 2),
+                            ProblemParams(k=2, xi=case.xi_fn, gamma=case.gamma_fn),
+                            f=case.f, p_dirichlet=case.dirichlet)
+    K = system.to_sparse()
+    got = _read_coordinate(dumpd / "darcy-heterogeneous-n4-monolithic.txt", K.shape[0])
+    assert (got != K).nnz == 0 and got.nnz == K.nnz
+    S = condense(system).S
+    got = _read_coordinate(dumpd / "darcy-heterogeneous-n4-schur.txt", S.shape[0])
+    assert (got != S).nnz == 0 and got.nnz == S.nnz
 
 
 def test_cli_spectrum(tmp_path, monkeypatch):

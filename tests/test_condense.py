@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from condensa.assembly import (BlockSystem, ProblemParams, assemble_aux_hdg,
                                assemble_counterexample_inner, assemble_darcy,
                                aux_spaces, darcy_spaces)
-from condensa.condense import (back_substitute, condense, condense_precond,
-                               local_solve)
+from condensa.condense import back_substitute, condense, condense_precond
 from condensa.elements import pk_basis, reference_measure
 from condensa.krylov import factor_spd
 from condensa.manufactured import manufactured_rhs
@@ -19,7 +18,8 @@ from condensa.mesh import unit_box_mesh
 from condensa.norms import xnorm
 from condensa.spectra import lifting_matrix
 
-from conftest import darcy_problem, factor_sym_indef, stokes_problem
+from conftest import (darcy_problem, factor_sym_indef, local_solve, stokes_problem,
+                      trace_values_local)
 
 
 class _ToyLayout:
@@ -38,7 +38,7 @@ def toy_system(a11, a21, a22, rhs_cell=None, rhs_trace=None):
         layout=_ToyLayout(ntr),
         a11=a11, a21=a21,
         tids=np.arange(ntr, dtype=np.int64)[None, :],
-        a22b=np.asarray(a22, dtype=float)[None], a22_ids=np.arange(ntr)[None],
+        a22b=np.asarray(a22, dtype=float)[None, None],
         rhs_cell=(np.zeros((1, a11.shape[1])) if rhs_cell is None
                   else np.asarray(rhs_cell, dtype=float)[None, :]),
         rhs_trace=(np.zeros(ntr) if rhs_trace is None
@@ -139,20 +139,19 @@ def test_back_substitute_zero_and_lifting(rng):
     cells, _ = system.layout.split(full)
     for c in (0, 3):
         expect = -np.linalg.solve(system.a11[c],
-                                  system.a21[c].T @ cond.trace_values_local(c, xbar))
+                                  system.a21[c].T @ trace_values_local(system, c, xbar))
         assert np.abs(cells[c] - expect).max() < 1e-11
 
 
 def test_local_solver_superposition(rng):
     mesh, spaces, params, system, _ = darcy_problem(n=2)
-    cond = condense(system)
     c = 1
     tr = rng.standard_normal(system.a21.shape[1])
     s = rng.standard_normal(system.a11.shape[1])
-    both = local_solve(cond, c, tr, s)
-    apart = local_solve(cond, c, tr, None) + local_solve(cond, c, np.zeros_like(tr), s)
+    both = local_solve(system, c, tr, s)
+    apart = local_solve(system, c, tr, None) + local_solve(system, c, np.zeros_like(tr), s)
     assert np.abs(both - apart).max() < 1e-12 * max(1.0, np.abs(both).max())
-    assert np.abs(local_solve(cond, c, np.zeros_like(tr), None)).max() == 0.0
+    assert np.abs(local_solve(system, c, np.zeros_like(tr), None)).max() == 0.0
 
 
 def test_energy_identity(rng):
@@ -167,7 +166,7 @@ def test_energy_identity(rng):
     rhs = xbar @ (cond.S @ xbar)
     for c in range(mesh.n_cells):
         shift = cells[c] + np.linalg.solve(system.a11[c],
-                                           system.a21[c].T @ cond.trace_values_local(c, xbar))
+                                           system.a21[c].T @ trace_values_local(system, c, xbar))
         rhs += shift @ system.a11[c] @ shift
     assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
@@ -182,7 +181,6 @@ def test_stokes_kernel_of_schur():
 def test_stokes_local_rigid_translation():
     # boundary data mbar = c constant, tbar = 0, s = 0 -> u^L = c, p^L = 0
     mesh, spaces, params, system, _ = stokes_problem(n=4, with_data=False)
-    cond = condense(system)
     lay = system.layout
     interior = [c for c in range(mesh.n_cells)
                 if not mesh.boundary_flags[mesh.cell_facets[c]].any()]
@@ -194,7 +192,7 @@ def test_stokes_local_rigid_translation():
     for l in range(d + 1):
         for comp, val in enumerate(cvec):
             tr[(l * d + comp) * nbf] = val
-    sol = local_solve(cond, c, tr)
+    sol = local_solve(system, c, tr)
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
     nbu = pk_basis(2, 2).n_basis
     expect_u = np.zeros(usl.stop - usl.start)
@@ -210,14 +208,13 @@ def test_aux_local_constant_reproduction():
     mesh = unit_box_mesh(2, 4)
     params = ProblemParams(k=2, xi=1.0, gamma=0.0)
     aux = assemble_aux_hdg(mesh, aux_spaces(mesh, 2), params)
-    cond = condense(aux)
     interior = [c for c in range(mesh.n_cells)
                 if not mesh.boundary_flags[mesh.cell_facets[c]].any()]
     c = interior[0]
     nbf = 3
     tr = np.zeros(aux.a21.shape[1])
     tr[::nbf] = 4.0
-    sol = local_solve(cond, c, tr)
+    sol = local_solve(aux, c, tr)
     expect = np.zeros_like(sol)
     expect[0] = 4.0 * np.sqrt(reference_measure(2))
     assert np.abs(sol - expect).max() < 1e-11
@@ -240,10 +237,37 @@ def test_schur_symmetry_and_sparsity_locality():
 
 
 def test_counterexample_reduction_is_p22():
+    """The coupled counterexample P11 takes the general path: P21 = 0, so
+    X and y are exact zeros and S_P is P22 in values and pattern."""
     mesh, spaces, params, _, _ = darcy_problem(n=2, with_data=False)
     ce = assemble_counterexample_inner(mesh, spaces, params)
+    assert ce.coupling.nnz
     cond = condense_precond(ce)
-    assert np.abs((cond.S - ce.a22)).max() == 0.0
+    P22 = ce.a22
+    assert np.array_equal(cond.S.indptr, P22.indptr)
+    assert np.array_equal(cond.S.indices, P22.indices)
+    assert np.array_equal(cond.S.data, P22.data)
+    assert np.abs(cond.X).max() == 0.0 and np.abs(cond.y).max() == 0.0
+
+
+@pytest.mark.parametrize("load", ["a21", "rhs_cell"])
+def test_coupled_cells_with_trace_coupling_not_condensable(load):
+    """Cross-cell coupling in A11 is eliminated cell by cell only when
+    A21 and rhs_cell vanish; otherwise both reductions refuse."""
+    system = BlockSystem(
+        layout=_ToyLayout(1), a11=np.stack([np.eye(2)] * 2), a21=np.zeros((2, 1, 2)),
+        tids=np.zeros((2, 1), dtype=np.int64), a22b=np.full((2, 1, 1, 1), 0.5),
+        rhs_cell=np.zeros((2, 2)), rhs_trace=np.zeros(1), params=ProblemParams(),
+        problem="toy", coupling=sp.csr_matrix(([0.5, 0.5], ([0, 2], [2, 0])), shape=(4, 4)))
+    for reduce in (condense, condense_precond):
+        assert np.array_equal(reduce(system).S.toarray(), [[1.0]])
+    if load == "a21":
+        system.a21[1, 0, 1] = 1.0
+    else:
+        system.rhs_cell[0, 1] = 1.0
+    for reduce in (condense, condense_precond):
+        with pytest.raises(ValueError, match="not condensable"):
+            reduce(system)
 
 
 def test_smallest_eig_of_reduced_precond_positive():
@@ -276,10 +300,10 @@ def _random_block_system(rng, nc, cs, ntr, n, spd):
     tids[rng.random(tids.shape) < 0.3] = -1
     a21 = rng.standard_normal((nc, ntr, cs))
     a21[tids < 0] = 0.0
-    a22 = rng.standard_normal((n, n))
+    a22 = rng.standard_normal((nc, 1, ntr, ntr))
     return BlockSystem(
         layout=_ToyLayout(n), a11=a11, a21=a21, tids=tids,
-        a22b=(a22 + a22.T)[None], a22_ids=np.arange(n)[None],
+        a22b=a22 + a22.transpose(0, 1, 3, 2),
         rhs_cell=rng.standard_normal((nc, cs)),
         rhs_trace=rng.standard_normal(n), params=ProblemParams(), problem="toy")
 

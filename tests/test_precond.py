@@ -154,3 +154,20 @@ def test_hatted_positivity_certified_at_factorization():
     with pytest.raises(NotSymmetricPositiveDefinite):
         build_full(PreconditionerSpec("stokes", "robust", "full", hatted=True),
                    mesh, spaces, bad)
+
+
+def test_cell_block_inverses_and_certificate():
+    # the per-cell inverses of the full Darcy preconditioner against
+    # np.linalg.inv; a velocity block made indefinite is refused by name
+    import copy
+    mesh, spaces, params, _, inner = darcy_problem(n=2, xi=1e-6, gamma=1e4, with_data=False)
+    spec = PreconditionerSpec("darcy", "robust", "full")
+    op = build_full(spec, mesh, spaces, params, inner=inner)
+    sl = inner.layout.cell_field_slice("u")
+    want = np.linalg.inv(inner.a11[:, sl, sl])
+    assert np.abs(op._solves[0].inv - want).max() <= 1e-13 * np.abs(want).max()
+    bad = copy.copy(inner)
+    bad.a11 = inner.a11.copy()
+    bad.a11[3, sl.start, sl.start] *= -1.0
+    with pytest.raises(NotSymmetricPositiveDefinite, match="'u'"):
+        build_full(spec, mesh, spaces, params, inner=bad)
