@@ -4,10 +4,13 @@ Benchmark experiments on structured Kuhn meshes:
 2D levels n in {8, 16, 32, 64} and 3D levels n in {2, 4, 8} cover the
 desk-scale range; robustness in h and in the model parameters is the
 claim under test, not exact cell counts.  The exact sparse factor of S_P
-eliminates in the mesh's nested-dissection facet order; at 3D n=12 it
-takes about 13 s and 1.7 GB peak memory (fill 14.7x nnz(S_P)), and 3D
-n=16 extrapolates to about 5 GB, so it waits for a scalable reduced
-preconditioner.
+eliminates in the mesh's nested-dissection facet order.  At 3D n=12
+(119,232 trace dofs, 2 CPUs) the supernodal Cholesky takes 4.1 s and
+stores 43M entries, and the whole row 11 s at 1.4 GB peak memory (SuperLU
+before it: 12 s, 71M entries, 21 s, 2.3 GB).  Scaled from n=8 and 12 as
+N^1.37 for the fill and N^2 for the flops, 3D n=16 would store about 140M
+entries (1.1 GB) and factor in about 25 s, with a peak near 3-3.5 GB:
+estimates, not measurements.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ class ResultRow:
     err_p: float | None = None
     seconds: float = 0.0
     failed: str | None = None
+    warnings: int = 0            # RuntimeWarnings raised by the row (JSON only)
 
     def iters_text(self, maxit: int = 999) -> str:
         return str(self.iters) if self.converged else f">{maxit}"
@@ -162,9 +166,9 @@ def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec
     tol = config.tolerance()
     errs: dict = {}
     mesh, spaces, params, case, system = _assemble_case(config, n, pdict, spec)
-    condensed = condense(system)
     if spec.problem == "darcy":
         if spec.level == "reduced":
+            condensed = condense(system)
             pre = build_reduced(spec, mesh, spaces, params)
             x, rep = cg(lambda v: condensed.S @ v, pre.apply, condensed.rhs,
                         tol=tol, maxit=config.maxit)
@@ -177,6 +181,7 @@ def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec
         if case.exact_u is not None:
             errs = l2_errors(system, full, exact_u=case.exact_u, exact_p=case.exact_p)
     else:
+        condensed = condense(system)
         pre = build_reduced(spec, mesh, spaces, params)
         x, rep = minres(lambda v: condensed.S @ v, pre.apply, condensed.rhs,
                         tol=tol, maxit=config.maxit,
@@ -189,7 +194,7 @@ def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec
     seconds = time.perf_counter() - t0 if config.timing else 0.0
     return ResultRow(
         experiment=config.experiment, dim=config.dim, level=n, cells=mesh.n_cells,
-        trace_dofs=condensed.n_trace,
+        trace_dofs=system.layout.n_trace,
         xi=("fn" if callable(params.xi) else float(params.xi)),
         gamma=("fn" if callable(params.gamma) else float(params.gamma)),
         nu=float(params.nu), zeta=float(params.zeta),
@@ -202,22 +207,30 @@ def run(config: RunConfig) -> list[ResultRow]:
     """Execute a sweep; rows are returned in deterministic config order.
 
     Row failures are recorded (failed column) and the sweep continues.
+    Each row counts the RuntimeWarnings raised while it ran (for example
+    CG residual growth) in its warnings field; other warnings pass on.
     """
     if config.mesh_out:
         write_mesh_text(_mesh_for(config, config.levels[0]), config.mesh_out)
     rows = []
     for n, pdict, spec in _row_cases(config):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                rows.append(_solve_case(config, n, pdict, spec))
-        except Exception as exc:  # row-level containment, sweep continues
-            rows.append(ResultRow(
-                experiment=config.experiment, dim=config.dim, level=n, cells=0,
-                trace_dofs=0, xi=pdict.get("xi", 1.0), gamma=pdict.get("gamma", 1.0),
-                nu=pdict.get("nu", 1.0), zeta=pdict.get("zeta", 0.0),
-                precond=spec.label(), iters=0, converged=False, resid=None,
-                failed=f"{type(exc).__name__}: {exc}"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            try:
+                row = _solve_case(config, n, pdict, spec)
+            except Exception as exc:  # row-level containment, sweep continues
+                row = ResultRow(
+                    experiment=config.experiment, dim=config.dim, level=n, cells=0,
+                    trace_dofs=0, xi=pdict.get("xi", 1.0), gamma=pdict.get("gamma", 1.0),
+                    nu=pdict.get("nu", 1.0), zeta=pdict.get("zeta", 0.0),
+                    precond=spec.label(), iters=0, converged=False, resid=None,
+                    failed=f"{type(exc).__name__}: {exc}")
+        for w in caught:
+            if issubclass(w.category, RuntimeWarning):
+                row.warnings += 1
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        rows.append(row)
     if config.dump_matrices:
         _dump_matrices(config)
     return rows

@@ -6,10 +6,13 @@ factorization.  A batched Cholesky of the cell blocks, computed only as
 a check, and the sparse factorization certify positivity: their failure
 is the (intended) certificate that a block is not positive definite.
 
-The sparse factors eliminate in the order the matrix is given.  Trace
-dofs are facet-major and the mesh numbers facets by nested dissection,
-so S_P and the trace parts of the full blocks arrive in a fill-reducing
-order; cell dofs precede them and are eliminated cell by cell.  Two
+The sparse factors (krylov.factor_spd) eliminate in the order the
+matrix is given.  Trace dofs are facet-major and the mesh numbers facets
+by nested dissection, so S_P and the trace parts of the full blocks
+arrive in a fill-reducing order; cell dofs precede them and are
+eliminated cell by cell.  A large S_P is factored by the supernodal
+multifrontal Cholesky, whose supernodes are its facets' dof blocks and
+separators and whose solves are batched dense products.  Two
 full-preconditioner blocks are factored in minimum-degree order instead
 (reorder=True): the counterexample's cell-coupled velocity, which has no
 trace structure, and the Darcy pressure pair (p, pbar), where minimum

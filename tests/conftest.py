@@ -75,6 +75,14 @@ def factor_sym_indef(S):
     return spla.splu(sp.csc_matrix(S))
 
 
+def superlu_spd(S, permc_spec="NATURAL"):
+    """SuperLU factor of an SPD matrix that never pivots off the diagonal,
+    in the given order by default: the oracle SupernodalCholesky is
+    checked against, and the fill it is compared with."""
+    return spla.splu(sp.csc_matrix(S), diag_pivot_thresh=0.0, permc_spec=permc_spec,
+                     options=dict(SymmetricMode=True))
+
+
 def refine(mesh: Mesh) -> Mesh:
     """Uniform red refinement: x4 cells in 2D, x8 in 3D (Bey's scheme).
     Its 3D mesh is not a Kuhn mesh, which the kernel tests need."""

@@ -38,6 +38,17 @@ def test_counterexample_shape():
     assert max(mr) <= 25 and max(mr) / min(mr) <= 1.6
 
 
+def test_rows_record_runtime_warnings():
+    """Warnings raised during a row are counted in it, in JSON only: the
+    2D n=4 counterexample-reduced CG solve grows its residual."""
+    rows = run(RunConfig("darcy-counterexample", dim=2, levels=(4,), timing=False))
+    by = {r.precond: r for r in rows}
+    assert by["counterexample-reduced"].warnings >= 1
+    assert all(r.warnings >= 0 for r in rows)
+    assert '"warnings"' in emit(rows, fmt="json")
+    assert "warnings" not in emit(rows, fmt="csv") + emit(rows, fmt="md")
+
+
 def test_emit_csv_header_and_values():
     rows = run(small_config())
     text = emit(rows, fmt="csv")

@@ -7,11 +7,12 @@ from condensa import krylov, spectra
 from condensa.assembly import (ProblemParams, assemble_aux_hdg, aux_spaces,
                                build_space)
 from condensa.condense import condense
-from condensa.krylov import (NotSymmetricPositiveDefinite, cg, factor_spd,
-                             generalized_eigs, minres)
+from condensa.krylov import (NotSymmetricPositiveDefinite, SupernodalCholesky, cg,
+                             factor_spd, generalized_eigs, minres)
 from condensa.mesh import unit_box_mesh
 
-from conftest import cached, darcy_problem, factor_sym_indef, stokes_problem
+from conftest import (cached, darcy_problem, factor_sym_indef, stokes_problem,
+                      superlu_spd)
 
 
 def test_factor_spd_identity_and_diag():
@@ -55,14 +56,130 @@ def test_factor_spd_given_order_matches_minimum_degree(problem, dim, n, rng):
     assert np.linalg.norm(x - x_mmd) <= 1e-12 * np.linalg.norm(x_mmd)
 
 
-def test_factor_spd_given_order_fills_less_in_3d():
-    """Nested-dissection facet numbering fills no more than minimum degree."""
+def test_factor_spd_given_order_fills_less_in_3d(supernodal):
+    """Nested-dissection facet numbering fills no more than minimum degree,
+    and the supernodal Cholesky stores fewer entries than SuperLU's L + U
+    in the same order."""
     S = _reduced_precond("darcy", 3, 4)
 
-    def fill(f):
-        return f._lu.L.nnz + f._lu.U.nnz
+    def fill(lu):
+        return lu.L.nnz + lu.U.nnz
 
-    assert fill(factor_spd(S)) <= fill(factor_spd(S, reorder=True))
+    given = fill(superlu_spd(S))
+    assert given <= fill(superlu_spd(S, "MMD_AT_PLUS_A"))
+    assert factor_spd(S, reorder=True).fill == fill(superlu_spd(S, "MMD_AT_PLUS_A"))
+    assert factor_spd(S).fill < given
+
+
+# ----------------------------------------------------------------------
+# the supernodal Cholesky against SuperLU in the same order
+
+
+@pytest.fixture
+def supernodal(monkeypatch):
+    """factor_spd through SupernodalCholesky at every size."""
+    monkeypatch.setattr(krylov, "SUPERNODAL_MIN", 0)
+
+
+def _matches_superlu(S, rng):
+    S = sp.csc_matrix(S)
+    f = factor_spd(S)
+    assert isinstance(f, SupernodalCholesky)
+    b = rng.standard_normal(S.shape[0])
+    x, xs = f.solve(b), superlu_spd(S).solve(b)
+    assert np.linalg.norm(x - xs) <= 1e-12 * np.linalg.norm(xs)
+    res, res_s = (np.linalg.norm(S @ y - b) for y in (x, xs))
+    assert res <= 2.0 * res_s + 1e-15 * np.linalg.norm(b)
+    B = np.stack([b, rng.standard_normal(b.size)], axis=1)
+    assert np.linalg.norm(f.solve(B)[:, 0] - x) <= 1e-14 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 2), (3, 4)])  # 3D n=4: slice extend-adds
+@pytest.mark.parametrize("xi,gamma", [(1e-6, 1e4), (1.0, 1e-4), (1e-6, 1e-4)])
+def test_supernodal_matches_superlu_darcy(supernodal, dim, n, xi, gamma, rng):
+    from condensa.condense import condense_precond
+    *_, inner = darcy_problem(dim=dim, n=n, xi=xi, gamma=gamma, with_data=False)
+    _matches_superlu(condense_precond(inner).S, rng)
+
+
+def test_supernodal_matches_superlu_stokes(supernodal, rng):
+    from condensa.condense import condense_precond
+    *_, inner = stokes_problem(n=4, nu=1e-6, with_data=False)
+    _matches_superlu(condense_precond(inner).S, rng)
+
+
+def test_supernodal_block_diagonal_all_roots(supernodal, rng):
+    """The counterexample's S_P is block diagonal: every supernode is a
+    root with an empty structure, and all are one group."""
+    from condensa.assembly import assemble_counterexample_inner, darcy_spaces
+    from condensa.condense import condense_precond
+    mesh = unit_box_mesh(2, 4)
+    params = ProblemParams(k=2)
+    S = condense_precond(assemble_counterexample_inner(mesh, darcy_spaces(mesh, 2),
+                                                      params)).S
+    _matches_superlu(S, rng)
+    tree = krylov._supernodes(sp.csc_matrix(S))
+    assert (tree.parent == -1).all() and (tree.height == 0).all()
+    assert len(factor_spd(S).groups) == 1
+
+
+def test_supernodal_matches_superlu_monolithic_inner(supernodal, rng):
+    """A whole inner product, cells first then traces, as generalized_eigs
+    factors the B of a pencil."""
+    *_, inner = darcy_problem(n=4, with_data=False)
+    _matches_superlu(inner.to_sparse(), rng)
+
+
+def test_supernodal_matches_superlu_permuted_laplacian(supernodal, rng):
+    """No trace structure: 1x1 blocks and a branching tree."""
+    m = 12
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    L = sp.kronsum(T, T).tocsr()
+    p = rng.permutation(m * m)
+    _matches_superlu(L[p][:, p], rng)
+
+
+def test_supernodal_small_blocks_and_empty_structures(supernodal, rng):
+    """1x1 blocks, a lone dense block and chains, whose supernodes have
+    empty or full structures."""
+    _matches_superlu(sp.diags(np.arange(1.0, 6.0)), rng)
+    A = rng.standard_normal((5, 5))
+    T = sp.diags([-1.0, 3.0, -1.0], [-1, 0, 1], shape=(7, 7))
+    _matches_superlu(sp.block_diag([A @ A.T + np.eye(5), T, [[2.0]]]), rng)
+    _matches_superlu(sp.csc_matrix([[4.0]]), rng)
+
+
+def test_supernodal_leaves_its_input_alone(supernodal, rng):
+    """Duplicate entries are summed on a copy, not in the caller's matrix."""
+    A = sp.csc_matrix((np.array([2.0, 1.0, 1.0, 4.0, 1.0, 0.5]), np.array([0, 0, 1, 1, 0, 1]),
+                       np.array([0, 3, 6])), shape=(2, 2))
+    data = A.data.copy()
+    x = factor_spd(A).solve(np.array([1.0, 2.0]))
+    assert np.allclose(A.toarray() @ x, [1.0, 2.0], rtol=1e-14, atol=0.0)
+    assert not A.has_canonical_format and (A.data == data).all()
+
+
+@pytest.mark.parametrize("M", [[[1.0, 2.0], [2.0, 1.0]],              # indefinite
+                               [[1.0, 1.0], [1.0, 1.0]],              # singular
+                               [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0],     # empty column
+                                [0.0, 0.0, 2.0]]])
+def test_supernodal_rejects_non_spd(supernodal, M):
+    with pytest.raises(NotSymmetricPositiveDefinite):
+        factor_spd(sp.csc_matrix(np.array(M)))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 2)])
+def test_supernodal_cg_counts_equal_superlu(monkeypatch, dim, n):
+    """Criterion-2 rows take the same CG counts with either factor."""
+    from condensa.bench import RunConfig, run
+    cfg = RunConfig(experiment="darcy-manufactured", dim=dim, levels=(n,),
+                    xi=(1.0, 1e-6), gamma=(1e-4, 1.0, 1e4), timing=False)
+    superlu = run(cfg)
+    monkeypatch.setattr(krylov, "SUPERNODAL_MIN", 0)
+    supernodal = run(cfg)
+    assert [r.iters for r in supernodal] == [r.iters for r in superlu]
+    for a, b in zip(supernodal, superlu):
+        assert abs(a.err_u - b.err_u) <= 1e-8 * b.err_u
 
 
 def test_factor_sym_indef_toys(rng):
