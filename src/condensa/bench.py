@@ -166,30 +166,21 @@ def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec
     tol = config.tolerance()
     errs: dict = {}
     mesh, spaces, params, case, system = _assemble_case(config, n, pdict, spec)
-    if spec.problem == "darcy":
-        if spec.level == "reduced":
-            condensed = condense(system)
-            pre = build_reduced(spec, mesh, spaces, params)
-            x, rep = cg(lambda v: condensed.S @ v, pre.apply, condensed.rhs,
-                        tol=tol, maxit=config.maxit)
-            full = back_substitute(condensed, x)
-        else:
-            pre = build_full(spec, mesh, spaces, params)
-            K = system.to_sparse()
-            full, rep = minres(lambda v: K @ v, pre.apply, system.rhs(),
-                               tol=tol, maxit=config.maxit)
-        if case.exact_u is not None:
-            errs = l2_errors(system, full, exact_u=case.exact_u, exact_p=case.exact_p)
-    else:
+    reduced = spec.level == "reduced"
+    if reduced:
         condensed = condense(system)
         pre = build_reduced(spec, mesh, spaces, params)
-        x, rep = minres(lambda v: condensed.S @ v, pre.apply, condensed.rhs,
-                        tol=tol, maxit=config.maxit,
-                        deflate=condensed.null_vectors)
-        full = back_substitute(condensed, x)
-        if case.exact_u is not None:
-            errs = l2_errors(system, full, exact_u=case.exact_u,
-                             exact_p=case.exact_p, shift_p_mean=True)
+        A, b, null = condensed.S, condensed.rhs, condensed.null_vectors
+    else:
+        pre = build_full(spec, mesh, spaces, params)
+        A, b, null = system.to_sparse(), system.rhs(), system.null_vectors
+    krylov = cg if reduced and spec.problem == "darcy" else minres
+    x, rep = krylov(lambda v: A @ v, pre.apply, b, tol=tol, maxit=config.maxit,
+                    deflate=null)
+    full = back_substitute(condensed, x) if reduced else x
+    if case.exact_u is not None:
+        errs = l2_errors(system, full, exact_u=case.exact_u, exact_p=case.exact_p,
+                         shift_p_mean=spec.problem == "stokes")
 
     seconds = time.perf_counter() - t0 if config.timing else 0.0
     return ResultRow(

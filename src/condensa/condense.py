@@ -8,7 +8,8 @@ S is one COO of each cell's A22_K blocks (on the cell's leading trace ids)
 and its -A21_K X_K, converted to CSR once: its pattern is the set of
 positions that receive a nonzero contribution, whatever the sums cancel to.
 The same elimination applied to a preconditioner inner product produces
-the reduced preconditioner S_P; positivity of its cell blocks is certified
+the reduced preconditioner S_P, and with one cell solve the block LU
+of the full one (see precond); positivity of its cell blocks is certified
 by Cholesky.  Cross-cell coupling in A11 is condensable only where A21 and
 rhs_cell vanish (the counterexample inner product): X and y are then zero
 and S is A22.
@@ -22,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import BlockSystem, _block_triplets, _triplets_csr
+from .krylov import NotSymmetricPositiveDefinite
 
 __all__ = ["CondensedSystem", "condense", "condense_precond",
            "back_substitute", "eliminate"]
@@ -61,7 +63,8 @@ def eliminate(system: BlockSystem, spd: bool = False):
 
     spd=True first certifies every cell block positive definite by
     Cholesky.  A block that fails, or that yields a non-finite result, is
-    named by cell in the raised ValueError.
+    named by cell in the raised ValueError (NotSymmetricPositiveDefinite
+    when spd).
     """
     a11 = system.a11
     rhs = np.concatenate([np.transpose(system.a21, (0, 2, 1)),
@@ -71,7 +74,8 @@ def eliminate(system: BlockSystem, spd: bool = False):
         c = next((c for c in range(a11.shape[0])
                   if _solve_cells(a11[c], rhs[c], spd) is None), None)
         if spd:
-            raise ValueError(f"P11 cell block is not positive definite (cell {c})")
+            raise NotSymmetricPositiveDefinite(
+                f"P11 cell block is not positive definite (cell {c})")
         raise ValueError(f"singular local block in cell {c}")
     return Xy[:, :, :-1], Xy[:, :, -1]
 
@@ -98,10 +102,17 @@ def _condense(system: BlockSystem, spd: bool) -> CondensedSystem:
     tids, a21 = system.tids, system.a21
     S = _triplets_csr([system.a22_triplets(), _block_triplets(-(a21 @ X), tids, tids)],
                       (system.n_trace,) * 2)
-    rhs = system.rhs_trace.copy()
-    free = tids >= 0
-    np.add.at(rhs, tids[free], -np.einsum("btc,bc->bt", a21, y)[free])
-    return CondensedSystem(system, S, rhs, X, y, null_vectors=_reduced_null(system))
+    return CondensedSystem(system, S, _trace_load(system, system.rhs_trace, y), X, y,
+                           null_vectors=_reduced_null(system))
+
+
+def _trace_load(system: BlockSystem, r_trace: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """r_trace - A21 y, with the cell parts y (cells, cell dofs) scattered
+    over the free trace ids: the condensed right-hand side."""
+    out = np.array(r_trace, dtype=float)
+    free = system.tids >= 0
+    np.add.at(out, system.tids[free], -np.einsum("btc,bc->bt", system.a21, y)[free])
+    return out
 
 
 def _reduced_null(system: BlockSystem):
@@ -126,11 +137,13 @@ def condense_precond(inner: BlockSystem) -> CondensedSystem:
     return _condense(inner, spd=True)
 
 
-def back_substitute(condensed: CondensedSystem, xbar: np.ndarray) -> np.ndarray:
+def back_substitute(condensed: CondensedSystem, xbar: np.ndarray,
+                    y: np.ndarray | None = None) -> np.ndarray:
     """Recover the monolithic solution from the trace solution.
 
-    Per cell: cell dofs = y - X xbar_local; returns the monolithic free
-    vector [cells; trace]."""
+    Per cell: cell dofs = y - X xbar_local, with y the condensed system's
+    own unless given (cells, cell dofs); returns the monolithic free vector
+    [cells; trace]."""
     xloc = _local_traces(condensed.system.tids, xbar)
-    cells = condensed.y - np.einsum("bct,bt->bc", condensed.X, xloc)
+    cells = (condensed.y if y is None else y) - np.einsum("bct,bt->bc", condensed.X, xloc)
     return np.concatenate([cells.ravel(), xbar])

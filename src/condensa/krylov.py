@@ -429,11 +429,12 @@ def factor_spd(S, reorder: bool = False):
     a supernodal multifrontal Cholesky (SupernodalCholesky) does it, with
     one facet's dofs per block and the separators as supernodes; a failed
     dense Cholesky of a front certifies the matrix is not SPD.  Below it,
-    and with reorder=True in SuperLU's minimum-degree order (for the blocks
-    where that fills less, see precond), SuperLU in symmetric mode with a
-    zero diagonal-pivot threshold, which never pivots off the diagonal:
-    its factorization is Cholesky-like, and a non-positive pivot certifies
-    the matrix is not SPD.  Either factor has solve(b), and fill, the
+    and with reorder=True in SuperLU's minimum-degree order (for the
+    counterexample's coupled cell group, which has no trace structure to
+    order by; see precond), SuperLU in symmetric mode with a zero
+    diagonal-pivot threshold, which never pivots off the diagonal: its
+    factorization is Cholesky-like, and a non-positive pivot certifies the
+    matrix is not SPD.  Either factor has solve(b), and fill, the
     number of entries it stores.
     """
     A = _as_csc(S)

@@ -1,34 +1,38 @@
 """Preconditioner application operators, full and reduced.
 
-Every preconditioner here is applied exactly: block-diagonal pieces by
-explicit per-cell inverses, globally coupled pieces by a sparse SPD
-factorization.  A batched Cholesky of the cell blocks, computed only as
-a check, and the sparse factorization certify positivity: their failure
-is the (intended) certificate that a block is not positive definite.
+Both levels come from one elimination of the inner product P.
+condense_precond eliminates its cell dofs cell by cell, certifying each
+cell block positive definite by Cholesky, and factor_spd factors the
+trace operator S_P, certifying it in turn.  The reduced preconditioner
+applies S_P^-1.  The full one applies P^-1 exactly, as the block LU of P
+around that same S_P:
 
-The sparse factors (krylov.factor_spd) eliminate in the order the
-matrix is given.  Trace dofs are facet-major and the mesh numbers facets
-by nested dissection, so S_P and the trace parts of the full blocks
-arrive in a fill-reducing order; cell dofs precede them and are
-eliminated cell by cell.  A large S_P is factored by the supernodal
-multifrontal Cholesky, whose supernodes are its facets' dof blocks and
-separators and whose solves are batched dense products.  Two
-full-preconditioner blocks are factored in minimum-degree order instead
-(reorder=True): the counterexample's cell-coupled velocity, which has no
-trace structure, and the Darcy pressure pair (p, pbar), where minimum
-degree measured less fill than the given order.
+    y = P11^-1 r_cell,   xbar = S_P^-1 (r_trace - P21 y),
+    cells = y - X xbar_local   (X = P11^-1 P21^T, from condense_precond),
+
+so it adds one cell solve.  Where P11 is block diagonal over cells, that
+is the explicit inverse of each cell's block.  Only the counterexample
+couples cells (through its normal-jump term; there P21 vanishes and S_P
+is P22), and its whole cell group is factored in minimum-degree order
+(reorder=True), since it has no trace structure to order by.
+
+S_P arrives in a fill-reducing order: trace dofs are facet-major and the
+mesh numbers facets by nested dissection, so factor_spd eliminates it as
+given, by the supernodal multifrontal Cholesky once it is large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (BlockSystem, ProblemParams, assemble_counterexample_inner,
                        assemble_darcy_inner, assemble_stokes_inner)
-from .condense import _solve_cells, condense_precond
+from .condense import (CondensedSystem, _solve_cells, _trace_load, back_substitute,
+                       condense_precond)
 from .krylov import NotSymmetricPositiveDefinite, factor_spd
 
 __all__ = ["PreconditionerSpec", "PrecondOperator", "build_full", "build_reduced"]
@@ -74,107 +78,65 @@ def assemble_inner(spec: PreconditionerSpec, mesh, spaces,
     return assemble_stokes_inner(mesh, spaces, params, hatted=spec.hatted)
 
 
-class _CellBlockSolve:
-    """Explicit per-cell inverses of a cell field's blocks, from the
-    condensation's batched cell solve (SPD certified by Cholesky)."""
-
-    def __init__(self, system: BlockSystem, name: str):
-        lay = system.layout
-        sl = lay.cell_field_slice(name)
-        blocks = system.a11[:, sl, sl]
-        self.inv = _solve_cells(blocks, np.broadcast_to(np.eye(blocks.shape[1]), blocks.shape),
-                                spd=True)
-        if self.inv is None:
-            raise NotSymmetricPositiveDefinite(f"cell block {name!r} is not positive definite")
-        self.idx = lay.indices(name).reshape(lay.mesh.n_cells, -1)
-
-    def apply(self, r, out):
-        out[self.idx] = np.einsum("bij,bj->bi", self.inv, r[self.idx])
-
-
-class _SparseBlockSolve:
-    """Sparse SPD factor of a subset of monolithic indices."""
-
-    def __init__(self, K: sp.spmatrix, idx: np.ndarray, label: str,
-                 reorder: bool = False):
-        self.idx = idx
-        try:
-            self.factor = factor_spd(K, reorder=reorder)
-        except NotSymmetricPositiveDefinite as exc:
-            raise NotSymmetricPositiveDefinite(f"block {label!r}: {exc}") from exc
-
-    def apply(self, r, out):
-        out[self.idx] = self.factor.solve(r[self.idx])
-
-
 @dataclass
 class PrecondOperator:
+    """P^-1 (level full, on the n monolithic dofs) or S_P^-1 (level
+    reduced, on the n trace dofs), applied exactly."""
+
     spec: PreconditionerSpec
     system: BlockSystem          # the assembled inner product
-    _solves: list
     n: int
-    S: sp.csr_matrix | None = None   # reduced trace operator, when level=reduced
+    S: sp.csr_matrix             # the reduced trace operator S_P
+    _factor: object              # factor_spd(S)
+    _condensed: CondensedSystem | None = None   # full level: X, for the lift
+    _cell_solve: Callable | None = None         # full level: r_cell -> P11^-1 r_cell
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n)
-        for s in self._solves:
-            s.apply(np.asarray(r, dtype=float), out)
-        return out
+        r = np.asarray(r, dtype=float)
+        if self._cell_solve is None:
+            return self._factor.solve(r)
+        r_cell, r_trace = self.system.layout.split(r)
+        y = self._cell_solve(r_cell)
+        xbar = self._factor.solve(_trace_load(self.system, r_trace, y))
+        return back_substitute(self._condensed, xbar, y)
 
     __call__ = apply
 
 
+def _cell_solve(system: BlockSystem) -> Callable:
+    """r_cell (cells, cell dofs) -> P11^-1 r_cell."""
+    if system.coupling is None:
+        a11 = system.a11
+        inv = _solve_cells(a11, np.broadcast_to(np.eye(a11.shape[1]), a11.shape), spd=True)
+        if inv is None:
+            raise NotSymmetricPositiveDefinite("P11 cell block inverse is not finite")
+        return lambda r: np.einsum("bij,bj->bi", inv, r)
+    nct = system.layout.n_cell_total
+    factor = factor_spd(system.to_sparse()[:nct, :nct], reorder=True)
+    return lambda r: factor.solve(r.ravel()).reshape(r.shape)
+
+
+def _build(level: str, spec: PreconditionerSpec, mesh, spaces, params: ProblemParams,
+           inner: BlockSystem | None) -> PrecondOperator:
+    if spec.level != level:
+        raise ValueError(f"spec.level must be {level!r}")
+    system = assemble_inner(spec, mesh, spaces, params) if inner is None else inner
+    condensed = condense_precond(system)
+    factor = factor_spd(condensed.S)
+    if level == "reduced":
+        return PrecondOperator(spec, system, condensed.n_trace, condensed.S, factor)
+    return PrecondOperator(spec, system, system.layout.n_total, condensed.S, factor,
+                           condensed, _cell_solve(system))
+
+
 def build_full(spec: PreconditionerSpec, mesh, spaces, params: ProblemParams,
                inner: BlockSystem | None = None) -> PrecondOperator:
-    """Exact application of the full (uncondensed) preconditioner."""
-    if spec.level != "full":
-        raise ValueError("spec.level must be 'full'")
-    system = assemble_inner(spec, mesh, spaces, params) if inner is None else inner
-    lay = system.layout
-    K = system.to_sparse().tocsr()
-    solves = []
-    if spec.problem == "darcy" and spec.kind == "robust":
-        # velocity mass: per-cell; coupled (p, pbar): one sparse factor, in
-        # minimum-degree order, which fills less here than the given order
-        solves.append(_CellBlockSolve(system, "u"))
-        idx = lay.indices("p", "pbar")
-        solves.append(_SparseBlockSolve(K[idx][:, idx], idx, "pressure pair",
-                                        reorder=True))
-    elif spec.problem == "darcy":
-        # counterexample: velocity couples across cells through normal jumps;
-        # with no trace structure it is factored in minimum-degree order
-        idx_u = lay.indices("u")
-        solves.append(_SparseBlockSolve(K[idx_u][:, idx_u], idx_u, "velocity+jumps",
-                                        reorder=True))
-        solves.append(_CellBlockSolve(system, "p"))
-        idx_pb = lay.indices("pbar")
-        solves.append(_SparseBlockSolve(K[idx_pb][:, idx_pb], idx_pb, "trace mass"))
-    else:
-        # Stokes: coupled (u, ubar); p per-cell mass; pbar weighted mass
-        idx_v = lay.indices("u", "ubar")
-        solves.append(_SparseBlockSolve(K[idx_v][:, idx_v], idx_v, "velocity pair"))
-        solves.append(_CellBlockSolve(system, "p"))
-        idx_pb = lay.indices("pbar")
-        solves.append(_SparseBlockSolve(K[idx_pb][:, idx_pb], idx_pb, "pressure trace"))
-    return PrecondOperator(spec, system, solves, lay.n_total)
-
-
-class _ReducedSolve:
-    def __init__(self, S):
-        self.factor = factor_spd(S)
-
-    def apply(self, r, out):
-        out[:] = self.factor.solve(r)
+    """Exact application of the full (uncondensed) preconditioner P^-1."""
+    return _build("full", spec, mesh, spaces, params, inner)
 
 
 def build_reduced(spec: PreconditionerSpec, mesh, spaces, params: ProblemParams,
                   inner: BlockSystem | None = None) -> PrecondOperator:
     """Reduced preconditioner S_P^-1: condense the inner product, factor
     the SPD trace operator once."""
-    if spec.level != "reduced":
-        raise ValueError("spec.level must be 'reduced'")
-    system = assemble_inner(spec, mesh, spaces, params) if inner is None else inner
-    condensed = condense_precond(system)
-    op = PrecondOperator(spec, system, [_ReducedSolve(condensed.S)],
-                         condensed.n_trace, S=condensed.S)
-    return op
+    return _build("reduced", spec, mesh, spaces, params, inner)

@@ -101,13 +101,17 @@ def lifting_matrix(system: BlockSystem) -> sp.csr_matrix:
     return sp.vstack([Wmat, sp.identity(n_tr, format="csr")]).tocsr()
 
 
+def _lifted_energy(system: BlockSystem, inner: BlockSystem) -> sp.csr_matrix:
+    """G = L^T P L: the inner product's energy of the scheme-lifted traces."""
+    L = lifting_matrix(system)
+    return (L.T @ (inner.to_sparse() @ L)).tocsr()
+
+
 def lifting_constant(system: BlockSystem, inner: BlockSystem,
                      S_P: sp.spmatrix | None = None) -> float:
     """c_l: the norm of the trace lifting, squared = max eig of (G, S_P)
     with G = L^T P L."""
-    L = lifting_matrix(system)
-    P = inner.to_sparse()
-    G = (L.T @ (P @ L)).tocsr()
+    G = _lifted_energy(system, inner)
     if S_P is None:
         S_P = condense_precond(inner).S
     return float(np.sqrt(generalized_eigs(G, S_P, mode="max")))
@@ -155,8 +159,7 @@ def _probe_darcy_lifting_vs_aux(mesh, params):
     spaces = darcy_spaces(mesh, k)
     system = assemble_darcy(mesh, spaces, params)
     inner = assemble_darcy_inner(mesh, spaces, params)
-    L = lifting_matrix(system)
-    G = (L.T @ (inner.to_sparse() @ L)).tocsr()
+    G = _lifted_energy(system, inner)
     S_aux = condense(assemble_aux_hdg(mesh, aux_spaces(mesh, k), params)).S
     return {"lifting_vs_aux": generalized_eigs(G, S_aux, mode="max")}
 
@@ -252,8 +255,7 @@ def _probe_stokes_lifting(mesh, params):
     eta = params.eta_for(mesh.dim)
     system = assemble_stokes(mesh, spaces, params)
     inner = assemble_stokes_inner(mesh, spaces, params)
-    L = lifting_matrix(system)
-    G = (L.T @ (inner.to_sparse() @ L)).tocsr()
+    G = _lifted_energy(system, inner)
     S_C = condense_precond(assemble_stokes_ch(mesh, spaces, params)).S
     lay = system.layout
     off, end = lay.trace_field_range("pbar")

@@ -148,26 +148,51 @@ def test_stokes_variants_spd(zeta, hatted):
 
 def test_hatted_positivity_certified_at_factorization():
     # eta far below the coercivity threshold: the hatted velocity block is
-    # indefinite and the build must report it rather than proceed
+    # indefinite and the build must report it rather than proceed, with the
+    # same failure type at both levels
     mesh, spaces, _, _, _ = stokes_problem(n=2, with_data=False)
     bad = ProblemParams(k=2, nu=1.0, zeta=0.0, eta=1.01)
-    with pytest.raises(NotSymmetricPositiveDefinite):
-        build_full(PreconditionerSpec("stokes", "robust", "full", hatted=True),
-                   mesh, spaces, bad)
+    for level, build in (("full", build_full), ("reduced", build_reduced)):
+        with pytest.raises(NotSymmetricPositiveDefinite):
+            build(PreconditionerSpec("stokes", "robust", level, hatted=True),
+                  mesh, spaces, bad)
 
 
 def test_cell_block_inverses_and_certificate():
-    # the per-cell inverses of the full Darcy preconditioner against
-    # np.linalg.inv; a velocity block made indefinite is refused by name
+    # the full Darcy preconditioner's cell solve applies the inverse of each
+    # whole cell block (velocity and pressure), against np.linalg.inv; a
+    # velocity entry made indefinite is refused by cell at both levels
     import copy
     mesh, spaces, params, _, inner = darcy_problem(n=2, xi=1e-6, gamma=1e4, with_data=False)
     spec = PreconditionerSpec("darcy", "robust", "full")
     op = build_full(spec, mesh, spaces, params, inner=inner)
-    sl = inner.layout.cell_field_slice("u")
-    want = np.linalg.inv(inner.a11[:, sl, sl])
-    assert np.abs(op._solves[0].inv - want).max() <= 1e-13 * np.abs(want).max()
+    nc, cs = inner.a11.shape[:2]
+    got = np.stack([op._cell_solve(np.broadcast_to(e, (nc, cs))) for e in np.eye(cs)],
+                   axis=2)
+    want = np.linalg.inv(inner.a11)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     bad = copy.copy(inner)
     bad.a11 = inner.a11.copy()
+    sl = inner.layout.cell_field_slice("u")
     bad.a11[3, sl.start, sl.start] *= -1.0
-    with pytest.raises(NotSymmetricPositiveDefinite, match="'u'"):
-        build_full(spec, mesh, spaces, params, inner=bad)
+    for level, build in (("full", build_full), ("reduced", build_reduced)):
+        with pytest.raises(NotSymmetricPositiveDefinite, match=r"\(cell 3\)"):
+            build(PreconditionerSpec("darcy", "robust", level), mesh, spaces, params,
+                  inner=bad)
+
+
+@pytest.mark.parametrize("problem,kind", [("darcy", "robust"),
+                                          ("darcy", "counterexample"),
+                                          ("stokes", "robust")])
+def test_full_and_reduced_are_one_elimination(rng, problem, kind):
+    # on a trace-only residual the full P^-1 reduces to S_P^-1 on the traces
+    make = darcy_problem if problem == "darcy" else stokes_problem
+    mesh, spaces, params, _, _ = make(n=2, with_data=False)
+    full = build_full(PreconditionerSpec(problem, kind, "full"), mesh, spaces, params)
+    reduced = build_reduced(PreconditionerSpec(problem, kind, "reduced"),
+                            mesh, spaces, params)
+    lay = full.system.layout
+    r_t = rng.standard_normal(lay.n_trace)
+    x = full.apply(np.concatenate([np.zeros(lay.n_cell_total), r_t]))
+    want = reduced.apply(r_t)
+    assert np.abs(lay.split(x)[1] - want).max() <= 1e-12 * np.abs(want).max()
