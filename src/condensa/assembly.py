@@ -470,12 +470,14 @@ def _components(blocks, d):
     return np.repeat(blocks, d, axis=1)
 
 
-def _normal_trace(base, nrm, scale):
-    """< fbar_m, v.n > rows (l, m), u columns (c, n): (B, ntr, d*nbu), from
-    the gathered blocks base[b, l] = sum_q w_q fbar_m phi_n (fu_normal)."""
-    T = base[:, :, :, None, :] * (nrm * scale[..., None])[:, :, None, :, None]
-    B, d1, nbf, d, nbu = T.shape
-    return T.reshape(B, d1 * nbf, d * nbu)
+def _normal_trace(base, nrm, scale, out, sign=1.0):
+    """sign < fbar_m, v.n >, rows (l, m) and u columns (c, n), written into
+    out (B, ntr, d*nbu), from the gathered blocks base[b, l] = sum_q w_q
+    fbar_m phi_n (fu_normal); out may be a strided view of a larger array."""
+    B, d1, nbf, nbu = base.shape
+    np.multiply(base[:, :, :, None, :], (sign * nrm * scale[..., None])[:, :, None, :, None],
+                out=np.reshape(out, (B, d1, nbf, nrm.shape[-1], nbu), copy=False))
+    return out
 
 
 def _eps_dot(F):
@@ -508,9 +510,15 @@ def _darcy_layout(mesh, spaces):
                        (("pbar", spaces["pbar"]),))
 
 
-def _velocity_mass(ctx, w):
-    """Vector velocity mass, one scalar block per component: (B, d*nbu, d*nbu)."""
-    return _blockdiag(_components(_gemm(w, ctx.uu)[:, None], ctx.mesh.dim))
+def _velocity_mass(ctx, w, out):
+    """Vector velocity mass, one scalar block per component, written into
+    the diagonal blocks of out (B, d*nbu, d*nbu); its other blocks are left
+    as they are.  out may be a strided view of a larger array."""
+    M = _gemm(w, ctx.uu)
+    B, nbu, d = M.shape[0], M.shape[1], ctx.mesh.dim
+    V = np.reshape(out, (B, d, nbu, d, nbu), copy=False)
+    for c in range(d):
+        V[:, c, :, c, :] = M
 
 
 def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None,
@@ -534,16 +542,15 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None
     xq = ctx.cell_points()
     wdet = ctx.cell_weights()
     D = _div_matrix(wdet, ctx.pgu, ctx.Jinv)
-    a11 = np.empty((nc, cs, cs))
-    a11[:, usl, usl] = _velocity_mass(ctx, -wdet / _coef(params.xi, xq))
+    a11 = np.zeros((nc, cs, cs))
+    _velocity_mass(ctx, -wdet / _coef(params.xi, xq), a11[:, usl, usl])
     a11[:, usl, psl] = np.transpose(D, (0, 2, 1))
     a11[:, psl, usl] = D
     a11[:, psl, psl] = _gemm(wdet * _coef(params.gamma, xq), ctx.pp)
 
     _, nrm, scale, _ = ctx.facet_frame()
-    T = _normal_trace(ctx.fu_normal[ctx.codes], nrm, scale)
-    a21 = np.zeros((nc, T.shape[1], cs))
-    a21[:, :, usl] = -T
+    a21 = np.zeros((nc, ctx.codes.shape[1] * ctx.nbf, cs))
+    _normal_trace(ctx.fu_normal[ctx.codes], nrm, scale, a21[:, :, usl], sign=-1.0)
 
     rhs_cell = np.zeros((nc, cs))
     if f is not None:
@@ -571,7 +578,7 @@ def assemble_darcy_inner(mesh, spaces, params: ProblemParams,
     wpen = ctx.facet_weights(scale) * (_coef(params.xi, xf) * eta / ctx.hK[:, None, None])
 
     a11 = np.zeros((nc, cs, cs))
-    a11[:, usl, usl] = _velocity_mass(ctx, wdet / xi)
+    _velocity_mass(ctx, wdet / xi, a11[:, usl, usl])
     a11[:, psl, psl] = (_gemm(wdet * _coef(params.gamma, xq), ctx.pp)
                         + _grad_grad(wdet * xi, ctx.gpgp, ctx.Jinv)
                         + _facet_gemm(ctx.codes, wpen, ctx.fpp).sum(axis=1))
@@ -600,8 +607,8 @@ def assemble_counterexample_inner(mesh, spaces, params: ProblemParams,
     nc, cs = mesh.n_cells, lay.cell_size
     wdet = ctx.cell_weights()
     a11 = np.zeros((nc, cs, cs))
-    a11[:, usl, usl] = (_velocity_mass(ctx, wdet / xi)
-                        + _div_div(_grad_pairs(wdet / M, ctx.gugu, ctx.Jinv)))
+    _velocity_mass(ctx, wdet / xi, a11[:, usl, usl])
+    a11[:, usl, usl] += _div_div(_grad_pairs(wdet / M, ctx.gugu, ctx.Jinv))
     a11[:, psl, psl] = _gemm(wdet * M, ctx.pp)
 
     _, _, scale, _ = ctx.facet_frame()
@@ -763,11 +770,10 @@ def assemble_stokes(mesh, spaces, params: ProblemParams, f=None, u_dirichlet=Non
     a11[:, psl, usl] = -D
 
     _, nrm, scale, _ = ctx.facet_frame()
-    T = _normal_trace(ctx.fu_normal[ctx.codes], nrm, scale)
     n_ub = cross.shape[1]
-    a21 = np.zeros((nc, n_ub + T.shape[1], cs))
+    a21 = np.zeros((nc, n_ub + ctx.codes.shape[1] * ctx.nbf, cs))
     a21[:, :n_ub, usl] = cross
-    a21[:, n_ub:, usl] = T
+    _normal_trace(ctx.fu_normal[ctx.codes], nrm, scale, a21[:, n_ub:, usl])
 
     rhs_cell = None
     if f is not None:

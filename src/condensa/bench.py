@@ -5,17 +5,18 @@ Benchmark experiments on structured Kuhn meshes:
 desk-scale range; robustness in h and in the model parameters is the
 claim under test, not exact cell counts.  The exact sparse factor of S_P
 eliminates in the mesh's nested-dissection facet order.  At 3D n=12
-(119,232 trace dofs, 2 CPUs) the supernodal Cholesky takes 4.1 s and
-stores 43M entries, and the whole row 11 s at 1.4 GB peak memory (SuperLU
-before it: 12 s, 71M entries, 21 s, 2.3 GB).  Scaled from n=8 and 12 as
-N^1.37 for the fill and N^2 for the flops, 3D n=16 would store about 140M
-entries (1.1 GB) and factor in about 25 s, with a peak near 3-3.5 GB:
-estimates, not measurements.
+(119,232 trace dofs, 2 CPUs, measured 2026-10-19) the supernodal Cholesky
+takes 3.0-3.4 s and stores 43M entries, one solve 77 ms, and the whole
+row 10 s at 1.45 GB peak memory (SuperLU before it: 12 s, 71M entries,
+21 s, 2.3 GB).  Scaled from n=8 and 12 as N^1.37 for the fill and N^2 for
+the flops, 3D n=16 would store about 140M entries (1.1 GB) and factor in
+about 17-19 s, with a peak near 3-3.5 GB: estimates, not measurements.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -271,8 +272,10 @@ def emit(rows: list[ResultRow], fmt: str = "csv", path=None, maxit: int = 999) -
         text = "\n".join(lines) + "\n"
     elif fmt == "md":
         text = _emit_markdown(rows, maxit)
-    elif fmt == "json":
-        text = json.dumps([asdict(r) for r in rows], indent=1) + "\n"
+    elif fmt == "json":   # a non-finite float is written as null: JSON has no NaN
+        text = json.dumps([{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                            for k, v in asdict(r).items()} for r in rows],
+                          indent=1, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path:

@@ -3,8 +3,9 @@
 factor_spd factors an SPD matrix in the order it is given.  Large ones
 (SUPERNODAL_MIN rows on) go to SupernodalCholesky, a supernodal
 multifrontal Cholesky in numpy that reads its elimination tree off the
-matrix pattern and factors and solves one group of equal-height fronts at
-a time with batched dense kernels; smaller ones, and minimum-degree
+matrix pattern, assembles one group of equal-height fronts at a time with
+vectorized scatters, factors each front with LAPACK, and solves with
+batched products over the same groups; smaller ones, and minimum-degree
 orders, to SuperLU.
 
 Stopping rule for both Krylov drivers: relative preconditioned residual
@@ -167,7 +168,8 @@ class _Supernodes:
     first[s]:stop[s], its column of L has the sorted rows
     rows[rptr[s]:rptr[s + 1]] (all >= stop[s]), and parent[s] is its parent
     in the elimination tree (-1 at a root), height[s] its distance from
-    the leaves."""
+    the leaves.  The columns bptr[b]:bptr[b + 1] of A share one pattern
+    (block b), and each supernode is a run of whole blocks."""
 
     first: np.ndarray
     stop: np.ndarray
@@ -175,6 +177,7 @@ class _Supernodes:
     rptr: np.ndarray
     parent: np.ndarray
     height: np.ndarray
+    bptr: np.ndarray
 
 
 def _supernodes(A) -> _Supernodes:
@@ -237,7 +240,7 @@ def _supernodes(A) -> _Supernodes:
                        weights=blen[flat], minlength=ns).astype(np.int64)
     return _Supernodes(bptr[start], bptr[end], _ranges(bptr[flat], blen[flat]),
                        np.concatenate(([0], np.cumsum(nrow))), sparent,
-                       np.array(height, dtype=np.int64))
+                       np.array(height, dtype=np.int64), bptr)
 
 
 def _runs(idx, cut):
@@ -248,39 +251,67 @@ def _runs(idx, cut):
     return list(zip(lo, lo[1:] + [idx.size], idx[lo].tolist()))
 
 
-def _extend_add(P, U, X, runs):
+def _extend_add(L11, L21, U, X, runs):
     """Add X, on and below its diagonal, into a front at the positions p
-    (increasing, given as runs of consecutive values): its pivot columns
-    p < np into P (M x np), the rest into U (shifted by np).  One slice
-    add per pair of runs."""
-    Np = P.shape[1]
+    (increasing, given as runs of consecutive values, none crossing np):
+    rows and columns p < np into L11 (np x np), the rest of the pivot
+    columns into L21 and of the rows into U (both shifted by np).  One
+    slice add per pair of runs."""
+    Np = L11.shape[0]
     for a, (i0, i1, r) in enumerate(runs):
         for j0, j1, c in runs[:a + 1]:
-            if c < Np:
-                P[r:r + i1 - i0, c:c + j1 - j0] += X[i0:i1, j0:j1]
+            if r < Np:
+                L11[r:r + i1 - i0, c:c + j1 - j0] += X[i0:i1, j0:j1]
+            elif c < Np:
+                L21[r - Np:r - Np + i1 - i0, c:c + j1 - j0] += X[i0:i1, j0:j1]
             else:
                 U[r - Np:r - Np + i1 - i0, c - Np:c - Np + j1 - j0] += X[i0:i1, j0:j1]
 
 
+def _scatter_updates(F, row, U, X, k, pos, m1):
+    """Add the update matrices X (Q, m, m) into the fronts k (Q,): row and
+    column i of X[q] go to position pos[q, i] of front k[q], the first m1
+    to pivots.  X[q][:, :m1] goes into the pivot columns, whose row p of
+    front g starts at F[row[g, p]], and X[q][m1:, m1:] into U (G, Nr, Nr),
+    each by one scatter-add over whole rectangles: the upper triangle of
+    X is zero and lands in upper triangles that no kernel reads."""
+    Np = row.shape[1] - U.shape[1]
+    Nr = U.shape[1]
+    if m1:
+        np.add.at(F, (row[k[:, None], pos][:, :, None] + pos[:, None, :m1]).ravel(),
+                  X[:, :, :m1].ravel())
+    if Nr and m1 < pos.shape[1]:
+        u = pos[:, m1:] - Np
+        rows = (k[:, None] * Nr + u) * Nr
+        np.add.at(U.reshape(-1), (rows[:, :, None] + u[:, None, :]).ravel(),
+                  X[:, m1:, m1:].ravel())
+
+
 # Updates with at least _SLICE_ROWS rows are extend-added one at a time,
-# by slices over the runs of their row positions (few in facet order);
-# smaller ones with scatter-adds per group of origin, which gather at most
-# _EXTEND_CHUNK entries at a time.  Per-update slicing costs about 30 us
-# of Python, a scatter-add about 13 ns per entry, slicing about 2 ns
+# one slice add per pair of runs of their row positions (few in facet
+# order), lower triangle only: about 4 us per pair plus 4-7 ns per entry.
+# Smaller ones go in per group of origin and count of rows that land on
+# pivots, by two scatter-adds over whole squares (the pivot columns, the
+# rest), at most _EXTEND_CHUNK entries and as many int64 addresses at a
+# time.  At 3D n=8 (2 CPUs, best of 11) thresholds of 64, 128 and 256 rows
+# gave the same extend-add time, 0.15-0.17 s: a scatter-add over the
+# square costs about what slices over the triangle do
 _SLICE_ROWS = 64
 _EXTEND_CHUNK = 1 << 18
 
 # smallest matrix dimension that factor_spd factors by SupernodalCholesky;
-# below it SuperLU, in the same order, solves faster.  Measured on 2 CPUs,
-# best of 5, factor and one solve, SuperLU / supernodal (k=2 S_P): 3D Darcy
-# 4032 dofs 0.036 / 0.047 s and 1.55 / 1.55 ms, 14256 dofs 0.26 / 0.21 s
-# and 7.0 / 6.5 ms, 34560 dofs 1.17 / 0.83 s and 22.7 / 19.7 ms; 2D Darcy
-# 9024 dofs 0.028 / 0.053 s and 2.4 / 2.5 ms, 36480 dofs 0.14 / 0.19 s and
-# 8.7 / 7.8 ms; 2D Stokes 27456 dofs 0.12 / 0.12 s and 5.6 / 5.6 ms; the
-# block-diagonal counterexample S_P, 9024 dofs, 0.003 / 0.020 s and
-# 1.15 / 0.77 ms.  The B of the spectra2d probe pencils (912-2592 dofs,
-# 6-26 tree heights) solved 2.5-4x slower: each group costs a few numpy
-# calls per solve
+# below it SuperLU, in the same order.  Measured on 2 CPUs, factor best of
+# 5 and one solve best of 20, SuperLU / supernodal (k=2 S_P; Darcy at
+# xi=0.3, gamma=2): 3D Darcy 4032 dofs 0.056 / 0.049 s (medians equal) and
+# 1.18 / 0.99 ms, 14256 dofs 0.23 / 0.20 s and 6.8 / 5.0 ms, 34560 dofs
+# 1.23 / 0.52 s and 23.2 / 16.8 ms; 2D Darcy 9024 dofs 0.026 / 0.053 s and
+# 1.77 / 1.25 ms, 36480 dofs 0.136 / 0.190 s and 12.5 / 7.5 ms; 2D Stokes
+# 27456 dofs 0.150 / 0.156 s and 6.4 / 4.9 ms; the block-diagonal
+# counterexample S_P, 9024 dofs, 0.003 / 0.029 s and 1.12 / 0.71 ms.  2D
+# matrices of this size still factor faster by SuperLU, and the B of the
+# probe pencils (2016-2448 dofs, 21-25 groups) factored 6-9x and solved
+# 2.3-2.6x slower by the supernodal factor: each group costs a few numpy
+# calls per solve.  The crossover has not moved below 8192 in 2D
 SUPERNODAL_MIN = 8192
 
 
@@ -292,41 +323,70 @@ class SupernodalCholesky:
     Supernodes of one height in the elimination tree whose pivot and row
     counts fall in the same power-of-two classes form a group.  The fronts
     of a group are padded to one shape (Np pivots, Nr rows below them,
-    unit diagonal in the pivot padding) and factored together: one batched
-    Cholesky L11 of the pivot blocks, whose failure certifies the matrix
-    is not SPD, and one batched product L21 = F21 L11^-T.  Each front's
-    L11 is inverted in place (LAPACK trtri) and its update matrix
-    F22 - L21 L21^T formed in place, lower triangle only (BLAS syrk): both
-    measured faster than a batched inverse, which pays for a general LU,
-    and a batched product, which computes both triangles.  Update matrices
-    are extend-added into their parents' fronts, and each group's are
-    released once all are consumed.  The factor keeps, per group, the
-    fronts' dofs, L11^-1 and L21; fill counts their entries, padding
-    included.
+    unit diagonal in the pivot padding).  Their pivot columns are
+    assembled in the arrays the factor keeps, L11 (G, Np, Np) and L21
+    (G, Nr, Np), and the rest of each front in its update matrix, U
+    (G, Nr, Nr): first A's entries, one block of equal-pattern columns at
+    a time, then the children's update matrices (see _SLICE_ROWS).  Each
+    front is factored in place by four LAPACK/BLAS calls: potrf, whose
+    failure certifies the matrix is not SPD, trtri (L11^-1), trmm
+    (L21 = F21 L11^-T) and syrk (U - L21 L21^T, lower triangle only).  All
+    four come from scipy: numpy loads its own OpenBLAS, with its own
+    threads, and alternating between the two libraries group by group
+    (numpy's batched Cholesky and products, scipy's trtri and syrk) made
+    the factor 1.6x slower on 2 CPUs than either library alone.  A batched
+    inverse pays for a general LU, and a batched product computes both
+    triangles.  A group's update matrices are released once their parents
+    have consumed them.  The factor keeps, per group, L11^-1, L21 and the
+    solve slots of the fronts' rows; fill counts the entries of L11^-1 and
+    L21, padding included.
     """
 
     def __init__(self, A):
         tree = _supernodes(A)
         n = A.shape[0]
-        first, stop, parent = tree.first, tree.stop, tree.parent
-        npiv, nrow = stop - first, np.diff(tree.rptr)
+        first, parent, bptr = tree.first, tree.parent, tree.bptr
+        npiv, nrow = tree.stop - first, np.diff(tree.rptr)
         shape = np.ceil(np.log2(npiv)) * 64 + np.ceil(np.log2(nrow + 1))
         order = np.lexsort((shape, tree.height))
         key = tree.height[order] * 4096 + shape[order]
         cuts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
-        group, slot = np.empty_like(order), np.empty_like(order)
-        for gi, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            group[order[a:b]], slot[order[a:b]] = gi, np.arange(b - a)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        group = np.searchsorted(cuts, rank, side="right") - 1
+        slot = rank - cuts[group]
+        width = np.maximum.reduceat(npiv[order], cuts[:-1])
+        base = np.concatenate(([0], np.cumsum(np.diff(cuts) * width)))
+        # the solves keep front g of group gi's pivots at base[gi] + g Np,
+        # padding included, and one zero row last for padded rows
+        self._slot = _ranges(base[group] + slot * width[group], npiv)
+        self._zero = int(base[-1])
+        slot_of = np.append(self._slot, self._zero)
         by_parent = np.argsort(parent, kind="stable")
         kid_ptr = np.searchsorted(parent[by_parent], np.arange(parent.size + 1))
+
+        # A's entries by blocks: the lead column of a block gives the rows,
+        # and the front positions, of all its columns.  Each column keeps
+        # its rows from the supernode's first pivot on (above the diagonal
+        # they land in the upper triangle of the pivot block, never read)
         indptr, indices, data = A.indptr, A.indices, A.data
-        updates, pending = {}, {}   # update matrices of a group, members unconsumed
-        work = np.empty(0)          # pivot columns of a group's fronts, reused
+        blk0 = np.searchsorted(bptr, first)
+        nblk = np.searchsorted(bptr, tree.stop) - blk0
+        bwidth, lead = np.diff(bptr), bptr[:-1]
+        blen = indptr[lead + 1] - indptr[lead]
+        ent = _ranges(indptr[lead], blen)
+        cut = np.repeat(np.repeat(first, nblk), blen)
+        skip = np.bincount(np.repeat(np.arange(lead.size), blen), weights=indices[ent] < cut,
+                           minlength=lead.size).astype(np.int64)
+        del ent, cut
+
+        updates, pending = {}, {}   # update matrices and rows of a group, members unconsumed
         self.n = n
         self.groups = []
         self.fill = 0
-        for gi, members in enumerate(order[a:b] for a, b in zip(cuts[:-1], cuts[1:])):
-            G, Np, Nr = members.size, int(npiv[members].max()), int(nrow[members].max())
+        for gi, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            members = order[a:b]
+            G, Np, Nr = b - a, int(width[gi]), int(nrow[members].max())
             M = Np + Nr
             front = np.full((G, M), n)        # dofs of each front, padding n
             kp = np.repeat(np.arange(G), npiv[members])
@@ -340,82 +400,97 @@ class SupernodalCholesky:
             keys = (np.arange(G)[:, None] * (n + 1) + front)[valid]
             where = np.nonzero(valid)[1]
 
-            if work.size < G * M * Np:
-                work = np.empty(G * M * Np)
-            P = work[:G * M * Np].reshape(G, M, Np)
-            P.fill(0.0)
+            # the pivot columns of the fronts are assembled where they are
+            # factored: rows p < Np of front g in L11[g], the rest in L21[g];
+            # row p of front g starts at F[row[g, p]]
+            F = np.zeros(G * M * Np)
+            L11, L21 = F[:G * Np * Np].reshape(G, Np, Np), F[G * Np * Np:].reshape(G, Nr, Np)
+            p = np.arange(M)
+            row = np.where(p < Np, p * Np, G * Np * Np + (p - Np) * Np) \
+                + np.arange(G)[:, None] * np.where(p < Np, Np * Np, Nr * Np)
             U = np.zeros((G, Nr, Nr))
-            # entries of A on and below the diagonal of the pivot columns
-            pcol = front[:, :Np][valid[:, :Np]]
-            count = indptr[pcol + 1] - indptr[pcol]
-            ent = _ranges(indptr[pcol], count)
-            j = np.repeat(np.arange(pcol.size), count)
-            i = indices[ent]
-            keep = i >= pcol[j]
-            ent, j, i = ent[keep], j[keep], i[keep]
-            g = kp[j]
-            pos = where[np.searchsorted(keys, g * (n + 1) + i)]
-            P.reshape(-1)[(g * M + pos) * Np + pcol[j] - first[members][g]] = data[ent]
+            blocks = _ranges(blk0[members], nblk[members])
+            owner = np.repeat(np.arange(G), nblk[members])
+            for w in np.unique(bwidth[blocks]).tolist():
+                blk, gb = blocks[bwidth[blocks] == w], owner[bwidth[blocks] == w]
+                cnt = blen[blk] - skip[blk]
+                ent = _ranges(indptr[lead[blk]] + skip[blk], cnt)
+                g = np.repeat(gb, cnt)
+                addr = (row[g, where[np.searchsorted(keys, g * (n + 1) + indices[ent])]]
+                        + np.repeat(lead[blk] - first[members][gb], cnt))
+                c = np.arange(w)[:, None]   # column c of a block: its lead's entries c blen on
+                F[addr + c] = data[ent + np.repeat(blen[blk], cnt) * c]
             pk, pd = np.nonzero(~valid[:, :Np])
-            P[pk, pd, pd] = 1.0
+            L11[pk, pd, pd] = 1.0
             # extend-add the children's updates, by group of origin
             nkids = kid_ptr[members + 1] - kid_ptr[members]
             kids = by_parent[_ranges(kid_ptr[members], nkids)]
             home = np.repeat(np.arange(G), nkids)
             for src in np.unique(group[kids]).tolist():
-                X = updates[src]
                 mine = group[kids] == src
                 q, kq = slot[kids[mine]], home[mine]
-                R = self.groups[src][1][q]
+                X, R = updates[src]
+                R = R[q]
                 pos = where[np.minimum(np.searchsorted(keys, kq[:, None] * (n + 1) + R),
                                        keys.size - 1)]
                 if X.shape[1] >= _SLICE_ROWS:
-                    for qi, ki, p, m in zip(q.tolist(), kq.tolist(), pos, nrow[kids[mine]]):
-                        _extend_add(P[ki], U[ki], X[qi], _runs(p[:m], Np))
+                    for qi, ki, p, m in zip(q.tolist(), kq.tolist(), pos,
+                                            nrow[kids[mine]].tolist()):
+                        _extend_add(L11[ki], L21[ki], U[ki], X[qi], _runs(p[:m], Np))
                 else:
-                    pos[R == n] = 0          # padding: adds zeros
+                    real = R < n
+                    pos[~real] = Np if Nr else 0     # padding: adds zeros
+                    m1 = np.count_nonzero(real & (pos < Np), axis=1)
                     step = max(1, _EXTEND_CHUNK // X[0].size)
-                    for c in range(0, q.size, step):
-                        kc, pc, Xc = kq[c:c + step, None], pos[c:c + step], X[q[c:c + step]]
-                        piv = np.broadcast_to((pc < Np)[:, None, :], Xc.shape)
-                        addr = ((kc * M + pc) * Np)[:, :, None] + pc[:, None, :]
-                        np.add.at(P.reshape(-1), addr[piv], Xc[piv])
-                        pc = pc - Np
-                        rest = (pc >= 0)[:, :, None] & (pc >= 0)[:, None, :]
-                        addr = ((kc * Nr + pc) * Nr)[:, :, None] + pc[:, None, :]
-                        np.add.at(U.reshape(-1), addr[rest], Xc[rest])
+                    for c in np.unique(m1).tolist():
+                        sel = np.flatnonzero(m1 == c)
+                        for i in range(0, sel.size, step):
+                            j = sel[i:i + step]
+                            _scatter_updates(F, row, U, X[q[j]], kq[j], pos[j], c)
                 pending[src] -= q.size
                 if not pending[src]:
                     del updates[src], pending[src]
-            try:
-                Linv = np.linalg.cholesky(P[:, :Np])
-            except np.linalg.LinAlgError as exc:
-                raise NotSymmetricPositiveDefinite(
-                    f"non-positive pivot in a front of size {Np}: matrix is not SPD") from exc
-            for k in range(G):   # a transposed view is Fortran-ordered: in place
-                sla.lapack.dtrtri(Linv[k].T, lower=0, overwrite_c=1)
-            L21 = P[:, Np:] @ Linv.transpose(0, 2, 1)
-            if Nr:
-                for k in range(G):
+            # transposed views are Fortran-ordered: in place.  potrf zeroes
+            # the other triangle, which the solves read as part of L11^-1
+            for k in range(G):
+                _, info = sla.lapack.dpotrf(L11[k].T, lower=0, clean=1, overwrite_a=1)
+                if info:
+                    raise NotSymmetricPositiveDefinite(
+                        f"non-positive pivot in a front of size {Np}: matrix is not SPD")
+                sla.lapack.dtrtri(L11[k].T, lower=0, overwrite_c=1)
+                sla.blas.dtrmm(1.0, L11[k].T, L21[k].T, trans_a=1, overwrite_b=1)
+                if Nr:
                     sla.blas.dsyrk(-1.0, L21[k].T, beta=1.0, c=U[k].T, trans=1,
                                    lower=0, overwrite_c=1)
-                updates[gi], pending[gi] = U, int(np.count_nonzero(nrow[members]))
-            self.groups.append((front[:, :Np], front[:, Np:], Linv, L21))
-            self.fill += Linv.size + L21.size
+            if Nr:
+                updates[gi], pending[gi] = (U, front[:, Np:]), int(np.count_nonzero(nrow[members]))
+            s, e = int(base[gi]), int(base[gi + 1])
+            self.groups.append((s, e, slot_of[front[:, Np:]] - e, L11, L21))
+            self.fill += F.size
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Forward and backward sweeps over the groups, with one gather
-        and one scatter of each group's pivots and rows per sweep."""
+        """A^-1 b for b of shape (n,) or (n, k): forward and backward sweeps
+        over the groups on a work array that keeps each group's pivots in
+        one slice, front by front with their padding, and a zero row last
+        for padded rows.  A group reads and writes its pivots by slice,
+        subtracts its forward updates from later groups' pivots with one
+        bincount, and gathers its rows in the backward sweep."""
         b = np.asarray(b, dtype=float)
-        w = np.zeros((self.n + 1, b.size // self.n))   # w[n]: padding, stays 0
-        w[:-1] = b.reshape(self.n, -1)
-        for piv, rows, Linv, L21 in self.groups:
-            y = Linv @ w[piv]
-            w[piv] = y
-            np.subtract.at(w, rows, L21 @ y)
-        for piv, rows, Linv, L21 in reversed(self.groups):
-            w[piv] = Linv.transpose(0, 2, 1) @ (w[piv] - L21.transpose(0, 2, 1) @ w[rows])
-        return w[:-1].reshape(b.shape)
+        k = b.size // self.n
+        w = np.zeros((self._zero + 1, k))
+        w[self._slot] = b.reshape(self.n, k)
+        for s, e, r, Linv, L21 in self.groups:
+            y = Linv @ w[s:e].reshape(Linv.shape[0], -1, k)
+            w[s:e] = y.reshape(-1, k)
+            if r.size:
+                i = r.ravel() if k == 1 else (r.reshape(-1, 1) * k + np.arange(k)).ravel()
+                w[e:] -= np.bincount(i, (L21 @ y).ravel(),
+                                     minlength=(self._zero + 1 - e) * k).reshape(-1, k)
+        for s, e, r, Linv, L21 in reversed(self.groups):
+            rows = np.take(w[e:], r, axis=0)   # 3x faster than w[e:][r] on 2-D w
+            z = w[s:e].reshape(Linv.shape[0], -1, k) - L21.transpose(0, 2, 1) @ rows
+            w[s:e] = (Linv.transpose(0, 2, 1) @ z).reshape(-1, k)
+        return w[self._slot].reshape(b.shape)
 
     __call__ = solve
 

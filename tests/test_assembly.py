@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condensa.assembly import (ProblemParams, _block_triplets, assemble_aux_hdg,
+from condensa.assembly import (ElementContext, ProblemParams, _block_triplets, _blockdiag,
+                               _coef, _components, _gemm, assemble_aux_hdg,
                                assemble_counterexample_inner, assemble_darcy,
                                assemble_darcy_inner, assemble_stokes,
                                assemble_stokes_ch, assemble_stokes_inner,
@@ -75,6 +76,38 @@ def test_divergence_theorem_row_identity():
     row = (system.a11[c][usl, psl] @ const_p
            + system.a21[c].T[usl] @ const_t)
     assert np.abs(row).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
+def test_darcy_blocks_written_in_place_are_bitwise_the_copied_blocks(dim, n):
+    """The velocity mass and normal-trace blocks that the Darcy assemblers
+    write straight into a11 and a21 are bitwise the blocks built on their
+    own and copied in: the block-diagonal expansion of the scalar mass and
+    the negated normal-trace product."""
+    mesh = unit_box_mesh(dim, n)
+    params = ProblemParams(k=2, xi=0.3, gamma=2.0)
+    spaces = darcy_spaces(mesh, 2)
+    scheme = assemble_darcy(mesh, spaces, params, f=manufactured_rhs("darcy", dim, params).f)
+    inner = assemble_darcy_inner(mesh, spaces, params)
+    ctx = ElementContext(mesh, 2)
+    usl, psl = scheme.layout.cell_field_slice("u"), scheme.layout.cell_field_slice("p")
+    wdet, xi = ctx.cell_weights(), _coef(params.xi, ctx.cell_points())
+    _, nrm, scale, _ = ctx.facet_frame()
+    base = ctx.fu_normal[ctx.codes]
+    T = (base[:, :, :, None, :] * (nrm * scale[..., None])[:, :, None, :, None]).reshape(
+        mesh.n_cells, -1, dim * ctx.nbu)
+
+    def mass(w):
+        return _blockdiag(_components(_gemm(w, ctx.uu)[:, None], dim))
+
+    def bitwise(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert bitwise(scheme.a11[:, usl, usl], mass(-wdet / xi))
+    kept = scheme.tids >= 0   # rows of fixed trace dofs are zero
+    assert bitwise(scheme.a21[:, :, usl][kept], -T[kept])
+    assert not scheme.a21[~kept].any() and not scheme.a21[:, :, psl].any()
+    assert bitwise(inner.a11[:, usl, usl], mass(wdet / xi))
 
 
 def test_one_cell_velocity_mass_is_scaled_gram():

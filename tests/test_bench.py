@@ -84,6 +84,22 @@ def test_json_round_trip():
     assert back == rows
 
 
+def test_json_writes_non_finite_as_null():
+    """A failed row's NaN and Inf become null, so strict JSON readers
+    accept the file, and the parsed row emits the same text again."""
+    row = ResultRow("darcy-manufactured", 2, 4, 32, 120, 1.0, 1.0, 1.0, 0.0,
+                    "darcy-reduced", 999, False, float("nan"), err_u=float("inf"))
+
+    def strict(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = emit([row], fmt="json")
+    (d,) = json.loads(text, parse_constant=strict)
+    assert d["resid"] is None and d["err_u"] is None and d["err_p"] is None
+    back = parse_json_rows(text)
+    assert back[0].resid is None and emit(back, fmt="json") == text
+
+
 def test_markdown_shape():
     rows = run(small_config(levels=(4, 8)))
     md = emit(rows, fmt="md")

@@ -196,7 +196,9 @@ def test_facet_kernels_match_per_point_oracles(dim, nc, seed, callable_coef):
     assert _rel(_facet_gemm(codes, wf, ctx.ffu), facet_cross(wf, fv, Vu)) < 1e-13
     assert _rel(_facet_gemm(codes, wf, ctx.ffp), facet_cross(wf, fv, Vp)) < 1e-13
     assert _rel(_gemm(wf, ctx.ff), facet_bar_blocks(wf, fv)) < 1e-13
-    assert _rel(_normal_trace(ctx.fu_normal[codes], nrm, scale),
+    base = ctx.fu_normal[codes]
+    T = np.empty((nc, base.shape[1] * base.shape[2], nrm.shape[2] * base.shape[3]))
+    assert _rel(_normal_trace(base, nrm, scale, T),
                 normal_trace(ctx.frule.weights, fv, Vu, nrm, scale)) < 1e-13
     for got, want in zip(_aux_consistency(ctx, codes, wf, nrm, Jinv),
                          aux_consistency(wf, Gp, Vp, fv, nrm)):

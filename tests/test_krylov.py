@@ -168,7 +168,7 @@ def test_supernodal_rejects_non_spd(supernodal, M):
         factor_spd(sp.csc_matrix(np.array(M)))
 
 
-@pytest.mark.parametrize("dim,n", [(2, 8), (3, 2)])
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 2), (3, 4)])   # 3D n=4: both extend-add paths
 def test_supernodal_cg_counts_equal_superlu(monkeypatch, dim, n):
     """Criterion-2 rows take the same CG counts with either factor."""
     from condensa.bench import RunConfig, run
@@ -180,6 +180,22 @@ def test_supernodal_cg_counts_equal_superlu(monkeypatch, dim, n):
     assert [r.iters for r in supernodal] == [r.iters for r in superlu]
     for a, b in zip(supernodal, superlu):
         assert abs(a.err_u - b.err_u) <= 1e-8 * b.err_u
+
+
+def test_supernodal_memory_peak_is_a_small_multiple_of_its_fill(supernodal):
+    """Building the factor of the 3D n=4 Darcy S_P allocates at most 3.5
+    times the bytes the factor keeps: update matrices are released once
+    consumed and no address map outlives its group."""
+    import tracemalloc
+    S = sp.csc_matrix(_reduced_precond("darcy", 3, 4))
+    tracemalloc.start()
+    try:
+        f = factor_spd(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(f, SupernodalCholesky)
+    assert peak <= 3.5 * 8 * f.fill
 
 
 def test_factor_sym_indef_toys(rng):
