@@ -129,11 +129,11 @@ class ElementContext:
     terms gather.
     """
 
-    def __init__(self, mesh, k: int, quad_order: int | None = None):
+    def __init__(self, mesh, k: int):
         self.mesh = mesh
         self.k = k
         d = mesh.dim
-        self.order = 2 * k + 2 if quad_order is None else quad_order
+        self.order = 2 * k + 2
         self.rule = simplex_quadrature(d, self.order)
         self.frule = simplex_quadrature(d - 1, self.order)
         self.basis_u = pk_basis(d, k)
@@ -423,13 +423,18 @@ def _div_matrix(w, table, Jinv):
     return D.reshape(B, nbp, nbu, d).transpose(0, 1, 3, 2).reshape(B, nbp, d * nbu)
 
 
-def _blockdiag(blocks):
-    """Diagonal blocks (B, m, nb, nb) -> block-diagonal (B, m*nb, m*nb)."""
-    B, m, nb = blocks.shape[:3]
-    out = np.zeros((B, m, nb, m, nb))
+def _blockdiag(blocks, out):
+    """Write blocks (..., m, p, q) onto the m diagonal blocks of out
+    (..., m*p, m*q) and return out; a single block (..., 1, p, q) goes onto
+    all m.  The other blocks of out are left as they are, and out may be a
+    strided view of a larger array."""
+    p, q = blocks.shape[-2:]
+    m = out.shape[-2] // p
+    V = np.reshape(out, out.shape[:-2] + (m, p, m, q), copy=False)
+    blocks = np.broadcast_to(blocks, out.shape[:-2] + (m, p, q))
     for l in range(m):
-        out[:, l, :, l, :] = blocks[:, l]
-    return out.reshape(B, m * nb, m * nb)
+        V[..., l, :, l, :] = blocks[..., l, :, :]
+    return out
 
 
 def _block_triplets(blocks, rows, cols):
@@ -462,12 +467,6 @@ def _triplets_csr(parts, shape) -> sp.csr_matrix:
         start = end
     del r, c, v
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-
-
-def _components(blocks, d):
-    """Each of the m blocks (B, m, nb, nb) once per vector component,
-    component index fastest: (B, m*d, nb, nb)."""
-    return np.repeat(blocks, d, axis=1)
 
 
 def _normal_trace(base, nrm, scale, out, sign=1.0):
@@ -510,19 +509,8 @@ def _darcy_layout(mesh, spaces):
                        (("pbar", spaces["pbar"]),))
 
 
-def _velocity_mass(ctx, w, out):
-    """Vector velocity mass, one scalar block per component, written into
-    the diagonal blocks of out (B, d*nbu, d*nbu); its other blocks are left
-    as they are.  out may be a strided view of a larger array."""
-    M = _gemm(w, ctx.uu)
-    B, nbu, d = M.shape[0], M.shape[1], ctx.mesh.dim
-    V = np.reshape(out, (B, d, nbu, d, nbu), copy=False)
-    for c in range(d):
-        V[:, c, :, c, :] = M
-
-
-def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None,
-                   quad_order=None) -> BlockSystem:
+def assemble_darcy(mesh, spaces, params: ProblemParams, f=None,
+                   p_dirichlet=None) -> BlockSystem:
     """Hybrid mixed (BDM-type) Darcy scheme, symmetric storage.
 
     Stored rows: momentum negated, mass balance as written; the trace
@@ -530,7 +518,7 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None
     """
     k = params.k
     _check_darcy_spaces(mesh, spaces, k)
-    ctx = ElementContext(mesh, k, quad_order)
+    ctx = ElementContext(mesh, k)
     lay = _darcy_layout(mesh, spaces)
     fixed = {}
     if p_dirichlet is not None:
@@ -543,7 +531,7 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None
     wdet = ctx.cell_weights()
     D = _div_matrix(wdet, ctx.pgu, ctx.Jinv)
     a11 = np.zeros((nc, cs, cs))
-    _velocity_mass(ctx, -wdet / _coef(params.xi, xq), a11[:, usl, usl])
+    _blockdiag(_gemm(-wdet / _coef(params.xi, xq), ctx.uu)[:, None], a11[:, usl, usl])
     a11[:, usl, psl] = np.transpose(D, (0, 2, 1))
     a11[:, psl, usl] = D
     a11[:, psl, psl] = _gemm(wdet * _coef(params.gamma, xq), ctx.pp)
@@ -558,14 +546,13 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None, p_dirichlet=None
     return _block_system(lay, params, "darcy", ctx, a11, a21, rhs_cell=rhs_cell, fixed=fixed)
 
 
-def assemble_darcy_inner(mesh, spaces, params: ProblemParams,
-                         quad_order=None) -> BlockSystem:
+def assemble_darcy_inner(mesh, spaces, params: ProblemParams) -> BlockSystem:
     """Darcy preconditioner inner product: xi^-1 velocity mass plus the
     weighted pressure form gamma(p,q) + xi(grad p, grad q) + xi eta
     <h^-1 (p - pbar), (q - qbar)>."""
     k = params.k
     _check_darcy_spaces(mesh, spaces, k)
-    ctx = ElementContext(mesh, k, quad_order)
+    ctx = ElementContext(mesh, k)
     lay = _darcy_layout(mesh, spaces)
     eta = params.eta_for(mesh.dim)
 
@@ -577,19 +564,17 @@ def assemble_darcy_inner(mesh, spaces, params: ProblemParams,
     _, _, scale, xf = ctx.facet_frame()
     wpen = ctx.facet_weights(scale) * (_coef(params.xi, xf) * eta / ctx.hK[:, None, None])
 
+    pen, pen_bar, pen_bb = _penalty(ctx, wpen, "p")
     a11 = np.zeros((nc, cs, cs))
-    _velocity_mass(ctx, wdet / xi, a11[:, usl, usl])
+    _blockdiag(_gemm(wdet / xi, ctx.uu)[:, None], a11[:, usl, usl])
     a11[:, psl, psl] = (_gemm(wdet * _coef(params.gamma, xq), ctx.pp)
-                        + _grad_grad(wdet * xi, ctx.gpgp, ctx.Jinv)
-                        + _facet_gemm(ctx.codes, wpen, ctx.fpp).sum(axis=1))
-    cross = _facet_gemm(ctx.codes, wpen, ctx.ffp)
-    a21 = np.zeros((nc, cross.shape[1] * cross.shape[2], cs))
-    a21[:, :, psl] = -cross.reshape(nc, -1, ctx.nbp)
-    return _block_system(lay, params, "darcy-inner", ctx, a11, a21, a22b=_gemm(wpen, ctx.ff))
+                        + _grad_grad(wdet * xi, ctx.gpgp, ctx.Jinv) + pen)
+    a21 = np.zeros((nc, pen_bar.shape[1] * pen_bar.shape[2], cs))
+    a21[:, :, psl] = pen_bar.reshape(nc, -1, ctx.nbp)
+    return _block_system(lay, params, "darcy-inner", ctx, a11, a21, a22b=pen_bb)
 
 
-def assemble_counterexample_inner(mesh, spaces, params: ProblemParams,
-                                  quad_order=None) -> BlockSystem:
+def assemble_counterexample_inner(mesh, spaces, params: ProblemParams) -> BlockSystem:
     """The robust-before-reduction counterexample inner product.
 
     Velocity: xi^-1 mass + M^-1 div-div + xi^-1 <h_F^-1 [[u.n]],[[v.n]]>
@@ -600,14 +585,14 @@ def assemble_counterexample_inner(mesh, spaces, params: ProblemParams,
     _check_darcy_spaces(mesh, spaces, k)
     M = params.big_m  # raises for callable coefficients
     xi = float(params.xi)
-    ctx = ElementContext(mesh, k, quad_order)
+    ctx = ElementContext(mesh, k)
     lay = _darcy_layout(mesh, spaces)
 
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
     nc, cs = mesh.n_cells, lay.cell_size
     wdet = ctx.cell_weights()
     a11 = np.zeros((nc, cs, cs))
-    _velocity_mass(ctx, wdet / xi, a11[:, usl, usl])
+    _blockdiag(_gemm(wdet / xi, ctx.uu)[:, None], a11[:, usl, usl])
     a11[:, usl, usl] += _div_div(_grad_pairs(wdet / M, ctx.gugu, ctx.Jinv))
     a11[:, psl, psl] = _gemm(wdet * M, ctx.pp)
 
@@ -659,12 +644,11 @@ def _aux_consistency(ctx, codes, w, nrm, Jinv):
     return _facet_gemm(codes, wn, ctx.fgpp).sum(axis=1), _facet_gemm(codes, wn, ctx.fgfp)
 
 
-def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None,
-                     quad_order=None) -> BlockSystem:
+def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None) -> BlockSystem:
     """Interior-penalty HDG form for -div(xi grad p) + gamma p on the
     pressure pair; symmetric, coercive for eta at the default values."""
     k = params.k
-    ctx = ElementContext(mesh, k, quad_order)
+    ctx = ElementContext(mesh, k)
     lay = BlockLayout(mesh, (("p", spaces["p"]),), (("pbar", spaces["pbar"]),))
     eta = params.eta_for(mesh.dim)
 
@@ -675,15 +659,15 @@ def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None,
 
     _, nrm, scale, xf = ctx.facet_frame()
     wcons = ctx.facet_weights(scale) * _coef(params.xi, xf)
-    wpen = wcons * (eta / ctx.hK[:, None, None])
+    pen, pen_bar, pen_bb = _penalty(ctx, wcons * (eta / ctx.hK[:, None, None]), "p")
     cons, cons_bar = _aux_consistency(ctx, ctx.codes, wcons, nrm, ctx.Jinv)
-    a11 += _facet_gemm(ctx.codes, wpen, ctx.fpp).sum(axis=1)
+    a11 += pen
     a11 -= cons + np.transpose(cons, (0, 2, 1))
-    a21 = (cons_bar - _facet_gemm(ctx.codes, wpen, ctx.ffp)).reshape(mesh.n_cells, -1, ctx.nbp)
+    a21 = (cons_bar + pen_bar).reshape(mesh.n_cells, -1, ctx.nbp)
 
     rhs_cell = None if f is None else (wdet * _coef(f, xq)) @ ctx.vals_p
-    return _block_system(lay, params, "darcy-aux", ctx, a11, a21,
-                         a22b=_gemm(wpen, ctx.ff), rhs_cell=rhs_cell)
+    return _block_system(lay, params, "darcy-aux", ctx, a11, a21, a22b=pen_bb,
+                         rhs_cell=rhs_cell)
 
 
 # ----------------------------------------------------------------------
@@ -695,19 +679,26 @@ def _stokes_layout(mesh, spaces):
                        (("ubar", spaces["ubar"]), ("pbar", spaces["pbar"])))
 
 
-def _penalty_blocks(ctx, codes, wpen):
-    """The velocity penalty nu eta <h^-1 (u - ubar), (v - vbar)>:
-    (cell_uu, ubar_u, ubar_ubar), ubar rows (l, c, m), u columns (c, n),
-    ubar_ubar by its (l, c) diagonal blocks."""
-    d = ctx.mesh.dim
-    B = wpen.shape[0]
-    uu = _blockdiag(_components(_facet_gemm(codes, wpen, ctx.fuu).sum(axis=1)[:, None], d))
-    pen = _facet_gemm(codes, wpen, ctx.ffu)  # (B, d+1, nbf, nbu)
-    cross = np.zeros((B, d + 1, d, ctx.nbf, d, ctx.nbu))
-    for c in range(d):
-        cross[:, :, c, :, c, :] = -pen
-    ubu = _components(_gemm(wpen, ctx.ff), d)
-    return uu, cross.reshape(B, -1, d * ctx.nbu), ubu
+def _penalty(ctx, wpen, field):
+    """The interior penalty <wpen (w - wbar), (v - vbar)> of one scalar
+    field, the cell basis of ``field`` ("u", one velocity component, or
+    "p") against the facet basis: the cell block summed over the facets
+    (B, nb, nb), the trace-cell blocks negated (B, d+1, nbf, nb) and the
+    trace-trace blocks (B, d+1, nbf, nbf)."""
+    cell, cross = (ctx.fuu, ctx.ffu) if field == "u" else (ctx.fpp, ctx.ffp)
+    return (_facet_gemm(ctx.codes, wpen, cell).sum(axis=1),
+            -_facet_gemm(ctx.codes, wpen, cross), _gemm(wpen, ctx.ff))
+
+
+def _penalty_blocks(ctx, wpen):
+    """The velocity penalty nu eta <h^-1 (u - ubar), (v - vbar)>, _penalty
+    once per component: (cell_uu, ubar_u, ubar_ubar), ubar rows (l, c, m),
+    u columns (c, n), ubar_ubar by its (l, c) diagonal blocks."""
+    d, B, nbf, nbu = ctx.mesh.dim, wpen.shape[0], ctx.nbf, ctx.nbu
+    pen, pen_bar, pen_bb = _penalty(ctx, wpen, "u")
+    uu = _blockdiag(pen[:, None], np.zeros((B, d * nbu, d * nbu)))
+    cross = _blockdiag(pen_bar[:, :, None], np.zeros((B, d + 1, d * nbf, d * nbu)))
+    return uu, cross.reshape(B, -1, d * nbu), np.repeat(pen_bb, d, axis=1)
 
 
 def _ch_blocks(ctx, Y, nu, eta, zeta=0.0):
@@ -716,7 +707,7 @@ def _ch_blocks(ctx, Y, nu, eta, zeta=0.0):
     (_grad_pairs)."""
     _, nrm, scale, _ = ctx.facet_frame()
     wcons = ctx.facet_weights(scale) * nu
-    uu, cross, ubu = _penalty_blocks(ctx, ctx.codes, wcons * (eta / ctx.hK[:, None, None]))
+    uu, cross, ubu = _penalty_blocks(ctx, wcons * (eta / ctx.hK[:, None, None]))
     uu += nu * _eps_eps(Y)
     if zeta:
         uu += zeta * _div_div(Y)
@@ -742,14 +733,14 @@ def _ch_consistency(ctx, codes, w, nrm, Jinv):
     return cons, EN.transpose(0, 1, 4, 5, 2, 3).reshape(B, d1 * d * ctx.nbf, d * nb)
 
 
-def assemble_stokes(mesh, spaces, params: ProblemParams, f=None, u_dirichlet=None,
-                    quad_order=None) -> BlockSystem:
+def assemble_stokes(mesh, spaces, params: ProblemParams, f=None,
+                    u_dirichlet=None) -> BlockSystem:
     """HDG Stokes scheme: c_h + b_h(v, p-pair) + b_h(u, q-pair); symmetric
     indefinite as written.  The constant-pressure pair spans the kernel."""
     k = params.k
     _check_stokes_spaces(mesh, spaces, k)
     nu = float(params.nu)
-    ctx = ElementContext(mesh, k, quad_order)
+    ctx = ElementContext(mesh, k)
     lay = _stokes_layout(mesh, spaces)
     eta = params.eta_for(mesh.dim)
 
@@ -804,8 +795,8 @@ def _boundary_flux_load(ctx, lay, g):
     return out
 
 
-def assemble_stokes_inner(mesh, spaces, params: ProblemParams, hatted: bool = False,
-                          quad_order=None) -> BlockSystem:
+def assemble_stokes_inner(mesh, spaces, params: ProblemParams,
+                          hatted: bool = False) -> BlockSystem:
     """Stokes preconditioner inner product (zeta >= 0 variants).
 
     hatted=False: velocity block nu(eps, eps) + nu eta <h^-1 (u-ubar),(v-vbar)>
@@ -815,7 +806,7 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams, hatted: bool = Fa
     k = params.k
     _check_stokes_spaces(mesh, spaces, k)
     nu, zeta = float(params.nu), float(params.zeta)
-    ctx = ElementContext(mesh, k, quad_order)
+    ctx = ElementContext(mesh, k)
     lay = _stokes_layout(mesh, spaces)
     eta = params.eta_for(mesh.dim)
 
@@ -828,7 +819,7 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams, hatted: bool = Fa
         uu, cross, ubu = _ch_blocks(ctx, Y, nu, eta, zeta=zeta)
     else:
         wpen = ctx.facet_weights(scale) * (nu * eta / ctx.hK[:, None, None])
-        uu, cross, ubu = _penalty_blocks(ctx, ctx.codes, wpen)
+        uu, cross, ubu = _penalty_blocks(ctx, wpen)
         uu += nu * _eps_eps(Y)
         if zeta:
             uu += zeta * _div_div(Y)
@@ -846,12 +837,11 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams, hatted: bool = Fa
                          a22b=np.concatenate([ubu, pbb], axis=1))
 
 
-def assemble_stokes_ch(mesh, spaces, params: ProblemParams,
-                       quad_order=None) -> BlockSystem:
+def assemble_stokes_ch(mesh, spaces, params: ProblemParams) -> BlockSystem:
     """The c_h velocity form alone on (u; ubar): probe support for the
     condensed-velocity estimates."""
     k = params.k
-    ctx = ElementContext(mesh, k, quad_order)
+    ctx = ElementContext(mesh, k)
     lay = BlockLayout(mesh, (("u", spaces["u"]),), (("ubar", spaces["ubar"]),))
     Y = _grad_pairs(ctx.cell_weights(), ctx.gugu, ctx.Jinv)
     uu, cross, ubu = _ch_blocks(ctx, Y, float(params.nu), params.eta_for(mesh.dim))

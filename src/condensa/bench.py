@@ -66,6 +66,8 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
+        if self.maxit < 1:
+            raise ValueError(f"maxit must be at least 1, got {self.maxit}")
 
     def tolerance(self) -> float:
         if self.tol is not None:
@@ -184,15 +186,21 @@ def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec
                          shift_p_mean=spec.problem == "stokes")
 
     seconds = time.perf_counter() - t0 if config.timing else 0.0
-    return ResultRow(
-        experiment=config.experiment, dim=config.dim, level=n, cells=mesh.n_cells,
-        trace_dofs=system.layout.n_trace,
-        xi=("fn" if callable(params.xi) else float(params.xi)),
-        gamma=("fn" if callable(params.gamma) else float(params.gamma)),
-        nu=float(params.nu), zeta=float(params.zeta),
-        precond=spec.label(), iters=rep.iterations, converged=rep.converged,
-        resid=float(rep.final_relative),
-        err_u=errs.get("err_u"), err_p=errs.get("err_p"), seconds=seconds)
+    return _row(config, n, pdict, spec, cells=mesh.n_cells, trace_dofs=system.layout.n_trace,
+                iters=rep.iterations, converged=rep.converged, resid=float(rep.final_relative),
+                err_u=errs.get("err_u"), err_p=errs.get("err_p"), seconds=seconds)
+
+
+def _row(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec,
+         **fields) -> ResultRow:
+    """One case's row, solved or failed; the heterogeneous experiment's
+    coefficients are functions and read "fn"."""
+    fn = config.experiment == "darcy-heterogeneous"
+    return ResultRow(experiment=config.experiment, dim=config.dim, level=n,
+                     xi="fn" if fn else float(pdict.get("xi", 1.0)),
+                     gamma="fn" if fn else float(pdict.get("gamma", 1.0)),
+                     nu=float(pdict.get("nu", 1.0)), zeta=float(pdict.get("zeta", 0.0)),
+                     precond=spec.label(), **fields)
 
 
 def run(config: RunConfig) -> list[ResultRow]:
@@ -211,12 +219,9 @@ def run(config: RunConfig) -> list[ResultRow]:
             try:
                 row = _solve_case(config, n, pdict, spec)
             except Exception as exc:  # row-level containment, sweep continues
-                row = ResultRow(
-                    experiment=config.experiment, dim=config.dim, level=n, cells=0,
-                    trace_dofs=0, xi=pdict.get("xi", 1.0), gamma=pdict.get("gamma", 1.0),
-                    nu=pdict.get("nu", 1.0), zeta=pdict.get("zeta", 0.0),
-                    precond=spec.label(), iters=0, converged=False, resid=None,
-                    failed=f"{type(exc).__name__}: {exc}")
+                row = _row(config, n, pdict, spec, cells=0, trace_dofs=0, iters=0,
+                           converged=False, resid=None,
+                           failed=f"{type(exc).__name__}: {exc}")
         for w in caught:
             if issubclass(w.category, RuntimeWarning):
                 row.warnings += 1

@@ -78,8 +78,7 @@ def _run_spectrum(args) -> int:
         rep = reduced_bounds_check(system, inner)
         SpectralReport(c_b=rep["c_b"], c_i=rep["c_i"],
                        kappa_full=rep["kappa_full"],
-                       kappa_reduced=rep["kappa_reduced"], c_l=rep["c_l"],
-                       level=n, params=params).validate()
+                       kappa_reduced=rep["kappa_reduced"], c_l=rep["c_l"]).validate()
         rep["level"] = n
         rep["upper_ok"] = float(rep["upper_ok"])
         rep["lower_ok"] = float(rep["lower_ok"])
@@ -96,18 +95,22 @@ def _run_spectrum(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
     if args.levels is None:
         args.levels = _default_levels(args.experiment, args.dim)
     if args.experiment == "spectrum":
         return _run_spectrum(args)
 
-    config = RunConfig(
-        experiment=args.experiment, dim=args.dim, levels=tuple(args.levels),
-        k=args.k, eta=args.eta, xi=args.xi, gamma=args.gamma, nu=args.nu,
-        zeta=args.zeta, precond=args.precond, hatted=args.hatted, tol=args.tol,
-        maxit=args.maxit, timing=not args.no_timing, mesh_out=args.mesh_out,
-        dump_matrices=args.dump_matrices)
+    try:
+        config = RunConfig(
+            experiment=args.experiment, dim=args.dim, levels=tuple(args.levels),
+            k=args.k, eta=args.eta, xi=args.xi, gamma=args.gamma, nu=args.nu,
+            zeta=args.zeta, precond=args.precond, hatted=args.hatted, tol=args.tol,
+            maxit=args.maxit, timing=not args.no_timing, mesh_out=args.mesh_out,
+            dump_matrices=args.dump_matrices)
+    except ValueError as exc:
+        parser.error(str(exc))
     rows = run(config)
     text = emit(rows, fmt=args.format, path=args.out, maxit=args.maxit)
     if not args.out:

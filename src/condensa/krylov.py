@@ -540,7 +540,7 @@ def as_operator(A):
 
 
 class _Deflation:
-    def __init__(self, kernel, n):
+    def __init__(self, kernel):
         basis = []
         for z in kernel:
             v = np.asarray(z, dtype=float).copy()
@@ -562,16 +562,21 @@ class _Deflation:
         return lambda x: self.project(apply_fn(self.project(x)))
 
 
+def _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate):
+    """cg's and minres's A, P (identity if None) and b, off the kernel ``deflate``."""
+    if maxit < 1:
+        raise ValueError(f"maxit must be at least 1, got {maxit}")
+    A = as_operator(apply_A)
+    P = as_operator(apply_Pinv) if apply_Pinv is not None else (lambda x: x)
+    defl = _Deflation(deflate)
+    return defl.wrap(A), defl.wrap(P), defl.project(np.asarray(b, dtype=float))
+
+
 def cg(apply_A, apply_Pinv, b, tol: float = 1e-10, maxit: int = 999,
        deflate=()) -> tuple[np.ndarray, KrylovReport]:
     """Preconditioned conjugate gradients with breakdown detection."""
     t0 = time.perf_counter()
-    A = as_operator(apply_A)
-    P = as_operator(apply_Pinv) if apply_Pinv is not None else (lambda x: x)
-    b = np.asarray(b, dtype=float)
-    defl = _Deflation(deflate, b.size)
-    A, P = defl.wrap(A), defl.wrap(P)
-    b = defl.project(b)
+    A, P, b = _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate)
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -613,12 +618,7 @@ def minres(apply_A, apply_Pinv, b, tol: float = 1e-8, maxit: int = 999,
            deflate=()) -> tuple[np.ndarray, KrylovReport]:
     """Preconditioned MINRES (Paige-Saunders); A symmetric, P SPD."""
     t0 = time.perf_counter()
-    A = as_operator(apply_A)
-    P = as_operator(apply_Pinv) if apply_Pinv is not None else (lambda x: x)
-    b = np.asarray(b, dtype=float)
-    defl = _Deflation(deflate, b.size)
-    A, P = defl.wrap(A), defl.wrap(P)
-    b = defl.project(b)
+    A, P, b = _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate)
 
     x = np.zeros_like(b)
     r1 = b.copy()

@@ -116,11 +116,11 @@ def _cell_solve(system: BlockSystem) -> Callable:
     return lambda r: factor.solve(r.ravel()).reshape(r.shape)
 
 
-def _build(level: str, spec: PreconditionerSpec, mesh, spaces, params: ProblemParams,
-           inner: BlockSystem | None) -> PrecondOperator:
+def _build(level: str, spec: PreconditionerSpec, mesh, spaces,
+           params: ProblemParams) -> PrecondOperator:
     if spec.level != level:
         raise ValueError(f"spec.level must be {level!r}")
-    system = assemble_inner(spec, mesh, spaces, params) if inner is None else inner
+    system = assemble_inner(spec, mesh, spaces, params)
     condensed = condense_precond(system)
     factor = factor_spd(condensed.S)
     if level == "reduced":
@@ -129,14 +129,14 @@ def _build(level: str, spec: PreconditionerSpec, mesh, spaces, params: ProblemPa
                            condensed, _cell_solve(system))
 
 
-def build_full(spec: PreconditionerSpec, mesh, spaces, params: ProblemParams,
-               inner: BlockSystem | None = None) -> PrecondOperator:
+def build_full(spec: PreconditionerSpec, mesh, spaces,
+               params: ProblemParams) -> PrecondOperator:
     """Exact application of the full (uncondensed) preconditioner P^-1."""
-    return _build("full", spec, mesh, spaces, params, inner)
+    return _build("full", spec, mesh, spaces, params)
 
 
-def build_reduced(spec: PreconditionerSpec, mesh, spaces, params: ProblemParams,
-                  inner: BlockSystem | None = None) -> PrecondOperator:
+def build_reduced(spec: PreconditionerSpec, mesh, spaces,
+                  params: ProblemParams) -> PrecondOperator:
     """Reduced preconditioner S_P^-1: condense the inner product, factor
     the SPD trace operator once."""
-    return _build("reduced", spec, mesh, spaces, params, inner)
+    return _build("reduced", spec, mesh, spaces, params)

@@ -36,7 +36,8 @@ import scipy.sparse as sp
 from .assembly import (BlockSystem, ProblemParams, aux_spaces, assemble_aux_hdg,
                        assemble_darcy, assemble_darcy_inner, assemble_stokes,
                        assemble_stokes_ch, assemble_stokes_inner, darcy_spaces,
-                       qpair_matrix, stokes_spaces, _block_triplets, _triplets_csr)
+                       qpair_matrix, stokes_spaces, _block_triplets, _blockdiag,
+                       _triplets_csr)
 from .condense import condense, condense_precond, eliminate
 from .krylov import KERNEL_RTOL, generalized_eigs
 from .mesh import unit_box_mesh
@@ -51,6 +52,9 @@ __all__ = [
     "write_constants_csv",
 ]
 
+# reduced_bounds_check's relative slack on both eigenvalue bounds
+BOUNDS_TOL = 1e-8
+
 
 @dataclass
 class SpectralReport:
@@ -59,8 +63,6 @@ class SpectralReport:
     kappa_full: float = np.nan
     kappa_reduced: float = np.nan
     c_l: float = np.nan
-    level: int = 0
-    params: ProblemParams | None = None
 
     def validate(self) -> "SpectralReport":
         vals = [self.c_b, self.c_i, self.kappa_full, self.kappa_reduced, self.c_l]
@@ -117,9 +119,10 @@ def lifting_constant(system: BlockSystem, inner: BlockSystem,
     return float(np.sqrt(generalized_eigs(G, S_P, mode="max")))
 
 
-def reduced_bounds_check(system: BlockSystem, inner: BlockSystem, tol: float = 1e-8):
-    """Verify max|eig(S_A, S_P)| <= c_l^2 c_b and min|eig| >= c_i with all
-    constants measured from the same assembly.  Returns a report dict."""
+def reduced_bounds_check(system: BlockSystem, inner: BlockSystem):
+    """Verify max|eig(S_A, S_P)| <= c_l^2 c_b and min|eig| >= c_i, each to
+    the relative slack BOUNDS_TOL, with all constants measured from the
+    same assembly.  Returns a report dict."""
     kernel_dim = len(system.null_vectors)
     c_b, c_i, kappa = measure_constants(system.to_sparse(), inner.to_sparse(),
                                         kernel_dim=kernel_dim)
@@ -133,8 +136,8 @@ def reduced_bounds_check(system: BlockSystem, inner: BlockSystem, tol: float = 1
         "c_b": c_b, "c_i": c_i, "kappa_full": kappa, "c_l": c_l,
         "lam_max": lam_max, "lam_min": lam_min,
         "kappa_reduced": lam_max / lam_min,
-        "upper_ok": lam_max <= c_l**2 * c_b * (1.0 + tol),
-        "lower_ok": lam_min >= c_i * (1.0 - tol),
+        "upper_ok": lam_max <= c_l**2 * c_b * (1.0 + BOUNDS_TOL),
+        "lower_ok": lam_min >= c_i * (1.0 - BOUNDS_TOL),
     }
 
 
@@ -229,10 +232,7 @@ def _hu_seminorm_matrix(ch_system: BlockSystem) -> sp.csr_matrix:
     d1 = d + 1
     # per cell: B[(l,m), q-pair] values of fbar basis at all boundary pts
     nq = ctx.frule.n_points
-    V = np.zeros((mesh.n_cells, d1 * nbf, d1 * nq))
-    for l in range(d1):
-        V[:, l * nbf:(l + 1) * nbf, l * nq:(l + 1) * nq] = \
-            np.broadcast_to(ctx.fv.T[None], (mesh.n_cells, nbf, nq))
+    V = _blockdiag(ctx.fv.T[None], np.zeros((mesh.n_cells, d1 * nbf, d1 * nq)))
     w = (wfs / ctx.hK[:, None, None]).reshape(mesh.n_cells, d1 * nq)
     wm = wfs.reshape(mesh.n_cells, d1 * nq)
     area = wm.sum(axis=1)

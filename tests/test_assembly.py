@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condensa import assembly
 from condensa.assembly import (ElementContext, ProblemParams, _block_triplets, _blockdiag,
-                               _coef, _components, _gemm, assemble_aux_hdg,
+                               _coef, _gemm, assemble_aux_hdg,
                                assemble_counterexample_inner, assemble_darcy,
                                assemble_darcy_inner, assemble_stokes,
                                assemble_stokes_ch, assemble_stokes_inner,
@@ -81,9 +83,9 @@ def test_divergence_theorem_row_identity():
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
 def test_darcy_blocks_written_in_place_are_bitwise_the_copied_blocks(dim, n):
     """The velocity mass and normal-trace blocks that the Darcy assemblers
-    write straight into a11 and a21 are bitwise the blocks built on their
-    own and copied in: the block-diagonal expansion of the scalar mass and
-    the negated normal-trace product."""
+    write straight into a11 and a21 equal the blocks built on their own:
+    each cell's kron(I_d, M_K) of its scalar mass M_K, and bit for bit the
+    negated normal-trace product."""
     mesh = unit_box_mesh(dim, n)
     params = ProblemParams(k=2, xi=0.3, gamma=2.0)
     spaces = darcy_spaces(mesh, 2)
@@ -98,16 +100,35 @@ def test_darcy_blocks_written_in_place_are_bitwise_the_copied_blocks(dim, n):
         mesh.n_cells, -1, dim * ctx.nbu)
 
     def mass(w):
-        return _blockdiag(_components(_gemm(w, ctx.uu)[:, None], dim))
+        return np.stack([np.kron(np.eye(dim), M_K) for M_K in _gemm(w, ctx.uu)])
 
     def bitwise(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    assert bitwise(scheme.a11[:, usl, usl], mass(-wdet / xi))
+    # kron writes 0 * (-x) = -0.0 off the diagonal blocks, so the masses
+    # are compared by value: equal values, zeros of either sign
+    assert np.array_equal(scheme.a11[:, usl, usl], mass(-wdet / xi))
+    assert np.array_equal(inner.a11[:, usl, usl], mass(wdet / xi))
     kept = scheme.tids >= 0   # rows of fixed trace dofs are zero
     assert bitwise(scheme.a21[:, :, usl][kept], -T[kept])
     assert not scheme.a21[~kept].any() and not scheme.a21[:, :, psl].any()
-    assert bitwise(inner.a11[:, usl, usl], mass(wdet / xi))
+
+
+def test_blockdiag_writes_the_diagonal_blocks_only(rng):
+    blocks = rng.standard_normal((2, 3, 4, 5))
+    out = _blockdiag(blocks, np.zeros((2, 12, 15)))
+    assert np.array_equal(out, np.stack([block_diag(*b) for b in blocks]))
+    # a single block goes onto every diagonal block
+    one = _blockdiag(blocks[:, :1], np.zeros((2, 12, 15)))
+    assert np.array_equal(one, np.stack([block_diag(*[b[0]] * 3) for b in blocks]))
+    # a strided view of a larger array: nothing but its diagonal blocks changes
+    big = rng.standard_normal((2, 14, 17))
+    expect = big.copy()
+    view = big[:, 1:13, 2:17]
+    assert _blockdiag(blocks, view) is view
+    on = block_diag(*[np.ones((4, 5), dtype=bool)] * 3)
+    expect[:, 1:13, 2:17] = np.where(on, out, expect[:, 1:13, 2:17])
+    assert np.array_equal(big, expect)
 
 
 def test_one_cell_velocity_mass_is_scaled_gram():
@@ -369,19 +390,23 @@ def test_assembled_operators_symmetric(which):
         assert system.coupling is None  # A11 strictly block diagonal per cell
 
 
-def test_quadrature_order_invariance():
+def test_quadrature_order_invariance(monkeypatch):
+    # the polynomial integrands are exact at the fixed order 2k+2: rules
+    # four orders higher give the same operators
     mesh = unit_box_mesh(2, 2)
     spaces = darcy_spaces(mesh, 2)
     params = ProblemParams(k=2, xi=2.0, gamma=0.5)
-    case = manufactured_rhs("darcy", 2, params)
-    a = assemble_darcy(mesh, spaces, params, quad_order=6)
-    b = assemble_darcy(mesh, spaces, params, quad_order=10)
-    d = (a.to_sparse() - b.to_sparse())
-    assert np.abs(d).max() < 1e-13 * np.abs(a.to_sparse()).max()
     spacesS = stokes_spaces(mesh, 2)
     paramsS = ProblemParams(k=2, nu=2.0)
-    aS = assemble_stokes(mesh, spacesS, paramsS, quad_order=6)
-    bS = assemble_stokes(mesh, spacesS, paramsS, quad_order=10)
+    a = assemble_darcy(mesh, spaces, params)
+    aS = assemble_stokes(mesh, spacesS, paramsS)
+    rule = assembly.simplex_quadrature
+    monkeypatch.setattr(assembly, "simplex_quadrature",
+                        lambda dim, order: rule(dim, order + 4))
+    b = assemble_darcy(mesh, spaces, params)
+    bS = assemble_stokes(mesh, spacesS, paramsS)
+    assert b.context.rule.n_points > a.context.rule.n_points
+    assert np.abs(a.to_sparse() - b.to_sparse()).max() < 1e-13 * np.abs(a.to_sparse()).max()
     assert np.abs(aS.to_sparse() - bS.to_sparse()).max() < 1e-13 * np.abs(aS.to_sparse()).max()
 
 

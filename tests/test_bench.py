@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from condensa import bench
 from condensa.assembly import ProblemParams, assemble_darcy, darcy_spaces
 from condensa.bench import (CSV_HEADER, ResultRow, RunConfig, emit,
                             parse_json_rows, run)
@@ -140,6 +141,29 @@ def test_sweep_continues_after_row_failure():
 
     json.loads(text, parse_constant=reject)
     assert parse_json_rows(text) == rows
+
+
+def test_failed_heterogeneous_row_keeps_its_labels(monkeypatch):
+    # a failed row names the same coefficients as a solved row of its case
+    solved = run(small_config(experiment="darcy-heterogeneous"))[0]
+
+    def fail(*args):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(bench, "_solve_case", fail)
+    failed = run(small_config(experiment="darcy-heterogeneous"))[0]
+    assert failed.failed == "RuntimeError: forced"
+    assert (failed.xi, failed.gamma) == (solved.xi, solved.gamma) == ("fn", "fn")
+    assert (failed.nu, failed.zeta, failed.precond) == (solved.nu, solved.zeta,
+                                                        solved.precond)
+
+
+def test_maxit_below_one_is_refused(capsys):
+    with pytest.raises(ValueError, match="maxit"):
+        small_config(maxit=0)
+    with pytest.raises(SystemExit) as exit_:
+        main(["darcy-manufactured", "--levels", "4", "--maxit", "0"])
+    assert exit_.value.code == 2 and "maxit" in capsys.readouterr().err
 
 
 def test_cli_csv_and_exit_code(tmp_path, capsys):

@@ -8,6 +8,7 @@ the points.  They run on random Jacobians, normals and codes, with
 weights from a constant and from a callable coefficient.
 """
 
+import copy
 from itertools import permutations
 
 import numpy as np
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 from condensa.assembly import (ElementContext, ProblemParams, _aux_consistency,
                                _ch_consistency, _coef, _div_div, _div_matrix, _eps_eps,
-                               _facet_gemm, _gemm, _grad_grad, _grad_pairs,
-                               _normal_jump_coupling, _normal_trace, assemble_counterexample_inner,
+                               _gemm, _grad_grad, _grad_pairs,
+                               _normal_jump_coupling, _normal_trace, _penalty,
+                               assemble_counterexample_inner,
                                darcy_spaces)
 from condensa.elements import arrangement_codes
 from condensa.mesh import Mesh, unit_box_mesh
@@ -191,11 +193,13 @@ def test_facet_kernels_match_per_point_oracles(dim, nc, seed, callable_coef):
     Gp = np.einsum("blqne,bek->blqnk", ctx.fgrad_p[codes], Jinv)
     fv = ctx.fv
 
-    assert _rel(_facet_gemm(codes, wf, ctx.fuu).sum(axis=1), facet_scalar_mass(wf, Vu)) < 1e-13
-    assert _rel(_facet_gemm(codes, wf, ctx.fpp).sum(axis=1), facet_scalar_mass(wf, Vp)) < 1e-13
-    assert _rel(_facet_gemm(codes, wf, ctx.ffu), facet_cross(wf, fv, Vu)) < 1e-13
-    assert _rel(_facet_gemm(codes, wf, ctx.ffp), facet_cross(wf, fv, Vp)) < 1e-13
-    assert _rel(_gemm(wf, ctx.ff), facet_bar_blocks(wf, fv)) < 1e-13
+    pctx = copy.copy(ctx)
+    pctx.codes = codes  # _penalty gathers by its context's codes
+    for field, V in (("u", Vu), ("p", Vp)):
+        pen, pen_bar, pen_bb = _penalty(pctx, wf, field)
+        assert _rel(pen, facet_scalar_mass(wf, V)) < 1e-13
+        assert _rel(pen_bar, -facet_cross(wf, fv, V)) < 1e-13
+        assert _rel(pen_bb, facet_bar_blocks(wf, fv)) < 1e-13
     base = ctx.fu_normal[codes]
     T = np.empty((nc, base.shape[1] * base.shape[2], nrm.shape[2] * base.shape[3]))
     assert _rel(_normal_trace(base, nrm, scale, T),

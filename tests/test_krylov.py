@@ -227,6 +227,13 @@ def test_cg_perfect_preconditioner_two_iterations(rng):
     assert np.linalg.norm(S @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
+def test_krylov_rejects_maxit_below_one():
+    # with no iteration there is no residual to report
+    for krylov in (cg, minres):
+        with pytest.raises(ValueError, match="maxit"):
+            krylov(lambda v: v, None, np.ones(3), maxit=0)
+
+
 def test_cg_breakdown_on_indefinite(rng):
     S = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(NotSymmetricPositiveDefinite):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from condensa import precond
 from condensa.assembly import ProblemParams, assemble_counterexample_inner
 from condensa.krylov import NotSymmetricPositiveDefinite
 from condensa.norms import evaluate_norms
@@ -104,7 +105,7 @@ def test_minimization_property(rng):
     # attained at w = -P11^-1 P21^T xbar
     mesh, spaces, params, _, inner = darcy_problem(n=2, with_data=False)
     op = build_reduced(PreconditionerSpec("darcy", "robust", "reduced"),
-                       mesh, spaces, params, inner=inner)
+                       mesh, spaces, params)
     lay = inner.layout
     P = inner.to_sparse()
     for _ in range(5):
@@ -130,20 +131,18 @@ def test_reduced_spd_across_sweep(xi, gamma):
     mesh, spaces, params, _, inner = darcy_problem(n=4, xi=xi, gamma=gamma,
                                                    with_data=False)
     op = build_reduced(PreconditionerSpec("darcy", "robust", "reduced"),
-                       mesh, spaces, params, inner=inner)  # factor_spd certifies
+                       mesh, spaces, params)  # factor_spd certifies
     assert op.S.shape[0] == inner.layout.n_trace
 
 
 @pytest.mark.parametrize("zeta,hatted", [(0.0, False), (100.0, False), (100.0, True)])
 def test_stokes_variants_spd(zeta, hatted):
-    mesh, spaces, params, _, inner = stokes_problem(n=2, nu=1e-6, zeta=zeta,
-                                                    hatted=hatted, with_data=False)
+    mesh, spaces, params, _, _ = stokes_problem(n=2, nu=1e-6, zeta=zeta,
+                                                hatted=hatted, with_data=False)
     build_reduced(PreconditionerSpec("stokes", "robust", "reduced", zeta=zeta,
-                                     hatted=hatted), mesh, spaces, params,
-                  inner=inner)
+                                     hatted=hatted), mesh, spaces, params)
     build_full(PreconditionerSpec("stokes", "robust", "full", zeta=zeta,
-                                  hatted=hatted), mesh, spaces, params,
-               inner=inner)
+                                  hatted=hatted), mesh, spaces, params)
 
 
 def test_hatted_positivity_certified_at_factorization():
@@ -158,14 +157,14 @@ def test_hatted_positivity_certified_at_factorization():
                   mesh, spaces, bad)
 
 
-def test_cell_block_inverses_and_certificate():
+def test_cell_block_inverses_and_certificate(monkeypatch):
     # the full Darcy preconditioner's cell solve applies the inverse of each
     # whole cell block (velocity and pressure), against np.linalg.inv; a
     # velocity entry made indefinite is refused by cell at both levels
     import copy
     mesh, spaces, params, _, inner = darcy_problem(n=2, xi=1e-6, gamma=1e4, with_data=False)
     spec = PreconditionerSpec("darcy", "robust", "full")
-    op = build_full(spec, mesh, spaces, params, inner=inner)
+    op = build_full(spec, mesh, spaces, params)
     nc, cs = inner.a11.shape[:2]
     got = np.stack([op._cell_solve(np.broadcast_to(e, (nc, cs))) for e in np.eye(cs)],
                    axis=2)
@@ -175,10 +174,10 @@ def test_cell_block_inverses_and_certificate():
     bad.a11 = inner.a11.copy()
     sl = inner.layout.cell_field_slice("u")
     bad.a11[3, sl.start, sl.start] *= -1.0
+    monkeypatch.setattr(precond, "assemble_inner", lambda *args: bad)
     for level, build in (("full", build_full), ("reduced", build_reduced)):
         with pytest.raises(NotSymmetricPositiveDefinite, match=r"\(cell 3\)"):
-            build(PreconditionerSpec("darcy", "robust", level), mesh, spaces, params,
-                  inner=bad)
+            build(PreconditionerSpec("darcy", "robust", level), mesh, spaces, params)
 
 
 @pytest.mark.parametrize("problem,kind", [("darcy", "robust"),
