@@ -1,4 +1,5 @@
-"""Experiment harness: parameter sweeps, iteration tables, and reports.
+"""Experiment harness: parameter sweeps, iteration tables, measured
+constants and reports.
 
 Benchmark experiments on structured Kuhn meshes:
 2D levels n in {8, 16, 32, 64} and 3D levels n in {2, 4, 8} cover the
@@ -8,9 +9,9 @@ eliminates in the mesh's nested-dissection facet order.  At 3D n=12
 (119,232 trace dofs, 2 CPUs, measured 2026-10-19) the supernodal Cholesky
 takes 3.0-3.4 s and stores 43M entries, one solve 77 ms, and the whole
 row 10 s at 1.45 GB peak memory (SuperLU before it: 12 s, 71M entries,
-21 s, 2.3 GB).  Scaled from n=8 and 12 as N^1.37 for the fill and N^2 for
-the flops, 3D n=16 would store about 140M entries (1.1 GB) and factor in
-about 17-19 s, with a peak near 3-3.5 GB: estimates, not measurements.
+21 s, 2.3 GB).  At 3D n=16 (285,696 trace dofs, same machine, measured
+2026-10-19) it stores 134.4M entries and factors in 7.3-7.8 s, and a row
+takes 20-26 s at a 3.53 GB peak and 44 CG iterations.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import math
 import time
 import warnings
 from dataclasses import asdict, dataclass
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -30,13 +33,14 @@ from .krylov import cg, minres
 from .manufactured import manufactured_rhs
 from .mesh import Mesh, unit_box_mesh, write_mesh_text
 from .norms import l2_errors
-from .precond import PreconditionerSpec, build_full, build_reduced
+from .precond import PreconditionerSpec, assemble_inner, build_full, build_reduced
+from .spectra import SpectralReport, lemma_probes, reduced_bounds_check
 
-__all__ = ["RunConfig", "ResultRow", "run", "emit", "parse_json_rows",
+__all__ = ["RunConfig", "ResultRow", "run", "spectrum", "emit", "parse_json_rows",
            "EXPERIMENTS", "CSV_HEADER"]
 
 EXPERIMENTS = ("darcy-manufactured", "darcy-heterogeneous", "darcy-counterexample",
-               "stokes-manufactured", "stokes-cavity", "spectrum", "convergence")
+               "stokes-manufactured", "stokes-cavity", "spectrum")
 
 CSV_HEADER = ("experiment,dim,level,cells,trace_dofs,xi,gamma,nu,zeta,"
               "precond,iters,converged,resid,err_u,err_p,seconds")
@@ -68,6 +72,16 @@ class RunConfig:
             raise ValueError("dim must be 2 or 3")
         if self.maxit < 1:
             raise ValueError(f"maxit must be at least 1, got {self.maxit}")
+        if self.experiment != "spectrum":   # spectrum names its problem per call
+            self.refuse_ignored("stokes" if self.experiment.startswith("stokes")
+                                else "darcy")
+
+    def refuse_ignored(self, problem: str):
+        """Raise ValueError on a zeta, hatted or precond that runs of
+        `problem` would ignore, by PreconditionerSpec's Darcy-only and
+        Stokes-only rules."""
+        for zeta in self.zeta:
+            PreconditionerSpec(problem, self.precond, zeta=zeta, hatted=self.hatted)
 
     def tolerance(self) -> float:
         if self.tol is not None:
@@ -104,71 +118,64 @@ class ResultRow:
         return str(self.iters) if self.converged else f">{maxit}"
 
 
-def _domain(config: RunConfig):
-    if config.experiment == "stokes-cavity" and config.dim == 2:
-        return (-1.0, -1.0), (2.0, 2.0)
-    return None, None
+def _meshes(config: RunConfig):
+    """n -> the level's mesh, built once while consecutive calls ask for
+    the same level (cases come level by level).  The 2D cavity is (-1,1)^2."""
+    cavity = config.experiment == "stokes-cavity" and config.dim == 2
+    box = ((-1.0, -1.0), (2.0, 2.0)) if cavity else (None, None)
+    return lru_cache(maxsize=1)(lambda n: unit_box_mesh(config.dim, n, *box))
 
 
-def _mesh_for(config: RunConfig, n: int) -> Mesh:
-    origin, extent = _domain(config)
-    return unit_box_mesh(config.dim, n, origin=origin, extent=extent)
-
-
-def _row_cases(config: RunConfig):
-    """Deterministic config-order enumeration of (level, params, spec)."""
+def _row_cases(config: RunConfig, problem: str | None = None):
+    """Deterministic config-order enumeration of (level, params, spec);
+    a spectrum sweeps the cases of `problem`'s manufactured experiment."""
+    exp = config.experiment if problem is None else f"{problem}-manufactured"
+    kind, levels = (("counterexample", ("full", "reduced")) if exp == "darcy-counterexample"
+                    else (config.precond, ("reduced",)))
     cases = []
-    exp = config.experiment
     for n in config.levels:
-        if exp in ("darcy-manufactured", "convergence", "darcy-heterogeneous"):
+        if exp.startswith("darcy"):
             sweep = ([(1.0, 1.0)] if exp == "darcy-heterogeneous"
-                     else [(x, g) for x in config.xi for g in config.gamma])
-            for x, g in sweep:
-                spec = PreconditionerSpec("darcy", config.precond, "reduced")
-                cases.append((n, {"xi": x, "gamma": g}, spec))
-        elif exp == "darcy-counterexample":
-            for x, g in [(x, g) for x in config.xi for g in config.gamma]:
-                for level in ("full", "reduced"):
-                    spec = PreconditionerSpec("darcy", "counterexample", level)
-                    cases.append((n, {"xi": x, "gamma": g}, spec))
-        elif exp in ("stokes-manufactured", "stokes-cavity"):
-            for nu in config.nu:
-                for zeta in config.zeta:
-                    spec = PreconditionerSpec("stokes", "robust", "reduced",
-                                              zeta=zeta, hatted=config.hatted)
-                    cases.append((n, {"nu": nu, "zeta": zeta}, spec))
+                     else product(config.xi, config.gamma))
+            for (x, g), level in product(sweep, levels):
+                cases.append((n, {"xi": x, "gamma": g}, PreconditionerSpec("darcy", kind, level)))
+        elif exp.startswith("stokes"):
+            for nu, zeta in product(config.nu, config.zeta):
+                spec = PreconditionerSpec("stokes", kind, "reduced", zeta=zeta,
+                                          hatted=config.hatted)
+                cases.append((n, {"nu": nu, "zeta": zeta}, spec))
         else:
             raise ValueError(f"run() does not drive experiment {exp!r}")
     return cases
 
 
-def _assemble_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec):
-    """(mesh, spaces, params, case, system): the scheme one row solves."""
-    mesh = _mesh_for(config, n)
+def _assemble_case(config: RunConfig, mesh: Mesh, pdict: dict, spec: PreconditionerSpec):
+    """(spaces, params, case, system): the scheme one row solves.  A
+    spectrum case is the bare operator: no load, no boundary data, case None."""
     params = config.params(**pdict)
-    if spec.problem == "darcy":
-        if config.experiment == "darcy-heterogeneous":
-            case = manufactured_rhs("darcy-heterogeneous", config.dim, params)
-            params = config.params(xi=case.xi_fn, gamma=case.gamma_fn)
-        else:
-            case = manufactured_rhs("darcy", config.dim, params)
-        spaces = darcy_spaces(mesh, config.k)
-        system = assemble_darcy(mesh, spaces, params, f=case.f,
-                                p_dirichlet=case.dirichlet)
-    else:
-        tag = "stokes-cavity" if config.experiment == "stokes-cavity" else "stokes"
+    case = None
+    if config.experiment != "spectrum":
+        tag = {"darcy-manufactured": "darcy", "darcy-counterexample": "darcy",
+               "stokes-manufactured": "stokes"}.get(config.experiment, config.experiment)
         case = manufactured_rhs(tag, config.dim, params)
+        if case.xi_fn is not None:
+            params = config.params(xi=case.xi_fn, gamma=case.gamma_fn)
+    f, bc = (None, None) if case is None else (case.f, case.dirichlet)
+    if spec.problem == "darcy":
+        spaces = darcy_spaces(mesh, config.k)
+        system = assemble_darcy(mesh, spaces, params, f=f, p_dirichlet=bc)
+    else:
         spaces = stokes_spaces(mesh, config.k)
-        system = assemble_stokes(mesh, spaces, params, f=case.f,
-                                 u_dirichlet=case.dirichlet)
-    return mesh, spaces, params, case, system
+        system = assemble_stokes(mesh, spaces, params, f=f, u_dirichlet=bc)
+    return spaces, params, case, system
 
 
-def _solve_case(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec):
+def _solve_case(config: RunConfig, mesh: Mesh, n: int, pdict: dict,
+                spec: PreconditionerSpec):
     t0 = time.perf_counter()
     tol = config.tolerance()
     errs: dict = {}
-    mesh, spaces, params, case, system = _assemble_case(config, n, pdict, spec)
+    spaces, params, case, system = _assemble_case(config, mesh, pdict, spec)
     reduced = spec.level == "reduced"
     if reduced:
         condensed = condense(system)
@@ -210,14 +217,15 @@ def run(config: RunConfig) -> list[ResultRow]:
     Each row counts the RuntimeWarnings raised while it ran (for example
     CG residual growth) in its warnings field; other warnings pass on.
     """
+    mesh_at = _meshes(config)
     if config.mesh_out:
-        write_mesh_text(_mesh_for(config, config.levels[0]), config.mesh_out)
+        write_mesh_text(mesh_at(config.levels[0]), config.mesh_out)
     rows = []
     for n, pdict, spec in _row_cases(config):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             try:
-                row = _solve_case(config, n, pdict, spec)
+                row = _solve_case(config, mesh_at(n), n, pdict, spec)
             except Exception as exc:  # row-level containment, sweep continues
                 row = _row(config, n, pdict, spec, cells=0, trace_dofs=0, iters=0,
                            converged=False, resid=None,
@@ -229,17 +237,17 @@ def run(config: RunConfig) -> list[ResultRow]:
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         rows.append(row)
     if config.dump_matrices:
-        _dump_matrices(config)
+        _dump_matrices(config, mesh_at)
     return rows
 
 
-def _dump_matrices(config: RunConfig):
+def _dump_matrices(config: RunConfig, mesh_at):
     """Coordinate-list text dump (1-based) of the first row's operators."""
     import os
 
     os.makedirs(config.dump_matrices, exist_ok=True)
     n, pdict, spec = _row_cases(config)[0]
-    system = _assemble_case(config, n, pdict, spec)[-1]
+    system = _assemble_case(config, mesh_at(n), pdict, spec)[-1]
     for name, M in (("monolithic", system.to_sparse()),
                     ("schur", condense(system).S)):
         coo = M.tocoo()
@@ -247,6 +255,28 @@ def _dump_matrices(config: RunConfig):
         with open(path, "w") as fh:
             for r, c, v in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
+
+
+def spectrum(config: RunConfig, problem: str, probes=None) -> list[dict]:
+    """Measured constants of every `problem` case of the sweep: Darcy
+    sweeps xi x gamma under config.precond, Stokes nu x zeta (hatted with
+    config.hatted).  Each case gives its reduced_bounds_check row, then its
+    lemma_probes row (`probes`, default the problem's set), both with the
+    level and the label "<spec label>;<param>=<value>;..."."""
+    config.refuse_ignored(problem)
+    mesh_at = _meshes(config)
+    rows = []
+    for n, pdict, spec in _row_cases(config, problem):
+        mesh = mesh_at(n)
+        spaces, params, _, system = _assemble_case(config, mesh, pdict, spec)
+        rep = reduced_bounds_check(system, assemble_inner(spec, mesh, spaces, params))
+        SpectralReport(*(rep[k] for k in ("c_b", "c_i", "kappa_full", "kappa_reduced",
+                                          "c_l"))).validate()
+        label = ";".join([spec.label()] + [f"{k}={v:g}" for k, v in pdict.items()])
+        rep.update(level=n, label=label)
+        (probe_row,) = lemma_probes(problem, config.dim, (n,), params, probes=probes)
+        rows += [rep, {**probe_row, "label": label}]
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .assembly import ProblemParams
-from .bench import EXPERIMENTS, RunConfig, emit, run
-from .spectra import (PROBE_SETS, SpectralReport, lemma_probes,
-                      reduced_bounds_check, write_constants_csv)
+from .bench import EXPERIMENTS, RunConfig, emit, run, spectrum
+from .spectra import write_constants_csv
+
+# flags only one kind of run reads; the other refuses them unless left at
+# the default
+SWEEP_ONLY = ("tol", "maxit", "format", "no_timing", "dump_matrices", "mesh_out")
+SPECTRUM_ONLY = ("probes", "problem")
 
 
 def _floats(text: str):
@@ -57,51 +60,11 @@ def _default_levels(experiment: str, dim: int):
     return (8, 16, 32) if dim == 2 else (2, 4, 8)
 
 
-def _run_spectrum(args) -> int:
-    from .assembly import (assemble_darcy, assemble_darcy_inner, assemble_stokes,
-                           assemble_stokes_inner, darcy_spaces, stokes_spaces)
-    from .mesh import unit_box_mesh
-
-    params = ProblemParams(k=args.k, xi=args.xi[0], gamma=args.gamma[0],
-                           nu=args.nu[0], eta=args.eta)
-    rows = []
-    for n in args.levels:
-        mesh = unit_box_mesh(args.dim, n)
-        if args.problem == "darcy":
-            spaces = darcy_spaces(mesh, args.k)
-            system = assemble_darcy(mesh, spaces, params)
-            inner = assemble_darcy_inner(mesh, spaces, params)
-        else:
-            spaces = stokes_spaces(mesh, args.k)
-            system = assemble_stokes(mesh, spaces, params)
-            inner = assemble_stokes_inner(mesh, spaces, params)
-        rep = reduced_bounds_check(system, inner)
-        SpectralReport(c_b=rep["c_b"], c_i=rep["c_i"],
-                       kappa_full=rep["kappa_full"],
-                       kappa_reduced=rep["kappa_reduced"], c_l=rep["c_l"]).validate()
-        rep["level"] = n
-        rep["upper_ok"] = float(rep["upper_ok"])
-        rep["lower_ok"] = float(rep["lower_ok"])
-        rows.append(rep)
-    probes = (tuple(args.probes.split(",")) if args.probes
-              else PROBE_SETS[args.problem])
-    probe_rows = lemma_probes(args.problem, args.dim, args.levels, params,
-                              probes=probes)
-    rows.extend(probe_rows)
-    path = args.out or "spectrum.csv"
-    write_constants_csv(path, rows, params)
-    print(f"wrote {path}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     if args.levels is None:
         args.levels = _default_levels(args.experiment, args.dim)
-    if args.experiment == "spectrum":
-        return _run_spectrum(args)
-
     try:
         config = RunConfig(
             experiment=args.experiment, dim=args.dim, levels=tuple(args.levels),
@@ -109,8 +72,21 @@ def main(argv=None) -> int:
             zeta=args.zeta, precond=args.precond, hatted=args.hatted, tol=args.tol,
             maxit=args.maxit, timing=not args.no_timing, mesh_out=args.mesh_out,
             dump_matrices=args.dump_matrices)
+        if args.experiment == "spectrum":
+            config.refuse_ignored(args.problem)
+        only = SWEEP_ONLY if args.experiment == "spectrum" else SPECTRUM_ONLY
+        ignored = [f"--{d.replace('_', '-')}" for d in only
+                   if getattr(args, d) != parser.get_default(d)]
+        if ignored:
+            raise ValueError(f"{args.experiment} does not read {', '.join(ignored)}")
     except ValueError as exc:
         parser.error(str(exc))
+    if args.experiment == "spectrum":
+        probes = tuple(args.probes.split(",")) if args.probes else None
+        path = args.out or "spectrum.csv"
+        write_constants_csv(path, spectrum(config, args.problem, probes))
+        print(f"wrote {path}")
+        return 0
     rows = run(config)
     text = emit(rows, fmt=args.format, path=args.out, maxit=args.maxit)
     if not args.out:

@@ -24,7 +24,6 @@ class ManufacturedCase:
     dirichlet: object            # boundary data callable (p_D or u_D)
     exact_u: object | None = None
     exact_p: object | None = None
-    exact_grad_u: object | None = None
     xi_fn: object | None = None
     gamma_fn: object | None = None
     meta: dict = field(default_factory=dict)

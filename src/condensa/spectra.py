@@ -294,21 +294,14 @@ def lemma_probes(problem: str, dim: int, levels, params: ProblemParams,
     return out
 
 
-def write_constants_csv(path, rows: list[dict], params: ProblemParams | None = None):
-    """CSV export: level, parameters, constant name, value."""
+def write_constants_csv(path, rows: list[dict]):
+    """CSV export: level, the row's case label (empty when it has none),
+    constant name, value."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["level", "params", "constant", "value"])
-        ptxt = "" if params is None else _params_text(params)
         for row in rows:
-            level = row.get("level", "")
             for key, val in row.items():
-                if key in ("level", "cells"):
-                    continue
-                w.writerow([level, ptxt, key, repr(float(val))])
-
-
-def _params_text(p: ProblemParams) -> str:
-    xi = "fn" if callable(p.xi) else f"{p.xi:g}"
-    ga = "fn" if callable(p.gamma) else f"{p.gamma:g}"
-    return f"xi={xi};gamma={ga};nu={p.nu:g};zeta={p.zeta:g}"
+                if key not in ("level", "cells", "label"):
+                    w.writerow([row.get("level", ""), row.get("label", ""), key,
+                                repr(float(val))])

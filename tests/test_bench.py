@@ -5,13 +5,16 @@ import pytest
 import scipy.sparse as sp
 
 from condensa import bench
-from condensa.assembly import ProblemParams, assemble_darcy, darcy_spaces
+from condensa.assembly import (ProblemParams, assemble_counterexample_inner, assemble_darcy,
+                               assemble_darcy_inner, assemble_stokes, assemble_stokes_inner,
+                               darcy_spaces, stokes_spaces)
 from condensa.bench import (CSV_HEADER, ResultRow, RunConfig, emit,
                             parse_json_rows, run)
 from condensa.cli import main
 from condensa.condense import condense
 from condensa.manufactured import manufactured_rhs
 from condensa.mesh import unit_box_mesh
+from condensa.spectra import reduced_bounds_check
 
 from conftest import sparse_modes
 
@@ -267,6 +270,126 @@ def test_precond_flag_switches_reduced_preconditioner():
     assert rows[0].iters > base[0].iters  # non-robust reduced variant
 
 
-def test_convergence_experiment_tag():
-    rows = run(small_config(experiment="convergence", levels=(4, 8)))
-    assert len(rows) == 2 and all(r.err_u is not None for r in rows)
+def test_each_level_builds_one_mesh(monkeypatch, tmp_path):
+    """Every row of a level, and --mesh-out, get the same Mesh object."""
+    seen = []
+    monkeypatch.setattr(bench, "write_mesh_text", lambda mesh, path: seen.append(("out", mesh)))
+    solve = bench._solve_case
+
+    def record(config, mesh, n, *args):
+        seen.append((n, mesh))
+        return solve(config, mesh, n, *args)
+
+    monkeypatch.setattr(bench, "_solve_case", record)
+    rows = run(small_config(levels=(2, 4), gamma=(1.0, 1e4), mesh_out=str(tmp_path / "m")))
+    assert [r.level for r in rows] == [2, 2, 4, 4] and not any(r.failed for r in rows)
+    assert [n for n, _ in seen] == ["out", 2, 2, 4, 4]
+    assert seen[0][1] is seen[1][1] is seen[2][1]
+    assert seen[3][1] is seen[4][1] and seen[3][1] is not seen[1][1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["darcy-manufactured", "--zeta", "100"], "Stokes-only"),
+    (["darcy-heterogeneous", "--hatted"], "Stokes-only"),
+    (["stokes-manufactured", "--precond", "counterexample"], "Darcy-only"),
+    (["spectrum", "--hatted"], "Stokes-only"),
+    (["spectrum", "--problem", "stokes", "--precond", "counterexample"], "Darcy-only"),
+    (["spectrum", "--tol", "1e-6"], "--tol"),
+    (["spectrum", "--maxit", "10"], "--maxit"),
+    (["spectrum", "--format", "md"], "--format"),
+    (["spectrum", "--format", "json"], "--format"),
+    (["spectrum", "--no-timing"], "--no-timing"),
+    (["spectrum", "--dump-matrices", "mats"], "--dump-matrices"),
+    (["spectrum", "--mesh-out", "mesh.txt"], "--mesh-out"),
+    (["darcy-manufactured", "--probes", "inf_sup"], "--probes"),
+    (["stokes-manufactured", "--problem", "stokes"], "--problem"),
+])
+def test_ignored_arguments_are_refused(argv, message, capsys, tmp_path, monkeypatch):
+    """A flag the run would ignore is a usage error (exit 2), before any work."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--levels", "2"])
+    assert exit_.value.code == 2 and message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_config_refuses_ignored_fields():
+    with pytest.raises(ValueError, match="Stokes-only"):
+        small_config(zeta=(0.0, 100.0))
+    with pytest.raises(ValueError, match="Stokes-only"):
+        small_config(experiment="darcy-counterexample", hatted=True)
+    with pytest.raises(ValueError, match="Darcy-only"):
+        RunConfig("stokes-cavity", precond="counterexample")
+    spectrum = RunConfig("spectrum", levels=(2,), zeta=(100.0,))
+    with pytest.raises(ValueError, match="Stokes-only"):
+        bench.spectrum(spectrum, "darcy")
+
+
+def _spectrum_blocks(out, *argv):
+    """{label: [(level, constant, value), ...]} of a spectrum CSV, in file order."""
+    assert main(["spectrum", "--out", str(out), *argv]) == 0
+    blocks: dict = {}
+    for level, label, name, value in (line.split(",") for line in
+                                      out.read_text().splitlines()[1:]):
+        blocks.setdefault(label, []).append((int(level), name, float(value)))
+    return blocks
+
+
+def test_spectrum_sweeps_every_case(tmp_path):
+    """--xi x --gamma gives one labelled block per case, bounds row then
+    probe row, each equal to the single-case run of that case."""
+    blocks = _spectrum_blocks(tmp_path / "all.csv", "--levels", "2", "--xi", "1,1e-6",
+                              "--gamma", "1,1e4")
+    assert list(blocks) == ["darcy-reduced;xi=1;gamma=1", "darcy-reduced;xi=1;gamma=10000",
+                            "darcy-reduced;xi=1e-06;gamma=1",
+                            "darcy-reduced;xi=1e-06;gamma=10000"]
+    for label, rows in blocks.items():
+        xi, gamma = (part.split("=")[1] for part in label.split(";")[1:])
+        single = _spectrum_blocks(tmp_path / "one.csv", "--levels", "2", "--xi", xi,
+                                  "--gamma", gamma)
+        assert single == {label: rows}
+        names = [name for _, name, _ in rows]
+        assert names[0] == "c_b" and names.index("lower_ok") < names.index("beta")
+
+
+def _bounds_values(rows):
+    return {name: value for _, name, value in rows}
+
+
+def test_spectrum_stokes_hatted_zeta(tmp_path):
+    """--hatted --zeta 100 measures the hatted grad-div inner product."""
+    (rows,) = _spectrum_blocks(tmp_path / "s.csv", "--problem", "stokes", "--levels", "2",
+                               "--hatted", "--zeta", "100",
+                               "--probes", "ch_coercivity").values()
+    params = ProblemParams(k=2, zeta=100.0)
+    mesh = unit_box_mesh(2, 2)
+    spaces = stokes_spaces(mesh, 2)
+    want = reduced_bounds_check(assemble_stokes(mesh, spaces, params),
+                                assemble_stokes_inner(mesh, spaces, params, hatted=True))
+    got = _bounds_values(rows)
+    assert all(got[name] == float(value) for name, value in want.items())
+    plain = reduced_bounds_check(assemble_stokes(mesh, spaces, ProblemParams(k=2)),
+                                 assemble_stokes_inner(mesh, spaces, ProblemParams(k=2)))
+    assert got["c_l"] != plain["c_l"]
+
+
+def test_spectrum_counterexample_lifting_grows(tmp_path):
+    """--precond counterexample measures the counterexample inner product,
+    whose lifting constant exceeds the robust one."""
+    def c_l(precond):
+        (label, rows), = _spectrum_blocks(tmp_path / f"{precond}.csv", "--levels", "4",
+                                          "--precond", precond, "--probes", "inf_sup").items()
+        return label, _bounds_values(rows)
+
+    label, got = c_l("counterexample")
+    assert label == "counterexample-reduced;xi=1;gamma=1"
+    params = ProblemParams(k=2)
+    mesh = unit_box_mesh(2, 4)
+    spaces = darcy_spaces(mesh, 2)
+    want = reduced_bounds_check(assemble_darcy(mesh, spaces, params),
+                                assemble_counterexample_inner(mesh, spaces, params))
+    assert all(got[name] == float(value) for name, value in want.items())
+    robust = reduced_bounds_check(assemble_darcy(mesh, spaces, params),
+                                  assemble_darcy_inner(mesh, spaces, params))
+    assert c_l("robust")[1]["c_l"] == robust["c_l"]
+    assert got["c_l"] > 10 * robust["c_l"]

@@ -182,7 +182,7 @@ def test_probe_rows_and_csv(tmp_path):
                         probes=("aux_coercivity", "inf_sup"))
     assert all(r["aux_coercivity_lo"] > 0 and r["beta"] > 0 for r in rows)
     path = tmp_path / "constants.csv"
-    write_constants_csv(path, rows, params)
+    write_constants_csv(path, rows)
     text = path.read_text().splitlines()
     assert text[0] == "level,params,constant,value"
     assert len(text) == 1 + sum(len(r) - 2 for r in rows)
