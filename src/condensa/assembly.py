@@ -29,6 +29,7 @@ The Stokes scheme is symmetric as written and is stored untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,6 +192,9 @@ class ElementContext:
         # global facet quadrature points, canonical facet parameterization
         self.Xf = facet_barycentric(self.frule) @ verts[mesh.facets]
         self.fscale = mesh.facet_areas / reference_measure(d - 1)
+        for value in vars(self).values():   # shared by the assemblies of a mesh
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     # -- per-cell geometry -------------------------------------------------
     def cell_weights(self) -> np.ndarray:
@@ -215,6 +219,13 @@ class ElementContext:
         """Cell-basis values at each local facet's quadrature points,
         gathered by arrangement code: (cells, d+1, qf, nb)."""
         return (self.fvals_u if which == "u" else self.fvals_p)[self.codes]
+
+
+@lru_cache(maxsize=1)
+def _context(mesh, k: int) -> ElementContext:
+    """One ElementContext while consecutive assemblies ask for the same
+    (mesh, k), so a row's scheme and inner product share it."""
+    return ElementContext(mesh, k)
 
 
 @dataclass
@@ -518,7 +529,7 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None,
     """
     k = params.k
     _check_darcy_spaces(mesh, spaces, k)
-    ctx = ElementContext(mesh, k)
+    ctx = _context(mesh, k)
     lay = _darcy_layout(mesh, spaces)
     fixed = {}
     if p_dirichlet is not None:
@@ -552,7 +563,7 @@ def assemble_darcy_inner(mesh, spaces, params: ProblemParams) -> BlockSystem:
     <h^-1 (p - pbar), (q - qbar)>."""
     k = params.k
     _check_darcy_spaces(mesh, spaces, k)
-    ctx = ElementContext(mesh, k)
+    ctx = _context(mesh, k)
     lay = _darcy_layout(mesh, spaces)
     eta = params.eta_for(mesh.dim)
 
@@ -585,7 +596,7 @@ def assemble_counterexample_inner(mesh, spaces, params: ProblemParams) -> BlockS
     _check_darcy_spaces(mesh, spaces, k)
     M = params.big_m  # raises for callable coefficients
     xi = float(params.xi)
-    ctx = ElementContext(mesh, k)
+    ctx = _context(mesh, k)
     lay = _darcy_layout(mesh, spaces)
 
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
@@ -648,7 +659,7 @@ def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None) -> BlockSystem
     """Interior-penalty HDG form for -div(xi grad p) + gamma p on the
     pressure pair; symmetric, coercive for eta at the default values."""
     k = params.k
-    ctx = ElementContext(mesh, k)
+    ctx = _context(mesh, k)
     lay = BlockLayout(mesh, (("p", spaces["p"]),), (("pbar", spaces["pbar"]),))
     eta = params.eta_for(mesh.dim)
 
@@ -740,7 +751,7 @@ def assemble_stokes(mesh, spaces, params: ProblemParams, f=None,
     k = params.k
     _check_stokes_spaces(mesh, spaces, k)
     nu = float(params.nu)
-    ctx = ElementContext(mesh, k)
+    ctx = _context(mesh, k)
     lay = _stokes_layout(mesh, spaces)
     eta = params.eta_for(mesh.dim)
 
@@ -806,7 +817,7 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams,
     k = params.k
     _check_stokes_spaces(mesh, spaces, k)
     nu, zeta = float(params.nu), float(params.zeta)
-    ctx = ElementContext(mesh, k)
+    ctx = _context(mesh, k)
     lay = _stokes_layout(mesh, spaces)
     eta = params.eta_for(mesh.dim)
 
@@ -841,7 +852,7 @@ def assemble_stokes_ch(mesh, spaces, params: ProblemParams) -> BlockSystem:
     """The c_h velocity form alone on (u; ubar): probe support for the
     condensed-velocity estimates."""
     k = params.k
-    ctx = ElementContext(mesh, k)
+    ctx = _context(mesh, k)
     lay = BlockLayout(mesh, (("u", spaces["u"]),), (("ubar", spaces["ubar"]),))
     Y = _grad_pairs(ctx.cell_weights(), ctx.gugu, ctx.Jinv)
     uu, cross, ubu = _ch_blocks(ctx, Y, float(params.nu), params.eta_for(mesh.dim))

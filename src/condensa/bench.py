@@ -1,10 +1,10 @@
 """Experiment harness: parameter sweeps, iteration tables, measured
 constants and reports.
 
-Benchmark experiments on structured Kuhn meshes:
-2D levels n in {8, 16, 32, 64} and 3D levels n in {2, 4, 8} cover the
-desk-scale range; robustness in h and in the model parameters is the
-claim under test, not exact cell counts.  The exact sparse factor of S_P
+Structured Kuhn meshes.  Default levels: n = 8, 16, 32 (2D) and 2, 4, 8
+(3D) for a sweep, 4, 8 (2D) and 2 (3D) for a spectrum; with 2D n=64 they
+span the desk-scale range.  Robustness in h and in the model parameters
+is the claim under test, not exact cell counts.  The exact factor of S_P
 eliminates in the mesh's nested-dissection facet order.  At 3D n=12
 (119,232 trace dofs, 2 CPUs, measured 2026-10-19) the supernodal Cholesky
 takes 3.0-3.4 s and stores 43M entries, one solve 77 ms, and the whole
@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from itertools import product
 
@@ -34,23 +35,37 @@ from .manufactured import manufactured_rhs
 from .mesh import Mesh, unit_box_mesh, write_mesh_text
 from .norms import l2_errors
 from .precond import PreconditionerSpec, assemble_inner, build_full, build_reduced
-from .spectra import SpectralReport, lemma_probes, reduced_bounds_check
+from .spectra import (PROBE_SETS, SpectralReport, lemma_probes, probe_names,
+                      reduced_bounds_check)
 
 __all__ = ["RunConfig", "ResultRow", "run", "spectrum", "emit", "parse_json_rows",
            "EXPERIMENTS", "CSV_HEADER"]
 
-EXPERIMENTS = ("darcy-manufactured", "darcy-heterogeneous", "darcy-counterexample",
-               "stokes-manufactured", "stokes-cavity", "spectrum")
-
 CSV_HEADER = ("experiment,dim,level,cells,trace_dofs,xi,gamma,nu,zeta,"
               "precond,iters,converged,resid,err_u,err_p,seconds")
+
+
+# The RunConfig fields each experiment reads beyond experiment, dim, levels, k
+# and eta; every sweep also reads SWEEP_READS, a spectrum its problem's sweep's.
+# RunConfig refuses any other field off its default, naming it in backquotes.
+READS = {
+    "darcy-manufactured": ("xi", "gamma", "precond"),
+    "darcy-heterogeneous": ("precond",),
+    "darcy-counterexample": ("xi", "gamma"),
+    "stokes-manufactured": ("nu", "zeta", "hatted"),
+    "stokes-cavity": ("nu", "zeta", "hatted"),
+    "spectrum": ("problem", "probes"),
+}
+SWEEP_READS = ("tol", "maxit", "timing", "mesh_out", "dump_matrices")
+EXPERIMENTS = tuple(READS)
+DEFAULT_LEVELS = {2: ((8, 16, 32), (4, 8)), 3: ((2, 4, 8), (2,))}   # (sweep, spectrum)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     experiment: str
     dim: int = 2
-    levels: tuple = (8, 16, 32)
+    levels: tuple | None = None       # None: DEFAULT_LEVELS
     k: int = 2
     eta: float | None = None
     xi: tuple = (1.0,)
@@ -64,24 +79,32 @@ class RunConfig:
     timing: bool = True
     mesh_out: str | None = None
     dump_matrices: str | None = None
+    problem: str = "darcy"            # spectrum: whose constants it measures
+    probes: tuple | None = None       # spectrum: None is the problem's set
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
+        if self.problem not in PROBE_SETS:
+            raise ValueError(f"unknown problem {self.problem!r}")
+        spectrum = self.experiment == "spectrum"
+        own = self.problem if spectrum else self.experiment.split("-")[0]
+        reads = ("experiment", "dim", "levels", "k", "eta") + READS[self.experiment] + (
+            READS[f"{own}-manufactured"] if spectrum else SWEEP_READS)
+        unread = []
+        for f in fields(self):   # a field only another problem reads says whose it is
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                by = {e.split("-")[0] for e, names in READS.items() if f.name in names} - {own}
+                unread.append(f"`{f.name}`" + (f" ({by.pop().title()}-only)" if by else ""))
+        if unread:
+            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
         if self.maxit < 1:
-            raise ValueError(f"maxit must be at least 1, got {self.maxit}")
-        if self.experiment != "spectrum":   # spectrum names its problem per call
-            self.refuse_ignored("stokes" if self.experiment.startswith("stokes")
-                                else "darcy")
-
-    def refuse_ignored(self, problem: str):
-        """Raise ValueError on a zeta, hatted or precond that runs of
-        `problem` would ignore, by PreconditionerSpec's Darcy-only and
-        Stokes-only rules."""
-        for zeta in self.zeta:
-            PreconditionerSpec(problem, self.precond, zeta=zeta, hatted=self.hatted)
+            raise ValueError(f"`maxit` must be at least 1, got {self.maxit}")
+        probe_names(self.problem, self.probes)
+        if self.levels is None:
+            object.__setattr__(self, "levels", DEFAULT_LEVELS[self.dim][spectrum])
 
     def tolerance(self) -> float:
         if self.tol is not None:
@@ -126,10 +149,11 @@ def _meshes(config: RunConfig):
     return lru_cache(maxsize=1)(lambda n: unit_box_mesh(config.dim, n, *box))
 
 
-def _row_cases(config: RunConfig, problem: str | None = None):
+def _row_cases(config: RunConfig):
     """Deterministic config-order enumeration of (level, params, spec);
-    a spectrum sweeps the cases of `problem`'s manufactured experiment."""
-    exp = config.experiment if problem is None else f"{problem}-manufactured"
+    a spectrum sweeps the cases of its problem's manufactured experiment."""
+    exp = (f"{config.problem}-manufactured" if config.experiment == "spectrum"
+           else config.experiment)
     kind, levels = (("counterexample", ("full", "reduced")) if exp == "darcy-counterexample"
                     else (config.precond, ("reduced",)))
     cases = []
@@ -144,8 +168,6 @@ def _row_cases(config: RunConfig, problem: str | None = None):
                 spec = PreconditionerSpec("stokes", kind, "reduced", zeta=zeta,
                                           hatted=config.hatted)
                 cases.append((n, {"nu": nu, "zeta": zeta}, spec))
-        else:
-            raise ValueError(f"run() does not drive experiment {exp!r}")
     return cases
 
 
@@ -217,6 +239,8 @@ def run(config: RunConfig) -> list[ResultRow]:
     Each row counts the RuntimeWarnings raised while it ran (for example
     CG residual growth) in its warnings field; other warnings pass on.
     """
+    if config.experiment == "spectrum":
+        raise ValueError("run() does not drive spectrum; spectrum() measures it")
     mesh_at = _meshes(config)
     if config.mesh_out:
         write_mesh_text(mesh_at(config.levels[0]), config.mesh_out)
@@ -243,8 +267,6 @@ def run(config: RunConfig) -> list[ResultRow]:
 
 def _dump_matrices(config: RunConfig, mesh_at):
     """Coordinate-list text dump (1-based) of the first row's operators."""
-    import os
-
     os.makedirs(config.dump_matrices, exist_ok=True)
     n, pdict, spec = _row_cases(config)[0]
     system = _assemble_case(config, mesh_at(n), pdict, spec)[-1]
@@ -257,16 +279,15 @@ def _dump_matrices(config: RunConfig, mesh_at):
                 fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
 
 
-def spectrum(config: RunConfig, problem: str, probes=None) -> list[dict]:
-    """Measured constants of every `problem` case of the sweep: Darcy
+def spectrum(config: RunConfig) -> list[dict]:
+    """Measured constants of every case of config.problem's sweep: Darcy
     sweeps xi x gamma under config.precond, Stokes nu x zeta (hatted with
     config.hatted).  Each case gives its reduced_bounds_check row, then its
-    lemma_probes row (`probes`, default the problem's set), both with the
-    level and the label "<spec label>;<param>=<value>;..."."""
-    config.refuse_ignored(problem)
+    lemma_probes row (config.probes, default the problem's set), both with
+    the level and the label "<spec label>;<param>=<value>;..."."""
     mesh_at = _meshes(config)
     rows = []
-    for n, pdict, spec in _row_cases(config, problem):
+    for n, pdict, spec in _row_cases(config):
         mesh = mesh_at(n)
         spaces, params, _, system = _assemble_case(config, mesh, pdict, spec)
         rep = reduced_bounds_check(system, assemble_inner(spec, mesh, spaces, params))
@@ -274,7 +295,8 @@ def spectrum(config: RunConfig, problem: str, probes=None) -> list[dict]:
                                           "c_l"))).validate()
         label = ";".join([spec.label()] + [f"{k}={v:g}" for k, v in pdict.items()])
         rep.update(level=n, label=label)
-        (probe_row,) = lemma_probes(problem, config.dim, (n,), params, probes=probes)
+        (probe_row,) = lemma_probes(config.problem, config.dim, (n,), params,
+                                    probes=config.probes)
         rows += [rep, {**probe_row, "label": label}]
     return rows
 

@@ -36,7 +36,6 @@ __all__ = [
     "cg",
     "minres",
     "generalized_eigs",
-    "as_operator",
     "DENSE_MAX",
     "ARPACK_MAXITER",
     "ARPACK_TOL_TOP",
@@ -131,8 +130,6 @@ class Factor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=float))
-
-    __call__ = solve
 
 
 def _ranges(starts, counts):
@@ -492,8 +489,6 @@ class SupernodalCholesky:
             w[s:e] = (Linv.transpose(0, 2, 1) @ z).reshape(-1, k)
         return w[self._slot].reshape(b.shape)
 
-    __call__ = solve
-
 
 def factor_spd(S, reorder: bool = False):
     """Factor an SPD sparse matrix; doubles as the SPD certificate.
@@ -529,16 +524,6 @@ def factor_spd(S, reorder: bool = False):
     return Factor(lu)
 
 
-def as_operator(A):
-    """Normalize a matrix / factor / callable into apply(x)."""
-    if callable(A) and not sp.issparse(A):
-        return A
-    if sp.issparse(A):
-        return lambda x, _A=A.tocsr(): _A @ x
-    M = np.asarray(A)
-    return lambda x: M @ x
-
-
 class _Deflation:
     def __init__(self, kernel):
         basis = []
@@ -566,10 +551,9 @@ def _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate):
     """cg's and minres's A, P (identity if None) and b, off the kernel ``deflate``."""
     if maxit < 1:
         raise ValueError(f"maxit must be at least 1, got {maxit}")
-    A = as_operator(apply_A)
-    P = as_operator(apply_Pinv) if apply_Pinv is not None else (lambda x: x)
+    P = apply_Pinv if apply_Pinv is not None else (lambda x: x)
     defl = _Deflation(deflate)
-    return defl.wrap(A), defl.wrap(P), defl.project(np.asarray(b, dtype=float))
+    return defl.wrap(apply_A), defl.wrap(P), defl.project(np.asarray(b, dtype=float))
 
 
 def cg(apply_A, apply_Pinv, b, tol: float = 1e-10, maxit: int = 999,

@@ -25,7 +25,7 @@ __all__ = [
 _VOLUME_FACTOR = {2: 0.5, 3: 1.0 / 6.0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Simplicial mesh with derived facet connectivity and geometry.
 

@@ -100,8 +100,6 @@ class PrecondOperator:
         xbar = self._factor.solve(_trace_load(self.system, r_trace, y))
         return back_substitute(self._condensed, xbar, y)
 
-    __call__ = apply
-
 
 def _cell_solve(system: BlockSystem) -> Callable:
     """r_cell (cells, cell dofs) -> P11^-1 r_cell."""

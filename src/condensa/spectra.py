@@ -48,6 +48,7 @@ __all__ = [
     "lifting_constant",
     "reduced_bounds_check",
     "lemma_probes",
+    "probe_names",
     "lifting_matrix",
     "write_constants_csv",
 ]
@@ -265,31 +266,37 @@ def _probe_stokes_lifting(mesh, params):
     return {"stokes_lifting_bound": generalized_eigs(G, R, mode="max")}
 
 
-PROBE_SETS = {
-    "darcy": ("aux_coercivity", "darcy_lifting_vs_aux", "inf_sup"),
-    "stokes": ("ch_coercivity", "condensed_velocity", "stokes_lifting"),
-}
-
 _PROBES = {
-    "aux_coercivity": _probe_aux_coercivity,
-    "darcy_lifting_vs_aux": _probe_darcy_lifting_vs_aux,
-    "inf_sup": _probe_inf_sup_darcy,
-    "ch_coercivity": _probe_stokes_ch_coercivity,
-    "condensed_velocity": _probe_stokes_condensed_velocity,
-    "stokes_lifting": _probe_stokes_lifting,
+    "darcy": {"aux_coercivity": _probe_aux_coercivity,
+              "darcy_lifting_vs_aux": _probe_darcy_lifting_vs_aux,
+              "inf_sup": _probe_inf_sup_darcy},
+    "stokes": {"ch_coercivity": _probe_stokes_ch_coercivity,
+               "condensed_velocity": _probe_stokes_condensed_velocity,
+               "stokes_lifting": _probe_stokes_lifting},
 }
+PROBE_SETS = {problem: tuple(probes) for problem, probes in _PROBES.items()}
+
+
+def probe_names(problem: str, probes=None) -> tuple:
+    """`probes`, default all of `problem`'s; ValueError names its probes."""
+    known = PROBE_SETS[problem]
+    names = known if probes is None else tuple(probes)
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"{', '.join(unknown)}: the {problem} probes are {', '.join(known)}")
+    return names
 
 
 def lemma_probes(problem: str, dim: int, levels, params: ProblemParams,
                  probes=None) -> list[dict]:
     """Measured sharp constants of the lemma inequalities, per level."""
-    names = probes if probes is not None else PROBE_SETS[problem]
+    names = probe_names(problem, probes)
     out = []
     for n in levels:
         mesh = unit_box_mesh(dim, n)
         row = {"level": n, "cells": mesh.n_cells}
         for name in names:
-            row.update(_PROBES[name](mesh, params))
+            row.update(_PROBES[problem][name](mesh, params))
         out.append(row)
     return out
 

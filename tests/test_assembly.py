@@ -403,11 +403,38 @@ def test_quadrature_order_invariance(monkeypatch):
     rule = assembly.simplex_quadrature
     monkeypatch.setattr(assembly, "simplex_quadrature",
                         lambda dim, order: rule(dim, order + 4))
+    assembly._context.cache_clear()   # it holds mesh's context at order 2k+2
     b = assemble_darcy(mesh, spaces, params)
     bS = assemble_stokes(mesh, spacesS, paramsS)
     assert b.context.rule.n_points > a.context.rule.n_points
     assert np.abs(a.to_sparse() - b.to_sparse()).max() < 1e-13 * np.abs(a.to_sparse()).max()
     assert np.abs(aS.to_sparse() - bS.to_sparse()).max() < 1e-13 * np.abs(aS.to_sparse()).max()
+
+
+@pytest.mark.parametrize("problem", ["darcy", "counterexample", "stokes"])
+def test_assemblies_of_a_mesh_share_one_context(problem):
+    """Consecutive assemblies on one (mesh, k) share one read-only
+    ElementContext and are bitwise those built on a context of their own."""
+    mesh = unit_box_mesh(2, 4)
+    params = ProblemParams(k=2, xi=2.0, gamma=0.5, nu=0.5, zeta=10.0)
+    if problem == "stokes":
+        spaces, fns = stokes_spaces(mesh, 2), (assemble_stokes, assemble_stokes_inner)
+    else:
+        inner = assemble_darcy_inner if problem == "darcy" else assemble_counterexample_inner
+        spaces, fns = darcy_spaces(mesh, 2), (assemble_darcy, inner)
+    shared = [fn(mesh, spaces, params) for fn in fns]
+    assert shared[0].context is shared[1].context
+    assert not any(v.flags.writeable for v in vars(shared[0].context).values()
+                   if isinstance(v, np.ndarray))
+    for fn, got in zip(fns, shared):
+        assembly._context.cache_clear()
+        alone = fn(mesh, spaces, params)
+        assert alone.context is not got.context
+        for name in ("a11", "a21", "tids", "a22b", "rhs_cell", "rhs_trace"):
+            assert np.array_equal(getattr(alone, name), getattr(got, name)), name
+        assert (got.coupling is None) == (alone.coupling is None)
+        if got.coupling is not None:
+            assert (got.coupling != alone.coupling).nnz == 0
 
 
 def test_eta_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from condensa import bench
+from condensa import assembly, bench, cli, precond
 from condensa.assembly import (ProblemParams, assemble_counterexample_inner, assemble_darcy,
                                assemble_darcy_inner, assemble_stokes, assemble_stokes_inner,
                                darcy_spaces, stokes_spaces)
@@ -303,14 +303,67 @@ def test_each_level_builds_one_mesh(monkeypatch, tmp_path):
     (["spectrum", "--mesh-out", "mesh.txt"], "--mesh-out"),
     (["darcy-manufactured", "--probes", "inf_sup"], "--probes"),
     (["stokes-manufactured", "--problem", "stokes"], "--problem"),
+    (["stokes-manufactured", "--xi", "1,1e-6"], "--xi"),
+    (["stokes-cavity", "--gamma", "1e4"], "--gamma"),
+    (["darcy-manufactured", "--nu", "1e-6"], "--nu"),
+    (["darcy-heterogeneous", "--xi", "1e-6"], "--xi"),
+    (["darcy-heterogeneous", "--gamma", "1e4"], "--gamma"),
+    (["darcy-counterexample", "--precond", "counterexample"], "--precond"),
+    (["spectrum", "--probes", "inf_sub"], "inf_sub"),
+    (["spectrum", "--probes", "ch_coercivity"], "ch_coercivity"),
 ])
 def test_ignored_arguments_are_refused(argv, message, capsys, tmp_path, monkeypatch):
-    """A flag the run would ignore is a usage error (exit 2), before any work."""
+    """A flag the run would ignore, or an unknown probe, is a usage error
+    (exit 2) before any work: no file written, nothing assembled."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(assembly, "_context", lambda *args: pytest.fail("assembled"))
     with pytest.raises(SystemExit) as exit_:
         main(argv + ["--levels", "2"])
     assert exit_.value.code == 2 and message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("experiment, dim, levels", [
+    ("darcy-manufactured", 2, (8, 16, 32)), ("darcy-manufactured", 3, (2, 4, 8)),
+    ("stokes-cavity", 2, (8, 16, 32)), ("stokes-manufactured", 3, (2, 4, 8)),
+    ("spectrum", 2, (4, 8)), ("spectrum", 3, (2,)),
+])
+def test_run_config_default_levels(experiment, dim, levels, monkeypatch):
+    """RunConfig defaults its levels by dim and experiment; the CLI passes
+    none of its own."""
+    assert RunConfig(experiment, dim=dim).levels == levels
+    assert RunConfig(experiment, dim=dim, levels=(2,)).levels == (2,)
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        raise Stop
+
+    monkeypatch.setattr(cli, "run", record)
+    monkeypatch.setattr(cli, "spectrum", record)
+    with pytest.raises(Stop):
+        main([experiment, "--dim", str(dim)])
+    assert seen == [RunConfig(experiment, dim=dim)]
+
+
+def test_row_scheme_and_inner_product_share_one_context(monkeypatch):
+    """A row builds one ElementContext: its scheme and its inner product
+    share it, and its arrays are read-only."""
+    seen = []
+    condense_precond = precond.condense_precond
+    monkeypatch.setattr(bench, "condense", lambda system: seen.append(system) or condense(system))
+    monkeypatch.setattr(precond, "condense_precond",
+                        lambda inner: seen.append(inner) or condense_precond(inner))
+    (row,) = run(small_config())
+    system, inner = seen
+    assert system.problem == "darcy" and inner.problem == "darcy-inner"
+    assert system.context is inner.context and row.converged
+    with pytest.raises(ValueError, match="read-only"):
+        inner.context.Jinv[0] = 0.0
 
 
 def test_run_config_refuses_ignored_fields():
@@ -320,9 +373,8 @@ def test_run_config_refuses_ignored_fields():
         small_config(experiment="darcy-counterexample", hatted=True)
     with pytest.raises(ValueError, match="Darcy-only"):
         RunConfig("stokes-cavity", precond="counterexample")
-    spectrum = RunConfig("spectrum", levels=(2,), zeta=(100.0,))
     with pytest.raises(ValueError, match="Stokes-only"):
-        bench.spectrum(spectrum, "darcy")
+        RunConfig("spectrum", levels=(2,), zeta=(100.0,))
 
 
 def _spectrum_blocks(out, *argv):

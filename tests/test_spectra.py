@@ -6,7 +6,7 @@ from condensa.assembly import (ProblemParams, assemble_counterexample_inner,
 from condensa.condense import condense, condense_precond
 from condensa.mesh import unit_box_mesh
 from condensa.norms import evaluate_norms
-from condensa import krylov
+from condensa import krylov, spectra
 from condensa.spectra import (SpectralReport, _hu_seminorm_matrix, lemma_probes,
                               lifting_constant, lifting_matrix, measure_constants,
                               reduced_bounds_check, write_constants_csv)
@@ -186,6 +186,15 @@ def test_probe_rows_and_csv(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "level,params,constant,value"
     assert len(text) == 1 + sum(len(r) - 2 for r in rows)
+
+
+def test_unknown_probe_is_refused_before_any_mesh(monkeypatch):
+    monkeypatch.setattr(spectra, "unit_box_mesh", lambda *args: pytest.fail("mesh built"))
+    with pytest.raises(ValueError, match="inf_sub: the darcy probes are aux_coercivity, "):
+        lemma_probes("darcy", 2, (2,), ProblemParams(k=2), probes=("inf_sup", "inf_sub"))
+    with pytest.raises(ValueError, match="ch_coercivity: the darcy probes"):
+        lemma_probes("darcy", 2, (2,), ProblemParams(k=2), probes=("ch_coercivity",))
+    assert spectra.probe_names("stokes") == spectra.PROBE_SETS["stokes"]
 
 
 def test_stokes_probes_positive():
