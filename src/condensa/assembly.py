@@ -316,6 +316,23 @@ def aux_spaces(mesh, k: int) -> dict:
     }
 
 
+_FIELD_KINDS = {"u": "cell-vector", "p": "cell-scalar",
+                "ubar": "facet-vector", "pbar": "facet-scalar"}
+
+
+def _layout(mesh, spaces, k: int, cell: tuple, trace: tuple) -> BlockLayout:
+    """The BlockLayout of the named cell and trace fields of ``spaces``;
+    each must be a space of its field's kind on ``mesh``, of degree k (k - 1
+    for p)."""
+    for name in cell + trace:
+        space, kind, degree = spaces[name], _FIELD_KINDS[name], k - (name == "p")
+        if (space.kind, space.degree) != (kind, degree) or space.mesh is not mesh:
+            raise ValueError(f"field {name!r} needs a {kind} space of degree {degree} "
+                             "on the assembled mesh")
+    return BlockLayout(mesh, tuple((f, spaces[f]) for f in cell),
+                       tuple((f, spaces[f]) for f in trace))
+
+
 def _trace_ids(lay: BlockLayout, fixed: dict):
     """Each cell's trace dofs: the free ids (cells, ntr) as int32, -1 where
     a dof is fixed, and the values of the fixed dofs, zero at free ones.
@@ -515,11 +532,6 @@ def _physical(R, Jinv):
 # Darcy
 
 
-def _darcy_layout(mesh, spaces):
-    return BlockLayout(mesh, (("u", spaces["u"]), ("p", spaces["p"])),
-                       (("pbar", spaces["pbar"]),))
-
-
 def assemble_darcy(mesh, spaces, params: ProblemParams, f=None,
                    p_dirichlet=None) -> BlockSystem:
     """Hybrid mixed (BDM-type) Darcy scheme, symmetric storage.
@@ -528,9 +540,8 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None,
     Schur complement of this operator is SPD.
     """
     k = params.k
-    _check_darcy_spaces(mesh, spaces, k)
+    lay = _layout(mesh, spaces, k, ("u", "p"), ("pbar",))
     ctx = _context(mesh, k)
-    lay = _darcy_layout(mesh, spaces)
     fixed = {}
     if p_dirichlet is not None:
         fixed["pbar"] = interpolate_boundary(
@@ -562,9 +573,8 @@ def assemble_darcy_inner(mesh, spaces, params: ProblemParams) -> BlockSystem:
     weighted pressure form gamma(p,q) + xi(grad p, grad q) + xi eta
     <h^-1 (p - pbar), (q - qbar)>."""
     k = params.k
-    _check_darcy_spaces(mesh, spaces, k)
+    lay = _layout(mesh, spaces, k, ("u", "p"), ("pbar",))
     ctx = _context(mesh, k)
-    lay = _darcy_layout(mesh, spaces)
     eta = params.eta_for(mesh.dim)
 
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
@@ -593,11 +603,10 @@ def assemble_counterexample_inner(mesh, spaces, params: ProblemParams) -> BlockS
     xi <h_K pbar, qbar> with no p-pbar coupling.
     """
     k = params.k
-    _check_darcy_spaces(mesh, spaces, k)
+    lay = _layout(mesh, spaces, k, ("u", "p"), ("pbar",))
     M = params.big_m  # raises for callable coefficients
     xi = float(params.xi)
     ctx = _context(mesh, k)
-    lay = _darcy_layout(mesh, spaces)
 
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
     nc, cs = mesh.n_cells, lay.cell_size
@@ -659,8 +668,8 @@ def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None) -> BlockSystem
     """Interior-penalty HDG form for -div(xi grad p) + gamma p on the
     pressure pair; symmetric, coercive for eta at the default values."""
     k = params.k
+    lay = _layout(mesh, spaces, k, ("p",), ("pbar",))
     ctx = _context(mesh, k)
-    lay = BlockLayout(mesh, (("p", spaces["p"]),), (("pbar", spaces["pbar"]),))
     eta = params.eta_for(mesh.dim)
 
     xq = ctx.cell_points()
@@ -683,11 +692,6 @@ def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None) -> BlockSystem
 
 # ----------------------------------------------------------------------
 # Stokes
-
-
-def _stokes_layout(mesh, spaces):
-    return BlockLayout(mesh, (("u", spaces["u"]), ("p", spaces["p"])),
-                       (("ubar", spaces["ubar"]), ("pbar", spaces["pbar"])))
 
 
 def _penalty(ctx, wpen, field):
@@ -749,10 +753,9 @@ def assemble_stokes(mesh, spaces, params: ProblemParams, f=None,
     """HDG Stokes scheme: c_h + b_h(v, p-pair) + b_h(u, q-pair); symmetric
     indefinite as written.  The constant-pressure pair spans the kernel."""
     k = params.k
-    _check_stokes_spaces(mesh, spaces, k)
+    lay = _layout(mesh, spaces, k, ("u", "p"), ("ubar", "pbar"))
     nu = float(params.nu)
     ctx = _context(mesh, k)
-    lay = _stokes_layout(mesh, spaces)
     eta = params.eta_for(mesh.dim)
 
     fixed = {}
@@ -815,10 +818,9 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams,
     nu^-1 (p, q) + nu^-1 eta^-1 <h_K pbar, qbar>, diagonal across p/pbar.
     """
     k = params.k
-    _check_stokes_spaces(mesh, spaces, k)
+    lay = _layout(mesh, spaces, k, ("u", "p"), ("ubar", "pbar"))
     nu, zeta = float(params.nu), float(params.zeta)
     ctx = _context(mesh, k)
-    lay = _stokes_layout(mesh, spaces)
     eta = params.eta_for(mesh.dim)
 
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
@@ -852,8 +854,8 @@ def assemble_stokes_ch(mesh, spaces, params: ProblemParams) -> BlockSystem:
     """The c_h velocity form alone on (u; ubar): probe support for the
     condensed-velocity estimates."""
     k = params.k
+    lay = _layout(mesh, spaces, k, ("u",), ("ubar",))
     ctx = _context(mesh, k)
-    lay = BlockLayout(mesh, (("u", spaces["u"]),), (("ubar", spaces["ubar"]),))
     Y = _grad_pairs(ctx.cell_weights(), ctx.gugu, ctx.Jinv)
     uu, cross, ubu = _ch_blocks(ctx, Y, float(params.nu), params.eta_for(mesh.dim))
     return _block_system(lay, params, "stokes-ch", ctx, uu, cross, a22b=ubu)
@@ -861,24 +863,6 @@ def assemble_stokes_ch(mesh, spaces, params: ProblemParams) -> BlockSystem:
 
 # ----------------------------------------------------------------------
 # helpers shared with other modules
-
-
-def _check_darcy_spaces(mesh, spaces, k):
-    ok = (spaces["u"].kind == "cell-vector" and spaces["u"].degree == k
-          and spaces["p"].kind == "cell-scalar" and spaces["p"].degree == k - 1
-          and spaces["pbar"].kind == "facet-scalar" and spaces["pbar"].degree == k)
-    if not ok:
-        raise ValueError("Darcy needs (cell-vector k, cell-scalar k-1, facet-scalar k)")
-
-
-def _check_stokes_spaces(mesh, spaces, k):
-    ok = (spaces["u"].kind == "cell-vector" and spaces["u"].degree == k
-          and spaces["p"].kind == "cell-scalar" and spaces["p"].degree == k - 1
-          and spaces["ubar"].kind == "facet-vector" and spaces["ubar"].degree == k
-          and spaces["pbar"].kind == "facet-scalar" and spaces["pbar"].degree == k)
-    if not ok:
-        raise ValueError("Stokes needs (cell-vector k, cell-scalar k-1, "
-                         "facet-vector k, facet-scalar k)")
 
 
 def constant_trace_vector(space) -> np.ndarray:

@@ -41,9 +41,6 @@ from .spectra import (PROBE_SETS, SpectralReport, lemma_probes, probe_names,
 __all__ = ["RunConfig", "ResultRow", "run", "spectrum", "emit", "parse_json_rows",
            "EXPERIMENTS", "CSV_HEADER"]
 
-CSV_HEADER = ("experiment,dim,level,cells,trace_dofs,xi,gamma,nu,zeta,"
-              "precond,iters,converged,resid,err_u,err_p,seconds")
-
 
 # The RunConfig fields each experiment reads beyond experiment, dim, levels, k
 # and eta; every sweep also reads SWEEP_READS, a spectrum its problem's sweep's.
@@ -137,8 +134,17 @@ class ResultRow:
     failed: str | None = None
     warnings: int = 0            # RuntimeWarnings raised by the row (JSON only)
 
-    def iters_text(self, maxit: int = 999) -> str:
-        return str(self.iters) if self.converged else f">{maxit}"
+    def iters_text(self) -> str:
+        """The iteration cell: the count, ">count" when the solve ran out of
+        iterations (cg and minres then report maxit), or "failed"."""
+        if self.failed:
+            return "failed"
+        return str(self.iters) if self.converged else f">{self.iters}"
+
+
+# csv and md write every ResultRow field but the JSON-only failed and warnings
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name not in ("failed", "warnings"))
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def _meshes(config: RunConfig):
@@ -313,22 +319,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def emit(rows: list[ResultRow], fmt: str = "csv", path=None, maxit: int = 999) -> str:
+def emit(rows: list[ResultRow], fmt: str = "csv", path=None) -> str:
     """Serialize rows; returns the text (and writes it when path given)."""
     if not rows:
         raise ValueError("no rows to emit")
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(",".join([
-                r.experiment, str(r.dim), str(r.level), str(r.cells),
-                str(r.trace_dofs), _fmt(r.xi), _fmt(r.gamma), _fmt(r.nu),
-                _fmt(r.zeta), r.precond, r.iters_text(maxit),
-                str(r.converged), _fmt(r.resid), _fmt(r.err_u), _fmt(r.err_p),
-                _fmt(r.seconds)]))
+        lines = [CSV_HEADER] + [",".join(r.iters_text() if c == "iters" else _fmt(getattr(r, c))
+                                         for c in CSV_COLUMNS) for r in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "md":
-        text = _emit_markdown(rows, maxit)
+        text = _emit_markdown(rows)
     elif fmt == "json":   # a non-finite float is written as null: JSON has no NaN
         text = json.dumps([{k: None if isinstance(v, float) and not math.isfinite(v) else v
                             for k, v in asdict(r).items()} for r in rows],
@@ -341,26 +341,19 @@ def emit(rows: list[ResultRow], fmt: str = "csv", path=None, maxit: int = 999) -
     return text
 
 
-def _emit_markdown(rows, maxit) -> str:
-    """Markdown table: levels as rows, parameter and preconditioner
-    combinations as columns, iteration counts inside."""
+def _emit_markdown(rows) -> str:
+    """Markdown table: one line per level, headed by its cell count (a
+    failed row records none), parameter and preconditioner combinations
+    as columns, iteration cells inside."""
     def key(r):
         return f"{r.precond} xi={_fmt(r.xi)} g={_fmt(r.gamma)} nu={_fmt(r.nu)} z={_fmt(r.zeta)}"
 
-    levels = sorted({(r.level, r.cells) for r in rows})
-    columns = []
-    for r in rows:
-        if key(r) not in columns:
-            columns.append(key(r))
-    head = "| cells | " + " | ".join(columns) + " |"
-    sep = "|---" * (len(columns) + 1) + "|"
-    lines = [head, sep]
-    for lev, cells in levels:
-        vals = []
-        for c in columns:
-            match = [r for r in rows if r.level == lev and key(r) == c]
-            vals.append(match[0].iters_text(maxit) if match else "")
-        lines.append(f"| {cells} | " + " | ".join(vals) + " |")
+    columns = list(dict.fromkeys(map(key, rows)))
+    lines = ["| cells | " + " | ".join(columns) + " |", "|---" * (len(columns) + 1) + "|"]
+    for lev in sorted({r.level for r in rows}):
+        here = [r for r in rows if r.level == lev]
+        vals = [next((r.iters_text() for r in here if key(r) == c), "") for c in columns]
+        lines.append(f"| {max(r.cells for r in here)} | " + " | ".join(vals) + " |")
     return "\n".join(lines) + "\n"
 
 

@@ -63,7 +63,7 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
         return 0
     rows = run(config)
-    text = emit(rows, fmt=fmt, path=out, maxit=config.maxit)
+    text = emit(rows, fmt=fmt, path=out)
     if not out:
         sys.stdout.write(text)
     failed = [r for r in rows if r.failed]

@@ -18,7 +18,6 @@ them.
 from __future__ import annotations
 
 import itertools
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -101,7 +100,6 @@ class KrylovReport:
     converged: bool
     residuals: list = field(default_factory=list)
     final_relative: float = 0.0
-    seconds: float = 0.0
 
     def write_csv(self, path) -> None:
         """Residual history as `iteration,residual` lines."""
@@ -559,7 +557,6 @@ def _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate):
 def cg(apply_A, apply_Pinv, b, tol: float = 1e-10, maxit: int = 999,
        deflate=()) -> tuple[np.ndarray, KrylovReport]:
     """Preconditioned conjugate gradients with breakdown detection."""
-    t0 = time.perf_counter()
     A, P, b = _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate)
 
     x = np.zeros_like(b)
@@ -571,7 +568,7 @@ def cg(apply_A, apply_Pinv, b, tol: float = 1e-10, maxit: int = 999,
     res0 = np.sqrt(rho)
     history = []
     if res0 == 0.0:
-        return x, KrylovReport(0, True, history, 0.0, time.perf_counter() - t0)
+        return x, KrylovReport(0, True, history, 0.0)
     p = z.copy()
     for it in range(1, maxit + 1):
         Ap = A(p)
@@ -592,16 +589,15 @@ def cg(apply_A, apply_Pinv, b, tol: float = 1e-10, maxit: int = 999,
             warnings.warn("CG preconditioned residual grew by more than 10%",
                           RuntimeWarning, stacklevel=2)
         if rel <= tol:
-            return x, KrylovReport(it, True, history, float(rel), time.perf_counter() - t0)
+            return x, KrylovReport(it, True, history, float(rel))
         p = z + (rho_new / rho) * p
         rho = rho_new
-    return x, KrylovReport(maxit, False, history, float(history[-1]), time.perf_counter() - t0)
+    return x, KrylovReport(maxit, False, history, float(history[-1]))
 
 
 def minres(apply_A, apply_Pinv, b, tol: float = 1e-8, maxit: int = 999,
            deflate=()) -> tuple[np.ndarray, KrylovReport]:
     """Preconditioned MINRES (Paige-Saunders); A symmetric, P SPD."""
-    t0 = time.perf_counter()
     A, P, b = _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate)
 
     x = np.zeros_like(b)
@@ -613,7 +609,7 @@ def minres(apply_A, apply_Pinv, b, tol: float = 1e-8, maxit: int = 999,
     beta1 = np.sqrt(beta1_sq)
     history = []
     if beta1 == 0.0:
-        return x, KrylovReport(0, True, history, 0.0, time.perf_counter() - t0)
+        return x, KrylovReport(0, True, history, 0.0)
 
     oldb, beta = 0.0, beta1
     dbar = epsln = 0.0
@@ -652,8 +648,8 @@ def minres(apply_A, apply_Pinv, b, tol: float = 1e-8, maxit: int = 999,
         rel = float(phibar / beta1)
         history.append(rel)
         if rel <= tol:
-            return x, KrylovReport(it, True, history, float(rel), time.perf_counter() - t0)
-    return x, KrylovReport(maxit, False, history, float(history[-1]), time.perf_counter() - t0)
+            return x, KrylovReport(it, True, history, float(rel))
+    return x, KrylovReport(maxit, False, history, float(history[-1]))
 
 
 def _dense(M):

@@ -7,7 +7,7 @@ anywhere in the production path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +18,24 @@ _PI = np.pi
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    problem: str
-    dim: int
     f: object                    # source term callable
     dirichlet: object            # boundary data callable (p_D or u_D)
     exact_u: object | None = None
     exact_p: object | None = None
     xi_fn: object | None = None
     gamma_fn: object | None = None
-    meta: dict = field(default_factory=dict)
+
+
+def _p3(x):
+    """The 3D manufactured pressure of both problems."""
+    return np.cos(_PI * x[:, 0]) * np.sin(_PI * x[:, 1]) * np.cos(_PI * x[:, 2])
+
+
+def _grad_p3(x):
+    c0, s0 = np.cos(_PI * x[:, 0]), np.sin(_PI * x[:, 0])
+    c1, s1 = np.cos(_PI * x[:, 1]), np.sin(_PI * x[:, 1])
+    c2, s2 = np.cos(_PI * x[:, 2]), np.sin(_PI * x[:, 2])
+    return _PI * np.stack([-s0 * s1 * c2, c0 * c1 * c2, -c0 * s1 * s2], axis=1)
 
 
 def manufactured_rhs(problem: str, dim: int, params) -> ManufacturedCase:
@@ -62,15 +71,7 @@ def _darcy_manufactured(dim, params):
                 _PI * np.cos(_PI * x[:, 0]) * np.cos(_PI * x[:, 1]),
             ], axis=1)
     else:
-        def p(x):
-            return (np.cos(_PI * x[:, 0]) * np.sin(_PI * x[:, 1])
-                    * np.cos(_PI * x[:, 2]))
-
-        def grad_p(x):
-            c0, s0 = np.cos(_PI * x[:, 0]), np.sin(_PI * x[:, 0])
-            c1, s1 = np.cos(_PI * x[:, 1]), np.sin(_PI * x[:, 1])
-            c2, s2 = np.cos(_PI * x[:, 2]), np.sin(_PI * x[:, 2])
-            return _PI * np.stack([-s0 * s1 * c2, c0 * c1 * c2, -c0 * s1 * s2], axis=1)
+        p, grad_p = _p3, _grad_p3
 
     def u(x):
         return -xi * grad_p(x)
@@ -79,7 +80,7 @@ def _darcy_manufactured(dim, params):
         # div u + gamma p with div u = -xi lap p = dim * pi^2 * xi * p
         return (dim * _PI**2 * xi + gamma) * p(x)
 
-    return ManufacturedCase("darcy", dim, f=f, dirichlet=p, exact_u=u, exact_p=p)
+    return ManufacturedCase(f=f, dirichlet=p, exact_u=u, exact_p=p)
 
 
 def _darcy_heterogeneous(dim):
@@ -96,9 +97,7 @@ def _darcy_heterogeneous(dim):
     def zero(x):
         return np.zeros(x.shape[0])
 
-    return ManufacturedCase("darcy-heterogeneous", dim, f=f, dirichlet=zero,
-                            xi_fn=xi_fn, gamma_fn=gamma_fn,
-                            meta={"gamma_pair": (1.0, 1.0e4), "box": (0.3, 0.7)})
+    return ManufacturedCase(f=f, dirichlet=zero, xi_fn=xi_fn, gamma_fn=gamma_fn)
 
 
 def _stokes_manufactured(dim, params):
@@ -128,22 +127,14 @@ def _stokes_manufactured(dim, params):
                 s[2] * c[0] - s[2] * c[1],
             ], axis=1)
 
-        def p(x):
-            return (np.cos(_PI * x[:, 0]) * np.sin(_PI * x[:, 1])
-                    * np.cos(_PI * x[:, 2]))
-
-        def grad_p(x):
-            c0, s0 = np.cos(_PI * x[:, 0]), np.sin(_PI * x[:, 0])
-            c1, s1 = np.cos(_PI * x[:, 1]), np.sin(_PI * x[:, 1])
-            c2, s2 = np.cos(_PI * x[:, 2]), np.sin(_PI * x[:, 2])
-            return _PI * np.stack([-s0 * s1 * c2, c0 * c1 * c2, -c0 * s1 * s2], axis=1)
+        p, grad_p = _p3, _grad_p3
 
     def f(x):
         # -nu div(eps(u)) + grad p, matching the scheme's viscous form
         # nu (eps(u), eps(v)); u is divergence-free with lap u = -2 pi^2 u
         return _PI**2 * nu * u(x) + grad_p(x)
 
-    return ManufacturedCase("stokes", dim, f=f, dirichlet=u, exact_u=u, exact_p=p)
+    return ManufacturedCase(f=f, dirichlet=u, exact_u=u, exact_p=p)
 
 
 def _stokes_cavity(dim):
@@ -154,10 +145,6 @@ def _stokes_cavity(dim):
             out = np.zeros_like(x)
             out[lid, 0] = 1.0 - x[lid, 0] ** 4
             return out
-
-        meta = {"domain": ((-1.0, -1.0), (2.0, 2.0)),
-                "lid": "x2 = 1",
-                "interpretation": "scalar datum used as tangential x-component (1 - x1^4, 0)"}
     else:
         def u_d(x):
             lid = np.isclose(x[:, 2], 1.0)
@@ -167,9 +154,7 @@ def _stokes_cavity(dim):
             out[lid, 1] = (1.0 - tau[:, 1]) ** 4 / 10.0
             return out
 
-        meta = {"domain": ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), "lid": "x3 = 1"}
-
     def f(x):
         return np.zeros_like(x)
 
-    return ManufacturedCase("stokes-cavity", dim, f=f, dirichlet=u_d, meta=meta)
+    return ManufacturedCase(f=f, dirichlet=u_d)

@@ -268,15 +268,9 @@ def unit_box_mesh(dim: int, n: int, origin=None, extent=None) -> Mesh:
     stride = (n + 1) ** np.arange(dim - 1, -1, -1)
     lower = np.indices((n,) * dim).reshape(dim, -1).T @ stride
     # each box splits into one simplex per axis order: the monotone lattice
-    # path from its lower to its upper corner; an odd order gives a
-    # negatively oriented path, so its last two vertices are swapped
-    paths = []
-    for perm in permutations(range(dim)):
-        path = np.r_[0, np.cumsum(stride[list(perm)])]
-        if sum(a > b for a, b in combinations(perm, 2)) % 2:
-            path[-2:] = path[-1], path[-2]
-        paths.append(path)
-    paths = np.array(paths)
+    # path from its lower to its upper corner (Mesh orients the odd orders)
+    paths = np.array([np.r_[0, np.cumsum(stride[list(perm)])]
+                      for perm in permutations(range(dim))])
     cells = (lower[:, None, None] + paths[None]).reshape(-1, dim + 1)
     return Mesh(dim, verts, cells)
 

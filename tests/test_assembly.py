@@ -349,6 +349,33 @@ def test_counterexample_trace_block_energy():
     assert abs(got - oracle) < 1e-13
 
 
+_SPACES_READ = {  # assembler: (its space bundle, the fields it reads)
+    assemble_darcy: (darcy_spaces, ("u", "p", "pbar")),
+    assemble_darcy_inner: (darcy_spaces, ("u", "p", "pbar")),
+    assemble_counterexample_inner: (darcy_spaces, ("u", "p", "pbar")),
+    assemble_aux_hdg: (aux_spaces, ("p", "pbar")),
+    assemble_stokes: (stokes_spaces, ("u", "p", "ubar", "pbar")),
+    assemble_stokes_inner: (stokes_spaces, ("u", "p", "ubar", "pbar")),
+    assemble_stokes_ch: (stokes_spaces, ("u", "ubar")),
+}
+
+
+@pytest.mark.parametrize("assemble", _SPACES_READ, ids=lambda f: f.__name__)
+def test_assemblers_name_a_mismatched_space(assemble):
+    """A space of another mesh or of the wrong degree is refused by the
+    field it stands for, before it can index out of bounds."""
+    make_spaces, names = _SPACES_READ[assemble]
+    mesh, other, params = unit_box_mesh(2, 2), unit_box_mesh(2, 3), ProblemParams(k=2)
+    spaces = make_spaces(mesh, 2)
+    assemble(mesh, spaces, params)
+    for name in names:
+        s = spaces[name]
+        for bad in (build_space(other, s.kind, s.degree, s.zero_boundary),
+                    build_space(mesh, s.kind, s.degree + 1, s.zero_boundary)):
+            with pytest.raises(ValueError, match=f"field '{name}' needs a {s.kind} space"):
+                assemble(mesh, {**spaces, name: bad}, params)
+
+
 def test_big_m_switch_and_callable_rejection():
     assert ProblemParams(xi=1e-6, gamma=1e4).big_m == 1e4
     assert ProblemParams(xi=2.0, gamma=0.5).big_m == 2.0
@@ -656,7 +683,6 @@ def test_cavity_boundary_data():
     assert np.allclose(u[0], [1.0, 0.0])
     assert np.allclose(u[1], [1.0 - 0.5**4, 0.0])
     assert np.abs(u[2:]).max() == 0.0
-    assert "interpretation" in case.meta
     case3 = manufactured_rhs("stokes-cavity", 3, ProblemParams(k=2))
     u3 = case3.dirichlet(np.array([[0.5, 0.5, 1.0]]))[0]  # tau = (0, 0)
     assert np.allclose(u3, [1.0, 0.1, 0.0])
@@ -698,10 +724,10 @@ def test_block_triplets_match_dense_loop(nc, m, n, square, seed):
 
 
 def _all_assemblers(dim, n):
-    """{name: (system, reductions)} for the eight assemblers on one mesh;
+    """{name: (system, reductions)} for the eight assemblers at one (dim, n);
     a reduction is condense (spd=False) or condense_precond (spd=True)."""
     mesh, dspaces, params, darcy, darcy_inner = darcy_problem(dim, n)
-    _, sspaces, sparams, stokes, stokes_inner = stokes_problem(dim, n)
+    smesh, sspaces, sparams, stokes, stokes_inner = stokes_problem(dim, n)
     return {
         "darcy": (darcy, (False,)),
         "darcy-inner": (darcy_inner, (True,)),
@@ -710,7 +736,7 @@ def _all_assemblers(dim, n):
         "stokes": (stokes, (False,)),
         "stokes-inner": (stokes_inner, (True,)),
         "stokes-inner-hat": (stokes_problem(dim, n, hatted=True)[4], (True,)),
-        "stokes-ch": (assemble_stokes_ch(mesh, sspaces, sparams), (True,)),
+        "stokes-ch": (assemble_stokes_ch(smesh, sspaces, sparams), (True,)),
     }
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -74,11 +75,36 @@ def test_empty_fields_serialize_empty():
 def test_maxit_rendering():
     row = ResultRow("darcy-manufactured", 2, 4, 32, 120, 1.0, 1.0, 1.0, 0.0,
                     "darcy-reduced", 999, False, 1e-3)
-    assert row.iters_text(999) == ">999"
-    text = emit([row], fmt="csv", maxit=999)
+    assert row.iters_text() == ">999"
+    text = emit([row], fmt="csv")
     assert ">999" in text
-    md = emit([row], fmt="md", maxit=999)
+    md = emit([row], fmt="md")
     assert ">999" in md
+
+
+def test_iteration_cell_reads_the_row():
+    """A run out of iterations prints its own maxit, not a default one."""
+    (row,) = run(small_config(maxit=2))
+    assert not row.converged and row.iters == 2
+    assert emit([row], fmt="csv").split("\n")[1].split(",")[10] == ">2"
+    assert emit([row], fmt="md").split("\n")[2] == "| 32 | >2 |"
+
+
+def test_failed_row_prints_failed():
+    """A failed row (xi = 0: a singular local block) reads `failed`, not
+    an iteration limit, and its JSON still round-trips."""
+    rows = run(small_config(levels=(2, 4), xi=(1.0, 0.0)))
+    assert [r.failed is not None for r in rows] == [False, True, False, True]
+    assert [line.split(",")[10] for line in emit(rows, fmt="csv").split("\n")[1:-1]] == [
+        rows[0].iters_text(), "failed", rows[2].iters_text(), "failed"]
+    md = emit(rows, fmt="md").split("\n")[2:-1]
+    assert md == [f"| 8 | {rows[0].iters} | failed |", f"| 32 | {rows[2].iters} | failed |"]
+    assert parse_json_rows(emit(rows, fmt="json")) == rows
+
+
+def test_csv_header_is_the_row_fields():
+    names = [f.name for f in fields(ResultRow) if f.name not in ("failed", "warnings")]
+    assert CSV_HEADER == ",".join(names)
 
 
 def test_json_round_trip():
