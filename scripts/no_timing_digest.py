@@ -2,10 +2,10 @@
 
     python3 scripts/no_timing_digest.py SRC_DIR
 
-runs each sweep below in csv, md and json, plus the default Darcy and the
-`--problem stokes` spectrum CSVs, with PYTHONPATH=SRC_DIR, and prints one
-`md5  argv` line per run (a nonzero exit other than 2, the code of a failed
-row, ends the script).  Two trees give the same outputs when
+runs each sweep below in csv, md and json, plus the default Darcy, the
+`--problem stokes` and the counterexample spectrum CSVs, with
+PYTHONPATH=SRC_DIR, and prints one `md5  argv` line per run (a nonzero
+exit other than 2, the code of a failed row or case, ends the script).  Two trees give the same outputs when
 
     diff <(python3 scripts/no_timing_digest.py A/src) \\
          <(python3 scripts/no_timing_digest.py B/src)
@@ -24,12 +24,17 @@ import tempfile
 SWEEPS = (
     "darcy-manufactured --levels 8,16 --xi 1,1e-6 --gamma 1e-4,1e4",
     "darcy-counterexample --levels 8",
+    "darcy-counterexample --dim 3 --levels 2",
     "stokes-manufactured --levels 8 --nu 1,1e-6",
+    "stokes-manufactured --levels 8 --nu 1,1e-6 --zeta 100",
     "stokes-manufactured --levels 8 --nu 1,1e-6 --zeta 100 --hatted",
+    "stokes-cavity --levels 4",
+    "stokes-cavity --dim 3 --levels 2",
     "darcy-manufactured --dim 3 --levels 2,4",
     "darcy-heterogeneous --levels 8",
 )
-SPECTRA = ("spectrum", "spectrum --problem stokes")
+SPECTRA = ("spectrum", "spectrum --problem stokes",
+           "spectrum --precond counterexample --levels 4")
 
 
 def _condensa(src: str, argv: list[str], cwd: str) -> bytes:

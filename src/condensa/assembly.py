@@ -250,7 +250,6 @@ class BlockSystem:
     rhs_cell: np.ndarray
     rhs_trace: np.ndarray
     params: ProblemParams
-    problem: str
     coupling: sp.csr_matrix | None = None
     context: ElementContext | None = None
     null_vectors: tuple = ()
@@ -353,7 +352,7 @@ def _trace_ids(lay: BlockLayout, fixed: dict):
     return np.concatenate(ids, axis=1).astype(np.int32), np.concatenate(vals, axis=1)
 
 
-def _block_system(lay, params, problem, ctx, a11, a21=None, a22b=None, rhs_cell=None,
+def _block_system(lay, params, ctx, a11, a21=None, a22b=None, rhs_cell=None,
                   rhs_trace=None, fixed=None, coupling=None, null_vectors=()) -> BlockSystem:
     """The BlockSystem of every cell's blocks: a11 (cells, cs, cs), a21
     (cells, ntr, cs) on the cell's trace dofs in _trace_ids order (zero
@@ -380,7 +379,7 @@ def _block_system(lay, params, problem, ctx, a11, a21=None, a22b=None, rhs_cell=
         layout=lay, a11=a11, a21=a21, tids=tids,
         a22b=np.empty((nc, 0, 0, 0)) if a22b is None else a22b, rhs_cell=rhs_cell,
         rhs_trace=np.zeros(lay.n_trace) if rhs_trace is None else rhs_trace,
-        params=params, problem=problem, coupling=coupling, context=ctx,
+        params=params, coupling=coupling, context=ctx,
         null_vectors=tuple(null_vectors),
     )
 
@@ -565,7 +564,7 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None,
     rhs_cell = np.zeros((nc, cs))
     if f is not None:
         rhs_cell[:, psl] = (wdet * _coef(f, xq)) @ ctx.vals_p
-    return _block_system(lay, params, "darcy", ctx, a11, a21, rhs_cell=rhs_cell, fixed=fixed)
+    return _block_system(lay, params, ctx, a11, a21, rhs_cell=rhs_cell, fixed=fixed)
 
 
 def assemble_darcy_inner(mesh, spaces, params: ProblemParams) -> BlockSystem:
@@ -592,7 +591,7 @@ def assemble_darcy_inner(mesh, spaces, params: ProblemParams) -> BlockSystem:
                         + _grad_grad(wdet * xi, ctx.gpgp, ctx.Jinv) + pen)
     a21 = np.zeros((nc, pen_bar.shape[1] * pen_bar.shape[2], cs))
     a21[:, :, psl] = pen_bar.reshape(nc, -1, ctx.nbp)
-    return _block_system(lay, params, "darcy-inner", ctx, a11, a21, a22b=pen_bb)
+    return _block_system(lay, params, ctx, a11, a21, a22b=pen_bb)
 
 
 def assemble_counterexample_inner(mesh, spaces, params: ProblemParams) -> BlockSystem:
@@ -618,8 +617,7 @@ def assemble_counterexample_inner(mesh, spaces, params: ProblemParams) -> BlockS
 
     _, _, scale, _ = ctx.facet_frame()
     wbar = ctx.facet_weights(scale) * (xi * ctx.hK[:, None, None])
-    return _block_system(lay, params, "darcy-counterexample-inner", ctx, a11,
-                         a22b=_gemm(wbar, ctx.ff),
+    return _block_system(lay, params, ctx, a11, a22b=_gemm(wbar, ctx.ff),
                          coupling=_normal_jump_coupling(ctx, lay, 1.0 / xi))
 
 
@@ -686,8 +684,7 @@ def assemble_aux_hdg(mesh, spaces, params: ProblemParams, f=None) -> BlockSystem
     a21 = (cons_bar + pen_bar).reshape(mesh.n_cells, -1, ctx.nbp)
 
     rhs_cell = None if f is None else (wdet * _coef(f, xq)) @ ctx.vals_p
-    return _block_system(lay, params, "darcy-aux", ctx, a11, a21, a22b=pen_bb,
-                         rhs_cell=rhs_cell)
+    return _block_system(lay, params, ctx, a11, a21, a22b=pen_bb, rhs_cell=rhs_cell)
 
 
 # ----------------------------------------------------------------------
@@ -787,7 +784,7 @@ def assemble_stokes(mesh, spaces, params: ProblemParams, f=None,
         rhs_cell = np.zeros((nc, cs))
         rhs_cell[:, usl] = _gemm(wf.transpose(0, 2, 1), ctx.vals_u).reshape(nc, -1)
     rhs_trace = None if u_dirichlet is None else _boundary_flux_load(ctx, lay, u_dirichlet)
-    return _block_system(lay, params, "stokes", ctx, a11, a21, a22b=ubu, rhs_cell=rhs_cell,
+    return _block_system(lay, params, ctx, a11, a21, a22b=ubu, rhs_cell=rhs_cell,
                          rhs_trace=rhs_trace, fixed=fixed,
                          null_vectors=(constant_pressure_vector(lay),))
 
@@ -845,8 +842,7 @@ def assemble_stokes_inner(mesh, spaces, params: ProblemParams,
     n_ub = cross.shape[1]
     a21 = np.zeros((nc, n_ub + pbb.shape[1] * pbb.shape[2], cs))
     a21[:, :n_ub, usl] = cross
-    tag = "stokes-inner-hat" if hatted else "stokes-inner"
-    return _block_system(lay, params, tag, ctx, a11, a21,
+    return _block_system(lay, params, ctx, a11, a21,
                          a22b=np.concatenate([ubu, pbb], axis=1))
 
 
@@ -858,7 +854,7 @@ def assemble_stokes_ch(mesh, spaces, params: ProblemParams) -> BlockSystem:
     ctx = _context(mesh, k)
     Y = _grad_pairs(ctx.cell_weights(), ctx.gugu, ctx.Jinv)
     uu, cross, ubu = _ch_blocks(ctx, Y, float(params.nu), params.eta_for(mesh.dim))
-    return _block_system(lay, params, "stokes-ch", ctx, uu, cross, a22b=ubu)
+    return _block_system(lay, params, ctx, uu, cross, a22b=ubu)
 
 
 # ----------------------------------------------------------------------

@@ -97,11 +97,14 @@ class RunConfig:
                 unread.append(f"`{f.name}`" + (f" ({by.pop().title()}-only)" if by else ""))
         if unread:
             raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
-        if self.maxit < 1:
-            raise ValueError(f"`maxit` must be at least 1, got {self.maxit}")
         probe_names(self.problem, self.probes)
         if self.levels is None:
             object.__setattr__(self, "levels", DEFAULT_LEVELS[self.dim][spectrum])
+        for name, values in (("levels", self.levels), ("k", (self.k,)),
+                             ("maxit", (self.maxit,))):
+            if min(values) < 1:
+                raise ValueError(f"`{name}` must be at least 1, got "
+                                 + ",".join(map(str, values)))
 
     def tolerance(self) -> float:
         if self.tol is not None:
@@ -177,9 +180,14 @@ def _row_cases(config: RunConfig):
     return cases
 
 
-def _assemble_case(config: RunConfig, mesh: Mesh, pdict: dict, spec: PreconditionerSpec):
-    """(spaces, params, case, system): the scheme one row solves.  A
-    spectrum case is the bare operator: no load, no boundary data, case None."""
+def _case_spaces(config: RunConfig, mesh: Mesh, spec: PreconditionerSpec) -> dict:
+    return (darcy_spaces if spec.problem == "darcy" else stokes_spaces)(mesh, config.k)
+
+
+def _assemble_case(config: RunConfig, mesh: Mesh, spaces: dict, pdict: dict,
+                   spec: PreconditionerSpec):
+    """(params, case, system): the scheme one row solves.  A spectrum case
+    is the bare operator: no load, no boundary data, case None."""
     params = config.params(**pdict)
     case = None
     if config.experiment != "spectrum":
@@ -190,20 +198,19 @@ def _assemble_case(config: RunConfig, mesh: Mesh, pdict: dict, spec: Preconditio
             params = config.params(xi=case.xi_fn, gamma=case.gamma_fn)
     f, bc = (None, None) if case is None else (case.f, case.dirichlet)
     if spec.problem == "darcy":
-        spaces = darcy_spaces(mesh, config.k)
         system = assemble_darcy(mesh, spaces, params, f=f, p_dirichlet=bc)
     else:
-        spaces = stokes_spaces(mesh, config.k)
         system = assemble_stokes(mesh, spaces, params, f=f, u_dirichlet=bc)
-    return spaces, params, case, system
+    return params, case, system
 
 
 def _solve_case(config: RunConfig, mesh: Mesh, n: int, pdict: dict,
-                spec: PreconditionerSpec):
+                spec: PreconditionerSpec, spaces: dict) -> dict:
+    """The row fields a solve measures: iterations, residual, errors, seconds."""
     t0 = time.perf_counter()
     tol = config.tolerance()
     errs: dict = {}
-    spaces, params, case, system = _assemble_case(config, mesh, pdict, spec)
+    params, case, system = _assemble_case(config, mesh, spaces, pdict, spec)
     reduced = spec.level == "reduced"
     if reduced:
         condensed = condense(system)
@@ -221,8 +228,7 @@ def _solve_case(config: RunConfig, mesh: Mesh, n: int, pdict: dict,
                          shift_p_mean=spec.problem == "stokes")
 
     seconds = time.perf_counter() - t0 if config.timing else 0.0
-    return _row(config, n, pdict, spec, cells=mesh.n_cells, trace_dofs=system.layout.n_trace,
-                iters=rep.iterations, converged=rep.converged, resid=float(rep.final_relative),
+    return dict(iters=rep.iterations, converged=rep.converged, resid=float(rep.final_relative),
                 err_u=errs.get("err_u"), err_p=errs.get("err_p"), seconds=seconds)
 
 
@@ -241,7 +247,8 @@ def _row(config: RunConfig, n: int, pdict: dict, spec: PreconditionerSpec,
 def run(config: RunConfig) -> list[ResultRow]:
     """Execute a sweep; rows are returned in deterministic config order.
 
-    Row failures are recorded (failed column) and the sweep continues.
+    Row failures are recorded (failed column) and the sweep continues; a
+    failed row still records its level's cells and trace dofs.
     Each row counts the RuntimeWarnings raised while it ran (for example
     CG residual growth) in its warnings field; other warnings pass on.
     """
@@ -252,14 +259,17 @@ def run(config: RunConfig) -> list[ResultRow]:
         write_mesh_text(mesh_at(config.levels[0]), config.mesh_out)
     rows = []
     for n, pdict, spec in _row_cases(config):
+        mesh = mesh_at(n)
+        spaces = _case_spaces(config, mesh, spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             try:
-                row = _solve_case(config, mesh_at(n), n, pdict, spec)
+                solved = _solve_case(config, mesh, n, pdict, spec, spaces)
             except Exception as exc:  # row-level containment, sweep continues
-                row = _row(config, n, pdict, spec, cells=0, trace_dofs=0, iters=0,
-                           converged=False, resid=None,
-                           failed=f"{type(exc).__name__}: {exc}")
+                solved = dict(iters=0, converged=False, resid=None,
+                              failed=f"{type(exc).__name__}: {exc}")
+        row = _row(config, n, pdict, spec, cells=mesh.n_cells,
+                   trace_dofs=sum(s.n_free for s in spaces.values() if s.is_facet), **solved)
         for w in caught:
             if issubclass(w.category, RuntimeWarning):
                 row.warnings += 1
@@ -275,7 +285,8 @@ def _dump_matrices(config: RunConfig, mesh_at):
     """Coordinate-list text dump (1-based) of the first row's operators."""
     os.makedirs(config.dump_matrices, exist_ok=True)
     n, pdict, spec = _row_cases(config)[0]
-    system = _assemble_case(config, mesh_at(n), pdict, spec)[-1]
+    mesh = mesh_at(n)
+    system = _assemble_case(config, mesh, _case_spaces(config, mesh, spec), pdict, spec)[-1]
     for name, M in (("monolithic", system.to_sparse()),
                     ("schur", condense(system).S)):
         coo = M.tocoo()
@@ -290,20 +301,31 @@ def spectrum(config: RunConfig) -> list[dict]:
     sweeps xi x gamma under config.precond, Stokes nu x zeta (hatted with
     config.hatted).  Each case gives its reduced_bounds_check row, then its
     lemma_probes row (config.probes, default the problem's set), both with
-    the level and the label "<spec label>;<param>=<value>;..."."""
+    the level and the label "<spec label>;<param>=<value>;...".  A case
+    that fails gives the one row {"level", "label", "failed": "<Type>: <msg>"}
+    instead, which stands for the warnings it raised, and the cases after
+    it still run."""
     mesh_at = _meshes(config)
     rows = []
     for n, pdict, spec in _row_cases(config):
-        mesh = mesh_at(n)
-        spaces, params, _, system = _assemble_case(config, mesh, pdict, spec)
-        rep = reduced_bounds_check(system, assemble_inner(spec, mesh, spaces, params))
-        SpectralReport(*(rep[k] for k in ("c_b", "c_i", "kappa_full", "kappa_reduced",
-                                          "c_l"))).validate()
         label = ";".join([spec.label()] + [f"{k}={v:g}" for k, v in pdict.items()])
-        rep.update(level=n, label=label)
-        (probe_row,) = lemma_probes(config.problem, config.dim, (n,), params,
-                                    probes=config.probes)
-        rows += [rep, {**probe_row, "label": label}]
+        mesh = mesh_at(n)
+        spaces = _case_spaces(config, mesh, spec)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                params, _, system = _assemble_case(config, mesh, spaces, pdict, spec)
+                rep = reduced_bounds_check(system, assemble_inner(spec, mesh, spaces, params))
+                SpectralReport(*(rep[k] for k in ("c_b", "c_i", "kappa_full",
+                                                  "kappa_reduced", "c_l"))).validate()
+                (probe_row,) = lemma_probes(config.problem, config.dim, (n,), params,
+                                            probes=config.probes)
+            except Exception as exc:  # case-level containment, the other cases run
+                rows.append({"level": n, "label": label,
+                             "failed": f"{type(exc).__name__}: {exc}"})
+                continue
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        rows += [{**rep, "level": n, "label": label}, {**probe_row, "label": label}]
     return rows
 
 

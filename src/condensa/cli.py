@@ -59,16 +59,18 @@ def main(argv=None) -> int:
         parser.error(re.sub(r"`(\w+)`", lambda m: flags.get(m[1], m[1]), str(exc)))
     if config.experiment == "spectrum":
         path = out or "spectrum.csv"
-        write_constants_csv(path, spectrum(config))
+        rows = spectrum(config)
+        write_constants_csv(path, [r for r in rows if "failed" not in r])
         print(f"wrote {path}")
-        return 0
-    rows = run(config)
-    text = emit(rows, fmt=fmt, path=out)
-    if not out:
-        sys.stdout.write(text)
-    failed = [r for r in rows if r.failed]
-    for r in failed:
-        print(f"row failed: level={r.level} {r.precond}: {r.failed}", file=sys.stderr)
+        failed = [("case", r["level"], r["label"], r["failed"]) for r in rows if "failed" in r]
+    else:
+        rows = run(config)
+        text = emit(rows, fmt=fmt, path=out)
+        if not out:
+            sys.stdout.write(text)
+        failed = [("row", r.level, r.precond, r.failed) for r in rows if r.failed]
+    for what, level, label, error in failed:
+        print(f"{what} failed: level={level} {label}: {error}", file=sys.stderr)
     return 2 if failed else 0
 
 

@@ -99,7 +99,12 @@ class KrylovReport:
     iterations: int
     converged: bool
     residuals: list = field(default_factory=list)
-    final_relative: float = 0.0
+
+    @property
+    def final_relative(self) -> float:
+        """The last relative residual; 0.0 when there is none (a zero
+        right-hand side converges at once)."""
+        return self.residuals[-1] if self.residuals else 0.0
 
     def write_csv(self, path) -> None:
         """Residual history as `iteration,residual` lines."""
@@ -498,8 +503,8 @@ def factor_spd(S, reorder: bool = False):
     one facet's dofs per block and the separators as supernodes; a failed
     dense Cholesky of a front certifies the matrix is not SPD.  Below it,
     and with reorder=True in SuperLU's minimum-degree order (for the
-    counterexample's coupled cell group, which has no trace structure to
-    order by; see precond), SuperLU in symmetric mode with a zero
+    full level's cell group, which has no trace structure to order by;
+    see precond), SuperLU in symmetric mode with a zero
     diagonal-pivot threshold, which never pivots off the diagonal: its
     factorization is Cholesky-like, and a non-positive pivot certifies the
     matrix is not SPD.  Either factor has solve(b), and fill, the
@@ -568,7 +573,7 @@ def cg(apply_A, apply_Pinv, b, tol: float = 1e-10, maxit: int = 999,
     res0 = np.sqrt(rho)
     history = []
     if res0 == 0.0:
-        return x, KrylovReport(0, True, history, 0.0)
+        return x, KrylovReport(0, True, history)
     p = z.copy()
     for it in range(1, maxit + 1):
         Ap = A(p)
@@ -589,10 +594,10 @@ def cg(apply_A, apply_Pinv, b, tol: float = 1e-10, maxit: int = 999,
             warnings.warn("CG preconditioned residual grew by more than 10%",
                           RuntimeWarning, stacklevel=2)
         if rel <= tol:
-            return x, KrylovReport(it, True, history, float(rel))
+            return x, KrylovReport(it, True, history)
         p = z + (rho_new / rho) * p
         rho = rho_new
-    return x, KrylovReport(maxit, False, history, float(history[-1]))
+    return x, KrylovReport(maxit, False, history)
 
 
 def minres(apply_A, apply_Pinv, b, tol: float = 1e-8, maxit: int = 999,
@@ -609,7 +614,7 @@ def minres(apply_A, apply_Pinv, b, tol: float = 1e-8, maxit: int = 999,
     beta1 = np.sqrt(beta1_sq)
     history = []
     if beta1 == 0.0:
-        return x, KrylovReport(0, True, history, 0.0)
+        return x, KrylovReport(0, True, history)
 
     oldb, beta = 0.0, beta1
     dbar = epsln = 0.0
@@ -648,8 +653,8 @@ def minres(apply_A, apply_Pinv, b, tol: float = 1e-8, maxit: int = 999,
         rel = float(phibar / beta1)
         history.append(rel)
         if rel <= tol:
-            return x, KrylovReport(it, True, history, float(rel))
-    return x, KrylovReport(maxit, False, history, float(history[-1]))
+            return x, KrylovReport(it, True, history)
+    return x, KrylovReport(maxit, False, history)
 
 
 def _dense(M):

@@ -39,8 +39,9 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
 
     Returns a dict of *norms* (not squares): the plain mesh-dependent
     quantities listed above that the system's fields support, plus the
-    parameter-weighted energies matching the system's parameters (each
-    only where the fields it reads exist; tnorm_X needs both).
+    parameter-weighted energies matching the system's parameters (Stokes
+    ones when the layout has a velocity trace ubar, Darcy ones otherwise,
+    each only where the fields it reads exist; tnorm_X needs both).
     """
     lay = system.layout
     ctx = system.context
@@ -115,9 +116,10 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
     if "hp_sq" in out:
         out["tnorm_hp"] = np.sqrt(out["hp_sq"])
 
-    # parameter-weighted energies, each where the fields it reads exist
+    # parameter-weighted energies (Stokes ones with a velocity trace), each
+    # where the fields it reads exist
     weighted = {}
-    if system.problem.startswith("darcy"):
+    if "ubar" not in names:
         if "u" in names:
             weighted["v_D"] = float(np.einsum("bq,bqc->", wdet / _coef(params.xi, xq), uv**2))
         if "jump_p_sq" in out:
@@ -127,7 +129,7 @@ def evaluate_norms(system: BlockSystem, x: np.ndarray) -> dict:
                 + float(np.einsum("bq,bqk->", wdet * _coef(params.xi, xq), gpv**2))
                 + eta * float(np.einsum(
                     "blq,blq->", wfs * xif / hK[:, None, None], (p_f - pb_f) ** 2)))
-    elif system.problem.startswith("stokes"):
+    else:
         nu = float(params.nu)
         if "jump_u_sq" in out:
             weighted["v_S"] = nu * (out["eps_u_sq"] + eta * out["jump_u_sq"])

@@ -10,11 +10,11 @@ around that same S_P:
     y = P11^-1 r_cell,   xbar = S_P^-1 (r_trace - P21 y),
     cells = y - X xbar_local   (X = P11^-1 P21^T, from condense_precond),
 
-so it adds one cell solve.  Where P11 is block diagonal over cells, that
-is the explicit inverse of each cell's block.  Only the counterexample
-couples cells (through its normal-jump term; there P21 vanishes and S_P
-is P22), and its whole cell group is factored in minimum-degree order
-(reorder=True), since it has no trace structure to order by.
+so it adds one cell solve: factor_spd of the whole cell group P11, in
+minimum-degree order (reorder=True), since it has no trace structure to
+order by.  P11 is block diagonal over cells, except in the counterexample,
+whose normal-jump term couples cells (there P21 vanishes and S_P is P22);
+one sparse factor serves both.
 
 S_P arrives in a fill-reducing order: trace dofs are facet-major and the
 mesh numbers facets by nested dissection, so factor_spd eliminates it as
@@ -24,16 +24,14 @@ given, by the supernodal multifrontal Cholesky once it is large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (BlockSystem, ProblemParams, assemble_counterexample_inner,
                        assemble_darcy_inner, assemble_stokes_inner)
-from .condense import (CondensedSystem, _solve_cells, _trace_load, back_substitute,
-                       condense_precond)
-from .krylov import NotSymmetricPositiveDefinite, factor_spd
+from .condense import CondensedSystem, _trace_load, back_substitute, condense_precond
+from .krylov import factor_spd
 
 __all__ = ["PreconditionerSpec", "PrecondOperator", "build_full", "build_reduced"]
 
@@ -71,6 +69,8 @@ class PreconditionerSpec:
 
 def assemble_inner(spec: PreconditionerSpec, mesh, spaces,
                    params: ProblemParams) -> BlockSystem:
+    if spec.zeta != params.zeta:
+        raise ValueError(f"spec zeta {spec.zeta:g} differs from params zeta {params.zeta:g}")
     if spec.problem == "darcy":
         if spec.kind == "counterexample":
             return assemble_counterexample_inner(mesh, spaces, params)
@@ -83,35 +83,21 @@ class PrecondOperator:
     """P^-1 (level full, on the n monolithic dofs) or S_P^-1 (level
     reduced, on the n trace dofs), applied exactly."""
 
-    spec: PreconditionerSpec
     system: BlockSystem          # the assembled inner product
     n: int
     S: sp.csr_matrix             # the reduced trace operator S_P
     _factor: object              # factor_spd(S)
     _condensed: CondensedSystem | None = None   # full level: X, for the lift
-    _cell_solve: Callable | None = None         # full level: r_cell -> P11^-1 r_cell
+    _cells: object = None                       # full level: factor_spd(P11)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if self._cell_solve is None:
+        if self._cells is None:
             return self._factor.solve(r)
         r_cell, r_trace = self.system.layout.split(r)
-        y = self._cell_solve(r_cell)
+        y = self._cells.solve(r_cell.ravel()).reshape(r_cell.shape)
         xbar = self._factor.solve(_trace_load(self.system, r_trace, y))
         return back_substitute(self._condensed, xbar, y)
-
-
-def _cell_solve(system: BlockSystem) -> Callable:
-    """r_cell (cells, cell dofs) -> P11^-1 r_cell."""
-    if system.coupling is None:
-        a11 = system.a11
-        inv = _solve_cells(a11, np.broadcast_to(np.eye(a11.shape[1]), a11.shape), spd=True)
-        if inv is None:
-            raise NotSymmetricPositiveDefinite("P11 cell block inverse is not finite")
-        return lambda r: np.einsum("bij,bj->bi", inv, r)
-    nct = system.layout.n_cell_total
-    factor = factor_spd(system.to_sparse()[:nct, :nct], reorder=True)
-    return lambda r: factor.solve(r.ravel()).reshape(r.shape)
 
 
 def _build(level: str, spec: PreconditionerSpec, mesh, spaces,
@@ -122,9 +108,10 @@ def _build(level: str, spec: PreconditionerSpec, mesh, spaces,
     condensed = condense_precond(system)
     factor = factor_spd(condensed.S)
     if level == "reduced":
-        return PrecondOperator(spec, system, condensed.n_trace, condensed.S, factor)
-    return PrecondOperator(spec, system, system.layout.n_total, condensed.S, factor,
-                           condensed, _cell_solve(system))
+        return PrecondOperator(system, condensed.n_trace, condensed.S, factor)
+    nct = system.layout.n_cell_total
+    return PrecondOperator(system, system.layout.n_total, condensed.S, factor, condensed,
+                           factor_spd(system.to_sparse()[:nct, :nct], reorder=True))
 
 
 def build_full(spec: PreconditionerSpec, mesh, spaces,

@@ -494,11 +494,33 @@ def test_norms_vanish_on_constants():
 
 
 def test_norms_of_single_pair_systems(rng):
-    """The c_h system (u, ubar) and the auxiliary system (p, pbar) carry one
-    field pair each: their plain norms and that pair's weighted energy."""
+    """Every assembler's system gets the weighted energies of its problem:
+    Stokes ones (v_S, q_S) on a layout with a velocity trace, Darcy ones
+    (v_D, q_D) otherwise, each where its fields exist.  The c_h system
+    (u, ubar) and the auxiliary system (p, pbar) carry one field pair
+    each: their plain norms and that pair's weighted energy."""
     mesh = unit_box_mesh(2, 2)
     params = ProblemParams(k=2, xi=0.5, gamma=2.0, nu=0.25)
-    ch = assemble_stokes_ch(mesh, stokes_spaces(mesh, 2), params)
+    eta = params.eta_for(2)
+    ds, ss = darcy_spaces(mesh, 2), stokes_spaces(mesh, 2)
+    darcy, stokes = {"v_D", "q_D", "X"}, {"v_S", "q_S", "X"}
+    for system, weighted in (
+            (assemble_darcy(mesh, ds, params), darcy),
+            (assemble_darcy_inner(mesh, ds, params), darcy),
+            (assemble_counterexample_inner(mesh, ds, params), darcy),
+            (assemble_aux_hdg(mesh, aux_spaces(mesh, 2), params), {"q_D"}),
+            (assemble_stokes(mesh, ss, params), stokes),
+            (assemble_stokes_inner(mesh, ss, params), stokes),
+            (assemble_stokes_inner(mesh, ss, params, hatted=True), stokes),
+            (assemble_stokes_ch(mesh, ss, params), {"v_S"})):
+        norms = evaluate_norms(system, rng.standard_normal(system.layout.n_total))
+        assert {k[6:] for k in norms} & (darcy | stokes) == weighted
+        if "v_D" in weighted:
+            assert norms["tnorm_v_D"] ** 2 == pytest.approx(norms["u_l2_sq"] / 0.5, rel=1e-14)
+        if "q_S" in weighted:
+            assert norms["tnorm_q_S"] ** 2 == pytest.approx(
+                (norms["p_l2_sq"] + norms["pbar_h_sq"] / eta) / 0.25, rel=1e-14)
+    ch = assemble_stokes_ch(mesh, ss, params)
     norms = evaluate_norms(ch, rng.standard_normal(ch.layout.n_total))
     assert {"tnorm_v", "tnorm_hu", "tnorm_v_S"} <= set(norms)
     assert "tnorm_X" not in norms and "tnorm_0p" not in norms

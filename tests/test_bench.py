@@ -102,6 +102,35 @@ def test_failed_row_prints_failed():
     assert parse_json_rows(emit(rows, fmt="json")) == rows
 
 
+def test_failed_row_records_its_level_size(capsys):
+    """A failed row still records its level's cells and trace dofs."""
+    (row,) = run(small_config(levels=(2,), xi=(0.0,)))
+    assert row.failed and (row.cells, row.trace_dofs) == (8, 24)
+    assert main(["darcy-manufactured", "--levels", "2", "--xi", "0", "--no-timing"]) == 2
+    assert ",2,8,24,0.0," in capsys.readouterr().out
+    assert emit([row], fmt="md").split("\n")[2] == "| 8 | failed |"
+
+
+@pytest.mark.parametrize("flag", ["levels", "k"])
+def test_levels_and_k_below_one_are_refused(capsys, flag):
+    with pytest.raises(ValueError, match=f"`{flag}` must be at least 1, got (4,)?0$"):
+        small_config(**{flag: (4, 0) if flag == "levels" else 0})
+    with pytest.raises(SystemExit) as exit_:
+        main(["darcy-manufactured", "--levels", "4", f"--{flag}", "0"])
+    assert exit_.value.code == 2 and f"--{flag} must be at least 1" in capsys.readouterr().err
+
+
+def test_spectrum_keeps_going_when_a_case_fails(tmp_path, capsys):
+    """xi=0 fails; the xi=1 case is still written, the failed one is named
+    on one stderr line, and the exit code is a failed sweep's."""
+    assert main(["spectrum", "--levels", "2", "--xi", "0,1", "--out", str(tmp_path / "a.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "case failed: level=2 darcy-reduced;xi=0;gamma=1: ValueError: ")
+    assert main(["spectrum", "--levels", "2", "--xi", "1", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+
 def test_csv_header_is_the_row_fields():
     names = [f.name for f in fields(ResultRow) if f.name not in ("failed", "warnings")]
     assert CSV_HEADER == ",".join(names)
@@ -386,7 +415,7 @@ def test_row_scheme_and_inner_product_share_one_context(monkeypatch):
                         lambda inner: seen.append(inner) or condense_precond(inner))
     (row,) = run(small_config())
     system, inner = seen
-    assert system.problem == "darcy" and inner.problem == "darcy-inner"
+    assert system.rhs_cell.any() and not inner.rhs_cell.any()   # the loaded scheme first
     assert system.context is inner.context and row.converged
     with pytest.raises(ValueError, match="read-only"):
         inner.context.Jinv[0] = 0.0

@@ -43,7 +43,7 @@ def toy_system(a11, a21, a22, rhs_cell=None, rhs_trace=None):
                   else np.asarray(rhs_cell, dtype=float)[None, :]),
         rhs_trace=(np.zeros(ntr) if rhs_trace is None
                    else np.asarray(rhs_trace, dtype=float)),
-        params=ProblemParams(), problem="toy")
+        params=ProblemParams())
 
 
 def test_toy_schur_value():
@@ -258,7 +258,7 @@ def test_coupled_cells_with_trace_coupling_not_condensable(load):
         layout=_ToyLayout(1), a11=np.stack([np.eye(2)] * 2), a21=np.zeros((2, 1, 2)),
         tids=np.zeros((2, 1), dtype=np.int64), a22b=np.full((2, 1, 1, 1), 0.5),
         rhs_cell=np.zeros((2, 2)), rhs_trace=np.zeros(1), params=ProblemParams(),
-        problem="toy", coupling=sp.csr_matrix(([0.5, 0.5], ([0, 2], [2, 0])), shape=(4, 4)))
+        coupling=sp.csr_matrix(([0.5, 0.5], ([0, 2], [2, 0])), shape=(4, 4)))
     for reduce in (condense, condense_precond):
         assert np.array_equal(reduce(system).S.toarray(), [[1.0]])
     if load == "a21":
@@ -305,7 +305,7 @@ def _random_block_system(rng, nc, cs, ntr, n, spd):
         layout=_ToyLayout(n), a11=a11, a21=a21, tids=tids,
         a22b=a22 + a22.transpose(0, 1, 3, 2),
         rhs_cell=rng.standard_normal((nc, cs)),
-        rhs_trace=rng.standard_normal(n), params=ProblemParams(), problem="toy")
+        rhs_trace=rng.standard_normal(n), params=ProblemParams())
 
 
 def _per_cell_oracle(system, spd, xbar):

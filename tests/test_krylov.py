@@ -520,6 +520,23 @@ def test_residual_histories_relative_and_monotone_warning(rng):
     assert rep.converged and rep.iterations == len(rep.residuals)
 
 
+def test_final_relative_is_the_last_residual(rng):
+    # cg and minres, converged and stopped at maxit: final_relative is the
+    # last entry of the history, derived rather than stored; a zero
+    # right-hand side converges with no history and reads 0.0
+    from dataclasses import fields
+    assert "final_relative" not in {f.name for f in fields(krylov.KrylovReport)}
+    S = np.diag(np.arange(1.0, 41.0))
+    b = rng.standard_normal(40)
+    for solve in (cg, minres):
+        for maxit, converged in ((999, True), (3, False)):
+            _, rep = solve(lambda v: S @ v, None, b, tol=1e-10, maxit=maxit)
+            assert rep.converged is converged and len(rep.residuals) == rep.iterations
+            assert rep.final_relative == rep.residuals[-1]
+        _, rep = solve(lambda v: S @ v, None, np.zeros(40))
+        assert rep.residuals == [] and rep.final_relative == 0.0
+
+
 def test_residual_history_csv(tmp_path, rng):
     S = np.diag(np.arange(1.0, 9.0))
     _, rep = cg(lambda v: S @ v, None, rng.standard_normal(8), tol=1e-12)

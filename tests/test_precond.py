@@ -158,18 +158,27 @@ def test_hatted_positivity_certified_at_factorization():
 
 
 def test_cell_block_inverses_and_certificate(monkeypatch):
-    # the full Darcy preconditioner's cell solve applies the inverse of each
-    # whole cell block (velocity and pressure), against np.linalg.inv; a
-    # velocity entry made indefinite is refused by cell at both levels
+    # every full preconditioner's cell solve applies the inverse of its whole
+    # cell group P11 (block diagonal over cells, coupled in the
+    # counterexample), against np.linalg.inv; a velocity entry made
+    # indefinite is refused by cell at both levels
     import copy
+    for make, kw, spec in (
+            (darcy_problem, dict(xi=1e-6, gamma=1e4),
+             PreconditionerSpec("darcy", "robust", "full")),
+            (darcy_problem, {}, PreconditionerSpec("darcy", "counterexample", "full")),
+            (stokes_problem, dict(nu=1e-6), PreconditionerSpec("stokes", "robust", "full")),
+            # nu=1: at nu=1e-6 a zeta=100 cell block's condition number is
+            # 6e9, and any two computed inverses differ by about that x eps
+            (stokes_problem, dict(zeta=100.0, hatted=True),
+             PreconditionerSpec("stokes", "robust", "full", zeta=100.0, hatted=True))):
+        mesh, spaces, params, _, _ = make(n=2, with_data=False, **kw)
+        op = build_full(spec, mesh, spaces, params)
+        nct = op.system.layout.n_cell_total
+        got = op._cells.solve(np.eye(nct))
+        want = np.linalg.inv(op.system.to_sparse()[:nct, :nct].toarray())
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), spec.label()
     mesh, spaces, params, _, inner = darcy_problem(n=2, xi=1e-6, gamma=1e4, with_data=False)
-    spec = PreconditionerSpec("darcy", "robust", "full")
-    op = build_full(spec, mesh, spaces, params)
-    nc, cs = inner.a11.shape[:2]
-    got = np.stack([op._cell_solve(np.broadcast_to(e, (nc, cs))) for e in np.eye(cs)],
-                   axis=2)
-    want = np.linalg.inv(inner.a11)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     bad = copy.copy(inner)
     bad.a11 = inner.a11.copy()
     sl = inner.layout.cell_field_slice("u")
@@ -178,6 +187,18 @@ def test_cell_block_inverses_and_certificate(monkeypatch):
     for level, build in (("full", build_full), ("reduced", build_reduced)):
         with pytest.raises(NotSymmetricPositiveDefinite, match=r"\(cell 3\)"):
             build(PreconditionerSpec("darcy", "robust", level), mesh, spaces, params)
+
+
+def test_spec_and_params_must_agree_on_zeta():
+    # a zeta=100 spec over zeta=0 parameters would build the zeta=0 S_P
+    # under the label stokes-reduced-zeta100
+    mesh, spaces, _, _, _ = stokes_problem(n=2, with_data=False)
+    spec = PreconditionerSpec("stokes", "robust", "reduced", zeta=100.0)
+    with pytest.raises(ValueError, match="spec zeta 100 differs from params zeta 0"):
+        build_reduced(spec, mesh, spaces, ProblemParams(k=2, zeta=0.0))
+    with pytest.raises(ValueError, match="spec zeta 0 differs from params zeta 100"):
+        precond.assemble_inner(PreconditionerSpec("stokes"), mesh, spaces,
+                               ProblemParams(k=2, zeta=100.0))
 
 
 @pytest.mark.parametrize("problem,kind", [("darcy", "robust"),
