@@ -61,8 +61,9 @@ class ProblemParams:
     """Model and discretization parameters.
 
     xi and gamma may be floats or vectorized callables of (npts, dim)
-    arrays; nu, eta, zeta are constants.  eta defaults to 4k^2 in 2D and
-    6k^2 in 3D when not set explicitly.
+    arrays; nu, eta, zeta are constants.  A constant xi or nu must be
+    positive and a constant gamma or zeta non-negative.  eta defaults to
+    4k^2 in 2D and 6k^2 in 3D when not set explicitly.
     """
 
     k: int = 2
@@ -71,6 +72,15 @@ class ProblemParams:
     nu: float = 1.0
     eta: float | None = None
     zeta: float = 0.0
+
+    def __post_init__(self):
+        for name, value in (("xi", self.xi), ("nu", self.nu)):
+            if not callable(value) and value <= 0:
+                raise ValueError(f"{name} must be positive, got {float(value)}")
+        # gamma = 0 is legal: the inf-sup probe assembles Darcy without reaction
+        for name, value in (("gamma", self.gamma), ("zeta", self.zeta)):
+            if not callable(value) and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {float(value)}")
 
     def eta_for(self, dim: int) -> float:
         eta = self.eta if self.eta is not None else (4.0 if dim == 2 else 6.0) * self.k**2

@@ -8,10 +8,14 @@ is the claim under test, not exact cell counts.  The exact factor of S_P
 eliminates in the mesh's nested-dissection facet order.  At 3D n=12
 (119,232 trace dofs, 2 CPUs, measured 2026-10-19) the supernodal Cholesky
 takes 3.0-3.4 s and stores 43M entries, one solve 77 ms, and the whole
-row 10 s at 1.45 GB peak memory (SuperLU before it: 12 s, 71M entries,
+row 6.5-6.9 s at a 0.90 GB peak (SuperLU before it: 12 s, 71M entries,
 21 s, 2.3 GB).  At 3D n=16 (285,696 trace dofs, same machine, measured
 2026-10-19) it stores 134.4M entries and factors in 7.3-7.8 s, and a row
-takes 20-26 s at a 3.53 GB peak and 44 CG iterations.
+takes 18 s at a 2.24-2.27 GB peak and 44 CG iterations.  A row builds its
+preconditioner before it assembles the scheme, so that peak is reached
+inside the factorization, before any scheme array exists: about 2.1x
+the factor's 1.08 GB at n=16 (2.6x at n=12).  `scripts/row_peak.py`
+measures one row.
 """
 
 from __future__ import annotations
@@ -184,9 +188,9 @@ def _case_spaces(config: RunConfig, mesh: Mesh, spec: PreconditionerSpec) -> dic
     return (darcy_spaces if spec.problem == "darcy" else stokes_spaces)(mesh, config.k)
 
 
-def _assemble_case(config: RunConfig, mesh: Mesh, spaces: dict, pdict: dict,
-                   spec: PreconditionerSpec):
-    """(params, case, system): the scheme one row solves.  A spectrum case
+def _case(config: RunConfig, pdict: dict):
+    """(params, case): one row's parameters and its manufactured case, the
+    heterogeneous case's coefficient functions in params.  A spectrum case
     is the bare operator: no load, no boundary data, case None."""
     params = config.params(**pdict)
     case = None
@@ -196,32 +200,41 @@ def _assemble_case(config: RunConfig, mesh: Mesh, spaces: dict, pdict: dict,
         case = manufactured_rhs(tag, config.dim, params)
         if case.xi_fn is not None:
             params = config.params(xi=case.xi_fn, gamma=case.gamma_fn)
+    return params, case
+
+
+def _assemble_case(mesh: Mesh, spaces: dict, params: ProblemParams, case,
+                   spec: PreconditionerSpec):
+    """The scheme one row solves, loaded with the case's data."""
     f, bc = (None, None) if case is None else (case.f, case.dirichlet)
     if spec.problem == "darcy":
-        system = assemble_darcy(mesh, spaces, params, f=f, p_dirichlet=bc)
-    else:
-        system = assemble_stokes(mesh, spaces, params, f=f, u_dirichlet=bc)
-    return params, case, system
+        return assemble_darcy(mesh, spaces, params, f=f, p_dirichlet=bc)
+    return assemble_stokes(mesh, spaces, params, f=f, u_dirichlet=bc)
 
 
 def _solve_case(config: RunConfig, mesh: Mesh, n: int, pdict: dict,
                 spec: PreconditionerSpec, spaces: dict) -> dict:
-    """The row fields a solve measures: iterations, residual, errors, seconds."""
+    """The row fields a solve measures: iterations, residual, errors, seconds.
+
+    The preconditioner is built before the scheme is assembled and dropped
+    when the Krylov solve returns, so the S_P factor's peak never meets
+    the scheme's arrays."""
     t0 = time.perf_counter()
     tol = config.tolerance()
     errs: dict = {}
-    params, case, system = _assemble_case(config, mesh, spaces, pdict, spec)
+    params, case = _case(config, pdict)
     reduced = spec.level == "reduced"
+    pre = (build_reduced if reduced else build_full)(spec, mesh, spaces, params)
+    system = _assemble_case(mesh, spaces, params, case, spec)
     if reduced:
         condensed = condense(system)
-        pre = build_reduced(spec, mesh, spaces, params)
         A, b, null = condensed.S, condensed.rhs, condensed.null_vectors
     else:
-        pre = build_full(spec, mesh, spaces, params)
         A, b, null = system.to_sparse(), system.rhs(), system.null_vectors
     krylov = cg if reduced and spec.problem == "darcy" else minres
     x, rep = krylov(lambda v: A @ v, pre.apply, b, tol=tol, maxit=config.maxit,
                     deflate=null)
+    del pre
     full = back_substitute(condensed, x) if reduced else x
     if case.exact_u is not None:
         errs = l2_errors(system, full, exact_u=case.exact_u, exact_p=case.exact_p,
@@ -286,7 +299,7 @@ def _dump_matrices(config: RunConfig, mesh_at):
     os.makedirs(config.dump_matrices, exist_ok=True)
     n, pdict, spec = _row_cases(config)[0]
     mesh = mesh_at(n)
-    system = _assemble_case(config, mesh, _case_spaces(config, mesh, spec), pdict, spec)[-1]
+    system = _assemble_case(mesh, _case_spaces(config, mesh, spec), *_case(config, pdict), spec)
     for name, M in (("monolithic", system.to_sparse()),
                     ("schur", condense(system).S)):
         coo = M.tocoo()
@@ -313,7 +326,8 @@ def spectrum(config: RunConfig) -> list[dict]:
         spaces = _case_spaces(config, mesh, spec)
         with warnings.catch_warnings(record=True) as caught:
             try:
-                params, _, system = _assemble_case(config, mesh, spaces, pdict, spec)
+                params, case = _case(config, pdict)
+                system = _assemble_case(mesh, spaces, params, case, spec)
                 rep = reduced_bounds_check(system, assemble_inner(spec, mesh, spaces, params))
                 SpectralReport(*(rep[k] for k in ("c_b", "c_i", "kappa_full",
                                                   "kappa_reduced", "c_l"))).validate()

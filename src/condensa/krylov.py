@@ -658,7 +658,8 @@ def minres(apply_A, apply_Pinv, b, tol: float = 1e-8, maxit: int = 999,
 
 
 def _dense(M):
-    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+    """A Fortran-ordered float copy of M, which LAPACK may overwrite."""
+    return M.toarray(order="F") if sp.issparse(M) else np.array(M, dtype=float, order="F")
 
 
 def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0):
@@ -671,7 +672,8 @@ def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0):
     are removed after checking they are negligible.
 
     Up to DENSE_MAX, and always for mode="full", one dense LAPACK ?sygv
-    solve gives every eigenvalue.  Above DENSE_MAX the ends come from
+    solve gives every eigenvalue, in place on one Fortran-ordered copy of
+    each matrix.  Above DENSE_MAX the ends come from
     ARPACK with a fixed start vector, in at most ARPACK_MAXITER restarts,
     each end to its own relative residual (ARPACK_TOL_TOP and
     ARPACK_TOL_BOTTOM, sized to the accuracy the constants are reported
@@ -690,7 +692,8 @@ def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "full" or A.shape[0] <= DENSE_MAX:
         try:
-            vals = sla.eigh(_dense(A), _dense(B), eigvals_only=True, driver="gv")
+            vals = sla.eigh(_dense(A), _dense(B), eigvals_only=True, driver="gv",
+                            overwrite_a=True, overwrite_b=True)
         except sla.LinAlgError as exc:
             raise NotSymmetricPositiveDefinite(f"B side of the pencil: {exc}") from exc
         vals = _drop_kernel(vals, n_drop)

@@ -4,8 +4,9 @@ Both levels come from one elimination of the inner product P.
 condense_precond eliminates its cell dofs cell by cell, certifying each
 cell block positive definite by Cholesky, and factor_spd factors the
 trace operator S_P, certifying it in turn.  The reduced preconditioner
-applies S_P^-1.  The full one applies P^-1 exactly, as the block LU of P
-around that same S_P:
+applies S_P^-1 and keeps only its factor: P and its X, y are released
+before factor_spd runs, so S_P and the factor are all it holds then.  The
+full one applies P^-1 exactly, as the block LU of P around that same S_P:
 
     y = P11^-1 r_cell,   xbar = S_P^-1 (r_trace - P21 y),
     cells = y - X xbar_local   (X = P11^-1 P21^T, from condense_precond),
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (BlockSystem, ProblemParams, assemble_counterexample_inner,
                        assemble_darcy_inner, assemble_stokes_inner)
@@ -81,14 +81,19 @@ def assemble_inner(spec: PreconditionerSpec, mesh, spaces,
 @dataclass
 class PrecondOperator:
     """P^-1 (level full, on the n monolithic dofs) or S_P^-1 (level
-    reduced, on the n trace dofs), applied exactly."""
+    reduced, on the n trace dofs), applied exactly.  The reduced level
+    keeps only the factor of S_P; the full level also keeps what its
+    block LU reads."""
 
-    system: BlockSystem          # the assembled inner product
     n: int
-    S: sp.csr_matrix             # the reduced trace operator S_P
-    _factor: object              # factor_spd(S)
-    _condensed: CondensedSystem | None = None   # full level: X, for the lift
+    _factor: object                             # factor_spd(S_P)
+    _condensed: CondensedSystem | None = None   # full level: P and X, for the lift
     _cells: object = None                       # full level: factor_spd(P11)
+
+    @property
+    def system(self) -> BlockSystem | None:
+        """The assembled inner product P (full level only)."""
+        return None if self._condensed is None else self._condensed.system
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -104,13 +109,14 @@ def _build(level: str, spec: PreconditionerSpec, mesh, spaces,
            params: ProblemParams) -> PrecondOperator:
     if spec.level != level:
         raise ValueError(f"spec.level must be {level!r}")
-    system = assemble_inner(spec, mesh, spaces, params)
-    condensed = condense_precond(system)
-    factor = factor_spd(condensed.S)
+    condensed = condense_precond(assemble_inner(spec, mesh, spaces, params))
     if level == "reduced":
-        return PrecondOperator(system, condensed.n_trace, condensed.S, factor)
+        S_P = condensed.S
+        del condensed   # P, X and y go before the factor, the row's peak
+        return PrecondOperator(S_P.shape[0], factor_spd(S_P))
+    system = condensed.system
     nct = system.layout.n_cell_total
-    return PrecondOperator(system, system.layout.n_total, condensed.S, factor, condensed,
+    return PrecondOperator(system.layout.n_total, factor_spd(condensed.S), condensed,
                            factor_spd(system.to_sparse()[:nct, :nct], reorder=True))
 
 
@@ -122,6 +128,6 @@ def build_full(spec: PreconditionerSpec, mesh, spaces,
 
 def build_reduced(spec: PreconditionerSpec, mesh, spaces,
                   params: ProblemParams) -> PrecondOperator:
-    """Reduced preconditioner S_P^-1: condense the inner product, factor
-    the SPD trace operator once."""
+    """Reduced preconditioner S_P^-1: condense the inner product, release
+    it, factor the SPD trace operator once."""
     return _build("reduced", spec, mesh, spaces, params)

@@ -385,6 +385,16 @@ def test_big_m_switch_and_callable_rejection():
         assemble_counterexample_inner(mesh, spaces, bad)
 
 
+@pytest.mark.parametrize("name,value,rule", [("xi", 0.0, "positive"), ("gamma", -1.0, "non-negative"),
+                                             ("nu", -0.5, "positive"), ("zeta", -1.0, "non-negative")])
+def test_params_refuse_out_of_range_constants(name, value, rule):
+    """A constant coefficient out of range is refused by name; gamma = zeta
+    = 0 and coefficient functions pass."""
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {value}$"):
+        ProblemParams(**{name: value})
+    ProblemParams(gamma=0.0, zeta=0.0, xi=lambda x: np.zeros(x.shape[0]))
+
+
 def test_counterexample_has_no_trace_cell_coupling():
     mesh, spaces, _, _, _ = darcy_problem(n=2, with_data=False)
     ce = assemble_counterexample_inner(mesh, spaces, ProblemParams(k=2))

@@ -91,7 +91,7 @@ def test_iteration_cell_reads_the_row():
 
 
 def test_failed_row_prints_failed():
-    """A failed row (xi = 0: a singular local block) reads `failed`, not
+    """A failed row (xi = 0, refused by ProblemParams) reads `failed`, not
     an iteration limit, and its JSON still round-trips."""
     rows = run(small_config(levels=(2, 4), xi=(1.0, 0.0)))
     assert [r.failed is not None for r in rows] == [False, True, False, True]
@@ -129,6 +129,30 @@ def test_spectrum_keeps_going_when_a_case_fails(tmp_path, capsys):
         "case failed: level=2 darcy-reduced;xi=0;gamma=1: ValueError: ")
     assert main(["spectrum", "--levels", "2", "--xi", "1", "--out", str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+
+def test_non_positive_coefficient_fails_with_its_name(tmp_path, capsys):
+    """xi = 0 is refused by name before anything is assembled: the row's
+    failed field and spectrum's stderr line carry ProblemParams' message,
+    and the row raised no divide-by-zero warning."""
+    (row,) = run(small_config(levels=(2,), xi=(0.0,)))
+    assert row.failed == "ValueError: xi must be positive, got 0.0" and row.warnings == 0
+    assert main(["spectrum", "--levels", "2", "--xi", "0", "--out", str(tmp_path / "a.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "case failed: level=2 darcy-reduced;xi=0;gamma=1: "
+        "ValueError: xi must be positive, got 0.0"]
+
+
+def test_row_builds_its_preconditioner_before_its_scheme(monkeypatch):
+    """The S_P factor's peak never meets the scheme's arrays: a row builds
+    its preconditioner, then assembles the scheme."""
+    calls = []
+    for name in ("build_reduced", "assemble_darcy"):
+        fn = getattr(bench, name)
+        monkeypatch.setattr(bench, name,
+                            lambda *a, _n=name, _f=fn, **kw: calls.append(_n) or _f(*a, **kw))
+    (row,) = run(small_config())
+    assert calls == ["build_reduced", "assemble_darcy"] and row.converged
 
 
 def test_csv_header_is_the_row_fields():
@@ -414,8 +438,8 @@ def test_row_scheme_and_inner_product_share_one_context(monkeypatch):
     monkeypatch.setattr(precond, "condense_precond",
                         lambda inner: seen.append(inner) or condense_precond(inner))
     (row,) = run(small_config())
-    system, inner = seen
-    assert system.rhs_cell.any() and not inner.rhs_cell.any()   # the loaded scheme first
+    (system,) = [s for s in seen if s.rhs_cell.any()]   # the loaded scheme
+    (inner,) = [s for s in seen if not s.rhs_cell.any()]
     assert system.context is inner.context and row.converged
     with pytest.raises(ValueError, match="read-only"):
         inner.context.Jinv[0] = 0.0

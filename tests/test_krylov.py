@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -339,6 +341,30 @@ def test_generalized_eigs_against_cholesky_oracle(rng):
     Linv = np.linalg.inv(L)
     oracle = np.linalg.eigvalsh(Linv @ A @ Linv.T)
     assert np.abs(np.sort(vals) - np.sort(oracle)).max() < 1e-9
+
+
+def test_dense_eigs_overwrite_one_copy_per_matrix(rng):
+    """The dense branch hands LAPACK one Fortran-ordered copy of each matrix
+    to overwrite: its peak stays below three n x n arrays (a C-ordered copy
+    that f2py copies again makes four), its values are plain eigh's
+    bitwise, and a dense input is left as it was."""
+    n = 500
+    R = sp.random(n, n, density=0.01, random_state=rng)
+    A = (R + R.T).tocsr()
+    B = (R @ R.T + 4.0 * sp.identity(n)).tocsr()
+    want = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True, driver="gv")
+    tracemalloc.start()
+    try:
+        vals = generalized_eigs(A, B, mode="full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
+    assert np.array_equal(vals, want)
+    Ad, Bd = A.toarray(), B.toarray()
+    Ad0, Bd0 = Ad.copy(), Bd.copy()
+    assert np.array_equal(generalized_eigs(Ad, Bd, mode="full"), want)
+    assert np.array_equal(Ad, Ad0) and np.array_equal(Bd, Bd0)
 
 
 def test_generalized_eigs_rejects_non_spd_b(monkeypatch):

@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from condensa import precond
 from condensa.assembly import ProblemParams, assemble_counterexample_inner
+from condensa.condense import condense_precond
 from condensa.krylov import NotSymmetricPositiveDefinite
 from condensa.norms import evaluate_norms
 from condensa.precond import PreconditionerSpec, build_full, build_reduced
@@ -104,13 +107,12 @@ def test_minimization_property(rng):
     # <S_P xbar, xbar> = min over cell parts of <P (w, xbar), (w, xbar)>,
     # attained at w = -P11^-1 P21^T xbar
     mesh, spaces, params, _, inner = darcy_problem(n=2, with_data=False)
-    op = build_reduced(PreconditionerSpec("darcy", "robust", "reduced"),
-                       mesh, spaces, params)
+    S_P = condense_precond(inner).S
     lay = inner.layout
     P = inner.to_sparse()
     for _ in range(5):
         xbar = rng.standard_normal(lay.n_trace)
-        sp_energy = xbar @ (op.S @ xbar)
+        sp_energy = xbar @ (S_P @ xbar)
         w = rng.standard_normal(lay.n_cell_total)
         x = np.concatenate([w, xbar])
         assert sp_energy <= x @ (P @ x) + 1e-11
@@ -132,7 +134,35 @@ def test_reduced_spd_across_sweep(xi, gamma):
                                                    with_data=False)
     op = build_reduced(PreconditionerSpec("darcy", "robust", "reduced"),
                        mesh, spaces, params)  # factor_spd certifies
-    assert op.S.shape[0] == inner.layout.n_trace
+    assert op.n == inner.layout.n_trace
+
+
+def test_reduced_keeps_only_the_factor(monkeypatch):
+    """build_reduced releases the inner product's BlockSystem and its
+    CondensedSystem (X, y) before it factors S_P, and keeps neither."""
+    mesh, spaces, params, _, _ = darcy_problem(n=2, with_data=False)
+    refs, alive_at_factor = {}, []
+
+    def tracked(name, make):
+        def call(*args):
+            out = make(*args)
+            refs[name] = weakref.ref(out)
+            return out
+        return call
+
+    def factor_spd(S):
+        alive_at_factor.extend(name for name, ref in refs.items() if ref() is not None)
+        return precond_factor_spd(S)
+
+    precond_factor_spd = precond.factor_spd
+    monkeypatch.setattr(precond, "assemble_inner", tracked("inner", precond.assemble_inner))
+    monkeypatch.setattr(precond, "condense_precond",
+                        tracked("condensed", precond.condense_precond))
+    monkeypatch.setattr(precond, "factor_spd", factor_spd)
+    op = build_reduced(PreconditionerSpec("darcy", "robust", "reduced"), mesh, spaces, params)
+    assert sorted(refs) == ["condensed", "inner"] and alive_at_factor == []
+    assert refs["inner"]() is None and op.system is None
+    assert op.n == spaces["pbar"].n_free
 
 
 @pytest.mark.parametrize("zeta,hatted", [(0.0, False), (100.0, False), (100.0, True)])
