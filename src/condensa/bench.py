@@ -8,14 +8,15 @@ is the claim under test, not exact cell counts.  The exact factor of S_P
 eliminates in the mesh's nested-dissection facet order.  At 3D n=12
 (119,232 trace dofs, 2 CPUs, measured 2026-10-19) the supernodal Cholesky
 takes 3.0-3.4 s and stores 43M entries, one solve 77 ms, and the whole
-row 6.5-6.9 s at a 0.90 GB peak (SuperLU before it: 12 s, 71M entries,
+row 6.3-6.8 s at a 0.88 GB peak (SuperLU before it: 12 s, 71M entries,
 21 s, 2.3 GB).  At 3D n=16 (285,696 trace dofs, same machine, measured
 2026-10-19) it stores 134.4M entries and factors in 7.3-7.8 s, and a row
-takes 18 s at a 2.24-2.27 GB peak and 44 CG iterations.  A row builds its
-preconditioner before it assembles the scheme, so that peak is reached
-inside the factorization, before any scheme array exists: about 2.1x
-the factor's 1.08 GB at n=16 (2.6x at n=12).  `scripts/row_peak.py`
-measures one row.
+takes 19.5-20.4 s at a 2.21-2.22 GB peak and 44 CG iterations.  A row
+builds its preconditioner before it assembles the scheme, and the
+process has peaked at 0.80 GB (n=12) and 2.02 GB (n=16) when the
+factor is done.  The row's peak, about 2.0x the factor's 1.08 GB at
+n=16 (2.5x at n=12), comes later, in the scheme's condensation, while
+the factor is alive.  `scripts/row_peak.py` measures one row.
 """
 
 from __future__ import annotations

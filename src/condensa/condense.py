@@ -1,18 +1,23 @@
 """Static condensation: per-cell elimination onto the trace unknowns.
 
 Hybridization makes A11 block diagonal over cells, so one batched solve
-over the stacked cell blocks gives X = A11^-1 A21^T and y = A11^-1 rhs_cell
-for every cell.  The trace Schur complement S = A22 - A21 X, the trace
-right-hand side, back-substitution and the lifting matrix all read X and y.
-S is one COO of each cell's A22_K blocks (on the cell's leading trace ids)
-and its -A21_K X_K, converted to CSR once: its pattern is the set of
-positions that receive a nonzero contribution, whatever the sums cancel to.
-The same elimination applied to a preconditioner inner product produces
-the reduced preconditioner S_P, and with one cell solve the block LU
-of the full one (see precond); positivity of its cell blocks is certified
-by Cholesky.  Cross-cell coupling in A11 is condensable only where A21 and
-rhs_cell vanish (the counterexample inner product): X and y are then zero
-and S is A22.
+over the stacked cell blocks gives X = A11^-1 A21^T and y = A11^-1
+rhs_cell for every cell.  Within a cell, the blocks are block diagonal
+again over the connected components of their joint pattern (one per
+velocity component and the pressure in the robust Darcy inner product):
+each component is solved on its own, and one that A21 and rhs_cell do not
+touch is only certified, its rows of X and y exact zeros.  A scheme's cell
+dofs form one component.  The trace Schur complement S = A22 - A21 X, the
+trace right-hand side, back-substitution and the lifting matrix all read X
+and y.  S is one COO of each cell's A22_K blocks (on the cell's leading
+trace ids) and its -A21_K X_K, converted to CSR once: its pattern is the
+set of positions that receive a nonzero contribution, whatever the sums
+cancel to.  The same elimination applied to a preconditioner inner product
+produces the reduced preconditioner S_P, and with one cell solve the block
+LU of the full one (see precond); positivity of its cell blocks is
+certified by Cholesky, component by component.  Cross-cell coupling in A11
+is condensable only where A21 and rhs_cell vanish (the counterexample
+inner product): X and y are then zero and S is A22.
 """
 
 from __future__ import annotations
@@ -61,18 +66,27 @@ def _local_traces(tids: np.ndarray, xbar: np.ndarray) -> np.ndarray:
 def eliminate(system: BlockSystem, spd: bool = False):
     """(X, y) = (A11^-1 A21^T, A11^-1 rhs_cell) for all cells in one batch.
 
-    spd=True first certifies every cell block positive definite by
-    Cholesky.  A block that fails, or that yields a non-finite result, is
-    named by cell in the raised ValueError (NotSymmetricPositiveDefinite
-    when spd).
+    The cell dofs split into the connected components of the union of the
+    cell blocks' nonzero patterns, found once per batch; A11 is block
+    diagonal over them.  A component that A21 and rhs_cell do not touch
+    never reaches the trace: its rows of X and y are exact zeros, and its
+    blocks are only certified: factored (by Cholesky when spd, otherwise
+    by a solve against zero, which still refuses a singular block) and
+    checked finite.  Every other component is solved on its own sub-block,
+    and a batch of one component (every scheme) is solved whole.  spd=True
+    first certifies each block positive definite by Cholesky.  A block
+    that fails, or that yields a non-finite result, is named by cell in
+    the raised ValueError (NotSymmetricPositiveDefinite when spd).
     """
-    a11 = system.a11
-    rhs = np.concatenate([np.transpose(system.a21, (0, 2, 1)),
-                          system.rhs_cell[:, :, None]], axis=2)
-    Xy = _solve_cells(a11, rhs, spd)
+    a11, a21, rhs_cell = system.a11, system.a21, system.rhs_cell
+    comps = _components(a11)
+    touched = np.any(a21, axis=(0, 1)) | np.any(rhs_cell, axis=0)
+    parts = [(cols, bool(touched[cols].any())) for cols in comps]
+    Xy = _solve_parts(a11, a21, rhs_cell, parts, spd)
     if Xy is None:  # the per-cell search runs on this failure path only
         c = next((c for c in range(a11.shape[0])
-                  if _solve_cells(a11[c], rhs[c], spd) is None), None)
+                  if _solve_parts(a11[c:c + 1], a21[c:c + 1], rhs_cell[c:c + 1],
+                                  parts, spd) is None), None)
         if spd:
             raise NotSymmetricPositiveDefinite(
                 f"P11 cell block is not positive definite (cell {c})")
@@ -80,13 +94,55 @@ def eliminate(system: BlockSystem, spd: bool = False):
     return Xy[:, :, :-1], Xy[:, :, -1]
 
 
+def _components(a11: np.ndarray) -> list[np.ndarray]:
+    """Connected components, as sorted dof arrays, of the graph on the cell
+    dofs that links i and j where any cell block has a nonzero (i, j) or
+    (j, i) entry: the transitive closure of a boolean matrix of at most a
+    few dozen rows, by repeated squaring."""
+    reach = np.any(a11, axis=0)
+    reach |= reach.T
+    np.fill_diagonal(reach, True)
+    while True:
+        wider = reach @ reach
+        if (wider == reach).all():
+            break
+        reach = wider
+    first = reach.argmax(axis=1)    # the lowest dof of each dof's component
+    return [np.flatnonzero(first == r) for r in np.unique(first)]
+
+
+def _solve_parts(a11, a21, rhs_cell, parts, spd: bool):
+    """[X | y] (cells, cell dofs, trace dofs + 1) over the (dofs, reaches
+    the trace) parts of eliminate, or None when a block fails; a single
+    part is the whole block, solved."""
+    def rhs(cols):
+        return np.concatenate([np.transpose(a21[:, :, cols], (0, 2, 1)),
+                               rhs_cell[:, cols, None]], axis=2)
+
+    if len(parts) == 1:
+        return _solve_cells(a11, rhs(slice(None)), spd)
+    Xy = np.zeros(a11.shape[:2] + (a21.shape[1] + 1,))
+    for cols, reaches in parts:
+        out = _solve_cells(a11[:, cols[:, None], cols], rhs(cols) if reaches else None, spd)
+        if out is None:
+            return None
+        if reaches:
+            Xy[:, cols] = out
+    return Xy
+
+
 def _solve_cells(a11, rhs, spd: bool):
-    """a11^-1 rhs for one block or a stack of them; None when a block is
-    singular (not SPD, if spd) or the result is not finite."""
+    """a11^-1 rhs for a stack of blocks; None when a block is singular (not
+    SPD, if spd) or the result is not finite.  With rhs None the blocks
+    are only certified: factored (by Cholesky when spd, otherwise by a
+    solve against zero, which refuses a singular block) and checked finite
+    entry by entry, since a factor need not carry a NaN into its output."""
     try:
         if spd:
             np.linalg.cholesky(a11)
-        out = np.linalg.solve(a11, rhs)
+        elif rhs is None:
+            np.linalg.solve(a11, np.zeros(a11.shape[:2] + (1,)))
+        out = a11 if rhs is None else np.linalg.solve(a11, rhs)
     except np.linalg.LinAlgError:
         return None
     return out if np.isfinite(out).all() else None

@@ -336,10 +336,12 @@ class SupernodalCholesky:
     (numpy's batched Cholesky and products, scipy's trtri and syrk) made
     the factor 1.6x slower on 2 CPUs than either library alone.  A batched
     inverse pays for a general LU, and a batched product computes both
-    triangles.  A group's update matrices are released once their parents
-    have consumed them.  The factor keeps, per group, L11^-1, L21 and the
-    solve slots of the fronts' rows; fill counts the entries of L11^-1 and
-    L21, padding included.
+    triangles.  A group's update matrices are released as soon as their
+    parents have consumed them: the extend-add keeps no reference past
+    its last one.  The factor keeps, per group, L11^-1, L21 and the solve
+    slots of the fronts' rows; fill counts the entries of L11^-1 and L21,
+    padding included.  A is canonical CSC and only its lower triangle is
+    read; the caller's arrays are not written.
     """
 
     def __init__(self, A):
@@ -448,6 +450,7 @@ class SupernodalCholesky:
                             j = sel[i:i + step]
                             _scatter_updates(F, row, U, X[q[j]], kq[j], pos[j], c)
                 pending[src] -= q.size
+                del X, R   # so a consumed update is freed with its dict entry
                 if not pending[src]:
                     del updates[src], pending[src]
             # transposed views are Fortran-ordered: in place.  potrf zeroes
@@ -509,13 +512,21 @@ def factor_spd(S, reorder: bool = False):
     factorization is Cholesky-like, and a non-positive pivot certifies the
     matrix is not SPD.  Either factor has solve(b), and fill, the
     number of entries it stores.
+
+    The supernodal factor takes a CSR S as S.T, a CSC view of S's own
+    arrays, rather than a CSC copy: it then reads S's upper triangle,
+    where a CSC input supplies its lower one.  An S_P that is symmetric
+    only to roundoff (each cell's -P21 X block is rounded on its own) is
+    factored as the matrix of that triangle.  Any other input, and any
+    input to SuperLU, is converted to CSC.
     """
-    A = _as_csc(S)
-    if not reorder and A.shape[0] >= SUPERNODAL_MIN:
-        if not A.has_canonical_format:   # tocsc() may have returned S itself
+    if not reorder and S.shape[0] >= SUPERNODAL_MIN:
+        A = S.T if sp.issparse(S) and S.format == "csr" else _as_csc(S)
+        if not A.has_canonical_format:   # A may share S's arrays
             A = A.copy()
             A.sum_duplicates()
         return SupernodalCholesky(A)
+    A = _as_csc(S)
     try:
         lu = spla.splu(A, diag_pivot_thresh=0.0,
                        permc_spec="MMD_AT_PLUS_A" if reorder else "NATURAL",

@@ -6,11 +6,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
-from condensa.assembly import (BlockSystem, ProblemParams, assemble_aux_hdg,
-                               assemble_counterexample_inner, assemble_darcy,
-                               aux_spaces, darcy_spaces)
-from condensa.condense import back_substitute, condense, condense_precond
+from condensa.assembly import (BlockSystem, ProblemParams, _block_triplets, _triplets_csr,
+                               assemble_aux_hdg, assemble_counterexample_inner,
+                               assemble_darcy, aux_spaces, darcy_spaces)
+from condensa.condense import back_substitute, condense, condense_precond, eliminate
 from condensa.elements import pk_basis, reference_measure
 from condensa.krylov import factor_spd
 from condensa.manufactured import manufactured_rhs
@@ -376,3 +377,98 @@ def test_bad_cell_block_named(spd, fault, cell, nc, cs, ntr, extra, seed):
            else f"singular local block in cell {c}")
     with pytest.raises(ValueError, match=re.escape(msg) + "$"):
         (condense_precond if spd else condense)(system)
+
+
+# ----------------------------------------------------------------------
+# elimination by components of the cell dofs against the whole-block solve
+
+
+def _whole_block(system, spd):
+    """X, y and S from one solve of every whole cell block, each block
+    certified by Cholesky when spd."""
+    rhs = np.concatenate([np.transpose(system.a21, (0, 2, 1)),
+                          system.rhs_cell[:, :, None]], axis=2)
+    if spd:
+        np.linalg.cholesky(system.a11)
+    Xy = np.linalg.solve(system.a11, rhs)
+    X, y = Xy[:, :, :-1], Xy[:, :, -1]
+    S = _triplets_csr([system.a22_triplets(),
+                       _block_triplets(-(system.a21 @ X), system.tids, system.tids)],
+                      (system.n_trace,) * 2)
+    return X, y, S
+
+
+def _trace_free_dofs(system):
+    """Cell dofs whose component of the cells' joint block pattern touches
+    neither A21 nor rhs_cell."""
+    _, label = csgraph.connected_components(sp.csr_matrix(np.any(system.a11, axis=0)),
+                                            connection="weak")
+    touched = np.any(system.a21, axis=(0, 1)) | np.any(system.rhs_cell, axis=0)
+    return ~np.isin(label, label[touched])
+
+
+def _inner(name):
+    if name == "darcy2":
+        return darcy_problem(dim=2, n=4, xi=1e-6, gamma=1e4, with_data=False)[4]
+    if name == "darcy3":
+        return darcy_problem(dim=3, n=2, with_data=False)[4]
+    if name == "stokes":
+        return stokes_problem(n=4, nu=1e-6, with_data=False)[4]
+    if name == "stokes_hat":
+        return stokes_problem(n=4, zeta=100.0, hatted=True, with_data=False)[4]
+    if name == "darcy_scheme":
+        return darcy_problem(dim=3, n=2)[3]
+    mesh = unit_box_mesh(2, 4)
+    params = ProblemParams(k=2, xi=2.0, gamma=0.5)
+    if name == "counterexample":
+        return assemble_counterexample_inner(mesh, darcy_spaces(mesh, 2), params)
+    return assemble_aux_hdg(mesh, aux_spaces(mesh, 2), params, f=lambda x: np.cos(x[:, 0]))
+
+
+@pytest.mark.parametrize("name,spd,n_free", [
+    ("darcy2", True, 12), ("darcy3", True, 30), ("stokes", True, 3),
+    ("stokes_hat", True, 3), ("counterexample", True, 15), ("aux", False, 0),
+    ("darcy_scheme", False, 0)])
+def test_component_elimination_matches_whole_block(name, spd, n_free):
+    """Each component of the cell dofs solved on its own sub-block gives
+    the whole-block X, y and S; a component that never reaches the trace
+    (the Darcy velocity, the Stokes pressure, every counterexample dof) is
+    only certified, and its rows of X and y are exact zeros.  Cell dofs
+    that form one component (a scheme, the auxiliary form) are solved
+    whole, bit for bit."""
+    system = _inner(name)
+    X, y = eliminate(system, spd)
+    X0, y0, S0 = _whole_block(system, spd)
+    for got, want in ((X, X0), (y, y0)):
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+    S = (condense_precond if spd else condense)(system).S
+    assert np.abs(S - S0).max() <= 1e-13 * np.abs(S0).max()
+    free = _trace_free_dofs(system)
+    assert np.count_nonzero(free) == n_free
+    assert (X[:, free] == 0.0).all() and (y[:, free] == 0.0).all()
+    if name in ("aux", "darcy_scheme"):
+        assert np.array_equal(X, X0) and np.array_equal(y, y0)
+
+
+@pytest.mark.parametrize("spd,fault", [(False, "singular"), (False, "nan"),
+                                       (True, "negative"), (True, "nan")])
+def test_bad_block_in_a_trace_free_component_named(spd, fault):
+    """A certified-only component still refuses a bad block of one cell,
+    by name: a velocity block of the Darcy inner product (which never
+    reaches the trace) made singular, indefinite or NaN in cell 2."""
+    import copy
+    inner = copy.copy(darcy_problem(n=2, with_data=False)[4])
+    inner.a11 = inner.a11.copy()
+    j = inner.layout.cell_field_slice("u").start
+    assert _trace_free_dofs(inner)[j]
+    if fault == "singular":
+        inner.a11[2, j, :] = 0.0
+        inner.a11[2, :, j] = 0.0
+    elif fault == "negative":
+        inner.a11[2, j, j] *= -1.0
+    else:
+        inner.a11[2, j, j + 1] = np.nan
+    msg = ("P11 cell block is not positive definite (cell 2)" if spd
+           else "singular local block in cell 2")
+    with pytest.raises(ValueError, match=re.escape(msg) + "$"):
+        (condense_precond if spd else condense)(inner)

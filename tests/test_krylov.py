@@ -161,6 +161,30 @@ def test_supernodal_leaves_its_input_alone(supernodal, rng):
     assert not A.has_canonical_format and (A.data == data).all()
 
 
+def test_supernodal_factors_a_csr_input_through_its_transpose(supernodal, monkeypatch, rng):
+    """A CSR S_P is factored as S.T, a CSC view of its own arrays, with no
+    tocsc copy: the factor reads its upper triangle.  That matches SuperLU
+    on the non-symmetric-at-roundoff S_P, and for an exactly symmetric
+    input it is the CSC input's factor, bit for bit."""
+    S = _reduced_precond("darcy", 3, 4)
+    assert S.format == "csr"
+    sym = (S + S.T.tocsr()) * 0.5
+    assert (sym != sym.T).nnz == 0
+    sym_csc = sym.tocsc()
+    b = rng.standard_normal((S.shape[0], 2))
+    xs = superlu_spd(S.T).solve(b)
+    x_csc = factor_spd(sym_csc).solve(b)
+
+    def no_copy(self, copy=False):
+        raise AssertionError("tocsc called")
+    monkeypatch.setattr(sp.csr_matrix, "tocsc", no_copy)
+    f = factor_spd(S)
+    assert isinstance(f, SupernodalCholesky)
+    x = f.solve(b)
+    assert np.linalg.norm(x - xs) <= 1e-12 * np.linalg.norm(xs)
+    assert np.array_equal(factor_spd(sym).solve(b), x_csc)
+
+
 @pytest.mark.parametrize("M", [[[1.0, 2.0], [2.0, 1.0]],              # indefinite
                                [[1.0, 1.0], [1.0, 1.0]],              # singular
                                [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0],     # empty column
@@ -185,11 +209,16 @@ def test_supernodal_cg_counts_equal_superlu(monkeypatch, dim, n):
 
 
 def test_supernodal_memory_peak_is_a_small_multiple_of_its_fill(supernodal):
-    """Building the factor of the 3D n=4 Darcy S_P allocates at most 3.5
-    times the bytes the factor keeps: update matrices are released once
-    consumed and no address map outlives its group."""
-    import tracemalloc
-    S = sp.csc_matrix(_reduced_precond("darcy", 3, 4))
+    """Building the factor of the 3D n=6 Darcy S_P allocates at most 1.75
+    times the bytes the factor keeps: each update matrix is released as
+    soon as its parents have consumed it, and no address map outlives its
+    group.  Measured 1.674 (numpy 2.4, scipy 1.17), and 1.860 if the
+    last consumed update stays referenced until the next group allocates
+    its fronts.  The bound leaves a 4.5% margin over 1.674 for other
+    numpy/scipy allocation patterns and stays under 1.860, which it must
+    still refuse.  At n=4 both read 2.72: the peak comes elsewhere
+    there."""
+    S = sp.csc_matrix(_reduced_precond("darcy", 3, 6))
     tracemalloc.start()
     try:
         f = factor_spd(S)
@@ -197,7 +226,7 @@ def test_supernodal_memory_peak_is_a_small_multiple_of_its_fill(supernodal):
     finally:
         tracemalloc.stop()
     assert isinstance(f, SupernodalCholesky)
-    assert peak <= 3.5 * 8 * f.fill
+    assert peak <= 1.75 * 8 * f.fill
 
 
 def test_factor_sym_indef_toys(rng):
