@@ -32,6 +32,10 @@ SWEEPS = (
     "stokes-cavity --dim 3 --levels 2",
     "darcy-manufactured --dim 3 --levels 2,4",
     "darcy-heterogeneous --levels 8",
+    # trace systems above krylov.SUPERNODAL_MIN (34,560 and 27,456 dofs), so
+    # that the supernodal factor is checked too
+    "darcy-manufactured --dim 3 --levels 8",
+    "stokes-manufactured --levels 32",
 )
 SPECTRA = ("spectrum", "spectrum --problem stokes",
            "spectrum --precond counterexample --levels 4")

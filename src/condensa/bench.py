@@ -6,17 +6,18 @@ Structured Kuhn meshes.  Default levels: n = 8, 16, 32 (2D) and 2, 4, 8
 span the desk-scale range.  Robustness in h and in the model parameters
 is the claim under test, not exact cell counts.  The exact factor of S_P
 eliminates in the mesh's nested-dissection facet order.  At 3D n=12
-(119,232 trace dofs, 2 CPUs, measured 2026-10-19) the supernodal Cholesky
-takes 3.0-3.4 s and stores 43M entries, one solve 77 ms, and the whole
-row 6.3-6.8 s at a 0.88 GB peak (SuperLU before it: 12 s, 71M entries,
-21 s, 2.3 GB).  At 3D n=16 (285,696 trace dofs, same machine, measured
-2026-10-19) it stores 134.4M entries and factors in 7.3-7.8 s, and a row
-takes 19.5-20.4 s at a 2.21-2.22 GB peak and 44 CG iterations.  A row
-builds its preconditioner before it assembles the scheme, and the
-process has peaked at 0.80 GB (n=12) and 2.02 GB (n=16) when the
-factor is done.  The row's peak, about 2.0x the factor's 1.08 GB at
-n=16 (2.5x at n=12), comes later, in the scheme's condensation, while
-the factor is alive.  `scripts/row_peak.py` measures one row.
+(119,232 trace dofs, 2 CPUs) the supernodal Cholesky takes 2.2-3.4 s and
+stores 43M entries, one solve 77 ms, and the whole row 6.5-8.5 s at a
+0.86-0.87 GB peak (SuperLU before it: 12 s, 71M entries, 21 s, 2.3 GB).
+At 3D n=16 (285,696 trace dofs, same machine) it stores 134.4M entries
+and factors in 7.0-7.8 s, and a row takes 18-22 s at a 2.20-2.21 GB peak
+and 44 CG iterations.  A row builds its preconditioner before it
+assembles the scheme, and the process has peaked at 0.62 GB (n=12) and
+1.67 GB (n=16) when the factor is done (0.82 and 2.02 GB while each
+group's update matrices lived until all were taken; measured
+2026-10-19).  The row's peak, about 2.0x the factor's 1.08 GB at n=16
+(2.5x at n=12), comes later, in the scheme's condensation, while the
+factor is alive.  `scripts/row_peak.py` measures one row.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ factor_spd factors an SPD matrix in the order it is given.  Large ones
 (SUPERNODAL_MIN rows on) go to SupernodalCholesky, a supernodal
 multifrontal Cholesky in numpy that reads its elimination tree off the
 matrix pattern, assembles one group of equal-height fronts at a time with
-vectorized scatters, factors each front with LAPACK, and solves with
-batched products over the same groups; smaller ones, and minimum-degree
-orders, to SuperLU.
+vectorized scatters (the fronts of large groups one by one, each update
+matrix freed as soon as its parent has taken it), factors each front
+with LAPACK, and solves with batched products over the same groups;
+smaller ones, and minimum-degree orders, to SuperLU.  Its peak memory is
+known from the symbolic phase, before anything is allocated.
 
 Stopping rule for both Krylov drivers: relative preconditioned residual
 sqrt(r' P^-1 r) / sqrt(r0' P^-1 r0) <= tol, zero initial guess.  Kernel
@@ -18,6 +20,8 @@ them.
 from __future__ import annotations
 
 import itertools
+import math
+import mmap
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,6 +35,7 @@ __all__ = [
     "NotSymmetricPositiveDefinite",
     "factor_spd",
     "SupernodalCholesky",
+    "InsufficientMemory",
     "SUPERNODAL_MIN",
     "cg",
     "minres",
@@ -295,7 +300,12 @@ def _scatter_updates(F, row, U, X, k, pos, m1):
 # rest), at most _EXTEND_CHUNK entries and as many int64 addresses at a
 # time.  At 3D n=8 (2 CPUs, best of 11) thresholds of 64, 128 and 256 rows
 # gave the same extend-add time, 0.15-0.17 s: a scatter-add over the
-# square costs about what slices over the triangle do
+# square costs about what slices over the triangle do.  The same threshold
+# chooses the storage of a group's update matrices: below it one padded
+# (G, Nr, Nr) array, freed once every member has been taken; from it on
+# one array per front, of its own row count, freed as soon as its parent
+# front has taken it.  Such a front is assembled on its own, so its small
+# updates go in by one scatter-add per front and group of origin
 _SLICE_ROWS = 64
 _EXTEND_CHUNK = 1 << 18
 
@@ -315,6 +325,151 @@ _EXTEND_CHUNK = 1 << 18
 SUPERNODAL_MIN = 8192
 
 
+class InsufficientMemory(MemoryError):
+    """A factor would need more memory at its peak than is available."""
+
+
+def _mem_available(meminfo="/proc/meminfo"):
+    """MemAvailable of meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open(meminfo) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+@dataclass
+class _Schedule:
+    """The order in which SupernodalCholesky builds its fronts.  Supernodes
+    of one height in the elimination tree whose pivot and row counts fall
+    in the same power-of-two classes form a group, built in one step:
+    group gi is order[cuts[gi]:cuts[gi + 1]], its fronts padded to width[gi]
+    pivots and rows[gi] rows below them, and supernode s is front slot[s]
+    of group group[s].  The children of s are kids[kid_ptr[s]:kid_ptr[s + 1]],
+    in increasing order."""
+
+    order: np.ndarray
+    cuts: np.ndarray
+    group: np.ndarray
+    slot: np.ndarray
+    width: np.ndarray
+    rows: np.ndarray
+    kids: np.ndarray
+    kid_ptr: np.ndarray
+
+
+def _schedule(tree: _Supernodes) -> _Schedule:
+    npiv, nrow = tree.stop - tree.first, np.diff(tree.rptr)
+    shape = np.ceil(np.log2(npiv)) * 64 + np.ceil(np.log2(nrow + 1))
+    order = np.lexsort((shape, tree.height))
+    key = tree.height[order] * 4096 + shape[order]
+    cuts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = np.searchsorted(cuts, rank, side="right") - 1
+    kids = np.argsort(tree.parent, kind="stable")
+    return _Schedule(order, cuts, group, rank - cuts[group],
+                     np.maximum.reduceat(npiv[order], cuts[:-1]),
+                     np.maximum.reduceat(nrow[order], cuts[:-1]), kids,
+                     np.searchsorted(tree.parent[kids], np.arange(tree.parent.size + 1)))
+
+
+def _peak_bytes(tree: _Supernodes, plan: _Schedule) -> int:
+    """Bytes SupernodalCholesky holds at its peak, from its schedule alone.
+    Held throughout: the solve slots (2n int64) and the rows of the
+    symbolic factor (one int64 per row of each front).  Then each group's F
+    and row slots, kept from that group on, and each update matrix until
+    its parent front has taken it, in the storage _SLICE_ROWS chooses (a
+    large group's padded buffer W included).  The peak is taken at each
+    allocation of an update matrix, with the workspace of the largest
+    scatter-add of small updates (an X copy, an entry copy and an int64
+    address per entry, at most _EXTEND_CHUNK entries) while it runs; other
+    index temporaries are not counted."""
+    nrow = np.diff(tree.rptr)
+    cuts, kids, ptr = plan.cuts.tolist(), plan.kids.tolist(), plan.kid_ptr.tolist()
+    Nr = plan.rows.tolist()
+    left = np.add.reduceat(nrow[plan.order] > 0, plan.cuts[:-1]).tolist()
+    rows, grp = nrow.tolist(), plan.group.tolist()
+    held = peak = 16 * int(tree.bptr[-1]) + 8 * int(nrow.sum())
+
+    def take(fronts):
+        """Bytes freed as the fronts take their children, and the
+        workspace of the largest scatter-add that takes small ones."""
+        freed, small = 0, {}
+        for s in fronts:
+            for c in kids[ptr[s]:ptr[s + 1]]:
+                src = grp[c]
+                if Nr[src] >= _SLICE_ROWS:
+                    freed += 8 * rows[c] ** 2
+                    continue
+                small[src] = small.get(src, 0) + Nr[src] ** 2
+                left[src] -= 1
+                if not left[src]:
+                    freed += 8 * (cuts[src + 1] - cuts[src]) * Nr[src] ** 2
+        return freed, 24 * min(_EXTEND_CHUNK, max(small.values(), default=0))
+
+    for gi, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        members = plan.order[a:b].tolist()
+        G, Np, R = b - a, int(plan.width[gi]), Nr[gi]
+        held += 8 * G * ((Np + R) * Np + R)
+        if R < _SLICE_ROWS:
+            held += 8 * G * R * R
+            freed, work = take(members)
+            peak = max(peak, held + work)
+            held -= freed
+            continue
+        W = 0
+        for s in members:
+            if not W:
+                W = 8 * R * R
+                held += W
+            freed, work = take((s,))
+            peak = max(peak, held + work)
+            held -= freed
+            if rows[s] == R:
+                W = 0               # the buffer becomes the front's update
+            else:
+                held += 8 * rows[s] ** 2
+                peak = max(peak, held)
+        held -= W
+    return peak
+
+
+def _mapped_zeros(shape):
+    """A zero float array in an anonymous memory map of its own, unmapped
+    (returned to the system) as soon as the array is freed, and populated
+    at once, which costs less than a page fault per page.  The factor
+    keeps its update matrices there.  In numpy's own arrays they came from
+    the C heap (glibc raises its mmap threshold to the largest block freed,
+    up to 32 MB), which kept their pages after they were freed: the factor
+    of a 3D n=12 S_P then peaked at 754 MB resident for 586 MB allocated,
+    and still held 257 MB it had freed when done; in maps it peaked at
+    526 MB."""
+    size = 8 * math.prod(shape)
+    if not size:
+        return np.zeros(shape)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, size, flags=flags), dtype=float).reshape(shape)
+
+
+def _factor_front(L11, L21, U):
+    """Factor one assembled front in place: L11 becomes L11^-1, L21 is
+    F21 L11^-T and U takes - L21 L21^T (lower triangle).  Transposed views
+    are Fortran-ordered, so LAPACK works in place.  potrf zeroes the other
+    triangle, which the solves read as part of L11^-1."""
+    _, info = sla.lapack.dpotrf(L11.T, lower=0, clean=1, overwrite_a=1)
+    if info:
+        raise NotSymmetricPositiveDefinite(
+            f"non-positive pivot in a front of size {L11.shape[0]}: matrix is not SPD")
+    sla.lapack.dtrtri(L11.T, lower=0, overwrite_c=1)
+    sla.blas.dtrmm(1.0, L11.T, L21.T, trans_a=1, overwrite_b=1)
+    if U.size:
+        sla.blas.dsyrk(-1.0, L21.T, beta=1.0, c=U.T, trans=1, lower=0, overwrite_c=1)
+
+
 class SupernodalCholesky:
     """Supernodal multifrontal Cholesky A = L L^T in the given order
     (Liu, "The multifrontal method for sparse matrix solution", SIAM
@@ -325,47 +480,58 @@ class SupernodalCholesky:
     of a group are padded to one shape (Np pivots, Nr rows below them,
     unit diagonal in the pivot padding).  Their pivot columns are
     assembled in the arrays the factor keeps, L11 (G, Np, Np) and L21
-    (G, Nr, Np), and the rest of each front in its update matrix, U
-    (G, Nr, Nr): first A's entries, one block of equal-pattern columns at
-    a time, then the children's update matrices (see _SLICE_ROWS).  Each
-    front is factored in place by four LAPACK/BLAS calls: potrf, whose
-    failure certifies the matrix is not SPD, trtri (L11^-1), trmm
-    (L21 = F21 L11^-T) and syrk (U - L21 L21^T, lower triangle only).  All
-    four come from scipy: numpy loads its own OpenBLAS, with its own
-    threads, and alternating between the two libraries group by group
-    (numpy's batched Cholesky and products, scipy's trtri and syrk) made
-    the factor 1.6x slower on 2 CPUs than either library alone.  A batched
-    inverse pays for a general LU, and a batched product computes both
-    triangles.  A group's update matrices are released as soon as their
-    parents have consumed them: the extend-add keeps no reference past
-    its last one.  The factor keeps, per group, L11^-1, L21 and the solve
-    slots of the fronts' rows; fill counts the entries of L11^-1 and L21,
-    padding included.  A is canonical CSC and only its lower triangle is
-    read; the caller's arrays are not written.
+    (G, Nr, Np), and the rest of each front in its update matrix: first
+    A's entries, one block of equal-pattern columns at a time, then the
+    children's update matrices (see _SLICE_ROWS).  Each front is factored
+    in place by four LAPACK/BLAS calls: potrf, whose failure certifies the
+    matrix is not SPD, trtri (L11^-1), trmm (L21 = F21 L11^-T) and syrk
+    (U - L21 L21^T, lower triangle only).  All four come from scipy: numpy
+    loads its own OpenBLAS, with its own threads, and alternating between
+    the two libraries group by group (numpy's batched Cholesky and
+    products, scipy's trtri and syrk) made the factor 1.6x slower on 2
+    CPUs than either library alone.  A batched inverse pays for a general
+    LU, and a batched product computes both triangles.
+
+    Update matrices are stored two ways (_SLICE_ROWS).  A group with fewer
+    rows keeps its fronts' updates in one padded array U (G, Nr, Nr),
+    released once its last member has been taken.  A larger group
+    assembles its fronts one at a time in a padded buffer W (Nr, Nr), so
+    that syrk sees one shape for every front of the group (OpenBLAS rounds
+    a smaller square differently), and keeps each update in an array of
+    the front's own row count (W itself when the front fills it), released
+    as soon as the parent front has taken it.  The schedule fixes every
+    allocation and release before any is made: peak_bytes is the
+    factor's predicted peak (see _peak_bytes), and a peak beyond the
+    memory available raises InsufficientMemory before any front is
+    allocated.
+
+    The factor keeps, per group, L11^-1, L21 and the solve slots of the
+    fronts' rows; fill counts the entries of L11^-1 and L21, padding
+    included.  A is canonical CSC and only its lower triangle is read; the
+    caller's arrays are not written.
     """
 
     def __init__(self, A):
         tree = _supernodes(A)
+        plan = _schedule(tree)
         n = A.shape[0]
-        first, parent, bptr = tree.first, tree.parent, tree.bptr
+        first, bptr = tree.first, tree.bptr
         npiv, nrow = tree.stop - first, np.diff(tree.rptr)
-        shape = np.ceil(np.log2(npiv)) * 64 + np.ceil(np.log2(nrow + 1))
-        order = np.lexsort((shape, tree.height))
-        key = tree.height[order] * 4096 + shape[order]
-        cuts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        group = np.searchsorted(cuts, rank, side="right") - 1
-        slot = rank - cuts[group]
-        width = np.maximum.reduceat(npiv[order], cuts[:-1])
+        order, cuts, group, slot, width = plan.order, plan.cuts, plan.group, plan.slot, plan.width
+        self.peak_bytes = _peak_bytes(tree, plan)
+        available = _mem_available()
+        if available is not None and self.peak_bytes > available:
+            raise InsufficientMemory(
+                f"the supernodal factor of a matrix of size {n} needs "
+                f"{self.peak_bytes / 1e6:.0f} MB at its peak; {available / 1e6:.0f} MB "
+                "are available")
+
         base = np.concatenate(([0], np.cumsum(np.diff(cuts) * width)))
         # the solves keep front g of group gi's pivots at base[gi] + g Np,
         # padding included, and one zero row last for padded rows
         self._slot = _ranges(base[group] + slot * width[group], npiv)
         self._zero = int(base[-1])
         slot_of = np.append(self._slot, self._zero)
-        by_parent = np.argsort(parent, kind="stable")
-        kid_ptr = np.searchsorted(parent[by_parent], np.arange(parent.size + 1))
 
         # A's entries by blocks: the lead column of a block gives the rows,
         # and the front positions, of all its columns.  Each column keeps
@@ -382,13 +548,22 @@ class SupernodalCholesky:
                            minlength=lead.size).astype(np.int64)
         del ent, cut
 
-        updates, pending = {}, {}   # update matrices and rows of a group, members unconsumed
+        # group -> [its update matrices, their rows, members not yet taken]:
+        # one padded array below _SLICE_ROWS rows, one array per front from it on
+        updates = {}
+
+        def taken(src, count):
+            """Count members of group src as taken; the last frees its entry."""
+            updates[src][2] -= count
+            if not updates[src][2]:
+                del updates[src]
+
         self.n = n
         self.groups = []
         self.fill = 0
         for gi, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
             members = order[a:b]
-            G, Np, Nr = b - a, int(width[gi]), int(nrow[members].max())
+            G, Np, Nr = b - a, int(width[gi]), int(plan.rows[gi])
             M = Np + Nr
             front = np.full((G, M), n)        # dofs of each front, padding n
             kp = np.repeat(np.arange(G), npiv[members])
@@ -410,7 +585,6 @@ class SupernodalCholesky:
             p = np.arange(M)
             row = np.where(p < Np, p * Np, G * Np * Np + (p - Np) * Np) \
                 + np.arange(G)[:, None] * np.where(p < Np, Np * Np, Nr * Np)
-            U = np.zeros((G, Nr, Nr))
             blocks = _ranges(blk0[members], nblk[members])
             owner = np.repeat(np.arange(G), nblk[members])
             for w in np.unique(bwidth[blocks]).tolist():
@@ -424,49 +598,91 @@ class SupernodalCholesky:
                 F[addr + c] = data[ent + np.repeat(blen[blk], cnt) * c]
             pk, pd = np.nonzero(~valid[:, :Np])
             L11[pk, pd, pd] = 1.0
-            # extend-add the children's updates, by group of origin
-            nkids = kid_ptr[members + 1] - kid_ptr[members]
-            kids = by_parent[_ranges(kid_ptr[members], nkids)]
+
+            # the children's updates, by group of origin: which children
+            # (indices into kids) and the positions of their rows in their
+            # parent fronts (padding at Np, where it adds zeros)
+            nkids = plan.kid_ptr[members + 1] - plan.kid_ptr[members]
+            kids = plan.kids[_ranges(plan.kid_ptr[members], nkids)]
             home = np.repeat(np.arange(G), nkids)
-            for src in np.unique(group[kids]).tolist():
-                mine = group[kids] == src
-                q, kq = slot[kids[mine]], home[mine]
-                X, R = updates[src]
-                R = R[q]
-                pos = where[np.minimum(np.searchsorted(keys, kq[:, None] * (n + 1) + R),
+            src_of = group[kids]
+            taking = {}
+            for src in np.unique(src_of).tolist():
+                i = np.flatnonzero(src_of == src)
+                R = updates[src][1][slot[kids[i]]]
+                pos = where[np.minimum(np.searchsorted(keys, home[i][:, None] * (n + 1) + R),
                                        keys.size - 1)]
-                if X.shape[1] >= _SLICE_ROWS:
-                    for qi, ki, p, m in zip(q.tolist(), kq.tolist(), pos,
-                                            nrow[kids[mine]].tolist()):
-                        _extend_add(L11[ki], L21[ki], U[ki], X[qi], _runs(p[:m], Np))
-                else:
-                    real = R < n
-                    pos[~real] = Np if Nr else 0     # padding: adds zeros
-                    m1 = np.count_nonzero(real & (pos < Np), axis=1)
-                    step = max(1, _EXTEND_CHUNK // X[0].size)
-                    for c in np.unique(m1).tolist():
-                        sel = np.flatnonzero(m1 == c)
-                        for i in range(0, sel.size, step):
-                            j = sel[i:i + step]
-                            _scatter_updates(F, row, U, X[q[j]], kq[j], pos[j], c)
-                pending[src] -= q.size
-                del X, R   # so a consumed update is freed with its dict entry
-                if not pending[src]:
-                    del updates[src], pending[src]
-            # transposed views are Fortran-ordered: in place.  potrf zeroes
-            # the other triangle, which the solves read as part of L11^-1
-            for k in range(G):
-                _, info = sla.lapack.dpotrf(L11[k].T, lower=0, clean=1, overwrite_a=1)
-                if info:
-                    raise NotSymmetricPositiveDefinite(
-                        f"non-positive pivot in a front of size {Np}: matrix is not SPD")
-                sla.lapack.dtrtri(L11[k].T, lower=0, overwrite_c=1)
-                sla.blas.dtrmm(1.0, L11[k].T, L21[k].T, trans_a=1, overwrite_b=1)
+                real = R < n
+                pos[~real] = Np if Nr else 0
+                taking[src] = i, pos, np.count_nonzero(real & (pos < Np), axis=1)
+
+            if Nr < _SLICE_ROWS:
+                # one padded U for the group: updates from groups of at least
+                # _SLICE_ROWS rows go in one at a time by slices, smaller
+                # ones by scatter-adds
+                U = _mapped_zeros((G, Nr, Nr))
+                for src, (i, pos, m1) in taking.items():
+                    X, q, kq = updates[src][0], slot[kids[i]], home[i]
+                    if type(X) is list:
+                        for qi, ki, p, m in zip(q.tolist(), kq.tolist(), pos,
+                                                nrow[kids[i]].tolist()):
+                            _extend_add(L11[ki], L21[ki], U[ki], X[qi], _runs(p[:m], Np))
+                            X[qi] = None    # released once taken
+                    else:
+                        step = max(1, _EXTEND_CHUNK // X[0].size)
+                        for c in np.unique(m1).tolist():
+                            sel = np.flatnonzero(m1 == c)
+                            for j0 in range(0, sel.size, step):
+                                j = sel[j0:j0 + step]
+                                _scatter_updates(F, row, U, X[q[j]], kq[j], pos[j], c)
+                    del X
+                    taken(src, i.size)
+                for k in range(G):
+                    _factor_front(L11[k], L21[k], U[k])
                 if Nr:
-                    sla.blas.dsyrk(-1.0, L21[k].T, beta=1.0, c=U[k].T, trans=1,
-                                   lower=0, overwrite_c=1)
-            if Nr:
-                updates[gi], pending[gi] = (U, front[:, Np:]), int(np.count_nonzero(nrow[members]))
+                    updates[gi] = [U, front[:, Np:], int(np.count_nonzero(nrow[members]))]
+                del U
+            else:
+                # front by front in the padded buffer W; each front keeps its
+                # update at its own size.  Child c is entry[c] = (group of
+                # origin, rows on pivots of a small update or 0, its row in
+                # taking[src]): sorted, the order the group path adds them in
+                entry = [None] * kids.size
+                for src, (i, _, m1) in taking.items():
+                    slices = type(updates[src][0]) is list
+                    for r, (c, c1) in enumerate(zip(i.tolist(), m1.tolist())):
+                        entry[c] = (src, 0 if slices else c1, r)
+                lo, own, W = 0, [], None
+                for k, hi in enumerate(np.cumsum(nkids).tolist()):
+                    m = int(nrow[members[k]])
+                    if W is None:
+                        W = _mapped_zeros((Nr, Nr))
+                    else:
+                        W[:m, :m] = 0.0
+                    for (src, c1), run in itertools.groupby(sorted(entry[lo:hi]),
+                                                            key=lambda e: e[:2]):
+                        i, pos, _ = taking[src]
+                        r = [e[2] for e in run]
+                        X, q = updates[src][0], slot[kids[i[r]]]
+                        if type(X) is list:
+                            for qi, p, mc in zip(q.tolist(), pos[r], nrow[kids[i[r]]].tolist()):
+                                _extend_add(L11[k], L21[k], W, X[qi], _runs(p[:mc], Np))
+                                X[qi] = None    # released once taken
+                        else:
+                            _scatter_updates(F, row[k:k + 1], W[None], X[q],
+                                             np.zeros(len(r), dtype=np.int64), pos[r], c1)
+                        del X
+                        taken(src, len(r))
+                    lo = hi
+                    _factor_front(L11[k], L21[k], W)
+                    if m == Nr:
+                        own.append(W)
+                        W = None
+                    else:
+                        own.append(_mapped_zeros((m, m)))
+                        own[-1][:] = W[:m, :m]
+                updates[gi] = [own, front[:, Np:], G]
+                del W
             s, e = int(base[gi]), int(base[gi + 1])
             self.groups.append((s, e, slot_of[front[:, Np:]] - e, L11, L21))
             self.fill += F.size
@@ -504,7 +720,9 @@ def factor_spd(S, reorder: bool = False):
     fills less than a minimum-degree order.  From SUPERNODAL_MIN rows on,
     a supernodal multifrontal Cholesky (SupernodalCholesky) does it, with
     one facet's dofs per block and the separators as supernodes; a failed
-    dense Cholesky of a front certifies the matrix is not SPD.  Below it,
+    dense Cholesky of a front certifies the matrix is not SPD, and a
+    predicted peak above the memory available raises InsufficientMemory
+    before any front is allocated.  Below it,
     and with reorder=True in SuperLU's minimum-degree order (for the
     full level's cell group, which has no trace structure to order by;
     see precond), SuperLU in symmetric mode with a zero

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -96,18 +97,36 @@ def _matches_superlu(S, rng):
     assert np.linalg.norm(f.solve(B)[:, 0] - x) <= 1e-14 * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("dim,n", [(2, 8), (3, 2), (3, 4)])  # 3D n=4: slice extend-adds
+def _storage_crossings(S):
+    """Tree edges of S's factor whose parent front stores its update
+    matrix on its own (a group of at least _SLICE_ROWS rows) while the
+    child's group stores them in one padded array, and the reverse."""
+    tree = krylov._supernodes(sp.csc_matrix(S))
+    plan = krylov._schedule(tree)
+    own = plan.rows >= krylov._SLICE_ROWS
+    child = np.flatnonzero(tree.parent >= 0)
+    c, p = own[plan.group[child]], own[plan.group[tree.parent[child]]]
+    return int((~c & p).sum()), int((c & ~p).sum())
+
+
+# 3D n=4 and n=6: both update storages, each taking the other's updates
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 2), (3, 4), (3, 6)])
 @pytest.mark.parametrize("xi,gamma", [(1e-6, 1e4), (1.0, 1e-4), (1e-6, 1e-4)])
 def test_supernodal_matches_superlu_darcy(supernodal, dim, n, xi, gamma, rng):
     from condensa.condense import condense_precond
     *_, inner = darcy_problem(dim=dim, n=n, xi=xi, gamma=gamma, with_data=False)
-    _matches_superlu(condense_precond(inner).S, rng)
+    S = condense_precond(inner).S
+    _matches_superlu(S, rng)
+    assert min(_storage_crossings(S)) > 0 or (dim, n) < (3, 4)
 
 
-def test_supernodal_matches_superlu_stokes(supernodal, rng):
+@pytest.mark.parametrize("n", [4, 16])   # n=16: both update storages, as 3D n=4
+def test_supernodal_matches_superlu_stokes(supernodal, n, rng):
     from condensa.condense import condense_precond
-    *_, inner = stokes_problem(n=4, nu=1e-6, with_data=False)
-    _matches_superlu(condense_precond(inner).S, rng)
+    *_, inner = stokes_problem(n=n, nu=1e-6, with_data=False)
+    S = condense_precond(inner).S
+    _matches_superlu(S, rng)
+    assert min(_storage_crossings(S)) > 0 or n < 16
 
 
 def test_supernodal_block_diagonal_all_roots(supernodal, rng):
@@ -208,25 +227,115 @@ def test_supernodal_cg_counts_equal_superlu(monkeypatch, dim, n):
         assert abs(a.err_u - b.err_u) <= 1e-8 * b.err_u
 
 
-def test_supernodal_memory_peak_is_a_small_multiple_of_its_fill(supernodal):
-    """Building the factor of the 3D n=6 Darcy S_P allocates at most 1.75
-    times the bytes the factor keeps: each update matrix is released as
-    soon as its parents have consumed it, and no address map outlives its
-    group.  Measured 1.674 (numpy 2.4, scipy 1.17), and 1.860 if the
-    last consumed update stays referenced until the next group allocates
-    its fronts.  The bound leaves a 4.5% margin over 1.674 for other
-    numpy/scipy allocation patterns and stays under 1.860, which it must
-    still refuse.  At n=4 both read 2.72: the peak comes elsewhere
-    there."""
-    S = sp.csc_matrix(_reduced_precond("darcy", 3, 6))
+def _traced_factor(S, monkeypatch):
+    """factor_spd(S) and the tracemalloc peak of the call, with the update
+    matrices in numpy arrays, which tracemalloc sees, not in maps."""
+    monkeypatch.setattr(krylov, "_mapped_zeros", np.zeros)
     tracemalloc.start()
     try:
         f = factor_spd(S)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return f, peak
+
+
+def test_supernodal_memory_peak_is_a_small_multiple_of_its_fill(supernodal, monkeypatch):
+    """Building the factor of the 3D n=6 Darcy S_P allocates at most 1.50
+    times the bytes the factor keeps: a large group's fronts each keep
+    their update matrix in an array of their own size, released as soon as
+    the parent front has taken it, and no address map outlives its group.
+    Measured 1.425 (numpy 2.4, scipy 1.17), and 1.674 when every group
+    keeps its updates in one padded array until all its members are taken.
+    The bound leaves a 5% margin over 1.425 for other numpy/scipy
+    allocation patterns and stays under 1.674, which it must still refuse.
+    At n=4 the peak comes in the small groups' scatter-adds instead."""
+    f, peak = _traced_factor(sp.csc_matrix(_reduced_precond("darcy", 3, 6)), monkeypatch)
     assert isinstance(f, SupernodalCholesky)
-    assert peak <= 1.75 * 8 * f.fill
+    assert peak <= 1.50 * 8 * f.fill
+
+
+def test_supernodal_predicts_its_memory_peak(supernodal, monkeypatch):
+    """peak_bytes, worked out from the schedule before anything is
+    allocated, is within 15% of the measured peak of the 3D n=6 Darcy
+    S_P's factor (measured 0.999 of it, numpy 2.4 and scipy 1.17)."""
+    f, peak = _traced_factor(sp.csc_matrix(_reduced_precond("darcy", 3, 6)), monkeypatch)
+    assert abs(f.peak_bytes - peak) <= 0.15 * peak
+
+
+@pytest.mark.parametrize("dim,n,problem", [(3, 4, "darcy"), (2, 16, "stokes")])
+def test_supernodal_update_storage_leaves_the_factor_bitwise_alike(supernodal, monkeypatch,
+                                                                    dim, n, problem, rng):
+    """Per-front update arrays with slice extend-adds (every group, at
+    _SLICE_ROWS = 0), one padded array per group with scatter-adds (no
+    group) and the default mix give the same solve bit for bit: each
+    front position takes its contributions in one order, and syrk always
+    sees the padded front."""
+    S = sp.csc_matrix(_reduced_precond(problem, dim, n))
+    b = rng.standard_normal(S.shape[0])
+    x = factor_spd(S).solve(b)
+    for rows in (0, 1 << 30):
+        monkeypatch.setattr(krylov, "_SLICE_ROWS", rows)
+        assert np.array_equal(factor_spd(S).solve(b), x)
+
+
+def test_supernodal_refuses_a_peak_beyond_available_memory(supernodal, monkeypatch):
+    """When the predicted peak exceeds the available memory, factor_spd
+    raises InsufficientMemory, a MemoryError, before any front is
+    allocated, and a sweep row records it by name in `failed`."""
+    from condensa.bench import RunConfig, run
+    S = sp.csc_matrix(_reduced_precond("darcy", 3, 4))
+    need = factor_spd(S).peak_bytes
+    mapped = krylov._mapped_zeros
+
+    def no_update(shape):
+        raise AssertionError("an update matrix was allocated")
+    monkeypatch.setattr(krylov, "_mapped_zeros", no_update)
+    monkeypatch.setattr(krylov, "_mem_available", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(krylov.InsufficientMemory, match="MB at its peak"):
+            factor_spd(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert issubclass(krylov.InsufficientMemory, MemoryError)
+    assert peak < 0.25 * need
+    monkeypatch.setattr(krylov, "_mapped_zeros", mapped)
+    monkeypatch.setattr(krylov, "_mem_available", lambda: need)
+    assert isinstance(factor_spd(S), SupernodalCholesky)
+    monkeypatch.setattr(krylov, "_mem_available", lambda: 0)
+    (row,) = run(RunConfig(experiment="darcy-manufactured", dim=3, levels=(2,), timing=False))
+    assert row.failed.startswith("InsufficientMemory: the supernodal factor")
+    assert row.iters_text() == "failed"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_mapped_update_memory_goes_back_to_the_system_when_freed():
+    """An update matrix is resident from its allocation on and released
+    to the system as soon as it is freed, whatever the heap keeps."""
+    def resident_mb():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+    before = resident_mb()
+    U = krylov._mapped_zeros((64, 256, 256))     # 32 MB
+    assert not U.any() and U.flags.writeable
+    U[:] = 1.0
+    assert resident_mb() - before >= 30
+    del U
+    assert resident_mb() - before <= 2
+    assert krylov._mapped_zeros((3, 0, 0)).shape == (3, 0, 0)
+
+
+def test_mem_available_reads_meminfo_or_gives_up(tmp_path):
+    """The available memory comes from the MemAvailable line of meminfo,
+    in kB; without a readable file or that line the check is skipped."""
+    info = tmp_path / "meminfo"
+    info.write_text("MemTotal:       8000000 kB\nMemAvailable:    1000 kB\n")
+    assert krylov._mem_available(info) == 1024000
+    info.write_text("MemTotal:       8000000 kB\n")
+    assert krylov._mem_available(info) is None
+    assert krylov._mem_available(tmp_path / "missing") is None
 
 
 def test_factor_sym_indef_toys(rng):
