@@ -32,10 +32,12 @@ SWEEPS = (
     "stokes-cavity --dim 3 --levels 2",
     "darcy-manufactured --dim 3 --levels 2,4",
     "darcy-heterogeneous --levels 8",
-    # trace systems above krylov.SUPERNODAL_MIN (34,560 and 27,456 dofs), so
-    # that the supernodal factor is checked too
+    # trace systems above krylov.SUPERNODAL_MIN (34,560, 27,456 and 36,480
+    # dofs), so that the supernodal factor is checked too, in 3D and 2D; the
+    # 2D Darcy factor at xi=1e-6, gamma=1e4 stores subnormal entries
     "darcy-manufactured --dim 3 --levels 8",
     "stokes-manufactured --levels 32",
+    "darcy-manufactured --levels 64 --xi 1e-6 --gamma 1e4",
 )
 SPECTRA = ("spectrum", "spectrum --problem stokes",
            "spectrum --precond counterexample --levels 4")

@@ -3,12 +3,13 @@
 factor_spd factors an SPD matrix in the order it is given.  Large ones
 (SUPERNODAL_MIN rows on) go to SupernodalCholesky, a supernodal
 multifrontal Cholesky in numpy that reads its elimination tree off the
-matrix pattern, assembles one group of equal-height fronts at a time with
-vectorized scatters (the fronts of large groups one by one, each update
-matrix freed as soon as its parent has taken it), factors each front
-with LAPACK, and solves with batched products over the same groups;
-smaller ones, and minimum-degree orders, to SuperLU.  Its peak memory is
-known from the symbolic phase, before anything is allocated.
+matrix pattern, assembles its groups of equal-height fronts in batches
+(a whole group, or the fronts of a large group one by one) with
+vectorized scatters, frees each update matrix once its parent has taken
+it, factors each front with LAPACK, and solves with batched products
+over the groups; smaller ones, and minimum-degree orders, to SuperLU.
+Its peak memory is known from the symbolic phase, before anything is
+allocated.
 
 Stopping rule for both Krylov drivers: relative preconditioned residual
 sqrt(r' P^-1 r) / sqrt(r0' P^-1 r0) <= tol, zero initial guess.  Kernel
@@ -274,12 +275,13 @@ def _extend_add(L11, L21, U, X, runs):
 
 
 def _scatter_updates(F, row, U, X, k, pos, m1):
-    """Add the update matrices X (Q, m, m) into the fronts k (Q,): row and
-    column i of X[q] go to position pos[q, i] of front k[q], the first m1
-    to pivots.  X[q][:, :m1] goes into the pivot columns, whose row p of
-    front g starts at F[row[g, p]], and X[q][m1:, m1:] into U (G, Nr, Nr),
-    each by one scatter-add over whole rectangles: the upper triangle of
-    X is zero and lands in upper triangles that no kernel reads."""
+    """Add the update matrices X (Q, m, m) into the fronts k (Q,) of a
+    batch: row and column i of X[q] go to position pos[q, i] of front k[q],
+    the first m1 to pivots.  X[q][:, :m1] goes into the pivot columns,
+    whose row p of front g starts at F[row[g, p]], and X[q][m1:, m1:] into
+    the batch's update matrices U (B, Nr, Nr), each by one scatter-add over
+    whole rectangles: the upper triangle of X is zero and lands in upper
+    triangles that no kernel reads."""
     Np = row.shape[1] - U.shape[1]
     Nr = U.shape[1]
     if m1:
@@ -301,11 +303,9 @@ def _scatter_updates(F, row, U, X, k, pos, m1):
 # time.  At 3D n=8 (2 CPUs, best of 11) thresholds of 64, 128 and 256 rows
 # gave the same extend-add time, 0.15-0.17 s: a scatter-add over the
 # square costs about what slices over the triangle do.  The same threshold
-# chooses the storage of a group's update matrices: below it one padded
-# (G, Nr, Nr) array, freed once every member has been taken; from it on
-# one array per front, of its own row count, freed as soon as its parent
-# front has taken it.  Such a front is assembled on its own, so its small
-# updates go in by one scatter-add per front and group of origin
+# sets a group's batch: below it all G fronts in one padded (G, Nr, Nr)
+# array, whose last view frees it; from it on one front at a time, each
+# keeping its update in an array of its own row count
 _SLICE_ROWS = 64
 _EXTEND_CHUNK = 1 << 18
 
@@ -349,7 +349,8 @@ class _Schedule:
     group gi is order[cuts[gi]:cuts[gi + 1]], its fronts padded to width[gi]
     pivots and rows[gi] rows below them, and supernode s is front slot[s]
     of group group[s].  The children of s are kids[kid_ptr[s]:kid_ptr[s + 1]],
-    in increasing order."""
+    in increasing order, and the last update of group gi is taken by the
+    front at order[last[gi]] (-1 when no member has a parent)."""
 
     order: np.ndarray
     cuts: np.ndarray
@@ -359,6 +360,7 @@ class _Schedule:
     rows: np.ndarray
     kids: np.ndarray
     kid_ptr: np.ndarray
+    last: np.ndarray
 
 
 def _schedule(tree: _Supernodes) -> _Schedule:
@@ -371,70 +373,64 @@ def _schedule(tree: _Supernodes) -> _Schedule:
     rank[order] = np.arange(order.size)
     group = np.searchsorted(cuts, rank, side="right") - 1
     kids = np.argsort(tree.parent, kind="stable")
+    child = np.flatnonzero(tree.parent >= 0)
+    last = np.full(cuts.size - 1, -1)
+    np.maximum.at(last, group[child], rank[tree.parent[child]])
     return _Schedule(order, cuts, group, rank - cuts[group],
                      np.maximum.reduceat(npiv[order], cuts[:-1]),
                      np.maximum.reduceat(nrow[order], cuts[:-1]), kids,
-                     np.searchsorted(tree.parent[kids], np.arange(tree.parent.size + 1)))
+                     np.searchsorted(tree.parent[kids], np.arange(tree.parent.size + 1)),
+                     last)
 
 
 def _peak_bytes(tree: _Supernodes, plan: _Schedule) -> int:
     """Bytes SupernodalCholesky holds at its peak, from its schedule alone.
     Held throughout: the solve slots (2n int64) and the rows of the
     symbolic factor (one int64 per row of each front).  Then each group's F
-    and row slots, kept from that group on, and each update matrix until
-    its parent front has taken it, in the storage _SLICE_ROWS chooses (a
-    large group's padded buffer W included).  The peak is taken at each
-    allocation of an update matrix, with the workspace of the largest
-    scatter-add of small updates (an X copy, an entry copy and an int64
-    address per entry, at most _EXTEND_CHUNK entries) while it runs; other
-    index temporaries are not counted."""
+    and row slots, kept from that group on, and the padded U of each batch,
+    in the batches SupernodalCholesky builds: U holds the batch's updates
+    until the last of them has been taken, unless a one-front batch does
+    not fill it; the front then keeps its update in an array of its own
+    row count until its parent front has taken it, and U serves the next
+    front.  The peak is taken at each allocation, with the workspace of
+    the largest scatter-add of small updates (an X copy, an entry copy and
+    an int64 address per entry, at most _EXTEND_CHUNK entries) while a
+    batch takes its children; other index temporaries are not counted."""
     nrow = np.diff(tree.rptr)
     cuts, kids, ptr = plan.cuts.tolist(), plan.kids.tolist(), plan.kid_ptr.tolist()
-    Nr = plan.rows.tolist()
-    left = np.add.reduceat(nrow[plan.order] > 0, plan.cuts[:-1]).tolist()
+    Nr, last = plan.rows.tolist(), plan.last.tolist()
     rows, grp = nrow.tolist(), plan.group.tolist()
     held = peak = 16 * int(tree.bptr[-1]) + 8 * int(nrow.sum())
-
-    def take(fronts):
-        """Bytes freed as the fronts take their children, and the
-        workspace of the largest scatter-add that takes small ones."""
-        freed, small = 0, {}
-        for s in fronts:
-            for c in kids[ptr[s]:ptr[s + 1]]:
-                src = grp[c]
-                if Nr[src] >= _SLICE_ROWS:
-                    freed += 8 * rows[c] ** 2
-                    continue
-                small[src] = small.get(src, 0) + Nr[src] ** 2
-                left[src] -= 1
-                if not left[src]:
-                    freed += 8 * (cuts[src + 1] - cuts[src]) * Nr[src] ** 2
-        return freed, 24 * min(_EXTEND_CHUNK, max(small.values(), default=0))
-
     for gi, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         members = plan.order[a:b].tolist()
         G, Np, R = b - a, int(plan.width[gi]), Nr[gi]
+        size = G if R < _SLICE_ROWS else 1
         held += 8 * G * ((Np + R) * Np + R)
-        if R < _SLICE_ROWS:
-            held += 8 * G * R * R
-            freed, work = take(members)
-            peak = max(peak, held + work)
+        U = 0
+        for k0 in range(0, G, size):
+            batch = members[k0:k0 + size]
+            if not U:
+                U = 8 * size * R * R
+                held += U
+            freed, small = 0, {}
+            for s in batch:
+                for c in kids[ptr[s]:ptr[s + 1]]:
+                    src = grp[c]
+                    if Nr[src] >= _SLICE_ROWS:
+                        freed += 8 * rows[c] ** 2
+                    else:
+                        small[src] = small.get(src, 0) + Nr[src] ** 2
+            for src in small:
+                if last[src] < a + k0 + size:
+                    freed += 8 * (cuts[src + 1] - cuts[src]) * Nr[src] ** 2
+            peak = max(peak, held + 24 * min(_EXTEND_CHUNK, max(small.values(), default=0)))
             held -= freed
-            continue
-        W = 0
-        for s in members:
-            if not W:
-                W = 8 * R * R
-                held += W
-            freed, work = take((s,))
-            peak = max(peak, held + work)
-            held -= freed
-            if rows[s] == R:
-                W = 0               # the buffer becomes the front's update
+            if size > 1 or rows[batch[0]] == R:
+                U = 0               # the batch itself holds the updates
             else:
-                held += 8 * rows[s] ** 2
+                held += 8 * rows[batch[0]] ** 2
                 peak = max(peak, held)
-        held -= W
+        held -= U
     return peak
 
 
@@ -492,18 +488,18 @@ class SupernodalCholesky:
     CPUs than either library alone.  A batched inverse pays for a general
     LU, and a batched product computes both triangles.
 
-    Update matrices are stored two ways (_SLICE_ROWS).  A group with fewer
-    rows keeps its fronts' updates in one padded array U (G, Nr, Nr),
-    released once its last member has been taken.  A larger group
-    assembles its fronts one at a time in a padded buffer W (Nr, Nr), so
-    that syrk sees one shape for every front of the group (OpenBLAS rounds
-    a smaller square differently), and keeps each update in an array of
-    the front's own row count (W itself when the front fills it), released
-    as soon as the parent front has taken it.  The schedule fixes every
-    allocation and release before any is made: peak_bytes is the
-    factor's predicted peak (see _peak_bytes), and a peak beyond the
-    memory available raises InsufficientMemory before any front is
-    allocated.
+    A group is built in batches of fronts (_SLICE_ROWS): below that many
+    rows one batch of all G fronts in a padded U (G, Nr, Nr), from it on G
+    batches of one front, each reusing one padded U (1, Nr, Nr) so that
+    syrk sees one shape for every front of the group (OpenBLAS rounds a
+    smaller square differently).  Each group keeps its updates as a list
+    of per-front arrays: views of its batch's U, freed with the last of
+    them, or an array of the front's own row count (the buffer itself when
+    the front fills it).  A parent front releases each update it takes.
+    The schedule fixes every allocation and release before any is made:
+    peak_bytes is the factor's predicted peak (see _peak_bytes), and a
+    peak beyond the memory available raises InsufficientMemory before any
+    front is allocated.
 
     The factor keeps, per group, L11^-1, L21 and the solve slots of the
     fronts' rows; fill counts the entries of L11^-1 and L21, padding
@@ -548,15 +544,9 @@ class SupernodalCholesky:
                            minlength=lead.size).astype(np.int64)
         del ent, cut
 
-        # group -> [its update matrices, their rows, members not yet taken]:
-        # one padded array below _SLICE_ROWS rows, one array per front from it on
+        # group -> [the update matrix of each member front, the fronts' rows
+        # (padded with n)], dropped once its last member has been taken
         updates = {}
-
-        def taken(src, count):
-            """Count members of group src as taken; the last frees its entry."""
-            updates[src][2] -= count
-            if not updates[src][2]:
-                del updates[src]
 
         self.n = n
         self.groups = []
@@ -599,90 +589,70 @@ class SupernodalCholesky:
             pk, pd = np.nonzero(~valid[:, :Np])
             L11[pk, pd, pd] = 1.0
 
-            # the children's updates, by group of origin: which children
-            # (indices into kids) and the positions of their rows in their
-            # parent fronts (padding at Np, where it adds zeros)
+            # the children's updates, by group of origin: their slots there,
+            # their fronts here, the positions of their rows in these fronts
+            # (padding at Np, where it adds zeros), their row counts, how
+            # many land on pivots, and where each batch's children start
+            size = G if Nr < _SLICE_ROWS else 1     # fronts per batch
             nkids = plan.kid_ptr[members + 1] - plan.kid_ptr[members]
             kids = plan.kids[_ranges(plan.kid_ptr[members], nkids)]
             home = np.repeat(np.arange(G), nkids)
             src_of = group[kids]
-            taking = {}
+            taking = []
             for src in np.unique(src_of).tolist():
                 i = np.flatnonzero(src_of == src)
-                R = updates[src][1][slot[kids[i]]]
-                pos = where[np.minimum(np.searchsorted(keys, home[i][:, None] * (n + 1) + R),
+                q, kq = slot[kids[i]], home[i]
+                R = updates[src][1][q]
+                pos = where[np.minimum(np.searchsorted(keys, kq[:, None] * (n + 1) + R),
                                        keys.size - 1)]
                 real = R < n
                 pos[~real] = Np if Nr else 0
-                taking[src] = i, pos, np.count_nonzero(real & (pos < Np), axis=1)
+                taking.append((src, q, kq, pos, nrow[kids[i]],
+                               np.count_nonzero(real & (pos < Np), axis=1),
+                               np.searchsorted(kq, np.arange(0, G + 1, size)).tolist()))
 
-            if Nr < _SLICE_ROWS:
-                # one padded U for the group: updates from groups of at least
-                # _SLICE_ROWS rows go in one at a time by slices, smaller
-                # ones by scatter-adds
-                U = _mapped_zeros((G, Nr, Nr))
-                for src, (i, pos, m1) in taking.items():
-                    X, q, kq = updates[src][0], slot[kids[i]], home[i]
-                    if type(X) is list:
-                        for qi, ki, p, m in zip(q.tolist(), kq.tolist(), pos,
-                                                nrow[kids[i]].tolist()):
-                            _extend_add(L11[ki], L21[ki], U[ki], X[qi], _runs(p[:m], Np))
+            own, U = [], None
+            for bi, k0 in enumerate(range(0, G, size)):
+                m = int(nrow[members[k0]])
+                if U is None:
+                    U = _mapped_zeros((size, Nr, Nr))
+                else:
+                    U[0, :m, :m] = 0.0      # all that this front's update fills
+                for src, q, kq, pos, nc, m1, cut in taking:
+                    lo, hi = cut[bi], cut[bi + 1]
+                    if lo == hi:
+                        continue
+                    X = updates[src][0]
+                    if plan.rows[src] >= _SLICE_ROWS:
+                        for qi, k, p, mc in zip(q[lo:hi].tolist(), kq[lo:hi].tolist(),
+                                                pos[lo:hi], nc[lo:hi].tolist()):
+                            _extend_add(L11[k], L21[k], U[k - k0], X[qi], _runs(p[:mc], Np))
                             X[qi] = None    # released once taken
                     else:
-                        step = max(1, _EXTEND_CHUNK // X[0].size)
-                        for c in np.unique(m1).tolist():
-                            sel = np.flatnonzero(m1 == c)
+                        step = max(1, _EXTEND_CHUNK // int(plan.rows[src]) ** 2)
+                        for c in np.unique(m1[lo:hi]).tolist():
+                            sel = lo + np.flatnonzero(m1[lo:hi] == c)
                             for j0 in range(0, sel.size, step):
                                 j = sel[j0:j0 + step]
-                                _scatter_updates(F, row, U, X[q[j]], kq[j], pos[j], c)
+                                _scatter_updates(F, row[k0:k0 + size], U,
+                                                 np.array([X[qi] for qi in q[j].tolist()]),
+                                                 kq[j] - k0, pos[j], c)
+                        for qi in q[lo:hi].tolist():
+                            X[qi] = None    # the last view releases its batch
                     del X
-                    taken(src, i.size)
-                for k in range(G):
-                    _factor_front(L11[k], L21[k], U[k])
-                if Nr:
-                    updates[gi] = [U, front[:, Np:], int(np.count_nonzero(nrow[members]))]
-                del U
-            else:
-                # front by front in the padded buffer W; each front keeps its
-                # update at its own size.  Child c is entry[c] = (group of
-                # origin, rows on pivots of a small update or 0, its row in
-                # taking[src]): sorted, the order the group path adds them in
-                entry = [None] * kids.size
-                for src, (i, _, m1) in taking.items():
-                    slices = type(updates[src][0]) is list
-                    for r, (c, c1) in enumerate(zip(i.tolist(), m1.tolist())):
-                        entry[c] = (src, 0 if slices else c1, r)
-                lo, own, W = 0, [], None
-                for k, hi in enumerate(np.cumsum(nkids).tolist()):
-                    m = int(nrow[members[k]])
-                    if W is None:
-                        W = _mapped_zeros((Nr, Nr))
-                    else:
-                        W[:m, :m] = 0.0
-                    for (src, c1), run in itertools.groupby(sorted(entry[lo:hi]),
-                                                            key=lambda e: e[:2]):
-                        i, pos, _ = taking[src]
-                        r = [e[2] for e in run]
-                        X, q = updates[src][0], slot[kids[i[r]]]
-                        if type(X) is list:
-                            for qi, p, mc in zip(q.tolist(), pos[r], nrow[kids[i[r]]].tolist()):
-                                _extend_add(L11[k], L21[k], W, X[qi], _runs(p[:mc], Np))
-                                X[qi] = None    # released once taken
-                        else:
-                            _scatter_updates(F, row[k:k + 1], W[None], X[q],
-                                             np.zeros(len(r), dtype=np.int64), pos[r], c1)
-                        del X
-                        taken(src, len(r))
-                    lo = hi
-                    _factor_front(L11[k], L21[k], W)
-                    if m == Nr:
-                        own.append(W)
-                        W = None
-                    else:
-                        own.append(_mapped_zeros((m, m)))
-                        own[-1][:] = W[:m, :m]
-                updates[gi] = [own, front[:, Np:], G]
-                del W
+                    if plan.last[src] < a + k0 + size:
+                        del updates[src]
+                for k in range(size):
+                    _factor_front(L11[k0 + k], L21[k0 + k], U[k])
+                if size > 1 or m == Nr:
+                    own.extend(U)       # the batch itself holds the updates
+                    U = None
+                else:
+                    own.append(_mapped_zeros((m, m)))
+                    own[-1][:] = U[0, :m, :m]
+            if Nr:
+                updates[gi] = [own, front[:, Np:]]
+            del U
             s, e = int(base[gi]), int(base[gi + 1])
             self.groups.append((s, e, slot_of[front[:, Np:]] - e, L11, L21))
             self.fill += F.size
