@@ -1,0 +1,80 @@
+"""md5 digests of the reduced preconditioner's S_P and its supernodal factor.
+
+    python3 scripts/factor_digest.py SRC_DIR
+
+builds the S_P of each case below in a fresh process with
+PYTHONPATH=SRC_DIR, as a reduced sweep row does (`condense_precond` of the
+robust inner product), factors it with `krylov.SUPERNODAL_MIN = 0`, so
+that every case takes `SupernodalCholesky`, and solves two seeded
+right-hand sides.  It prints one line per case:
+
+    md5(S_P data, indices, indptr)  md5(solutions)  fill  peak_bytes  case
+
+Two trees build the same S_P and factor it bit for bit when
+
+    diff <(python3 scripts/factor_digest.py A/src) \\
+         <(python3 scripts/factor_digest.py B/src)
+
+prints nothing.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+# (problem, dim, cells per edge, ProblemParams fields); the 2D Darcy factor
+# at xi=1e-6, gamma=1e4 stores subnormal entries
+CASES = (
+    ("darcy", 3, 4, {}),
+    ("darcy", 3, 6, {}),
+    ("darcy", 3, 8, {}),
+    ("darcy", 2, 64, {}),
+    ("darcy", 2, 64, {"xi": 1e-6, "gamma": 1e4}),
+    ("stokes", 2, 16, {"nu": 1e-6}),
+    ("stokes", 2, 32, {}),
+)
+
+CHILD = """
+import hashlib, json, sys
+import numpy as np
+from condensa import krylov
+from condensa.assembly import ProblemParams, darcy_spaces, stokes_spaces
+from condensa.condense import condense_precond
+from condensa.mesh import unit_box_mesh
+from condensa.precond import PreconditionerSpec, assemble_inner
+
+problem, dim, n, kw = json.loads(sys.argv[1])
+krylov.SUPERNODAL_MIN = 0
+params = ProblemParams(**kw)
+mesh = unit_box_mesh(dim, n)
+spaces = (darcy_spaces if problem == "darcy" else stokes_spaces)(mesh, params.k)
+S = condense_precond(assemble_inner(PreconditionerSpec(problem), mesh, spaces, params)).S
+factor = krylov.factor_spd(S)
+matrix, solutions = hashlib.md5(), hashlib.md5()
+for a in (S.data, S.indices, S.indptr):
+    matrix.update(a.tobytes())
+for seed in (1, 2):
+    solutions.update(factor.solve(np.random.default_rng(seed).standard_normal(S.shape[0])).tobytes())
+print(matrix.hexdigest(), solutions.hexdigest(), factor.fill, factor.peak_bytes)
+"""
+
+
+def main(src: str) -> None:
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    for case in CASES:
+        problem, dim, n, kw = case
+        label = " ".join([problem, f"dim={dim}", f"n={n}", *(f"{k}={v:g}" for k, v in kw.items())])
+        proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(case)],
+                              env=env, capture_output=True, text=True)
+        if proc.returncode:
+            sys.exit(f"{label} exited {proc.returncode}:\n{proc.stderr}")
+        print(f"{proc.stdout.strip()}  {label}", flush=True)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])

@@ -11,8 +11,8 @@ from .condense import CondensedSystem, back_substitute, condense, condense_preco
 from .elements import PolynomialBasis, QuadratureRule, pk_basis, simplex_quadrature
 from .krylov import KrylovReport, cg, factor_spd, generalized_eigs, minres
 from .manufactured import ManufacturedCase, manufactured_rhs
-from .mesh import Mesh, read_mesh_text, unit_box_mesh, write_mesh_text
-from .norms import evaluate_norms, l2_errors, xnorm
+from .mesh import Mesh, unit_box_mesh, write_mesh_text
+from .norms import l2_errors
 from .precond import PrecondOperator, PreconditionerSpec, build_full, build_reduced
 from .spaces import BlockLayout, FunctionSpace, build_space, interpolate_boundary
 from .spectra import (SpectralReport, lemma_probes, lifting_constant,

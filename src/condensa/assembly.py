@@ -28,6 +28,7 @@ The Stokes scheme is symmetric as written and is stored untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,9 +62,10 @@ class ProblemParams:
     """Model and discretization parameters.
 
     xi and gamma may be floats or vectorized callables of (npts, dim)
-    arrays; nu, eta, zeta are constants.  A constant xi or nu must be
-    positive and a constant gamma or zeta non-negative.  eta defaults to
-    4k^2 in 2D and 6k^2 in 3D when not set explicitly.
+    arrays; nu, eta, zeta are constants.  Every constant must be finite,
+    a constant xi or nu positive and a constant gamma or zeta
+    non-negative.  eta defaults to 4k^2 in 2D and 6k^2 in 3D when not set
+    explicitly.
     """
 
     k: int = 2
@@ -74,6 +76,10 @@ class ProblemParams:
     zeta: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("xi", self.xi), ("gamma", self.gamma), ("nu", self.nu),
+                            ("zeta", self.zeta), ("eta", self.eta)):
+            if value is not None and not callable(value) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {float(value)}")
         for name, value in (("xi", self.xi), ("nu", self.nu)):
             if not callable(value) and value <= 0:
                 raise ValueError(f"{name} must be positive, got {float(value)}")
@@ -224,11 +230,6 @@ class ElementContext:
     def facet_weights(self, scale) -> np.ndarray:
         """w_q |F| / |F_ref| per (cell, local facet) and facet point."""
         return scale[:, :, None] * self.frule.weights[None, None, :]
-
-    def facet_values(self, which: str = "u") -> np.ndarray:
-        """Cell-basis values at each local facet's quadrature points,
-        gathered by arrangement code: (cells, d+1, qf, nb)."""
-        return (self.fvals_u if which == "u" else self.fvals_p)[self.codes]
 
 
 @lru_cache(maxsize=1)

@@ -44,8 +44,7 @@ from .precond import PreconditionerSpec, assemble_inner, build_full, build_reduc
 from .spectra import (PROBE_SETS, SpectralReport, lemma_probes, probe_names,
                       reduced_bounds_check)
 
-__all__ = ["RunConfig", "ResultRow", "run", "spectrum", "emit", "parse_json_rows",
-           "EXPERIMENTS", "CSV_HEADER"]
+__all__ = ["RunConfig", "ResultRow", "run", "spectrum", "emit", "EXPERIMENTS", "CSV_HEADER"]
 
 
 # The RunConfig fields each experiment reads beyond experiment, dim, levels, k
@@ -111,6 +110,8 @@ class RunConfig:
             if min(values) < 1:
                 raise ValueError(f"`{name}` must be at least 1, got "
                                  + ",".join(map(str, values)))
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ValueError(f"`tol` must be positive and finite, got {self.tol}")
 
     def tolerance(self) -> float:
         if self.tol is not None:
@@ -393,7 +394,3 @@ def _emit_markdown(rows) -> str:
         vals = [next((r.iters_text() for r in here if key(r) == c), "") for c in columns]
         lines.append(f"| {max(r.cells for r in here)} | " + " | ".join(vals) + " |")
     return "\n".join(lines) + "\n"
-
-
-def parse_json_rows(text: str) -> list[ResultRow]:
-    return [ResultRow(**d) for d in json.loads(text)]

@@ -749,8 +749,10 @@ class _Deflation:
         return lambda x: self.project(apply_fn(self.project(x)))
 
 
-def _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate):
+def _krylov_setup(apply_A, apply_Pinv, b, tol, maxit, deflate):
     """cg's and minres's A, P (identity if None) and b, off the kernel ``deflate``."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if maxit < 1:
         raise ValueError(f"maxit must be at least 1, got {maxit}")
     P = apply_Pinv if apply_Pinv is not None else (lambda x: x)
@@ -761,7 +763,7 @@ def _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate):
 def cg(apply_A, apply_Pinv, b, tol: float = 1e-10, maxit: int = 999,
        deflate=()) -> tuple[np.ndarray, KrylovReport]:
     """Preconditioned conjugate gradients with breakdown detection."""
-    A, P, b = _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate)
+    A, P, b = _krylov_setup(apply_A, apply_Pinv, b, tol, maxit, deflate)
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -802,7 +804,7 @@ def cg(apply_A, apply_Pinv, b, tol: float = 1e-10, maxit: int = 999,
 def minres(apply_A, apply_Pinv, b, tol: float = 1e-8, maxit: int = 999,
            deflate=()) -> tuple[np.ndarray, KrylovReport]:
     """Preconditioned MINRES (Paige-Saunders); A symmetric, P SPD."""
-    A, P, b = _krylov_setup(apply_A, apply_Pinv, b, maxit, deflate)
+    A, P, b = _krylov_setup(apply_A, apply_Pinv, b, tol, maxit, deflate)
 
     x = np.zeros_like(b)
     r1 = b.copy()

@@ -19,7 +19,6 @@ __all__ = [
     "Mesh",
     "unit_box_mesh",
     "write_mesh_text",
-    "read_mesh_text",
 ]
 
 _VOLUME_FACTOR = {2: 0.5, 3: 1.0 / 6.0}
@@ -283,23 +282,3 @@ def write_mesh_text(mesh: Mesh, path) -> None:
             fh.write("vertex " + " ".join(repr(float(x)) for x in v) + "\n")
         for c in mesh.cells:
             fh.write("cell " + " ".join(str(int(i)) for i in c) + "\n")
-
-
-def read_mesh_text(path) -> Mesh:
-    verts, cells = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tag, *rest = line.split()
-            if tag == "vertex":
-                verts.append([float(x) for x in rest])
-            elif tag == "cell":
-                cells.append([int(x) for x in rest])
-            else:
-                raise ValueError(f"unknown record {tag!r}")
-    if not verts or not cells:
-        raise ValueError("mesh file has no vertices or no cells")
-    verts = np.array(verts, dtype=float)
-    return Mesh(verts.shape[1], verts, np.array(cells, dtype=np.int64))

@@ -18,11 +18,10 @@ from condensa.elements import monomial_integral, pk_basis
 from condensa.krylov import factor_spd
 from condensa.manufactured import manufactured_rhs
 from condensa.mesh import Mesh, unit_box_mesh
-from condensa.norms import evaluate_norms
 from condensa.spaces import build_space, interpolate_boundary
 
-from conftest import (darcy_problem, entity_dofs, facet_global_points, sparse_addition_oracle,
-                      stokes_problem)
+from conftest import (darcy_problem, entity_dofs, evaluate_norms, facet_global_points,
+                      sparse_addition_oracle, stokes_problem)
 
 
 def one_triangle():
@@ -619,6 +618,42 @@ def test_stokes_source_against_symbolic_oracle():
     got = case.f(pt)[0]
     oracle = [float(fi.subs({x1: 0.3, x2: 0.7})) for fi in f]
     assert np.abs(got - np.array(oracle)).max() < 1e-10
+
+
+def test_darcy_3d_source_against_symbolic_oracle():
+    import sympy as sy
+    X = sy.symbols("x1 x2 x3")
+    xi, gamma = sy.Rational(3, 10), sy.Rational(2)
+    p = sy.cos(sy.pi * X[0]) * sy.sin(sy.pi * X[1]) * sy.cos(sy.pi * X[2])
+    u = [-xi * sy.diff(p, xk) for xk in X]
+    f = sum(sy.diff(uk, xk) for uk, xk in zip(u, X)) + gamma * p
+    at = dict(zip(X, (sy.Rational(3, 10), sy.Rational(3, 5), sy.Rational(3, 20))))
+    case = manufactured_rhs("darcy", 3, ProblemParams(k=2, xi=0.3, gamma=2.0))
+    pt = np.array([[0.3, 0.6, 0.15]])
+    assert abs(case.f(pt)[0] - float(f.subs(at))) < 1e-12
+    assert np.abs(case.exact_u(pt)[0] - [float(uk.subs(at)) for uk in u]).max() < 1e-12
+
+
+def test_stokes_3d_source_against_symbolic_oracle():
+    import sympy as sy
+    X = sy.symbols("x1 x2 x3")
+    nu = sy.Rational(3)
+    s = [sy.sin(sy.pi * xk) for xk in X]
+    c = [sy.cos(sy.pi * xk) for xk in X]
+    u = [sy.pi * (s[0] * c[1] - s[0] * c[2]),
+         sy.pi * (s[1] * c[2] - s[1] * c[0]),
+         sy.pi * (s[2] * c[0] - s[2] * c[1])]
+    p = c[0] * s[1] * c[2]
+    assert sy.simplify(sum(sy.diff(uk, xk) for uk, xk in zip(u, X))) == 0
+    # f = -nu div(eps(u)) + grad p, the scheme-consistent source
+    eps = [[(sy.diff(u[i], X[j]) + sy.diff(u[j], X[i])) / 2 for j in range(3)]
+           for i in range(3)]
+    f = [-nu * sum(sy.diff(eps[i][j], X[j]) for j in range(3)) + sy.diff(p, X[i])
+         for i in range(3)]
+    case = manufactured_rhs("stokes", 3, ProblemParams(k=2, nu=3.0))
+    pt = np.array([[0.3, 0.6, 0.15]])
+    oracle = [float(fi.subs(dict(zip(X, pt[0])))) for fi in f]
+    assert np.abs(case.f(pt)[0] - np.array(oracle)).max() < 1e-10
 
 
 def test_heterogeneous_case_fields():

@@ -9,15 +9,14 @@ from condensa import assembly, bench, cli, precond
 from condensa.assembly import (ProblemParams, assemble_counterexample_inner, assemble_darcy,
                                assemble_darcy_inner, assemble_stokes, assemble_stokes_inner,
                                darcy_spaces, stokes_spaces)
-from condensa.bench import (CSV_HEADER, ResultRow, RunConfig, emit,
-                            parse_json_rows, run)
+from condensa.bench import CSV_HEADER, ResultRow, RunConfig, emit, run
 from condensa.cli import main
 from condensa.condense import condense
 from condensa.manufactured import manufactured_rhs
 from condensa.mesh import unit_box_mesh
 from condensa.spectra import reduced_bounds_check
 
-from conftest import sparse_modes
+from conftest import json_rows, read_mesh_text, sparse_modes
 
 
 def small_config(**kw):
@@ -99,7 +98,7 @@ def test_failed_row_prints_failed():
         rows[0].iters_text(), "failed", rows[2].iters_text(), "failed"]
     md = emit(rows, fmt="md").split("\n")[2:-1]
     assert md == [f"| 8 | {rows[0].iters} | failed |", f"| 32 | {rows[2].iters} | failed |"]
-    assert parse_json_rows(emit(rows, fmt="json")) == rows
+    assert json_rows(emit(rows, fmt="json")) == rows
 
 
 def test_failed_row_records_its_level_size(capsys):
@@ -143,6 +142,29 @@ def test_non_positive_coefficient_fails_with_its_name(tmp_path, capsys):
         "ValueError: xi must be positive, got 0.0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["darcy-manufactured", "--xi", "inf"],
+    ["darcy-manufactured", "--gamma", "nan"],
+    ["darcy-manufactured", "--eta", "nan"],
+    ["stokes-manufactured", "--nu", "nan"],
+    ["stokes-manufactured", "--zeta", "inf"],
+])
+def test_non_finite_parameter_fails_with_its_name(argv, capsys, monkeypatch):
+    """A non-finite model parameter fails its row by name before anything
+    is assembled, not later with a false cause."""
+    monkeypatch.setattr(assembly, "_context", lambda *args: pytest.fail("assembled"))
+    assert main(argv + ["--levels", "2", "--no-timing"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.endswith(f"ValueError: {argv[1][2:]} must be finite, got {argv[2]}")
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+def test_tol_not_positive_and_finite_is_refused(tol, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["darcy-manufactured", "--levels", "2", "--tol", tol])
+    assert exit_.value.code == 2 and "--tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_row_builds_its_preconditioner_before_its_scheme(monkeypatch):
     """The S_P factor's peak never meets the scheme's arrays: a row builds
     its preconditioner, then assembles the scheme."""
@@ -163,7 +185,7 @@ def test_csv_header_is_the_row_fields():
 def test_json_round_trip():
     rows = run(small_config())
     text = emit(rows, fmt="json")
-    back = parse_json_rows(text)
+    back = json_rows(text)
     assert back == rows
 
 
@@ -179,7 +201,7 @@ def test_json_writes_non_finite_as_null():
     text = emit([row], fmt="json")
     (d,) = json.loads(text, parse_constant=strict)
     assert d["resid"] is None and d["err_u"] is None and d["err_p"] is None
-    back = parse_json_rows(text)
+    back = json_rows(text)
     assert back[0].resid is None and emit(back, fmt="json") == text
 
 
@@ -222,7 +244,7 @@ def test_sweep_continues_after_row_failure():
         raise ValueError(f"non-standard JSON constant {name}")
 
     json.loads(text, parse_constant=reject)
-    assert parse_json_rows(text) == rows
+    assert json_rows(text) == rows
 
 
 def test_failed_heterogeneous_row_keeps_its_labels(monkeypatch):
@@ -266,7 +288,6 @@ def test_cli_mesh_out_and_dump(tmp_path):
                  "--dump-matrices", str(dumpd)])
     assert code == 0
     assert meshp.exists()
-    from condensa.mesh import read_mesh_text
     m = read_mesh_text(meshp)
     assert m.n_cells == 8
     dumped = list(dumpd.iterdir())

@@ -25,7 +25,7 @@ from condensa.assembly import (ElementContext, ProblemParams, _aux_consistency,
 from condensa.elements import arrangement_codes
 from condensa.mesh import Mesh, unit_box_mesh
 
-from conftest import facet_trace_table, refine
+from conftest import facet_trace_table, facet_values, refine
 
 # ----------------------------------------------------------------------
 # per-point oracles
@@ -231,7 +231,7 @@ def test_arrangement_gather_matches_trace_table(name):
     assert np.isin(codes, permutation_codes(mesh.dim)).all()
     assert len(np.unique(codes)) > 1
     for which, basis in (("u", ctx.basis_u), ("p", ctx.basis_p)):
-        gathered = ctx.facet_values(which)
+        gathered = facet_values(ctx, which)
         for c in range(mesh.n_cells):
             for l in range(mesh.dim + 1):
                 _, want = facet_trace_table(mesh, basis, c, l, ctx.frule)

@@ -379,6 +379,14 @@ def test_krylov_rejects_maxit_below_one():
             krylov(lambda v: v, None, np.ones(3), maxit=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_krylov_rejects_tol_not_positive_and_finite(tol):
+    # tol <= 0 or NaN never stops the iteration; inf stops it at once
+    for krylov in (cg, minres):
+        with pytest.raises(ValueError, match="tol"):
+            krylov(lambda v: v, None, np.ones(3), tol=tol)
+
+
 def test_cg_breakdown_on_indefinite(rng):
     S = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(NotSymmetricPositiveDefinite):

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condensa.mesh import (Mesh, _dissection_order, read_mesh_text, unit_box_mesh,
-                           write_mesh_text)
+from condensa.mesh import Mesh, _dissection_order, unit_box_mesh, write_mesh_text
 
-from conftest import refine
+from conftest import read_mesh_text, refine
 
 
 def test_unit_square_one_cell_per_edge():

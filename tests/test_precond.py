@@ -7,10 +7,9 @@ from condensa import precond
 from condensa.assembly import ProblemParams, assemble_counterexample_inner
 from condensa.condense import condense_precond
 from condensa.krylov import NotSymmetricPositiveDefinite
-from condensa.norms import evaluate_norms
 from condensa.precond import PreconditionerSpec, build_full, build_reduced
 
-from conftest import darcy_problem, stokes_problem
+from conftest import darcy_problem, evaluate_norms, stokes_problem
 
 
 def test_spec_validation():

@@ -5,13 +5,12 @@ from condensa.assembly import (ProblemParams, assemble_counterexample_inner,
                                assemble_stokes_ch, stokes_spaces)
 from condensa.condense import condense, condense_precond
 from condensa.mesh import unit_box_mesh
-from condensa.norms import evaluate_norms
 from condensa import krylov, spectra
 from condensa.spectra import (SpectralReport, _hu_seminorm_matrix, lemma_probes,
                               lifting_constant, lifting_matrix, measure_constants,
                               reduced_bounds_check, write_constants_csv)
 
-from conftest import darcy_problem, sparse_modes, stokes_problem
+from conftest import darcy_problem, evaluate_norms, sparse_modes, stokes_problem
 
 
 def test_measure_constants_identity_and_diag():
@@ -220,7 +219,7 @@ def test_spectral_report_validation():
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
 def test_hu_seminorm_matrix_matches_quadrature(dim, n):
     """The assembled ||h^-1/2 (vbar - m_K(vbar))||^2 against the matrix-free
-    quadrature of norms.evaluate_norms on random trace vectors."""
+    quadrature of conftest.evaluate_norms on random trace vectors."""
     params = ProblemParams(k=2)
     mesh = unit_box_mesh(dim, n)
     ch = assemble_stokes_ch(mesh, stokes_spaces(mesh, 2), params)
