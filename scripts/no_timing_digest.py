@@ -5,7 +5,9 @@
 runs each sweep below in csv, md and json, plus the default Darcy, the
 `--problem stokes` and the counterexample spectrum CSVs, with
 PYTHONPATH=SRC_DIR, and prints one `md5  argv` line per run (a nonzero
-exit other than 2, the code of a failed row or case, ends the script).  Two trees give the same outputs when
+exit other than 2, the code of a failed row or case, ends the script).
+Last, it runs FILES and prints the md5 of its stdout and one `md5  path`
+line per file that run writes.  Two trees give the same outputs when
 
     diff <(python3 scripts/no_timing_digest.py A/src) \\
          <(python3 scripts/no_timing_digest.py B/src)
@@ -41,6 +43,10 @@ SWEEPS = (
 )
 SPECTRA = ("spectrum", "spectrum --problem stokes",
            "spectrum --precond counterexample --levels 4")
+# the files a sweep writes: the cavity's (-1,1)^2 box, the first of several
+# levels (--mesh-out) and the first of several cases (--dump-matrices)
+FILES = ("stokes-cavity --levels 4,8 --nu 1,1e-6 --no-timing --mesh-out mesh.txt "
+         "--dump-matrices mats")
 
 
 def _condensa(src: str, argv: list[str], cwd: str) -> bytes:
@@ -64,6 +70,16 @@ def main(src: str) -> None:
             _condensa(src, [*run.split(), "--out", path], tmp)
             with open(path, "rb") as fh:
                 print(f"{hashlib.md5(fh.read()).hexdigest()}  {run}", flush=True)
+        files = os.path.join(tmp, "files")
+        os.mkdir(files)
+        out = _condensa(src, FILES.split(), files)
+        print(f"{hashlib.md5(out).hexdigest()}  {FILES}", flush=True)
+        for root, _, names in sorted(os.walk(files)):
+            for name in sorted(names):
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    print(f"{hashlib.md5(fh.read()).hexdigest()}  "
+                          f"{os.path.relpath(path, files)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -8,16 +8,14 @@ is the claim under test, not exact cell counts.  The exact factor of S_P
 eliminates in the mesh's nested-dissection facet order.  At 3D n=12
 (119,232 trace dofs, 2 CPUs) the supernodal Cholesky takes 2.2-3.4 s and
 stores 43M entries, one solve 77 ms, and the whole row 6.5-8.5 s at a
-0.86-0.87 GB peak (SuperLU before it: 12 s, 71M entries, 21 s, 2.3 GB).
-At 3D n=16 (285,696 trace dofs, same machine) it stores 134.4M entries
-and factors in 7.0-7.8 s, and a row takes 18-22 s at a 2.20-2.21 GB peak
-and 44 CG iterations.  A row builds its preconditioner before it
-assembles the scheme, and the process has peaked at 0.62 GB (n=12) and
-1.67 GB (n=16) when the factor is done (0.82 and 2.02 GB while each
-group's update matrices lived until all were taken; measured
-2026-10-19).  The row's peak, about 2.0x the factor's 1.08 GB at n=16
-(2.5x at n=12), comes later, in the scheme's condensation, while the
-factor is alive.  `scripts/row_peak.py` measures one row.
+0.86-0.87 GB peak.  At 3D n=16 (285,696 trace dofs, same machine) it
+stores 134.4M entries and factors in 7.0-7.8 s, and a row takes 18-22 s
+at a 2.20-2.21 GB peak and 44 CG iterations.  A row builds its
+preconditioner before it assembles the scheme, and the process has
+peaked at 0.62 GB (n=12) and 1.67 GB (n=16) when the factor is done
+(measured 2026-10-19).  The row's peak, about 2.0x the factor's 1.08 GB
+at n=16 (2.5x at n=12), comes later, in the scheme's condensation, while
+the factor is alive.  `scripts/row_peak.py` measures one row.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -41,7 +38,7 @@ from .manufactured import manufactured_rhs
 from .mesh import Mesh, unit_box_mesh, write_mesh_text
 from .norms import l2_errors
 from .precond import PreconditionerSpec, assemble_inner, build_full, build_reduced
-from .spectra import (PROBE_SETS, SpectralReport, lemma_probes, probe_names,
+from .spectra import (PROBE_SETS, SpectralReport, probe_constants, probe_names,
                       reduced_bounds_check)
 
 __all__ = ["RunConfig", "ResultRow", "run", "spectrum", "emit", "EXPERIMENTS", "CSV_HEADER"]
@@ -52,7 +49,7 @@ __all__ = ["RunConfig", "ResultRow", "run", "spectrum", "emit", "EXPERIMENTS", "
 # RunConfig refuses any other field off its default, naming it in backquotes.
 READS = {
     "darcy-manufactured": ("xi", "gamma", "precond"),
-    "darcy-heterogeneous": ("precond",),
+    "darcy-heterogeneous": (),
     "darcy-counterexample": ("xi", "gamma"),
     "stokes-manufactured": ("nu", "zeta", "hatted"),
     "stokes-cavity": ("nu", "zeta", "hatted"),
@@ -157,38 +154,30 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name not in ("failed"
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-def _meshes(config: RunConfig):
-    """n -> the level's mesh, built once while consecutive calls ask for
-    the same level (cases come level by level).  The 2D cavity is (-1,1)^2."""
-    cavity = config.experiment == "stokes-cavity" and config.dim == 2
-    box = ((-1.0, -1.0), (2.0, 2.0)) if cavity else (None, None)
-    return lru_cache(maxsize=1)(lambda n: unit_box_mesh(config.dim, n, *box))
-
-
-def _row_cases(config: RunConfig):
-    """Deterministic config-order enumeration of (level, params, spec);
-    a spectrum sweeps the cases of its problem's manufactured experiment."""
+def _cases(config: RunConfig):
+    """(n, pdict, spec, mesh, spaces) of every case, in deterministic config
+    order, level by level: each level's mesh is built once (the 2D cavity
+    is (-1,1)^2), each case's spaces on it.  A spectrum sweeps the cases
+    of its problem's manufactured experiment."""
     exp = (f"{config.problem}-manufactured" if config.experiment == "spectrum"
            else config.experiment)
     kind, levels = (("counterexample", ("full", "reduced")) if exp == "darcy-counterexample"
                     else (config.precond, ("reduced",)))
-    cases = []
+    if exp.startswith("darcy"):
+        sweep = ([(1.0, 1.0)] if exp == "darcy-heterogeneous"
+                 else product(config.xi, config.gamma))
+        cases = [({"xi": x, "gamma": g}, PreconditionerSpec("darcy", kind, level))
+                 for (x, g), level in product(sweep, levels)]
+    else:
+        cases = [({"nu": nu, "zeta": zeta},
+                  PreconditionerSpec("stokes", kind, "reduced", zeta=zeta, hatted=config.hatted))
+                 for nu, zeta in product(config.nu, config.zeta)]
+    box = ((-1.0, -1.0), (2.0, 2.0)) if exp == "stokes-cavity" and config.dim == 2 else ()
     for n in config.levels:
-        if exp.startswith("darcy"):
-            sweep = ([(1.0, 1.0)] if exp == "darcy-heterogeneous"
-                     else product(config.xi, config.gamma))
-            for (x, g), level in product(sweep, levels):
-                cases.append((n, {"xi": x, "gamma": g}, PreconditionerSpec("darcy", kind, level)))
-        elif exp.startswith("stokes"):
-            for nu, zeta in product(config.nu, config.zeta):
-                spec = PreconditionerSpec("stokes", kind, "reduced", zeta=zeta,
-                                          hatted=config.hatted)
-                cases.append((n, {"nu": nu, "zeta": zeta}, spec))
-    return cases
-
-
-def _case_spaces(config: RunConfig, mesh: Mesh, spec: PreconditionerSpec) -> dict:
-    return (darcy_spaces if spec.problem == "darcy" else stokes_spaces)(mesh, config.k)
+        mesh = unit_box_mesh(config.dim, n, *box)
+        for pdict, spec in cases:
+            spaces = (darcy_spaces if spec.problem == "darcy" else stokes_spaces)(mesh, config.k)
+            yield n, pdict, spec, mesh, spaces
 
 
 def _case(config: RunConfig, pdict: dict):
@@ -270,16 +259,16 @@ def run(config: RunConfig) -> list[ResultRow]:
     """
     if config.experiment == "spectrum":
         raise ValueError("run() does not drive spectrum; spectrum() measures it")
-    mesh_at = _meshes(config)
-    if config.mesh_out:
-        write_mesh_text(mesh_at(config.levels[0]), config.mesh_out)
     rows = []
-    for n, pdict, spec in _row_cases(config):
-        mesh = mesh_at(n)
-        spaces = _case_spaces(config, mesh, spec)
+    for n, pdict, spec, mesh, spaces in _cases(config):
+        first = not rows
+        if first and config.mesh_out:
+            write_mesh_text(mesh, config.mesh_out)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             try:
+                if first and config.dump_matrices:
+                    _dump_matrices(config, mesh, n, pdict, spec, spaces)
                 solved = _solve_case(config, mesh, n, pdict, spec, spaces)
             except Exception as exc:  # row-level containment, sweep continues
                 solved = dict(iters=0, converged=False, resid=None,
@@ -292,19 +281,17 @@ def run(config: RunConfig) -> list[ResultRow]:
             else:
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         rows.append(row)
-    if config.dump_matrices:
-        _dump_matrices(config, mesh_at)
     return rows
 
 
-def _dump_matrices(config: RunConfig, mesh_at):
-    """Coordinate-list text dump (1-based) of the first row's operators."""
+def _dump_matrices(config: RunConfig, mesh: Mesh, n: int, pdict: dict,
+                   spec: PreconditionerSpec, spaces: dict):
+    """Coordinate-list text dump (1-based) of the first row's operators,
+    written once its scheme is assembled and condensed."""
+    system = _assemble_case(mesh, spaces, *_case(config, pdict), spec)
+    operators = (("monolithic", system.to_sparse()), ("schur", condense(system).S))
     os.makedirs(config.dump_matrices, exist_ok=True)
-    n, pdict, spec = _row_cases(config)[0]
-    mesh = mesh_at(n)
-    system = _assemble_case(mesh, _case_spaces(config, mesh, spec), *_case(config, pdict), spec)
-    for name, M in (("monolithic", system.to_sparse()),
-                    ("schur", condense(system).S)):
+    for name, M in operators:
         coo = M.tocoo()
         path = f"{config.dump_matrices}/{config.experiment}-n{n}-{name}.txt"
         with open(path, "w") as fh:
@@ -316,17 +303,14 @@ def spectrum(config: RunConfig) -> list[dict]:
     """Measured constants of every case of config.problem's sweep: Darcy
     sweeps xi x gamma under config.precond, Stokes nu x zeta (hatted with
     config.hatted).  Each case gives its reduced_bounds_check row, then its
-    lemma_probes row (config.probes, default the problem's set), both with
-    the level and the label "<spec label>;<param>=<value>;...".  A case
-    that fails gives the one row {"level", "label", "failed": "<Type>: <msg>"}
-    instead, which stands for the warnings it raised, and the cases after
-    it still run."""
-    mesh_at = _meshes(config)
+    probe row (config.probes, default the problem's set, measured on the
+    case's mesh), both with the level and the label
+    "<spec label>;<param>=<value>;...".  A case that fails gives the one
+    row {"level", "label", "failed": "<Type>: <msg>"} instead, which stands
+    for the warnings it raised, and the cases after it still run."""
     rows = []
-    for n, pdict, spec in _row_cases(config):
+    for n, pdict, spec, mesh, spaces in _cases(config):
         label = ";".join([spec.label()] + [f"{k}={v:g}" for k, v in pdict.items()])
-        mesh = mesh_at(n)
-        spaces = _case_spaces(config, mesh, spec)
         with warnings.catch_warnings(record=True) as caught:
             try:
                 params, case = _case(config, pdict)
@@ -334,15 +318,15 @@ def spectrum(config: RunConfig) -> list[dict]:
                 rep = reduced_bounds_check(system, assemble_inner(spec, mesh, spaces, params))
                 SpectralReport(*(rep[k] for k in ("c_b", "c_i", "kappa_full",
                                                   "kappa_reduced", "c_l"))).validate()
-                (probe_row,) = lemma_probes(config.problem, config.dim, (n,), params,
-                                            probes=config.probes)
+                probes = probe_constants(config.problem, mesh, params, config.probes)
             except Exception as exc:  # case-level containment, the other cases run
                 rows.append({"level": n, "label": label,
                              "failed": f"{type(exc).__name__}: {exc}"})
                 continue
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        rows += [{**rep, "level": n, "label": label}, {**probe_row, "label": label}]
+        rows += [{**rep, "level": n, "label": label},
+                 {"level": n, "cells": mesh.n_cells, **probes, "label": label}]
     return rows
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "lifting_constant",
     "reduced_bounds_check",
     "lemma_probes",
+    "probe_constants",
     "probe_names",
     "lifting_matrix",
     "write_constants_csv",
@@ -287,6 +288,14 @@ def probe_names(problem: str, probes=None) -> tuple:
     return names
 
 
+def probe_constants(problem: str, mesh, params: ProblemParams, probes=None) -> dict:
+    """Measured sharp constants of the lemma inequalities on one mesh."""
+    out = {}
+    for name in probe_names(problem, probes):
+        out.update(_PROBES[problem][name](mesh, params))
+    return out
+
+
 def lemma_probes(problem: str, dim: int, levels, params: ProblemParams,
                  probes=None) -> list[dict]:
     """Measured sharp constants of the lemma inequalities, per level."""
@@ -294,10 +303,8 @@ def lemma_probes(problem: str, dim: int, levels, params: ProblemParams,
     out = []
     for n in levels:
         mesh = unit_box_mesh(dim, n)
-        row = {"level": n, "cells": mesh.n_cells}
-        for name in names:
-            row.update(_PROBES[problem][name](mesh, params))
-        out.append(row)
+        out.append({"level": n, "cells": mesh.n_cells,
+                    **probe_constants(problem, mesh, params, names)})
     return out
 
 

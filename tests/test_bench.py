@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from condensa import assembly, bench, cli, precond
+from condensa import assembly, bench, cli, precond, spectra
 from condensa.assembly import (ProblemParams, assemble_counterexample_inner, assemble_darcy,
                                assemble_darcy_inner, assemble_stokes, assemble_stokes_inner,
                                darcy_spaces, stokes_spaces)
@@ -14,7 +14,7 @@ from condensa.cli import main
 from condensa.condense import condense
 from condensa.manufactured import manufactured_rhs
 from condensa.mesh import unit_box_mesh
-from condensa.spectra import reduced_bounds_check
+from condensa.spectra import lemma_probes, reduced_bounds_check
 
 from conftest import json_rows, read_mesh_text, sparse_modes
 
@@ -324,6 +324,63 @@ def test_dump_matrices_is_the_solved_system(tmp_path):
     assert (got != S).nnz == 0 and got.nnz == S.nnz
 
 
+def test_dump_matrices_skipped_when_first_case_fails(tmp_path, capsys):
+    """A first case whose scheme cannot be assembled fails its row and
+    writes no matrix file; every row is still reported."""
+    out, dumpd = tmp_path / "rows.csv", tmp_path / "mats"
+    code = main(["stokes-manufactured", "--levels", "2", "--nu", "nan,1", "--no-timing",
+                 "--out", str(out), "--dump-matrices", str(dumpd)])
+    assert code == 2 and "nu must be finite" in capsys.readouterr().err
+    failed, solved = out.read_text().splitlines()[1:]
+    assert ",failed," in failed and solved.split(",")[10].isdigit()
+    assert not dumpd.exists() or not any(dumpd.iterdir())
+
+
+def test_dump_matrices_written_when_first_solve_fails(tmp_path, monkeypatch):
+    """The dump is written once the first case's scheme is assembled and
+    condensed, whatever happens to that row's solve."""
+    dumpd = tmp_path / "mats"
+    build = precond.build_reduced
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("forced")
+        return build(*args)
+
+    monkeypatch.setattr(bench, "build_reduced", fail_first)
+    rows = run(small_config(gamma=(1.0, 1e4), dump_matrices=str(dumpd)))
+    assert rows[0].failed == "RuntimeError: forced" and rows[1].converged
+    assert sorted(p.name for p in dumpd.iterdir()) == [
+        "darcy-manufactured-n4-monolithic.txt", "darcy-manufactured-n4-schur.txt"]
+
+
+def test_spectrum_case_is_measured_on_one_mesh(monkeypatch):
+    """A spectrum case's inner product and probes all see its level's one
+    Mesh, and its probe constants are lemma_probes' bit for bit."""
+    seen = []
+    inner = bench.assemble_inner
+    monkeypatch.setattr(bench, "assemble_inner",
+                        lambda spec, mesh, *args: seen.append(mesh) or inner(spec, mesh, *args))
+    for name, probe in spectra._PROBES["darcy"].items():
+        monkeypatch.setitem(spectra._PROBES["darcy"], name,
+                            lambda mesh, params, probe=probe: seen.append(mesh)
+                            or probe(mesh, params))
+    rows = bench.spectrum(RunConfig("spectrum", levels=(2, 4), xi=(1.0, 1e-6)))
+    assert len(seen) == 2 * 2 * (1 + len(spectra.PROBE_SETS["darcy"]))
+    per_level: dict = {}
+    for mesh in seen:
+        per_level.setdefault(mesh.n_cells, set()).add(id(mesh))
+    assert sorted(per_level) == [8, 32] and all(len(ids) == 1 for ids in per_level.values())
+    monkeypatch.undo()
+    probe_rows = [r for r in rows if "cells" in r]
+    for row, (n, xi) in zip(probe_rows, [(2, 1.0), (2, 1e-6), (4, 1.0), (4, 1e-6)],
+                            strict=True):
+        (want,) = lemma_probes("darcy", 2, (n,), ProblemParams(k=2, xi=xi))
+        assert list(row.items()) == [*want.items(), ("label", row["label"])]
+
+
 def test_cli_spectrum(tmp_path, monkeypatch):
     def spectrum(out):
         code = main(["spectrum", "--levels", "2", "--problem", "darcy",
@@ -409,6 +466,7 @@ def test_each_level_builds_one_mesh(monkeypatch, tmp_path):
     (["darcy-heterogeneous", "--xi", "1e-6"], "--xi"),
     (["darcy-heterogeneous", "--gamma", "1e4"], "--gamma"),
     (["darcy-counterexample", "--precond", "counterexample"], "--precond"),
+    (["darcy-heterogeneous", "--precond", "counterexample"], "--precond"),
     (["spectrum", "--probes", "inf_sub"], "inf_sub"),
     (["spectrum", "--probes", "ch_coercivity"], "ch_coercivity"),
 ])
