@@ -466,9 +466,9 @@ def test_each_level_builds_one_mesh(monkeypatch, tmp_path):
     (["darcy-heterogeneous", "--xi", "1e-6"], "--xi"),
     (["darcy-heterogeneous", "--gamma", "1e4"], "--gamma"),
     (["darcy-counterexample", "--precond", "counterexample"], "--precond"),
-    (["darcy-heterogeneous", "--precond", "counterexample"], "--precond"),
     (["spectrum", "--probes", "inf_sub"], "inf_sub"),
     (["spectrum", "--probes", "ch_coercivity"], "ch_coercivity"),
+    (["darcy-heterogeneous", "--precond", "counterexample"], "--precond"),
 ])
 def test_ignored_arguments_are_refused(argv, message, capsys, tmp_path, monkeypatch):
     """A flag the run would ignore, or an unknown probe, is a usage error
