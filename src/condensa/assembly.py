@@ -37,6 +37,7 @@ import scipy.sparse as sp
 
 from .elements import (arrangement_codes, arrangement_points, facet_barycentric,
                        pk_basis, reference_measure, simplex_quadrature)
+from .krylov import _mapped_zeros
 from .spaces import BlockLayout, build_space, interpolate_boundary
 
 __all__ = [
@@ -217,8 +218,9 @@ class ElementContext:
         """w_q |det J| per cell and quadrature point: (cells, q)."""
         return self.detJa[:, None] * self.rule.weights[None, :]
 
-    def cell_points(self) -> np.ndarray:
-        return self.v0[:, None, :] + self.rule.points @ self.J.transpose(0, 2, 1)
+    def cell_points(self, cells=slice(None)) -> np.ndarray:
+        """Quadrature points of the given cells: (cells, q, d)."""
+        return self.v0[cells, None, :] + self.rule.points @ self.J[cells].transpose(0, 2, 1)
 
     def facet_frame(self):
         """Per (cell, local facet): facet ids, outward normals, scales, points."""
@@ -492,7 +494,12 @@ def _triplets_csr(parts, shape) -> sp.csr_matrix:
     The list is consumed: each part is copied into preallocated id and
     value arrays (ids in the index type of the result, which coo_matrix
     then keeps as they are) and released before the next part is copied,
-    so a part that only the list holds does not outlive its copy."""
+    so a part that only the list holds does not outlive its copy.  The
+    result is canonical and holds exactly its nnz entries: summing
+    duplicates leaves data and indices as views of longer buffers (one
+    entry per listed position), so they are copied out, into memory maps
+    of their own, and the buffers released.  In the C heap, the copies
+    could sit above the freed buffers and keep their pages resident."""
     idx = np.int32 if max(shape) < 2**31 else np.int64
     n = sum(v.size for _, _, v in parts)
     rows, cols = np.empty(n, dtype=idx), np.empty(n, dtype=idx)
@@ -504,7 +511,18 @@ def _triplets_csr(parts, shape) -> sp.csr_matrix:
         rows[start:end], cols[start:end], vals[start:end] = r, c, v
         start = end
     del r, c, v
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    A.data, A.indices = (_trimmed(a) for a in (A.data, A.indices))
+    return A
+
+
+def _trimmed(a: np.ndarray) -> np.ndarray:
+    """a, or a mapped copy of it when it is a view of a longer buffer."""
+    if a.base is None or a.base.size == a.size:
+        return a
+    out = _mapped_zeros(a.shape, a.dtype)
+    out[:] = a
+    return out
 
 
 def _normal_trace(base, nrm, scale, out, sign=1.0):

@@ -7,17 +7,22 @@ again over the connected components of their joint pattern (one per
 velocity component and the pressure in the robust Darcy inner product):
 each component is solved on its own, and one that A21 and rhs_cell do not
 touch is only certified, its rows of X and y exact zeros.  A scheme's cell
-dofs form one component.  The trace Schur complement S = A22 - A21 X, the
-trace right-hand side, back-substitution and the lifting matrix all read X
-and y.  S is one COO of each cell's A22_K blocks (on the cell's leading
-trace ids) and its -A21_K X_K, converted to CSR once: its pattern is the
-set of positions that receive a nonzero contribution, whatever the sums
-cancel to.  The same elimination applied to a preconditioner inner product
-produces the reduced preconditioner S_P, and with one cell solve the block
-LU of the full one (see precond); positivity of its cell blocks is
-certified by Cholesky, component by component.  Cross-cell coupling in A11
-is condensable only where A21 and rhs_cell vanish (the counterexample
-inner product): X and y are then zero and S is A22.
+dofs form one component.  The trace Schur complement S = A22 - A21 X and
+the trace right-hand side rhs_trace - A21 y are all a condensed system
+keeps: X and y are released once A21 X and A21 y are formed, before S is
+scattered, so they are not alive at condensation's own peak.
+Back-substitution recovers the cells with one batched solve,
+A11^-1 (rhs_cell - A21^T xbar_local), by the same cell-solve kernel; the
+lifting matrix reads X from eliminate.  S is one COO of each cell's A22_K
+blocks (on the cell's leading trace ids) and its -A21_K X_K, converted to
+CSR once: its pattern is the set of positions that receive a nonzero
+contribution, whatever the sums cancel to.  The same elimination applied
+to a preconditioner inner product produces the reduced preconditioner
+S_P, and with one cell solve the block LU of the full one, which keeps
+its X (see precond); positivity of its cell blocks is certified by
+Cholesky, component by component.  Cross-cell coupling in A11 is
+condensable only where A21 and rhs_cell vanish (the counterexample inner
+product): X and y are then zero and S is A22.
 """
 
 from __future__ import annotations
@@ -36,17 +41,12 @@ __all__ = ["CondensedSystem", "condense", "condense_precond",
 
 @dataclass
 class CondensedSystem:
-    """Trace system with the per-cell data needed for back-substitution.
-
-    X (cells, cell dofs, local trace dofs) holds A11^-1 A21^T and y (cells,
-    cell dofs) holds A11^-1 rhs_cell.
-    """
+    """The trace system S xbar = rhs of an eliminated BlockSystem, which
+    back-substitution reads again for the cells."""
 
     system: BlockSystem
     S: sp.csr_matrix
     rhs: np.ndarray
-    X: np.ndarray
-    y: np.ndarray
     null_vectors: tuple = ()
 
     @property
@@ -83,15 +83,20 @@ def eliminate(system: BlockSystem, spd: bool = False):
     touched = np.any(a21, axis=(0, 1)) | np.any(rhs_cell, axis=0)
     parts = [(cols, bool(touched[cols].any())) for cols in comps]
     Xy = _solve_parts(a11, a21, rhs_cell, parts, spd)
-    if Xy is None:  # the per-cell search runs on this failure path only
-        c = next((c for c in range(a11.shape[0])
-                  if _solve_parts(a11[c:c + 1], a21[c:c + 1], rhs_cell[c:c + 1],
-                                  parts, spd) is None), None)
-        if spd:
-            raise NotSymmetricPositiveDefinite(
-                f"P11 cell block is not positive definite (cell {c})")
-        raise ValueError(f"singular local block in cell {c}")
+    if Xy is None:
+        _raise_failing_cell(a11.shape[0], spd, lambda cell: _solve_parts(
+            a11[cell], a21[cell], rhs_cell[cell], parts, spd) is None)
     return Xy[:, :, :-1], Xy[:, :, -1]
+
+
+def _raise_failing_cell(n_cells: int, spd: bool, fails):
+    """Raise the error that names the first cell c whose solve fails, that
+    is, for which fails(slice(c, c + 1)) is true; the per-cell search runs
+    on this failure path only."""
+    c = next((c for c in range(n_cells) if fails(slice(c, c + 1))), None)
+    if spd:
+        raise NotSymmetricPositiveDefinite(f"P11 cell block is not positive definite (cell {c})")
+    raise ValueError(f"singular local block in cell {c}")
 
 
 def _components(a11: np.ndarray) -> list[np.ndarray]:
@@ -148,18 +153,23 @@ def _solve_cells(a11, rhs, spd: bool):
     return out if np.isfinite(out).all() else None
 
 
-def _condense(system: BlockSystem, spd: bool) -> CondensedSystem:
-    """S = A22 - A21 X and rhs_trace - A21 y, scattered over free pairs."""
+def _condense(system: BlockSystem, spd: bool, keep_x: bool = False):
+    """(S = A22 - A21 X and rhs_trace - A21 y scattered over free pairs,
+    X if keep_x else None).  Unless kept, X and y are released before S
+    is scattered."""
     if (system.coupling is not None and system.coupling.nnz
             and (system.a21.any() or system.rhs_cell.any())):
         raise ValueError("cross-cell coupling with trace-coupled or loaded cells "
                          "is not condensable")
     X, y = eliminate(system, spd)
-    tids, a21 = system.tids, system.a21
-    S = _triplets_csr([system.a22_triplets(), _block_triplets(-(a21 @ X), tids, tids)],
-                      (system.n_trace,) * 2)
-    return CondensedSystem(system, S, _trace_load(system, system.rhs_trace, y), X, y,
-                           null_vectors=_reduced_null(system))
+    rhs = _trace_load(system, system.rhs_trace, y)
+    schur = -(system.a21 @ X)
+    del y
+    X = X if keep_x else None   # X and y are views of one buffer, released here
+    parts = [system.a22_triplets(), _block_triplets(schur, system.tids, system.tids)]
+    del schur
+    S = _triplets_csr(parts, (system.n_trace,) * 2)
+    return CondensedSystem(system, S, rhs, null_vectors=_reduced_null(system)), X
 
 
 def _trace_load(system: BlockSystem, r_trace: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -183,23 +193,29 @@ def _reduced_null(system: BlockSystem):
 def condense(system: BlockSystem) -> CondensedSystem:
     """Eliminate cell dofs of a scheme operator (LU with partial pivoting;
     local Darcy/Stokes blocks are indefinite but invertible)."""
-    return _condense(system, spd=False)
+    return _condense(system, spd=False)[0]
 
 
 def condense_precond(inner: BlockSystem) -> CondensedSystem:
     """Eliminate cell dofs of an inner product; every local block must be
     symmetric positive definite for the reduced operator to define an
     inner product."""
-    return _condense(inner, spd=True)
+    return _condense(inner, spd=True)[0]
 
 
-def back_substitute(condensed: CondensedSystem, xbar: np.ndarray,
-                    y: np.ndarray | None = None) -> np.ndarray:
+def back_substitute(condensed: CondensedSystem, xbar: np.ndarray) -> np.ndarray:
     """Recover the monolithic solution from the trace solution.
 
-    Per cell: cell dofs = y - X xbar_local, with y the condensed system's
-    own unless given (cells, cell dofs); returns the monolithic free vector
-    [cells; trace]."""
-    xloc = _local_traces(condensed.system.tids, xbar)
-    cells = (condensed.y if y is None else y) - np.einsum("bct,bt->bc", condensed.X, xloc)
+    Per cell: cell dofs = A11^-1 (rhs_cell - A21^T xbar_local), one batched
+    solve over the cells of the condensed system; a singular block, or a
+    non-finite result, is named by cell.  Returns the monolithic free
+    vector [cells; trace]."""
+    system = condensed.system
+    a11 = system.a11
+    rhs = system.rhs_cell - np.einsum("btc,bt->bc", system.a21,
+                                      _local_traces(system.tids, xbar))
+    cells = _solve_cells(a11, rhs[:, :, None], spd=False)
+    if cells is None:
+        _raise_failing_cell(a11.shape[0], False, lambda cell: _solve_cells(
+            a11[cell], rhs[cell, :, None], spd=False) is None)
     return np.concatenate([cells.ravel(), xbar])

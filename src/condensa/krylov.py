@@ -434,8 +434,8 @@ def _peak_bytes(tree: _Supernodes, plan: _Schedule) -> int:
     return peak
 
 
-def _mapped_zeros(shape):
-    """A zero float array in an anonymous memory map of its own, unmapped
+def _mapped_zeros(shape, dtype=float):
+    """A zero array in an anonymous memory map of its own, unmapped
     (returned to the system) as soon as the array is freed, and populated
     at once, which costs less than a page fault per page.  The factor
     keeps its update matrices there.  In numpy's own arrays they came from
@@ -443,12 +443,13 @@ def _mapped_zeros(shape):
     up to 32 MB), which kept their pages after they were freed: the factor
     of a 3D n=12 S_P then peaked at 754 MB resident for 586 MB allocated,
     and still held 257 MB it had freed when done; in maps it peaked at
-    526 MB."""
-    size = 8 * math.prod(shape)
+    526 MB.  Every global CSR matrix keeps its data and indices in maps
+    too (assembly._triplets_csr)."""
+    size = np.dtype(dtype).itemsize * math.prod(shape)
     if not size:
-        return np.zeros(shape)
+        return np.zeros(shape, dtype)
     flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    return np.frombuffer(mmap.mmap(-1, size, flags=flags), dtype=float).reshape(shape)
+    return np.frombuffer(mmap.mmap(-1, size, flags=flags), dtype=dtype).reshape(shape)
 
 
 def _factor_front(L11, L21, U):

@@ -3,15 +3,18 @@
 Both levels come from one elimination of the inner product P.
 condense_precond eliminates its cell dofs cell by cell, certifying each
 cell block positive definite by Cholesky, and factor_spd factors the
-trace operator S_P, certifying it in turn.  The reduced preconditioner
-applies S_P^-1 and keeps only its factor: P and its X, y are released
-before factor_spd runs, so S_P and the factor are all it holds then.  The
-full one applies P^-1 exactly, as the block LU of P around that same S_P:
+trace operator S_P, certifying it in turn.  A condensed system keeps no
+X = P11^-1 P21^T: the reduced preconditioner applies S_P^-1 and keeps
+only its factor, and P is released before factor_spd runs, so S_P and the
+factor are all it holds then.  The full one applies P^-1 exactly, as the
+block LU of P around that same S_P:
 
     y = P11^-1 r_cell,   xbar = S_P^-1 (r_trace - P21 y),
-    cells = y - X xbar_local   (X = P11^-1 P21^T, from condense_precond),
+    cells = y - X xbar_local,
 
-so it adds one cell solve: factor_spd of the whole cell group P11, in
+applied every iteration, so it keeps the X of its own elimination (handed
+over by condense's private _condense, not computed twice) and adds one
+cell solve: factor_spd of the whole cell group P11, in
 minimum-degree order (reorder=True), since it has no trace structure to
 order by.  P11 is block diagonal over cells, except in the counterexample,
 whose normal-jump term couples cells (there P21 vanishes and S_P is P22);
@@ -30,7 +33,7 @@ import numpy as np
 
 from .assembly import (BlockSystem, ProblemParams, assemble_counterexample_inner,
                        assemble_darcy_inner, assemble_stokes_inner)
-from .condense import CondensedSystem, _trace_load, back_substitute, condense_precond
+from .condense import _condense, _local_traces, _trace_load, condense_precond
 from .krylov import factor_spd
 
 __all__ = ["PreconditionerSpec", "PrecondOperator", "build_full", "build_reduced"]
@@ -87,37 +90,35 @@ class PrecondOperator:
 
     n: int
     _factor: object                             # factor_spd(S_P)
-    _condensed: CondensedSystem | None = None   # full level: P and X, for the lift
+    system: BlockSystem | None = None           # full level: the inner product P
+    _X: np.ndarray | None = None                # full level: P11^-1 P21^T, for the lift
     _cells: object = None                       # full level: factor_spd(P11)
-
-    @property
-    def system(self) -> BlockSystem | None:
-        """The assembled inner product P (full level only)."""
-        return None if self._condensed is None else self._condensed.system
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self._cells is None:
             return self._factor.solve(r)
-        r_cell, r_trace = self.system.layout.split(r)
+        system = self.system
+        r_cell, r_trace = system.layout.split(r)
         y = self._cells.solve(r_cell.ravel()).reshape(r_cell.shape)
-        xbar = self._factor.solve(_trace_load(self.system, r_trace, y))
-        return back_substitute(self._condensed, xbar, y)
+        xbar = self._factor.solve(_trace_load(system, r_trace, y))
+        cells = y - np.einsum("bct,bt->bc", self._X, _local_traces(system.tids, xbar))
+        return np.concatenate([cells.ravel(), xbar])
 
 
 def _build(level: str, spec: PreconditionerSpec, mesh, spaces,
            params: ProblemParams) -> PrecondOperator:
     if spec.level != level:
         raise ValueError(f"spec.level must be {level!r}")
-    condensed = condense_precond(assemble_inner(spec, mesh, spaces, params))
+    inner = assemble_inner(spec, mesh, spaces, params)
     if level == "reduced":
-        S_P = condensed.S
-        del condensed   # P, X and y go before the factor, the row's peak
+        S_P = condense_precond(inner).S
+        del inner   # P goes before the factor, the row's peak
         return PrecondOperator(S_P.shape[0], factor_spd(S_P))
-    system = condensed.system
-    nct = system.layout.n_cell_total
-    return PrecondOperator(system.layout.n_total, factor_spd(condensed.S), condensed,
-                           factor_spd(system.to_sparse()[:nct, :nct], reorder=True))
+    condensed, X = _condense(inner, spd=True, keep_x=True)
+    nct = inner.layout.n_cell_total
+    return PrecondOperator(inner.layout.n_total, factor_spd(condensed.S), inner, X,
+                           factor_spd(inner.to_sparse()[:nct, :nct], reorder=True))
 
 
 def build_full(spec: PreconditionerSpec, mesh, spaces,

@@ -1,4 +1,7 @@
+import copy
+import mmap
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from scipy.sparse import csgraph
 from condensa.assembly import (BlockSystem, ProblemParams, _block_triplets, _triplets_csr,
                                assemble_aux_hdg, assemble_counterexample_inner,
                                assemble_darcy, aux_spaces, darcy_spaces)
-from condensa.condense import back_substitute, condense, condense_precond, eliminate
+from condensa.condense import (CondensedSystem, back_substitute, condense, condense_precond,
+                               eliminate)
 from condensa.elements import pk_basis, reference_measure
 from condensa.krylov import factor_spd
 from condensa.manufactured import manufactured_rhs
@@ -107,7 +111,6 @@ def test_condensed_matches_monolithic(builder, n):
 
 
 def test_condensed_matches_monolithic_random_data(rng):
-    import copy
     mesh, spaces, params, system, _ = darcy_problem(n=4, with_data=False)
     system = copy.copy(system)  # keep the cached fixture's rhs intact
     system.rhs_cell = rng.standard_normal(system.rhs_cell.shape)
@@ -249,7 +252,8 @@ def test_counterexample_reduction_is_p22():
     assert np.array_equal(cond.S.indptr, P22.indptr)
     assert np.array_equal(cond.S.indices, P22.indices)
     assert np.array_equal(cond.S.data, P22.data)
-    assert np.abs(cond.X).max() == 0.0 and np.abs(cond.y).max() == 0.0
+    X, y = eliminate(ce, spd=True)
+    assert np.abs(X).max() == 0.0 and np.abs(y).max() == 0.0
 
 
 @pytest.mark.parametrize("load", ["a21", "rhs_cell"])
@@ -417,8 +421,14 @@ def _inner(name):
         return stokes_problem(n=4, nu=1e-6, with_data=False)[4]
     if name == "stokes_hat":
         return stokes_problem(n=4, zeta=100.0, hatted=True, with_data=False)[4]
+    if name == "stokes_zeta":
+        return stokes_problem(n=4, nu=1e-6, zeta=100.0, with_data=False)[4]
     if name == "darcy_scheme":
         return darcy_problem(dim=3, n=2)[3]
+    if name == "darcy2_scheme":
+        return darcy_problem(dim=2, n=4)[3]
+    if name == "stokes_scheme":
+        return stokes_problem(n=4, nu=1e-6)[3]
     mesh = unit_box_mesh(2, 4)
     params = ProblemParams(k=2, xi=2.0, gamma=0.5)
     if name == "counterexample":
@@ -457,7 +467,6 @@ def test_bad_block_in_a_trace_free_component_named(spd, fault):
     """A certified-only component still refuses a bad block of one cell,
     by name: a velocity block of the Darcy inner product (which never
     reaches the trace) made singular, indefinite or NaN in cell 2."""
-    import copy
     inner = copy.copy(darcy_problem(n=2, with_data=False)[4])
     inner.a11 = inner.a11.copy()
     j = inner.layout.cell_field_slice("u").start
@@ -473,3 +482,102 @@ def test_bad_block_in_a_trace_free_component_named(spd, fault):
            else "singular local block in cell 2")
     with pytest.raises(ValueError, match=re.escape(msg) + "$"):
         (condense_precond if spd else condense)(inner)
+
+
+# ----------------------------------------------------------------------
+# back-substitution by a cell re-solve, and what a condensed system keeps
+
+
+def _lift_oracle(system, spd, xbar):
+    """The monolithic vector as y - X xbar_local, from eliminate's X and y:
+    the lift the full preconditioner applies, and the reference for
+    back_substitute's cell re-solve."""
+    X, y = eliminate(system, spd)
+    cells = y - np.einsum("bct,bt->bc", X, trace_values_local(system, slice(None), xbar))
+    return np.concatenate([cells.ravel(), xbar])
+
+
+@pytest.mark.parametrize("name,spd", [
+    ("darcy2_scheme", False), ("darcy2", True), ("darcy_scheme", False), ("darcy3", True),
+    ("stokes_scheme", False), ("stokes", True), ("stokes_hat", True), ("stokes_zeta", True),
+    ("counterexample", True)])
+def test_back_substitute_matches_lift_oracle(rng, name, spd):
+    """back_substitute's one cell solve, A11^-1 (rhs_cell - A21^T xbar_local),
+    against y - X xbar_local on random traces.  The two round differently
+    where a cell block is ill-conditioned, so the bound is kappa eps, with
+    kappa the largest condition number of a cell block: measured at most
+    0.09 kappa eps (the 3D Darcy scheme, kappa 36), and 2.9e-9 relative
+    for the Stokes zeta=100 inner product at nu=1e-6 (kappa 1.6e9, 0.004
+    kappa eps).  The counterexample (P21 = 0, no load) matches exactly."""
+    system = _inner(name)
+    cond = (condense_precond if spd else condense)(system)
+    bound = np.linalg.cond(system.a11).max() * np.finfo(float).eps
+    for _ in range(3):
+        xbar = rng.standard_normal(cond.n_trace)
+        want = _lift_oracle(system, spd, xbar)
+        got = back_substitute(cond, xbar)
+        if name == "counterexample":
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+def test_back_substitute_names_a_singular_cell():
+    system = darcy_problem(dim=2, n=2)[3]
+    cond = condense(system)
+    bad = copy.copy(system)
+    bad.a11 = system.a11.copy()
+    bad.a11[3, 0, :] = 0.0
+    with pytest.raises(ValueError, match=re.escape("singular local block in cell 3") + "$"):
+        back_substitute(CondensedSystem(bad, cond.S, cond.rhs), np.ones(cond.n_trace))
+
+
+def _buffer(a):
+    """The object that holds a's memory: an ndarray, or a memory map."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def _owns_its_entries(A) -> bool:
+    """data and indices hold exactly A's nnz entries, in no larger buffer."""
+    return all(a.size == A.nnz and memoryview(_buffer(a)).nbytes == a.nbytes
+               for a in (A.data, A.indices))
+
+
+@pytest.mark.parametrize("reduce", [condense, condense_precond])
+def test_condensed_system_holds_only_the_trace_system(reduce):
+    """What condense and condense_precond leave allocated once they return
+    is the trace system: S's arrays, its load and its null vectors, within
+    64 KB (tracemalloc sees the C heap; S's memory-mapped arrays are added
+    by size).  At 3D n=4, S is 1.8 MB; X and y (2.9 MB for the scheme,
+    3.5 MB with the inner product's wider cells) are gone, and S owns
+    exactly its entries."""
+    _, _, _, system, inner = darcy_problem(dim=3, n=4)
+    system = system if reduce is condense else inner
+    reduce(system)   # first-call allocations outside the count
+    tracemalloc.start()
+    try:
+        cond = reduce(system)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    S = cond.S
+    arrays = (S.data, S.indices, S.indptr, cond.rhs, *cond.null_vectors)
+    kept = sum(a.nbytes for a in arrays)
+    held += sum(a.nbytes for a in arrays if isinstance(_buffer(a), mmap.mmap))
+    assert kept <= held <= kept + 64 * 1024
+    assert not {"X", "y"} & set(vars(cond))
+    assert S.has_canonical_format and _owns_its_entries(S)
+
+
+def test_global_csr_owns_exactly_its_entries():
+    """Every CSR built from triplets (S, S_P, to_sparse and the
+    counterexample's coupling) owns exactly its nnz entries and is
+    canonical, so the supernodal factor takes S_P.T without a copy."""
+    _, _, _, system, inner = darcy_problem(dim=3, n=2)
+    mesh = unit_box_mesh(2, 4)
+    ce = assemble_counterexample_inner(mesh, darcy_spaces(mesh, 2), ProblemParams())
+    for A in (condense(system).S, condense_precond(inner).S, system.to_sparse(),
+              inner.to_sparse(), ce.coupling, ce.to_sparse(), inner.a22):
+        assert A.has_canonical_format and _owns_its_entries(A)
