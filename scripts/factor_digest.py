@@ -1,8 +1,9 @@
-"""md5 digests of the reduced preconditioner's S_P and its supernodal factor.
+"""md5 digests of the reduced preconditioner's S_P and its supernodal
+factor, and of the full preconditioner's application.
 
     python3 scripts/factor_digest.py SRC_DIR
 
-builds the S_P of each case below in a fresh process with
+builds the S_P of each case in CASES in a fresh process with
 PYTHONPATH=SRC_DIR, as a reduced sweep row does (`condense_precond` of the
 robust inner product), factors it with `krylov.SUPERNODAL_MIN = 0`, so
 that every case takes `SupernodalCholesky`, and solves two seeded
@@ -10,7 +11,14 @@ right-hand sides.  It prints one line per case:
 
     md5(S_P data, indices, indptr)  md5(solutions)  fill  peak_bytes  case
 
-Two trees build the same S_P and factor it bit for bit when
+Then, for each case in FULL_CASES, it builds the full preconditioner with
+`build_full` (default settings) and applies it to two seeded right-hand
+sides, printing one line per case:
+
+    md5(applications)  spec label  dim  n  parameters
+
+Two trees build the same S_P and factor it bit for bit, and apply the
+same full preconditioner bit for bit, when
 
     diff <(python3 scripts/factor_digest.py A/src) \\
          <(python3 scripts/factor_digest.py B/src)
@@ -35,6 +43,15 @@ CASES = (
     ("darcy", 2, 64, {"xi": 1e-6, "gamma": 1e4}),
     ("stokes", 2, 16, {"nu": 1e-6}),
     ("stokes", 2, 32, {}),
+)
+# (PreconditionerSpec fields, dim, cells per edge, ProblemParams fields) of
+# the full level: every kind, the hatted and zeta variants and 3D
+FULL_CASES = (
+    ({"problem": "darcy"}, 2, 16, {}),
+    ({"problem": "darcy", "kind": "counterexample"}, 2, 32, {}),
+    ({"problem": "darcy"}, 3, 4, {"xi": 1e-6, "gamma": 1e4}),
+    ({"problem": "stokes"}, 2, 8, {"nu": 1e-6}),
+    ({"problem": "stokes", "zeta": 100.0, "hatted": True}, 2, 8, {"zeta": 100.0}),
 )
 
 CHILD = """
@@ -61,17 +78,47 @@ for seed in (1, 2):
 print(matrix.hexdigest(), solutions.hexdigest(), factor.fill, factor.peak_bytes)
 """
 
+FULL_CHILD = """
+import hashlib, json, sys
+import numpy as np
+from condensa.assembly import ProblemParams, darcy_spaces, stokes_spaces
+from condensa.mesh import unit_box_mesh
+from condensa.precond import PreconditionerSpec, build_full
+
+fields, dim, n, kw = json.loads(sys.argv[1])
+spec = PreconditionerSpec(level="full", **fields)
+params = ProblemParams(**kw)
+mesh = unit_box_mesh(dim, n)
+spaces = (darcy_spaces if spec.problem == "darcy" else stokes_spaces)(mesh, params.k)
+op = build_full(spec, mesh, spaces, params)
+digest = hashlib.md5()
+for seed in (1, 2):
+    digest.update(op.apply(np.random.default_rng(seed).standard_normal(op.n)).tobytes())
+print(digest.hexdigest(), "", spec.label())
+"""
+
+
+def _run(env: dict, child: str, case: tuple) -> str:
+    """The line child prints for case, in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(case)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"{json.dumps(case)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout.strip()
+
+
+def _size(dim: int, n: int, kw: dict) -> str:
+    return " ".join([f"dim={dim}", f"n={n}", *(f"{k}={v:g}" for k, v in kw.items())])
+
 
 def main(src: str) -> None:
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     for case in CASES:
         problem, dim, n, kw = case
-        label = " ".join([problem, f"dim={dim}", f"n={n}", *(f"{k}={v:g}" for k, v in kw.items())])
-        proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(case)],
-                              env=env, capture_output=True, text=True)
-        if proc.returncode:
-            sys.exit(f"{label} exited {proc.returncode}:\n{proc.stderr}")
-        print(f"{proc.stdout.strip()}  {label}", flush=True)
+        print(f"{_run(env, CHILD, case)}  {problem} {_size(dim, n, kw)}", flush=True)
+    for case in FULL_CASES:
+        _, dim, n, kw = case
+        print(f"{_run(env, FULL_CHILD, case)} {_size(dim, n, kw)}", flush=True)
 
 
 if __name__ == "__main__":

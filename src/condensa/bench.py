@@ -7,15 +7,13 @@ span the desk-scale range.  Robustness in h and in the model parameters
 is the claim under test, not exact cell counts.  The exact factor of S_P
 eliminates in the mesh's nested-dissection facet order.  At 3D n=12
 (119,232 trace dofs, 2 CPUs) the supernodal Cholesky takes 2.2-3.4 s and
-stores 43M entries, one solve 77 ms, and the whole row 6.5-8.5 s at a
-0.86-0.87 GB peak.  At 3D n=16 (285,696 trace dofs, same machine) it
-stores 134.4M entries and factors in 7.0-7.8 s, and a row takes 18-22 s
-at a 2.20-2.21 GB peak and 44 CG iterations.  A row builds its
-preconditioner before it assembles the scheme, and the process has
-peaked at 0.62 GB (n=12) and 1.67 GB (n=16) when the factor is done
-(measured 2026-10-19).  The row's peak, about 2.0x the factor's 1.08 GB
-at n=16 (2.5x at n=12), comes later, in the scheme's condensation, while
-the factor is alive.  `scripts/row_peak.py` measures one row.
+stores 43M entries, one solve 77 ms, and the whole row 6.5-8.5 s.  At 3D
+n=16 (285,696 trace dofs, same machine) it stores 134.4M entries and
+factors in 7.0-7.8 s, and a row takes 18-22 s and 44 CG iterations.  A
+row builds its preconditioner before it assembles the scheme, so the
+row's peak comes in the scheme's condensation, while the factor is
+alive: 845 MB at n=12 and 2137 MB at n=16 (`scripts/row_peak.py`, which
+measures one row; ROADMAP item 8), about 2.5x and 2.0x the factor.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ blocks (on the cell's leading trace ids) and its -A21_K X_K, converted to
 CSR once: its pattern is the set of positions that receive a nonzero
 contribution, whatever the sums cancel to.  The same elimination applied
 to a preconditioner inner product produces the reduced preconditioner
-S_P, and with one cell solve the block LU of the full one, which keeps
-its X (see precond); positivity of its cell blocks is certified by
-Cholesky, component by component.  Cross-cell coupling in A11 is
-condensable only where A21 and rhs_cell vanish (the counterexample inner
-product): X and y are then zero and S is A22.
+S_P, and with one cell solve the block LU of the full one, whose X
+comes from eliminate (see precond); positivity of its cell blocks is
+certified by Cholesky, component by component.  Cross-cell coupling in
+A11 is condensable only where A21 and rhs_cell vanish (the counterexample
+inner product): X and y are then zero and S is A22.
 """
 
 from __future__ import annotations
@@ -83,20 +83,7 @@ def eliminate(system: BlockSystem, spd: bool = False):
     touched = np.any(a21, axis=(0, 1)) | np.any(rhs_cell, axis=0)
     parts = [(cols, bool(touched[cols].any())) for cols in comps]
     Xy = _solve_parts(a11, a21, rhs_cell, parts, spd)
-    if Xy is None:
-        _raise_failing_cell(a11.shape[0], spd, lambda cell: _solve_parts(
-            a11[cell], a21[cell], rhs_cell[cell], parts, spd) is None)
     return Xy[:, :, :-1], Xy[:, :, -1]
-
-
-def _raise_failing_cell(n_cells: int, spd: bool, fails):
-    """Raise the error that names the first cell c whose solve fails, that
-    is, for which fails(slice(c, c + 1)) is true; the per-cell search runs
-    on this failure path only."""
-    c = next((c for c in range(n_cells) if fails(slice(c, c + 1))), None)
-    if spd:
-        raise NotSymmetricPositiveDefinite(f"P11 cell block is not positive definite (cell {c})")
-    raise ValueError(f"singular local block in cell {c}")
 
 
 def _components(a11: np.ndarray) -> list[np.ndarray]:
@@ -118,8 +105,8 @@ def _components(a11: np.ndarray) -> list[np.ndarray]:
 
 def _solve_parts(a11, a21, rhs_cell, parts, spd: bool):
     """[X | y] (cells, cell dofs, trace dofs + 1) over the (dofs, reaches
-    the trace) parts of eliminate, or None when a block fails; a single
-    part is the whole block, solved."""
+    the trace) parts of eliminate; a single part is the whole block,
+    solved."""
     def rhs(cols):
         return np.concatenate([np.transpose(a21[:, :, cols], (0, 2, 1)),
                                rhs_cell[:, cols, None]], axis=2)
@@ -129,16 +116,28 @@ def _solve_parts(a11, a21, rhs_cell, parts, spd: bool):
     Xy = np.zeros(a11.shape[:2] + (a21.shape[1] + 1,))
     for cols, reaches in parts:
         out = _solve_cells(a11[:, cols[:, None], cols], rhs(cols) if reaches else None, spd)
-        if out is None:
-            return None
         if reaches:
             Xy[:, cols] = out
     return Xy
 
 
 def _solve_cells(a11, rhs, spd: bool):
-    """a11^-1 rhs for a stack of blocks; None when a block is singular (not
-    SPD, if spd) or the result is not finite.  With rhs None the blocks
+    """a11^-1 rhs for a stack of blocks.  A block that is singular (not
+    SPD, if spd) or yields a non-finite result is named by cell in the
+    raised ValueError (NotSymmetricPositiveDefinite when spd); the
+    per-cell search runs on this failure path only."""
+    out = _try_cells(a11, rhs, spd)
+    if out is None:
+        c = next((c for c in range(a11.shape[0]) if _try_cells(
+            a11[c:c + 1], None if rhs is None else rhs[c:c + 1], spd) is None), None)
+        if spd:
+            raise NotSymmetricPositiveDefinite(f"P11 cell block is not positive definite (cell {c})")
+        raise ValueError(f"singular local block in cell {c}")
+    return out
+
+
+def _try_cells(a11, rhs, spd: bool):
+    """_solve_cells, or None where it raises.  With rhs None the blocks
     are only certified: factored (by Cholesky when spd, otherwise by a
     solve against zero, which refuses a singular block) and checked finite
     entry by entry, since a factor need not carry a NaN into its output."""
@@ -153,10 +152,9 @@ def _solve_cells(a11, rhs, spd: bool):
     return out if np.isfinite(out).all() else None
 
 
-def _condense(system: BlockSystem, spd: bool, keep_x: bool = False):
-    """(S = A22 - A21 X and rhs_trace - A21 y scattered over free pairs,
-    X if keep_x else None).  Unless kept, X and y are released before S
-    is scattered."""
+def _condense(system: BlockSystem, spd: bool) -> CondensedSystem:
+    """S = A22 - A21 X and rhs_trace - A21 y, scattered over free pairs;
+    X and y are released before S is scattered."""
     if (system.coupling is not None and system.coupling.nnz
             and (system.a21.any() or system.rhs_cell.any())):
         raise ValueError("cross-cell coupling with trace-coupled or loaded cells "
@@ -164,12 +162,11 @@ def _condense(system: BlockSystem, spd: bool, keep_x: bool = False):
     X, y = eliminate(system, spd)
     rhs = _trace_load(system, system.rhs_trace, y)
     schur = -(system.a21 @ X)
-    del y
-    X = X if keep_x else None   # X and y are views of one buffer, released here
+    del X, y   # views of one buffer, released here
     parts = [system.a22_triplets(), _block_triplets(schur, system.tids, system.tids)]
     del schur
     S = _triplets_csr(parts, (system.n_trace,) * 2)
-    return CondensedSystem(system, S, rhs, null_vectors=_reduced_null(system)), X
+    return CondensedSystem(system, S, rhs, null_vectors=_reduced_null(system))
 
 
 def _trace_load(system: BlockSystem, r_trace: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -193,14 +190,14 @@ def _reduced_null(system: BlockSystem):
 def condense(system: BlockSystem) -> CondensedSystem:
     """Eliminate cell dofs of a scheme operator (LU with partial pivoting;
     local Darcy/Stokes blocks are indefinite but invertible)."""
-    return _condense(system, spd=False)[0]
+    return _condense(system, spd=False)
 
 
 def condense_precond(inner: BlockSystem) -> CondensedSystem:
     """Eliminate cell dofs of an inner product; every local block must be
     symmetric positive definite for the reduced operator to define an
     inner product."""
-    return _condense(inner, spd=True)[0]
+    return _condense(inner, spd=True)
 
 
 def back_substitute(condensed: CondensedSystem, xbar: np.ndarray) -> np.ndarray:
@@ -211,11 +208,7 @@ def back_substitute(condensed: CondensedSystem, xbar: np.ndarray) -> np.ndarray:
     non-finite result, is named by cell.  Returns the monolithic free
     vector [cells; trace]."""
     system = condensed.system
-    a11 = system.a11
     rhs = system.rhs_cell - np.einsum("btc,bt->bc", system.a21,
                                       _local_traces(system.tids, xbar))
-    cells = _solve_cells(a11, rhs[:, :, None], spd=False)
-    if cells is None:
-        _raise_failing_cell(a11.shape[0], False, lambda cell: _solve_cells(
-            a11[cell], rhs[cell, :, None], spd=False) is None)
+    cells = _solve_cells(system.a11, rhs[:, :, None], spd=False)
     return np.concatenate([cells.ravel(), xbar])

@@ -1,9 +1,9 @@
 """Preconditioner application operators, full and reduced.
 
-Both levels come from one elimination of the inner product P.
-condense_precond eliminates its cell dofs cell by cell, certifying each
-cell block positive definite by Cholesky, and factor_spd factors the
-trace operator S_P, certifying it in turn.  A condensed system keeps no
+Both levels start from condense_precond of the inner product P, which
+eliminates its cell dofs cell by cell, certifying each cell block
+positive definite by Cholesky, and factor_spd factors the trace
+operator S_P, certifying it in turn.  A condensed system keeps no
 X = P11^-1 P21^T: the reduced preconditioner applies S_P^-1 and keeps
 only its factor, and P is released before factor_spd runs, so S_P and the
 factor are all it holds then.  The full one applies P^-1 exactly, as the
@@ -12,9 +12,9 @@ block LU of P around that same S_P:
     y = P11^-1 r_cell,   xbar = S_P^-1 (r_trace - P21 y),
     cells = y - X xbar_local,
 
-applied every iteration, so it keeps the X of its own elimination (handed
-over by condense's private _condense, not computed twice) and adds one
-cell solve: factor_spd of the whole cell group P11, in
+applied every iteration, so it keeps X, taken from eliminate(P,
+spd=True), the elimination condense_precond runs and releases, and it
+adds one cell solve: factor_spd of the whole cell group P11, in
 minimum-degree order (reorder=True), since it has no trace structure to
 order by.  P11 is block diagonal over cells, except in the counterexample,
 whose normal-jump term couples cells (there P21 vanishes and S_P is P22);
@@ -33,7 +33,7 @@ import numpy as np
 
 from .assembly import (BlockSystem, ProblemParams, assemble_counterexample_inner,
                        assemble_darcy_inner, assemble_stokes_inner)
-from .condense import _condense, _local_traces, _trace_load, condense_precond
+from .condense import _local_traces, _trace_load, condense_precond, eliminate
 from .krylov import factor_spd
 
 __all__ = ["PreconditionerSpec", "PrecondOperator", "build_full", "build_reduced"]
@@ -86,7 +86,7 @@ class PrecondOperator:
     """P^-1 (level full, on the n monolithic dofs) or S_P^-1 (level
     reduced, on the n trace dofs), applied exactly.  The reduced level
     keeps only the factor of S_P; the full level also keeps what its
-    block LU reads."""
+    block LU reads: P, X from eliminate and the factor of P11."""
 
     n: int
     _factor: object                             # factor_spd(S_P)
@@ -111,13 +111,13 @@ def _build(level: str, spec: PreconditionerSpec, mesh, spaces,
     if spec.level != level:
         raise ValueError(f"spec.level must be {level!r}")
     inner = assemble_inner(spec, mesh, spaces, params)
+    S_P = condense_precond(inner).S
     if level == "reduced":
-        S_P = condense_precond(inner).S
         del inner   # P goes before the factor, the row's peak
         return PrecondOperator(S_P.shape[0], factor_spd(S_P))
-    condensed, X = _condense(inner, spd=True, keep_x=True)
+    X, _ = eliminate(inner, spd=True)
     nct = inner.layout.n_cell_total
-    return PrecondOperator(inner.layout.n_total, factor_spd(condensed.S), inner, X,
+    return PrecondOperator(inner.layout.n_total, factor_spd(S_P), inner, X,
                            factor_spd(inner.to_sparse()[:nct, :nct], reorder=True))
 
 

@@ -484,6 +484,22 @@ def test_bad_block_in_a_trace_free_component_named(spd, fault):
         (condense_precond if spd else condense)(inner)
 
 
+def test_first_failing_component_names_its_first_failing_cell():
+    """Bad blocks in two components of the Darcy inner product: cell 3 in
+    the component of the lowest cell dof, cell 1 in another.  Components
+    are solved in the order of their lowest dof, and the first one to fail
+    names its own first failing cell."""
+    inner = copy.copy(darcy_problem(n=2, with_data=False)[4])
+    inner.a11 = inner.a11.copy()
+    _, label = csgraph.connected_components(sp.csr_matrix(np.any(inner.a11, axis=0)),
+                                            connection="weak")
+    j = np.flatnonzero(label != label[0])[0]
+    inner.a11[3, 0, 0] *= -1.0
+    inner.a11[1, j, j] *= -1.0
+    with pytest.raises(ValueError, match=re.escape("positive definite (cell 3)") + "$"):
+        condense_precond(inner)
+
+
 # ----------------------------------------------------------------------
 # back-substitution by a cell re-solve, and what a condensed system keeps
 

@@ -47,6 +47,14 @@ def _reduced_precond(problem, dim, n):
     return condense_precond(inner).S
 
 
+def test_factor_spd_refuses_an_exactly_singular_matrix():
+    # SuperLU stops at the exact zero pivot itself, before any pivot check
+    M = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(NotSymmetricPositiveDefinite) as info:
+        factor_spd(M)
+    assert isinstance(info.value.__cause__, RuntimeError)
+
+
 @pytest.mark.parametrize("problem,dim,n", [("darcy", 2, 16), ("darcy", 3, 4),
                                            ("stokes", 2, 8)])
 def test_factor_spd_given_order_matches_minimum_degree(problem, dim, n, rng):
@@ -393,6 +401,17 @@ def test_cg_breakdown_on_indefinite(rng):
         cg(lambda v: S @ v, None, np.ones(3), tol=1e-10)
 
 
+@pytest.mark.parametrize("krylov", [cg, minres])
+def test_krylov_refuses_a_preconditioner_that_is_not_positive(krylov):
+    # at the first residual (P^-1 = -I), then inside the loop: with A = I
+    # and P^-1 = diag(1, -0.5), b = (1, 1) passes the first check
+    # (r.z = 0.5) and the first update's residual fails it
+    with pytest.raises(NotSymmetricPositiveDefinite, match="preconditioner is not positive"):
+        krylov(lambda v: v, lambda v: -v, np.ones(2))
+    with pytest.raises(NotSymmetricPositiveDefinite, match="preconditioner is not positive"):
+        krylov(lambda v: v, lambda v: np.array([1.0, -0.5]) * v, np.ones(2))
+
+
 def test_cg_iterations_match_chebyshev_bound():
     # reduced Darcy on 128 cells: the dense pencil gives kappa; the CG count
     # should sit within a factor 2 of ceil(sqrt(kappa)/2 ln(2/tol))
@@ -470,6 +489,24 @@ def test_deflation_keeps_iterates_orthogonal(rng):
     assert abs(x @ z) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(z)
 
 
+@pytest.mark.parametrize("krylov,spectrum", [(cg, [1.0, 2.0, 3.0, 5.0]),
+                                             (minres, [-1.0, 2.0, -3.0, 5.0])])
+def test_deflation_orthogonalizes_a_non_orthogonal_kernel(krylov, spectrum, rng):
+    """A kernel given as q0 and q0 + 2 q1 deflates span(q0, q1), the same
+    as the orthonormal q0, q1: Gram-Schmidt of the second vector."""
+    Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    A = Q @ np.diag([0.0, 0.0, *spectrum]) @ Q.T
+    q0, q1 = Q[:, 0], Q[:, 1]
+    b = rng.standard_normal(6)
+    x, rep = krylov(lambda v: A @ v, None, b, tol=1e-12, deflate=(q0, q0 + 2.0 * q1))
+    want, _ = krylov(lambda v: A @ v, None, b, tol=1e-12, deflate=(q0, q1))
+    assert rep.converged
+    assert np.abs(Q[:, :2].T @ x).max() <= 1e-13 * np.linalg.norm(x)
+    assert np.abs(x - want).max() <= 1e-12 * np.linalg.norm(want)
+    b_off = b - Q[:, :2] @ (Q[:, :2].T @ b)
+    assert np.linalg.norm(A @ x - b_off) <= 1e-10 * np.linalg.norm(b_off)
+
+
 def test_generalized_eigs_toys():
     B = np.array([[2.0, 0.3], [0.3, 1.0]])
     vals = generalized_eigs(2.0 * B, B, mode="full")
@@ -516,6 +553,25 @@ def test_dense_eigs_overwrite_one_copy_per_matrix(rng):
     Ad0, Bd0 = Ad.copy(), Bd.copy()
     assert np.array_equal(generalized_eigs(Ad, Bd, mode="full"), want)
     assert np.array_equal(Ad, Ad0) and np.array_equal(Bd, Bd0)
+
+
+def test_generalized_eigs_refuses_a_kernel_that_is_not_negligible():
+    with pytest.raises(ValueError, match="declared kernel eigenvalues are not negligible"):
+        generalized_eigs(np.diag([1.0, 2.0, 3.0]), np.eye(3), mode="full", n_drop=1)
+
+
+def test_sparse_ends_take_dense_arrays(monkeypatch, rng):
+    """Above DENSE_MAX a dense pencil is converted to CSC for ARPACK and
+    gives the ends of the same pencil given sparse."""
+    monkeypatch.setattr(krylov, "DENSE_MAX", 20)
+    R = rng.standard_normal((40, 40))
+    A = R + R.T + 40.0 * np.eye(40)
+    B = R.T @ R + 40.0 * np.eye(40)
+    for mode in ("extreme", "magnitude"):
+        got = generalized_eigs(A, B, mode=mode)
+        assert got == generalized_eigs(sp.csr_matrix(A), sp.csr_matrix(B), mode=mode)
+        want = sla.eigh(A, B, eigvals_only=True)
+        assert np.allclose(got, (want[0], want[-1]), rtol=1e-6)
 
 
 def test_generalized_eigs_rejects_non_spd_b(monkeypatch):

@@ -235,6 +235,14 @@ def test_cell_block_inverses_and_certificate(monkeypatch):
             build(PreconditionerSpec("darcy", "robust", level), mesh, spaces, params)
 
 
+def test_each_build_refuses_the_other_level():
+    mesh, spaces, params, _, _ = darcy_problem(n=2, with_data=False)
+    with pytest.raises(ValueError, match="spec.level must be 'full'"):
+        build_full(PreconditionerSpec("darcy", "robust", "reduced"), mesh, spaces, params)
+    with pytest.raises(ValueError, match="spec.level must be 'reduced'"):
+        build_reduced(PreconditionerSpec("darcy", "robust", "full"), mesh, spaces, params)
+
+
 def test_spec_and_params_must_agree_on_zeta():
     # a zeta=100 spec over zeta=0 parameters would build the zeta=0 S_P
     # under the label stokes-reduced-zeta100

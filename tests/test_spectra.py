@@ -216,6 +216,13 @@ def test_spectral_report_validation():
                        c_l=1.0).validate()
 
 
+def test_spectral_report_refuses_c_b_below_c_i():
+    # both condition numbers pass; only the ordering of the constants fails
+    with pytest.raises(ValueError, match="ill-posed"):
+        SpectralReport(c_b=1.0, c_i=2.0, kappa_full=2.0, kappa_reduced=1.0,
+                       c_l=1.0).validate()
+
+
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
 def test_hu_seminorm_matrix_matches_quadrature(dim, n):
     """The assembled ||h^-1/2 (vbar - m_K(vbar))||^2 against the matrix-free
