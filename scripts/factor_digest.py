@@ -12,10 +12,11 @@ right-hand sides.  It prints one line per case:
     md5(S_P data, indices, indptr)  md5(solutions)  fill  peak_bytes  case
 
 Then, for each case in FULL_CASES, it builds the full preconditioner with
-`build_full` (default settings) and applies it to two seeded right-hand
-sides, printing one line per case:
+`build_full` (default settings), one minimum-degree SuperLU factor of the
+whole inner product P, and applies it to two seeded right-hand sides,
+printing one line per case:
 
-    md5(applications)  spec label  dim  n  parameters
+    md5(applications)  fill  spec label  dim  n  parameters
 
 Two trees build the same S_P and factor it bit for bit, and apply the
 same full preconditioner bit for bit, when
@@ -94,7 +95,7 @@ op = build_full(spec, mesh, spaces, params)
 digest = hashlib.md5()
 for seed in (1, 2):
     digest.update(op.apply(np.random.default_rng(seed).standard_normal(op.n)).tobytes())
-print(digest.hexdigest(), "", spec.label())
+print(digest.hexdigest(), op.factor.fill, "", spec.label())
 """
 
 

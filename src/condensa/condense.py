@@ -18,11 +18,12 @@ blocks (on the cell's leading trace ids) and its -A21_K X_K, converted to
 CSR once: its pattern is the set of positions that receive a nonzero
 contribution, whatever the sums cancel to.  The same elimination applied
 to a preconditioner inner product produces the reduced preconditioner
-S_P, and with one cell solve the block LU of the full one, whose X
-comes from eliminate (see precond); positivity of its cell blocks is
-certified by Cholesky, component by component.  Cross-cell coupling in
-A11 is condensable only where A21 and rhs_cell vanish (the counterexample
-inner product): X and y are then zero and S is A22.
+S_P; positivity of its cell blocks is certified by Cholesky, component by
+component.  The full preconditioner eliminates nothing here: it factors
+the whole P, after certifying P's cell blocks by the same kernel with no
+right-hand side (see precond).  Cross-cell coupling in A11 is
+condensable only where A21 and rhs_cell vanish (the counterexample inner
+product): X and y are then zero and S is A22.
 """
 
 from __future__ import annotations
@@ -52,15 +53,6 @@ class CondensedSystem:
     @property
     def n_trace(self) -> int:
         return self.S.shape[0]
-
-
-def _local_traces(tids: np.ndarray, xbar: np.ndarray) -> np.ndarray:
-    """Local trace coefficients of every cell: free entries from xbar,
-    fixed entries zero (their Dirichlet values already sit in rhs_cell)."""
-    vals = np.zeros(tids.shape)
-    free = tids >= 0
-    vals[free] = xbar[tids[free]]
-    return vals
 
 
 def eliminate(system: BlockSystem, spd: bool = False):
@@ -160,22 +152,15 @@ def _condense(system: BlockSystem, spd: bool) -> CondensedSystem:
         raise ValueError("cross-cell coupling with trace-coupled or loaded cells "
                          "is not condensable")
     X, y = eliminate(system, spd)
-    rhs = _trace_load(system, system.rhs_trace, y)
+    free = system.tids >= 0
+    rhs = np.array(system.rhs_trace, dtype=float)
+    np.add.at(rhs, system.tids[free], -np.einsum("btc,bc->bt", system.a21, y)[free])
     schur = -(system.a21 @ X)
     del X, y   # views of one buffer, released here
     parts = [system.a22_triplets(), _block_triplets(schur, system.tids, system.tids)]
     del schur
     S = _triplets_csr(parts, (system.n_trace,) * 2)
     return CondensedSystem(system, S, rhs, null_vectors=_reduced_null(system))
-
-
-def _trace_load(system: BlockSystem, r_trace: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """r_trace - A21 y, with the cell parts y (cells, cell dofs) scattered
-    over the free trace ids: the condensed right-hand side."""
-    out = np.array(r_trace, dtype=float)
-    free = system.tids >= 0
-    np.add.at(out, system.tids[free], -np.einsum("btc,bc->bt", system.a21, y)[free])
-    return out
 
 
 def _reduced_null(system: BlockSystem):
@@ -208,7 +193,11 @@ def back_substitute(condensed: CondensedSystem, xbar: np.ndarray) -> np.ndarray:
     non-finite result, is named by cell.  Returns the monolithic free
     vector [cells; trace]."""
     system = condensed.system
-    rhs = system.rhs_cell - np.einsum("btc,bt->bc", system.a21,
-                                      _local_traces(system.tids, xbar))
+    # each cell's local trace coefficients; fixed ones stay zero, since
+    # their Dirichlet values already sit in rhs_cell
+    free = system.tids >= 0
+    local = np.zeros(system.tids.shape)
+    local[free] = xbar[system.tids[free]]
+    rhs = system.rhs_cell - np.einsum("btc,bt->bc", system.a21, local)
     cells = _solve_cells(system.a11, rhs[:, :, None], spd=False)
     return np.concatenate([cells.ravel(), xbar])

@@ -695,8 +695,8 @@ def factor_spd(S, reorder: bool = False):
     predicted peak above the memory available raises InsufficientMemory
     before any front is allocated.  Below it,
     and with reorder=True in SuperLU's minimum-degree order (for the
-    full level's cell group, which has no trace structure to order by;
-    see precond), SuperLU in symmetric mode with a zero
+    full preconditioner's whole P, which has no trace structure to order
+    by; see precond), SuperLU in symmetric mode with a zero
     diagonal-pivot threshold, which never pivots off the diagonal: its
     factorization is Cholesky-like, and a non-positive pivot certifies the
     matrix is not SPD.  Either factor has solve(b), and fill, the

@@ -1,27 +1,21 @@
 """Preconditioner application operators, full and reduced.
 
-Both levels start from condense_precond of the inner product P, which
-eliminates its cell dofs cell by cell, certifying each cell block
-positive definite by Cholesky, and factor_spd factors the trace
-operator S_P, certifying it in turn.  A condensed system keeps no
-X = P11^-1 P21^T: the reduced preconditioner applies S_P^-1 and keeps
-only its factor, and P is released before factor_spd runs, so S_P and the
-factor are all it holds then.  The full one applies P^-1 exactly, as the
-block LU of P around that same S_P:
+Each level applies its operator exactly by one sparse factor, the only
+thing it keeps, and releases the inner product P before factor_spd runs.
 
-    y = P11^-1 r_cell,   xbar = S_P^-1 (r_trace - P21 y),
-    cells = y - X xbar_local,
+The full level applies P^-1: one factor of the whole P,
+factor_spd(P, reorder=True), in SuperLU's minimum-degree order, since the
+monolithic dofs have no trace structure to order by.  P's cell blocks are
+certified positive definite first, by Cholesky cell by cell, so that a
+failing block is named by its cell.  P11 is block diagonal over cells,
+except in the counterexample, whose normal-jump term couples cells; one
+factor serves both.
 
-applied every iteration, so it keeps X, taken from eliminate(P,
-spd=True), the elimination condense_precond runs and releases, and it
-adds one cell solve: factor_spd of the whole cell group P11, in
-minimum-degree order (reorder=True), since it has no trace structure to
-order by.  P11 is block diagonal over cells, except in the counterexample,
-whose normal-jump term couples cells (there P21 vanishes and S_P is P22);
-one sparse factor serves both.
-
-S_P arrives in a fill-reducing order: trace dofs are facet-major and the
-mesh numbers facets by nested dissection, so factor_spd eliminates it as
+The reduced level applies S_P^-1: condense_precond of P eliminates its
+cell dofs cell by cell, certifying each cell block in the same way, and
+factor_spd factors the trace operator S_P, certifying it in turn.  S_P
+arrives in a fill-reducing order: trace dofs are facet-major and the mesh
+numbers facets by nested dissection, so factor_spd eliminates it as
 given, by the supernodal multifrontal Cholesky once it is large.
 """
 
@@ -33,7 +27,7 @@ import numpy as np
 
 from .assembly import (BlockSystem, ProblemParams, assemble_counterexample_inner,
                        assemble_darcy_inner, assemble_stokes_inner)
-from .condense import _local_traces, _trace_load, condense_precond, eliminate
+from .condense import _solve_cells, condense_precond
 from .krylov import factor_spd
 
 __all__ = ["PreconditionerSpec", "PrecondOperator", "build_full", "build_reduced"]
@@ -84,26 +78,14 @@ def assemble_inner(spec: PreconditionerSpec, mesh, spaces,
 @dataclass
 class PrecondOperator:
     """P^-1 (level full, on the n monolithic dofs) or S_P^-1 (level
-    reduced, on the n trace dofs), applied exactly.  The reduced level
-    keeps only the factor of S_P; the full level also keeps what its
-    block LU reads: P, X from eliminate and the factor of P11."""
+    reduced, on the n trace dofs), applied exactly by the one sparse
+    factor it keeps: of P, or of S_P."""
 
     n: int
-    _factor: object                             # factor_spd(S_P)
-    system: BlockSystem | None = None           # full level: the inner product P
-    _X: np.ndarray | None = None                # full level: P11^-1 P21^T, for the lift
-    _cells: object = None                       # full level: factor_spd(P11)
+    factor: object                  # factor_spd(P) or factor_spd(S_P)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self._cells is None:
-            return self._factor.solve(r)
-        system = self.system
-        r_cell, r_trace = system.layout.split(r)
-        y = self._cells.solve(r_cell.ravel()).reshape(r_cell.shape)
-        xbar = self._factor.solve(_trace_load(system, r_trace, y))
-        cells = y - np.einsum("bct,bt->bc", self._X, _local_traces(system.tids, xbar))
-        return np.concatenate([cells.ravel(), xbar])
+        return self.factor.solve(np.asarray(r, dtype=float))
 
 
 def _build(level: str, spec: PreconditionerSpec, mesh, spaces,
@@ -111,19 +93,18 @@ def _build(level: str, spec: PreconditionerSpec, mesh, spaces,
     if spec.level != level:
         raise ValueError(f"spec.level must be {level!r}")
     inner = assemble_inner(spec, mesh, spaces, params)
-    S_P = condense_precond(inner).S
-    if level == "reduced":
-        del inner   # P goes before the factor, the row's peak
-        return PrecondOperator(S_P.shape[0], factor_spd(S_P))
-    X, _ = eliminate(inner, spd=True)
-    nct = inner.layout.n_cell_total
-    return PrecondOperator(inner.layout.n_total, factor_spd(S_P), inner, X,
-                           factor_spd(inner.to_sparse()[:nct, :nct], reorder=True))
+    full = level == "full"
+    if full:
+        _solve_cells(inner.a11, None, spd=True)   # names a failing cell block
+    A = inner.to_sparse() if full else condense_precond(inner).S
+    del inner   # the BlockSystem goes before the factor, the row's peak
+    return PrecondOperator(A.shape[0], factor_spd(A, reorder=full))
 
 
 def build_full(spec: PreconditionerSpec, mesh, spaces,
                params: ProblemParams) -> PrecondOperator:
-    """Exact application of the full (uncondensed) preconditioner P^-1."""
+    """Exact application of the full (uncondensed) preconditioner P^-1:
+    certify P's cell blocks, release the inner product, factor P once."""
     return _build("full", spec, mesh, spaces, params)
 
 

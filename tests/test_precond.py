@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -31,8 +32,9 @@ def test_apply_then_multiply_recovers(rng, problem, kind):
         mesh, spaces, params, _, _ = darcy_problem(n=2, with_data=False)
     else:
         mesh, spaces, params, _, _ = stokes_problem(n=2, with_data=False)
-    op = build_full(PreconditionerSpec(problem, kind, "full"), mesh, spaces, params)
-    P = op.system.to_sparse()
+    spec = PreconditionerSpec(problem, kind, "full")
+    op = build_full(spec, mesh, spaces, params)
+    P = precond.assemble_inner(spec, mesh, spaces, params).to_sparse()
     r = rng.standard_normal(P.shape[0])
     assert np.abs(P @ op.apply(r) - r).max() <= 1e-11 * np.abs(r).max()
 
@@ -42,15 +44,17 @@ def test_apply_then_multiply_recovers(rng, problem, kind):
     ("stokes", "robust", dict(nu=1e-6)), ("stokes", "robust", dict(zeta=100.0)),
     ("stokes", "robust", dict(zeta=100.0, hatted=True))])
 def test_full_apply_matches_dense_inverse(rng, problem, kind, kw):
-    """The full level's block LU, with the X it keeps from its own
-    elimination, applies P^-1 as a dense solve does: measured within
-    3.7e-14 relative (the counterexample), bound 1e-12."""
+    """The full level's minimum-degree sparse factor of P applies P^-1
+    as a dense solve does: measured within 7.2e-14 relative (the
+    counterexample), bound 1e-12."""
     make = darcy_problem if problem == "darcy" else stokes_problem
     mesh, spaces, params, _, _ = make(n=2, with_data=False, **kw)
     spec_kw = {k: v for k, v in kw.items() if k in ("zeta", "hatted")}
-    op = build_full(PreconditionerSpec(problem, kind, "full", **spec_kw), mesh, spaces, params)
+    spec = PreconditionerSpec(problem, kind, "full", **spec_kw)
+    op = build_full(spec, mesh, spaces, params)
     r = rng.standard_normal(op.n)
-    want = np.linalg.solve(op.system.to_sparse().toarray(), r)
+    P = precond.assemble_inner(spec, mesh, spaces, params).to_sparse()
+    want = np.linalg.solve(P.toarray(), r)
     assert np.abs(op.apply(r) - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -153,10 +157,10 @@ def test_reduced_spd_across_sweep(xi, gamma):
     assert op.n == inner.layout.n_trace
 
 
-def test_reduced_keeps_only_the_factor(monkeypatch):
-    """build_reduced releases the inner product's BlockSystem and its
-    CondensedSystem before it factors S_P, and keeps neither."""
-    mesh, spaces, params, _, _ = darcy_problem(n=2, with_data=False)
+def _track_releases(monkeypatch):
+    """Weak references to what precond.assemble_inner and
+    precond.condense_precond return, by name, and the names still alive
+    when precond.factor_spd is called."""
     refs, alive_at_factor = {}, []
 
     def tracked(name, make):
@@ -166,19 +170,40 @@ def test_reduced_keeps_only_the_factor(monkeypatch):
             return out
         return call
 
-    def factor_spd(S):
+    def factor_spd(S, **kw):
         alive_at_factor.extend(name for name, ref in refs.items() if ref() is not None)
-        return precond_factor_spd(S)
+        return precond_factor_spd(S, **kw)
 
     precond_factor_spd = precond.factor_spd
     monkeypatch.setattr(precond, "assemble_inner", tracked("inner", precond.assemble_inner))
     monkeypatch.setattr(precond, "condense_precond",
                         tracked("condensed", precond.condense_precond))
     monkeypatch.setattr(precond, "factor_spd", factor_spd)
+    return refs, alive_at_factor
+
+
+def test_reduced_keeps_only_the_factor(monkeypatch):
+    """build_reduced releases the inner product's BlockSystem and its
+    CondensedSystem before it factors S_P, and keeps neither."""
+    mesh, spaces, params, _, _ = darcy_problem(n=2, with_data=False)
+    refs, alive_at_factor = _track_releases(monkeypatch)
     op = build_reduced(PreconditionerSpec("darcy", "robust", "reduced"), mesh, spaces, params)
     assert sorted(refs) == ["condensed", "inner"] and alive_at_factor == []
-    assert refs["inner"]() is None and op.system is None
+    assert refs["inner"]() is None
+    assert [f.name for f in dataclasses.fields(op)] == ["n", "factor"]
     assert op.n == spaces["pbar"].n_free
+
+
+def test_full_keeps_only_the_factor(monkeypatch):
+    """build_full condenses nothing, releases the inner product's
+    BlockSystem before it factors P, and keeps only the factor."""
+    mesh, spaces, params, _, inner = darcy_problem(n=2, with_data=False)
+    refs, alive_at_factor = _track_releases(monkeypatch)
+    op = build_full(PreconditionerSpec("darcy", "robust", "full"), mesh, spaces, params)
+    assert sorted(refs) == ["inner"] and alive_at_factor == []
+    assert refs["inner"]() is None
+    assert [f.name for f in dataclasses.fields(op)] == ["n", "factor"]
+    assert op.n == inner.layout.n_total
 
 
 @pytest.mark.parametrize("zeta,hatted", [(0.0, False), (100.0, False), (100.0, True)])
@@ -203,27 +228,9 @@ def test_hatted_positivity_certified_at_factorization():
                   mesh, spaces, bad)
 
 
-def test_cell_block_inverses_and_certificate(monkeypatch):
-    # every full preconditioner's cell solve applies the inverse of its whole
-    # cell group P11 (block diagonal over cells, coupled in the
-    # counterexample), against np.linalg.inv; a velocity entry made
-    # indefinite is refused by cell at both levels
+def test_cell_block_certificate(monkeypatch):
+    # a velocity entry made indefinite is refused by cell at both levels
     import copy
-    for make, kw, spec in (
-            (darcy_problem, dict(xi=1e-6, gamma=1e4),
-             PreconditionerSpec("darcy", "robust", "full")),
-            (darcy_problem, {}, PreconditionerSpec("darcy", "counterexample", "full")),
-            (stokes_problem, dict(nu=1e-6), PreconditionerSpec("stokes", "robust", "full")),
-            # nu=1: at nu=1e-6 a zeta=100 cell block's condition number is
-            # 6e9, and any two computed inverses differ by about that x eps
-            (stokes_problem, dict(zeta=100.0, hatted=True),
-             PreconditionerSpec("stokes", "robust", "full", zeta=100.0, hatted=True))):
-        mesh, spaces, params, _, _ = make(n=2, with_data=False, **kw)
-        op = build_full(spec, mesh, spaces, params)
-        nct = op.system.layout.n_cell_total
-        got = op._cells.solve(np.eye(nct))
-        want = np.linalg.inv(op.system.to_sparse()[:nct, :nct].toarray())
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), spec.label()
     mesh, spaces, params, _, inner = darcy_problem(n=2, xi=1e-6, gamma=1e4, with_data=False)
     bad = copy.copy(inner)
     bad.a11 = inner.a11.copy()
@@ -255,17 +262,23 @@ def test_spec_and_params_must_agree_on_zeta():
                                ProblemParams(k=2, zeta=100.0))
 
 
-@pytest.mark.parametrize("problem,kind", [("darcy", "robust"),
-                                          ("darcy", "counterexample"),
-                                          ("stokes", "robust")])
-def test_full_and_reduced_are_one_elimination(rng, problem, kind):
-    # on a trace-only residual the full P^-1 reduces to S_P^-1 on the traces
+@pytest.mark.parametrize("problem,kind,dim,kw", [
+    pytest.param("darcy", "robust", 2, {}, id="darcy-robust"),
+    pytest.param("darcy", "counterexample", 2, {}, id="darcy-counterexample"),
+    pytest.param("stokes", "robust", 2, {}, id="stokes-robust"),
+    pytest.param("darcy", "robust", 3, {}, id="darcy-robust-3d"),
+    pytest.param("darcy", "counterexample", 3, {}, id="darcy-counterexample-3d"),
+    pytest.param("stokes", "robust", 2, dict(zeta=100.0, hatted=True),
+                 id="stokes-robust-hat-zeta100")])
+def test_full_and_reduced_are_one_elimination(rng, problem, kind, dim, kw):
+    # on a trace-only residual the full P^-1, one sparse factor of P,
+    # reduces to S_P^-1, a factor of the eliminated P, on the traces
     make = darcy_problem if problem == "darcy" else stokes_problem
-    mesh, spaces, params, _, _ = make(n=2, with_data=False)
-    full = build_full(PreconditionerSpec(problem, kind, "full"), mesh, spaces, params)
-    reduced = build_reduced(PreconditionerSpec(problem, kind, "reduced"),
+    mesh, spaces, params, _, inner = make(dim=dim, n=2, with_data=False, **kw)
+    full = build_full(PreconditionerSpec(problem, kind, "full", **kw), mesh, spaces, params)
+    reduced = build_reduced(PreconditionerSpec(problem, kind, "reduced", **kw),
                             mesh, spaces, params)
-    lay = full.system.layout
+    lay = inner.layout
     r_t = rng.standard_normal(lay.n_trace)
     x = full.apply(np.concatenate([np.zeros(lay.n_cell_total), r_t]))
     want = reduced.apply(r_t)
