@@ -13,7 +13,7 @@ factors in 7.0-7.8 s, and a row takes 18-22 s and 44 CG iterations.  A
 row builds its preconditioner before it assembles the scheme, so the
 row's peak comes in the scheme's condensation, while the factor is
 alive: 845 MB at n=12 and 2137 MB at n=16 (`scripts/row_peak.py`, which
-measures one row; ROADMAP item 8), about 2.5x and 2.0x the factor.
+measures one row; ROADMAP item 15), about 2.5x and 2.0x the factor.
 """
 
 from __future__ import annotations

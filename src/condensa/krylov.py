@@ -49,41 +49,61 @@ __all__ = [
 ]
 
 # largest pencil dimension for dense eigh: generalized_eigs switches to ARPACK
-# above it (except for mode="full").  Measured crossover at the ARPACK_TOL_*
-# below, 2D k=2 on 2 CPUs, best of 3, dense/ARPACK: one-end probe pencils
-# ("max", "min") 0.03/0.02 s at size 504, 0.05/0.05 s at 645, 0.05/0.03 s
-# at 693, 0.10/0.03 s at 936 and 0.23/0.07 s at 1281; the monolithic
-# (A, P) pencils ("magnitude") 0.04/0.04 s at 495, 0.05/0.04 s at 600 and
-# 0.11/0.05 s at 888.  Two-end probe pencils ("extreme", two solves) cross
-# later: 0.04/0.06 s at 693, 0.06/0.05 s at 798, 0.10/0.11 s at 912 and
-# 0.17/0.11 s at 1056.  Whole spectra2d passes (seeds 1, 2 and 201) took
-# 5.2 s summed at 600, 5.4 s at 300 and 6.0 s at 1200
-DENSE_MAX = 600
+# above it (except for mode="full").  scripts/eig_crossover.py times both on
+# the probe, lifting and full pencils at 2D n=4-8, k=2 (2 CPUs, best of 3,
+# dense/ARPACK seconds by size):
+#   345 aux_coercivity "extreme" 0.008/0.013, inf_sup "min" 0.009/0.008
+#   390 condensed_velocity "extreme" 0.012/0.013
+#   399 lifting and darcy_lifting_vs_aux "max" 0.012/0.006-0.007
+#   408 stokes_lifting "max" 0.011/0.009
+#   504 aux_coercivity "extreme" 0.015/0.018, inf_sup "min" 0.018/0.010
+#   528 lifting and darcy_lifting_vs_aux "max" 0.020-0.021/0.007-0.009
+#   576 condensed_velocity "extreme" 0.024/0.019
+#   600 Darcy full pencil "magnitude" 0.026/0.029
+#   624 ch_coercivity "extreme" 0.031/0.016
+#   888 Stokes full pencil "magnitude" 0.068/0.029
+# and ARPACK 1.4-14x faster from 645 to 3600.  spectra2d (seed 3, six
+# alternating pairs) read wall_s 0.647 s at 400 against 0.667 s at 600,
+# lower in 5 of 6
+DENSE_MAX = 400
 
-# cap on ARPACK restarts; the seeded "max" solve of the slowest probe pencil
-# (condensed_velocity at 2D n=16, nu=1e-6) converges well within it
+# cap on the restarts of each ARPACK solve; every solve of acceptance
+# criteria 6-8 converges within 100, and at 30 the regular-mode "magnitude"
+# top of the Darcy full pencil at 2D n=8 (size 2448) runs out
 ARPACK_MAXITER = 1000
 
 # relative Ritz residual ||A v - theta B v|| / |theta| that each ARPACK end
 # must reach, sized to the accuracy the constants are reported to (the
-# tests check them to 1e-8 against a 1e-12 oracle).  For a symmetric
-# pencil the Ritz value is off by about the squared residual over the gap
-# to the next eigenvalue, so each end needs less than the 1e-12 both used
-# before.  Machine precision (ARPACK's default) can be out of reach when
-# the wanted end is a cluster: the regular-mode "max" solve of
-# condensed_velocity (top eigenvalue 16, highly multiple) then stalls for
-# some start vectors.
+# tests check them to 1e-8 against dense eigh).  For a symmetric pencil
+# the Ritz value is off by about the squared residual over the gap to the
+# next eigenvalue, so each end needs less than machine precision, which
+# can be out of reach when the wanted end is a cluster.
 #
-# The top (regular mode, "LA" or "LM") sits in a cluster for some probes,
-# where the gap is small: ch_coercivity_hi at 2D n=16 moved 3.4e-8 from its
-# 1e-12 value at a residual of 1e-6.  At 1e-8 every top value of
-# acceptance criteria 6-8 (n <= 16) stayed within 4.6e-13 of its 1e-12 value
+# The top of "max" and "extreme" is a shift-invert solve for theta =
+# 1 / (lambda - sigma) with sigma just above the spectrum, whose wanted
+# theta is the largest in magnitude; it converges on a clustered top
+# (the Darcy full pencil at 2D n=4 and 8, xi=1e-6, gamma=1e4), where the
+# regular-mode solve did not.  At 1e-8 every top value of acceptance
+# criteria 6-8 (n <= 16) stayed within 8e-15 of its 1e-12 value.  The
+# "magnitude" top is a regular-mode "LM" solve, whose gap can be small
 ARPACK_TOL_TOP = 1e-8
 # The bottom (shift-invert) solves for theta = 1 / (lambda - sigma), whose
 # wanted values are the largest and well apart relative to their size.  At
 # 1e-6 every bottom value of criteria 6-8 stayed within 1.9e-13 of its
 # 1e-12 value
 ARPACK_TOL_BOTTOM = 1e-6
+
+# the shift above the top: a regular-mode estimate est of the largest
+# eigenvalue to a relative residual of SHIFT_EST_TOL (a Ritz value, so
+# est <= lambda_max), then sigma = est + delta * max(|est|, max_i |A_ii /
+# B_ii|) for delta = SHIFT_GAP, SHIFT_GAP * SHIFT_GROWTH, ... until sigma B
+# - A has a Cholesky-like factor, at most SHIFT_TRIES times (a delta of up
+# to 164): the factor certifies sigma > lambda_max and is the solve of the
+# shift-invert step
+SHIFT_EST_TOL = 1e-2
+SHIFT_GAP = 1e-2
+SHIFT_GROWTH = 4.0
+SHIFT_TRIES = 8
 
 # the shift-invert solve for the eigenvalues nearest zero factors A - sigma B
 # at sigma = -KERNEL_SHIFT * max_i |A_ii / B_ii|, never at 0: with a declared
@@ -722,7 +742,7 @@ def factor_spd(S, reorder: bool = False):
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # exactly singular
         raise NotSymmetricPositiveDefinite(str(exc)) from exc
-    if lu.U.diagonal().min() <= 0.0:
+    if not lu.U.diagonal().min() > 0.0:   # a NaN pivot certifies nothing
         raise NotSymmetricPositiveDefinite("non-positive pivot: matrix is not SPD")
     return Factor(lu)
 
@@ -875,20 +895,28 @@ def generalized_eigs(A, B, mode: str = "full", n_drop: int = 0):
 
     Up to DENSE_MAX, and always for mode="full", one dense LAPACK ?sygv
     solve gives every eigenvalue, in place on one Fortran-ordered copy of
-    each matrix.  Above DENSE_MAX the ends come from
-    ARPACK with a fixed start vector, in at most ARPACK_MAXITER restarts,
-    each end to its own relative residual (ARPACK_TOL_TOP and
-    ARPACK_TOL_BOTTOM, sized to the accuracy the constants are reported
-    to).  The top comes from one regular-mode solve preconditioned by the
-    factor of B: the largest eigenvalue ("LA"), or the largest in magnitude
-    for mode="magnitude" ("LM").  The bottom, and the kernel check, come
-    from one shift-invert solve for the n_drop + 3 eigenvalues nearest
+    each matrix.  Above DENSE_MAX the ends come from ARPACK with a fixed
+    start vector, in at most ARPACK_MAXITER restarts, each end to its own
+    relative residual (ARPACK_TOL_TOP and ARPACK_TOL_BOTTOM, sized to the
+    accuracy the constants are reported to).  The top of mode="max" and
+    "extreme" comes from a shift-invert solve for the eigenvalue nearest a
+    shift sigma above the whole spectrum: a loose regular-mode estimate
+    (relative residual SHIFT_EST_TOL, preconditioned by the factor of B)
+    sets sigma a little above it, and a Cholesky factor of sigma B - A,
+    in minimum-degree order, certifies sigma is above every eigenvalue
+    (see _shift_above).  A clustered top, where a regular-mode solve
+    stalled (the Darcy full pencil at 2D n=4, xi=1e-6, gamma=1e4, has 24
+    eigenvalues within 1e-8 of its top), then converges.  The top of
+    mode="magnitude", the largest |lambda| of an indefinite pencil, comes
+    from one regular-mode "LM" solve.  The bottom, and the kernel check,
+    come from one shift-invert solve for the n_drop + 3 eigenvalues nearest
     sigma = -KERNEL_SHIFT * max_i |A_ii / B_ii|, a small negative shift
     (that maximum is a lower bound of max |lambda|), so that a declared
-    kernel never makes A - sigma B singular.  The "min" end is the smallest eigenvalue only
-    when A is positive semidefinite, as every probe pencil is.  A non-SPD
-    B raises NotSymmetricPositiveDefinite; ARPACK running out of restarts
-    raises ValueError.
+    kernel never makes A - sigma B singular.  The "min" end is the
+    smallest eigenvalue only when A is positive semidefinite, as every
+    probe pencil is.  A non-SPD B raises NotSymmetricPositiveDefinite;
+    ARPACK running out of restarts, or no certified shift, raises
+    ValueError naming the end.
     """
     if mode not in ("full", "extreme", "min", "max", "magnitude"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -916,21 +944,51 @@ def _sparse_ends(A, B, mode, n_drop):
     Asp, Bsp = _as_csc(A), _as_csc(B)
     Bop = factor_spd(Bsp)  # also the SPD certificate of B
     v0 = np.random.default_rng(0).standard_normal(n)
+    # Rayleigh quotients of unit vectors: a bound below max |lambda|
+    scale = np.abs(Asp.diagonal() / Bsp.diagonal()).max()
     vals = []
     if mode != "min":
         Minv = spla.LinearOperator((n, n), matvec=Bop.solve)
-        vals.append(_arpack("max", Asp, k=1, M=Bsp, Minv=Minv, v0=v0,
-                            which="LM" if mode == "magnitude" else "LA"))
+        if mode == "magnitude":
+            vals.append(_arpack("max", Asp, k=1, M=Bsp, Minv=Minv, v0=v0, which="LM"))
+        else:
+            est = _arpack("max", Asp, k=1, M=Bsp, Minv=Minv, v0=v0, which="LA",
+                          tol=SHIFT_EST_TOL)[0]
+            del Minv, Bop   # one factor alive at a time
+            sigma, F = _shift_above(Asp, Bsp, est, scale)
+            OPinv = spla.LinearOperator((n, n), matvec=lambda x: -F.solve(x))
+            vals.append(_arpack("max", Asp, k=1, M=Bsp, sigma=sigma, OPinv=OPinv,
+                                which="LM", v0=v0))
+            del OPinv, F    # before the bottom end factors A - sigma B
     if mode != "max" or n_drop:
-        # Rayleigh quotients of unit vectors: a bound below max |lambda|
-        scale = np.abs(Asp.diagonal() / Bsp.diagonal()).max()
         vals.append(_arpack("min", Asp, k=n_drop + 3, M=Bsp, sigma=-KERNEL_SHIFT * scale,
                             which="LM", v0=v0))
     return np.concatenate(vals)
 
 
-def _arpack(end, A, **kwargs):
-    tol = ARPACK_TOL_TOP if end == "max" else ARPACK_TOL_BOTTOM
+def _shift_above(A, B, est, scale):
+    """(sigma, factor of sigma B - A): a shift above every eigenvalue of the
+    pencil, certified by the Cholesky-like factor, searched upwards from the
+    estimate est of the largest eigenvalue."""
+    delta = SHIFT_GAP
+    for _ in range(SHIFT_TRIES):
+        sigma = est + delta * max(abs(est), scale)
+        if not math.isfinite(sigma):
+            break
+        try:
+            # minimum-degree order: A's pattern need not follow the trace
+            # order (stokes_lifting at 2D n=16: 7.7M entries and 1.2 s in
+            # the given order, 1.0M and 0.07 s in minimum degree)
+            return sigma, factor_spd(sigma * B - A, reorder=True)
+        except NotSymmetricPositiveDefinite:
+            delta *= SHIFT_GROWTH
+    raise ValueError(f"no shift above the 'max' end of a pencil of size {A.shape[0]} "
+                     f"within {SHIFT_TRIES} tries from the estimate {est!r}")
+
+
+def _arpack(end, A, tol=None, **kwargs):
+    if tol is None:
+        tol = ARPACK_TOL_TOP if end == "max" else ARPACK_TOL_BOTTOM
     try:
         return spla.eigsh(A, maxiter=ARPACK_MAXITER, tol=tol,
                           return_eigenvectors=False, **kwargs)

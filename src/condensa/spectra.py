@@ -16,13 +16,17 @@ reduced bounds all eigenvalues (mode="full", dense), the lifting constants
 the largest eigenvalue (mode="max"), the inf-sup probe the smallest
 (mode="min") and the two-sided probes (aux_coercivity, ch_coercivity,
 condensed_velocity) both ends (mode="extreme").  Pencils larger than
-DENSE_MAX go to ARPACK, whose bottom end comes from the eigenvalues
-nearest a small negative shift, never 0, so a declared kernel is safe;
-its "min" end assumes the first form is positive semidefinite, as every
-probe pencil is.  ARPACK solves each end only as accurately as the
-constants are reported (krylov.ARPACK_TOL_TOP and ARPACK_TOL_BOTTOM):
-every constant of the acceptance suite at n <= 16 is within 5e-13 of its
-value from solves to a 1e-12 residual.
+DENSE_MAX go to ARPACK.  Its top end of "max" and "extreme" comes from
+the eigenvalue nearest a shift certified above the spectrum (by a
+Cholesky factor of sigma B - A), where a clustered top converges; the
+largest |eigenvalue| of "magnitude" from a regular-mode solve.  Its
+bottom end comes from the eigenvalues nearest a small negative shift,
+never 0, so a declared kernel is safe; its "min" end assumes the first
+form is positive semidefinite, as every probe pencil is.  ARPACK solves
+each end only as accurately as the constants are reported
+(krylov.ARPACK_TOL_TOP and ARPACK_TOL_BOTTOM): every constant of
+acceptance criteria 6-8 (n <= 16) is within 2e-13 of its value from
+solves to a 1e-12 residual.
 """
 
 from __future__ import annotations

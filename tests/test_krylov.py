@@ -658,8 +658,9 @@ def _dense_spectrum(A, B, n_drop):
 
 @pytest.mark.parametrize("name", PENCILS)
 def test_sparse_ends_match_dense_eigh(name):
-    """Every end of the positive semidefinite probe pencils: "max" (regular
-    mode, LA), "min" (shift-invert), "extreme" and "magnitude" (LM top)."""
+    """Every end of the positive semidefinite probe pencils: "max"
+    (shift-invert just above the top), "min" (shift-invert near zero),
+    "extreme" (both) and "magnitude" (regular-mode LM top)."""
     A, B, n_drop = _pencils()[name]
     vals = _dense_spectrum(A, B, n_drop)
     lo, hi = vals[0], vals[-1]
@@ -702,18 +703,49 @@ def test_magnitude_ends_match_dense_eigh(name):
     _assert_ends_agree(got, _arpack_ends(A, B, n_drop, want, tol=1e-12))
 
 
+@pytest.mark.parametrize("name", MONOLITHIC)
+def test_max_end_of_full_pencils_matches_dense_eigh(name):
+    """mode="max" on the indefinite full pencils through ARPACK, against
+    dense eigh.  The top of darcy-1e-6-1e4 is a cluster: 24 eigenvalues
+    lie within 1e-8 of it, where a regular-mode solve never converged."""
+    A, B, n_drop = _monolithic(name)
+    want = {"max": _dense_spectrum(A, B, n_drop)[-1]}
+    got = _arpack_ends(A, B, n_drop, want)
+    assert isinstance(got["max"], float)
+    _assert_ends_agree(got, want)
+
+
+def test_the_shift_above_the_top_is_certified():
+    """sigma B - A has a Cholesky factor just above the top eigenvalue and
+    none just below it; the search for sigma climbs from a poor estimate
+    and gives up on a non-finite one."""
+    A, B, _ = _pencils()["stokes_lifting"]
+    top = _dense_spectrum(A, B, 0)[-1]
+    with pytest.raises(NotSymmetricPositiveDefinite):
+        factor_spd((top * (1 - 1e-6)) * B - A, reorder=True)
+    factor_spd((top * (1 + 1e-6)) * B - A, reorder=True)
+    scale = np.abs(A.diagonal() / B.diagonal()).max()
+    sigma, _ = krylov._shift_above(A, B, 0.5 * top, scale)
+    assert sigma > top
+    with pytest.raises(NotSymmetricPositiveDefinite):
+        factor_spd(np.nan * B - A, reorder=True)
+    with pytest.raises(ValueError, match=f"'max' end of a pencil of size {A.shape[0]}"):
+        krylov._shift_above(A, B, np.nan, scale)
+
+
 def test_sparse_ends_repeat_bitwise(monkeypatch):
     monkeypatch.setattr(krylov, "DENSE_MAX", 0)
     for name in ("condensed_velocity", "aux_kernel"):
         A, B, n_drop = _pencils()[name]
-        first = generalized_eigs(A, B, mode="extreme", n_drop=n_drop)
-        assert generalized_eigs(A, B, mode="extreme", n_drop=n_drop) == first
+        for mode in ("max", "extreme"):
+            first = generalized_eigs(A, B, mode=mode, n_drop=n_drop)
+            assert generalized_eigs(A, B, mode=mode, n_drop=n_drop) == first
     A, B, n_drop = _monolithic("stokes-1e-6")
     first = generalized_eigs(A, B, mode="magnitude", n_drop=n_drop)
     assert generalized_eigs(A, B, mode="magnitude", n_drop=n_drop) == first
 
 
-@pytest.mark.parametrize("mode", ("min", "max", "magnitude"))
+@pytest.mark.parametrize("mode", ("min", "max", "extreme", "magnitude"))
 def test_arpack_iteration_cap_names_the_end(mode, monkeypatch):
     A, B, _ = _pencils()["condensed_velocity"]
     monkeypatch.setattr(krylov, "DENSE_MAX", 0)
@@ -722,10 +754,27 @@ def test_arpack_iteration_cap_names_the_end(mode, monkeypatch):
     # converges within one restart; machine precision keeps both ends short
     monkeypatch.setattr(krylov, "ARPACK_TOL_TOP", 0.0)
     monkeypatch.setattr(krylov, "ARPACK_TOL_BOTTOM", 0.0)
-    end = "min" if mode == "min" else "max"  # "magnitude" solves its top first
-    with pytest.raises(ValueError, match=f"'{end}' end of a pencil of size "
-                                         f"{A.shape[0]}"):
+    end = "min" if mode == "min" else "max"  # the top is solved first
+    match = f"'{end}' end of a pencil of size {A.shape[0]}"
+    shifted = []
+    real = krylov._arpack
+
+    def arpack(end, A, **kwargs):
+        shifted.append("sigma" in kwargs)
+        return real(end, A, **kwargs)
+
+    monkeypatch.setattr(krylov, "_arpack", arpack)
+    with pytest.raises(ValueError, match=match):
         generalized_eigs(A, B, mode=mode)
+    if mode in ("max", "extreme"):
+        # the loose estimate converged within one restart and the
+        # shift-invert solve above it ran out; then the estimate runs out
+        assert shifted == [False, True]
+        monkeypatch.setattr(krylov, "SHIFT_EST_TOL", 0.0)
+        shifted.clear()
+        with pytest.raises(ValueError, match=match):
+            generalized_eigs(A, B, mode=mode)
+        assert shifted == [False]
 
 
 def test_direct_and_iterative_agree(rng):
