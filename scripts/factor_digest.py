@@ -9,7 +9,11 @@ robust inner product), factors it with `krylov.SUPERNODAL_MIN = 0`, so
 that every case takes `SupernodalCholesky`, and solves two seeded
 right-hand sides.  It prints one line per case:
 
-    md5(S_P data, indices, indptr)  md5(solutions)  fill  peak_bytes  case
+    md5(mesh facets)  md5(S_P data, indices, indptr)  md5(solutions)  fill  peak_bytes  case
+
+The first field is the mesh's nested-dissection facet order, which sets
+the fill of S_P's factor: a diff there is an ordering change, and a diff
+in the later fields with equal facets is a condensation or factor change.
 
 Then, for each case in FULL_CASES, it builds the full preconditioner with
 `build_full` (default settings), one minimum-degree SuperLU factor of the
@@ -76,7 +80,8 @@ for a in (S.data, S.indices, S.indptr):
     matrix.update(a.tobytes())
 for seed in (1, 2):
     solutions.update(factor.solve(np.random.default_rng(seed).standard_normal(S.shape[0])).tobytes())
-print(matrix.hexdigest(), solutions.hexdigest(), factor.fill, factor.peak_bytes)
+print(hashlib.md5(mesh.facets.tobytes()).hexdigest(), matrix.hexdigest(),
+      solutions.hexdigest(), factor.fill, factor.peak_bytes)
 """
 
 FULL_CHILD = """

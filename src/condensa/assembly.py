@@ -572,8 +572,7 @@ def assemble_darcy(mesh, spaces, params: ProblemParams, f=None,
     ctx = _context(mesh, k)
     fixed = {}
     if p_dirichlet is not None:
-        fixed["pbar"] = interpolate_boundary(
-            build_space(mesh, "facet-scalar", k), p_dirichlet)
+        fixed["pbar"] = interpolate_boundary(spaces["pbar"], p_dirichlet)
 
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")
     nc, cs = mesh.n_cells, lay.cell_size
@@ -786,8 +785,7 @@ def assemble_stokes(mesh, spaces, params: ProblemParams, f=None,
 
     fixed = {}
     if u_dirichlet is not None:
-        fixed["ubar"] = interpolate_boundary(
-            build_space(mesh, "facet-vector", k), u_dirichlet)
+        fixed["ubar"] = interpolate_boundary(spaces["ubar"], u_dirichlet)
 
     d = mesh.dim
     usl, psl = lay.cell_field_slice("u"), lay.cell_field_slice("p")

@@ -5,15 +5,12 @@ Structured Kuhn meshes.  Default levels: n = 8, 16, 32 (2D) and 2, 4, 8
 (3D) for a sweep, 4, 8 (2D) and 2 (3D) for a spectrum; with 2D n=64 they
 span the desk-scale range.  Robustness in h and in the model parameters
 is the claim under test, not exact cell counts.  The exact factor of S_P
-eliminates in the mesh's nested-dissection facet order.  At 3D n=12
-(119,232 trace dofs, 2 CPUs) the supernodal Cholesky takes 2.2-3.4 s and
-stores 43M entries, one solve 77 ms, and the whole row 6.5-8.5 s.  At 3D
-n=16 (285,696 trace dofs, same machine) it stores 134.4M entries and
-factors in 7.0-7.8 s, and a row takes 18-22 s and 44 CG iterations.  A
-row builds its preconditioner before it assembles the scheme, so the
-row's peak comes in the scheme's condensation, while the factor is
-alive: 845 MB at n=12 and 2137 MB at n=16 (`scripts/row_peak.py`, which
-measures one row; ROADMAP item 15), about 2.5x and 2.0x the factor.
+eliminates in the mesh's nested-dissection facet order; its supernodal
+Cholesky stores 43M entries at 3D n=12 (119,232 trace dofs) and 134.4M
+at 3D n=16 (285,696 trace dofs).  A row builds its preconditioner before
+it assembles the scheme, so the row's peak comes in the scheme's
+condensation, while the factor is alive.  `scripts/row_peak.py` measures
+one row's iterations, wall time and peak memory in a fresh process.
 """
 
 from __future__ import annotations

@@ -3,14 +3,15 @@
 Hybridization makes A11 block diagonal over cells, so one batched solve
 over the stacked cell blocks gives X = A11^-1 A21^T and y = A11^-1
 rhs_cell for every cell.  Within a cell, the blocks are block diagonal
-again over the connected components of their joint pattern (one per
-velocity component and the pressure in the robust Darcy inner product):
-each component is solved on its own, and one that A21 and rhs_cell do not
-touch is only certified, its rows of X and y exact zeros.  A scheme's cell
-dofs form one component.  The trace Schur complement S = A22 - A21 X and
-the trace right-hand side rhs_trace - A21 y are all a condensed system
-keeps: X and y are released once A21 X and A21 y are formed, before S is
-scattered, so they are not alive at condensation's own peak.
+again over the connected components of their joint pattern (scipy's
+`connected_components`; one per velocity component and the pressure in
+the robust Darcy inner product): each component is solved on its own,
+and one that A21 and rhs_cell do not touch is only certified, its rows of
+X and y exact zeros.  A scheme's cell dofs form one component.  The trace
+Schur complement S = A22 - A21 X and the trace right-hand side
+rhs_trace - A21 y are all a condensed system keeps: X and y are released
+once A21 X and A21 y are formed, before S is scattered, so they are not
+alive at condensation's own peak.
 Back-substitution recovers the cells with one batched solve,
 A11^-1 (rhs_cell - A21^T xbar_local), by the same cell-solve kernel; the
 lifting matrix reads X from eliminate.  S is one COO of each cell's A22_K
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .assembly import BlockSystem, _block_triplets, _triplets_csr
 from .krylov import NotSymmetricPositiveDefinite
@@ -59,8 +61,9 @@ def eliminate(system: BlockSystem, spd: bool = False):
     """(X, y) = (A11^-1 A21^T, A11^-1 rhs_cell) for all cells in one batch.
 
     The cell dofs split into the connected components of the union of the
-    cell blocks' nonzero patterns, found once per batch; A11 is block
-    diagonal over them.  A component that A21 and rhs_cell do not touch
+    cell blocks' nonzero patterns, found once per batch by scipy's
+    `connected_components` and taken in order of their lowest dof; A11 is
+    block diagonal over them.  A component that A21 and rhs_cell do not touch
     never reaches the trace: its rows of X and y are exact zeros, and its
     blocks are only certified: factored (by Cholesky when spd, otherwise
     by a solve against zero, which still refuses a singular block) and
@@ -71,28 +74,12 @@ def eliminate(system: BlockSystem, spd: bool = False):
     the raised ValueError (NotSymmetricPositiveDefinite when spd).
     """
     a11, a21, rhs_cell = system.a11, system.a21, system.rhs_cell
-    comps = _components(a11)
+    n, label = connected_components(sp.csr_matrix(np.any(a11, axis=0)), connection="weak")
     touched = np.any(a21, axis=(0, 1)) | np.any(rhs_cell, axis=0)
-    parts = [(cols, bool(touched[cols].any())) for cols in comps]
+    parts = [(cols, bool(touched[cols].any()))
+             for cols in (np.flatnonzero(label == c) for c in range(n))]
     Xy = _solve_parts(a11, a21, rhs_cell, parts, spd)
     return Xy[:, :, :-1], Xy[:, :, -1]
-
-
-def _components(a11: np.ndarray) -> list[np.ndarray]:
-    """Connected components, as sorted dof arrays, of the graph on the cell
-    dofs that links i and j where any cell block has a nonzero (i, j) or
-    (j, i) entry: the transitive closure of a boolean matrix of at most a
-    few dozen rows, by repeated squaring."""
-    reach = np.any(a11, axis=0)
-    reach |= reach.T
-    np.fill_diagonal(reach, True)
-    while True:
-        wider = reach @ reach
-        if (wider == reach).all():
-            break
-        reach = wider
-    first = reach.argmax(axis=1)    # the lowest dof of each dof's component
-    return [np.flatnonzero(first == r) for r in np.unique(first)]
 
 
 def _solve_parts(a11, a21, rhs_cell, parts, spd: bool):

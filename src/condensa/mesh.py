@@ -67,11 +67,11 @@ class Mesh:
             raise ValueError("vertices must have shape (nv, dim)")
         if cells.ndim != 2 or cells.shape[1] != self.dim + 1:
             raise ValueError("cells must have shape (nc, dim+1)")
-        cells = _orient_positively(verts, cells, self.dim)
+        cells, det = _orient_positively(verts, cells)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "cells", cells)
         _build_connectivity(self)
-        _build_geometry(self)
+        _build_geometry(self, det)
 
     @property
     def n_cells(self) -> int:
@@ -82,7 +82,8 @@ class Mesh:
         return self.facets.shape[0]
 
 
-def _orient_positively(verts, cells, dim):
+def _orient_positively(verts, cells):
+    """The cells, positively oriented, and the determinant of each."""
     cells = cells.copy()
     e = verts[cells[:, 1:]] - verts[cells[:, :1]]
     det = np.linalg.det(e)
@@ -94,7 +95,7 @@ def _orient_positively(verts, cells, dim):
     if (np.abs(det) < 1e-14).any():
         bad = int(np.argmin(np.abs(det)))
         raise ValueError(f"degenerate cell {bad}: zero volume")
-    return cells
+    return cells, det
 
 
 def _build_connectivity(mesh: Mesh):
@@ -141,65 +142,43 @@ _DISSECTION_LEAF = 8
 def _dissection_order(verts, cells, facet_cells):
     """Facet ids in nested-dissection order (George 1973).
 
-    The cells are bisected recursively, one tree level at a time: a region
-    is cut across the longest extent of its cell centroids, at the vertex
-    coordinate nearest the median centroid (the lower one on a tie).  A
-    facet whose cells lie on one side goes to that side; a facet cut by
-    the plane is a separator and is numbered after both sides.  Regions
-    of at most _DISSECTION_LEAF facets, and regions the plane leaves
-    whole, are leaves.  Within a leaf and within a separator facets keep
-    their input order.
+    A region of cells is ordered recursively, starting from the whole
+    mesh: it is cut across the longest extent of its cell centroids, at
+    the vertex coordinate nearest the median centroid (the lower one on a
+    tie).  A facet whose cells lie on one side goes to that side; a facet
+    cut by the plane is a separator.  The side-0 facets are ordered
+    first, then the side-1 facets, each side as a region of its own, and
+    the separator facets follow.  A region of at most _DISSECTION_LEAF
+    facets, or one the plane leaves whole, is a leaf.  Within a leaf and
+    within a separator facets keep their input order.
     """
-    cell_vx = verts[cells]
-    centroids = cell_vx.mean(axis=1)
+    # coordinate-major, so that a region's coordinates along one axis are
+    # one contiguous take
+    cell_vx = np.ascontiguousarray(verts[cells].transpose(2, 0, 1))
+    centroids = cell_vx.mean(axis=2)
     c0 = facet_cells[:, 0]
     c1 = np.where(facet_cells[:, 1] < 0, c0, facet_cells[:, 1])
-    # region of each cell after each level: 2k + side in the k-th region
-    # split at that level, -1 once the cell's region is a leaf
-    region = np.zeros(cells.shape[0], dtype=np.int64)
-    regions = []
-    live = np.arange(cells.shape[0])  # cells of unfinished regions, by region
-    while live.size:
-        c_region = region[live]
-        cnt = np.bincount(c_region)
-        first = np.cumsum(cnt) - cnt
-        cen = centroids[live]
-        axis = np.argmax(np.maximum.reduceat(cen, first) - np.minimum.reduceat(cen, first),
-                         axis=1)[c_region]
-        x = cen[np.arange(live.size), axis]
-        xs = x[np.lexsort((x, c_region))]
-        median = 0.5 * (xs[first + (cnt - 1) // 2] + xs[first + cnt // 2])
-        # cut plane: the region's vertex coordinate nearest the median (the
-        # cells' vertex coordinates, flattened, stay sorted by region)
-        vx = cell_vx[live, :, axis].ravel()
-        v_region = np.repeat(c_region, cells.shape[1])
-        dist = np.abs(vx - median[v_region])
-        v_first = cells.shape[1] * first
-        nearest = np.minimum.reduceat(dist, v_first)[v_region]
-        plane = np.minimum.reduceat(np.where(dist == nearest, vx, np.inf), v_first)
-        cut = x >= plane[c_region]
-        # a region's facets are those with both cells in it
-        r0 = region[c0]
-        inside = (r0 == region[c1]) & (r0 >= 0)
-        ones = np.bincount(c_region, weights=cut)
-        split = ((np.bincount(r0[inside], minlength=cnt.size) > _DISSECTION_LEAF)
-                 & (ones > 0) & (ones < cnt))
-        keep = split[c_region]
-        region[live] = -1
-        live = live[keep]
-        region[live] = 2 * (np.cumsum(split) - 1)[c_region[keep]] + cut[keep]
-        regions.append(region.copy())
-        live = live[np.argsort(region[live], kind="stable")]
-    # per level and facet: 0 or 1 for the side it goes to, 2 for a
-    # separator, 0 in a leaf and after it is numbered; sorting on these
-    # digits, first level first, gives the order
-    regions = np.array(regions)
-    r0, r1 = regions[:, c0], regions[:, c1]
-    sep = r0 != r1
-    digit = np.where(sep, 2, np.maximum(r0, 0) % 2).astype(np.int8)
-    numbered = sep | (r0 < 0)
-    digit[np.cumsum(numbered, axis=0) > numbered] = 0
-    return np.lexsort(digit[::-1])
+    side = np.zeros(cells.shape[0], dtype=np.int8)   # 1 on side 1 of its region's last cut
+
+    def order(region, facets):
+        """The facets (both cells in region), in order, as a list of runs."""
+        if facets.size <= _DISSECTION_LEAF:
+            return [facets]
+        cen = centroids.take(region, axis=1)
+        axis = (cen.max(axis=1) - cen.min(axis=1)).argmax()
+        x = cen[axis]
+        xs = np.sort(x)
+        vx = cell_vx[axis].take(region, axis=0)
+        dist = np.abs(vx - 0.5 * (xs[(x.size - 1) // 2] + xs[x.size // 2]))
+        cut = x >= vx[dist == dist.min()].min()
+        if np.count_nonzero(cut) in (0, x.size):
+            return [facets]
+        side[region] = cut
+        n1 = side[c0[facets]] + side[c1[facets]]   # its cells on side 1; 1 for a separator
+        return (order(region[~cut], facets[n1 == 0]) + order(region[cut], facets[n1 == 2])
+                + [facets[n1 == 1]])
+
+    return np.concatenate(order(np.arange(cells.shape[0]), np.arange(facet_cells.shape[0])))
 
 
 def _facet_area_normal(verts, facets, dim):
@@ -224,10 +203,9 @@ def _longest_edge(pts):
     return np.linalg.norm(pts[:, i] - pts[:, j], axis=2).max(axis=1)
 
 
-def _build_geometry(mesh: Mesh):
+def _build_geometry(mesh: Mesh, det):
     verts, cells, dim = mesh.vertices, mesh.cells, mesh.dim
-    e = verts[cells[:, 1:]] - verts[cells[:, :1]]
-    vol = np.abs(np.linalg.det(e)) * _VOLUME_FACTOR[dim]
+    vol = np.abs(det) * _VOLUME_FACTOR[dim]
     coords = verts[cells]
     diam = _longest_edge(coords)
     area, normal = _facet_area_normal(verts, mesh.facets, dim)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,8 +165,8 @@ def test_first_separator_numbered_last(dim):
 
 
 def _recursive_dissection(verts, cells, facet_cells):
-    """Nested dissection one region at a time: the oracle of the
-    level-by-level _dissection_order."""
+    """Nested dissection with Python lists and a dict per region: the
+    oracle of _dissection_order."""
     centroids = verts[cells].mean(axis=1)
     c1 = np.where(facet_cells[:, 1] < 0, facet_cells[:, 0], facet_cells[:, 1])
 
@@ -209,3 +211,40 @@ def test_nested_dissection_numbering(dim, n, refined, origin, extent,
     path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
     write_mesh_text(m, path)
     assert np.array_equal(read_mesh_text(path).facets, m.facets)
+
+
+def _jittered(dim, n, amplitude, seed):
+    """unit_box_mesh(dim, n) with each interior vertex moved by up to
+    amplitude * h per coordinate."""
+    m = unit_box_mesh(dim, n)
+    verts = m.vertices.copy()
+    inner = np.all((verts > 0.5 / n) & (verts < 1 - 0.5 / n), axis=1)
+    rng = np.random.default_rng(seed)
+    verts[inner] += amplitude / n * rng.uniform(-1.0, 1.0, (int(inner.sum()), dim))
+    return Mesh(dim, verts, m.cells)
+
+
+@pytest.mark.parametrize("mesh", [
+    pytest.param(lambda: unit_box_mesh(2, 16), id="2d_n16"),
+    pytest.param(lambda: unit_box_mesh(2, 16, origin=(-1, -1), extent=(2, 2)), id="cavity_n16"),
+    pytest.param(lambda: unit_box_mesh(3, 4), id="3d_n4"),
+    pytest.param(lambda: _jittered(2, 16, 0.3, 5), id="2d_n16_jitter"),
+    pytest.param(lambda: _jittered(3, 4, 0.3, 5), id="3d_n4_jitter"),
+])
+def test_dissection_matches_oracle(mesh):
+    """Past the hypothesis test's n <= 3, on a cavity box and on meshes
+    whose centroids and vertex coordinates are not on a lattice."""
+    m = mesh()
+    fc = m.facet_cells[np.random.default_rng(3).permutation(m.n_facets)]
+    assert np.array_equal(_dissection_order(m.vertices, m.cells, fc),
+                          _recursive_dissection(m.vertices, m.cells, fc))
+
+
+@pytest.mark.parametrize("dim,n,digest", [
+    (2, 8, "a788f9a07c14d01222176c3a35e809fc"),
+    (3, 4, "7532eebbf45486d89f8631f5d13b53f8"),
+])
+def test_facet_order_pinned(dim, n, digest):
+    """The facet order sets the fill of every S_P factor: a change that
+    moves it moves every factor, and must update this pin on purpose."""
+    assert hashlib.md5(unit_box_mesh(dim, n).facets.tobytes()).hexdigest() == digest

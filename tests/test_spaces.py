@@ -72,6 +72,22 @@ def test_interpolate_linear_against_mass_solve(dim):
         assert np.abs(fv @ c[entity_dofs(sp, f)] - pts[:, 0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["facet-scalar", "facet-vector"])
+def test_interpolate_ignores_the_boundary_mask(dim, kind):
+    """The projection on a zero_boundary space, as assembly passes it, is
+    the unmasked space's bit for bit."""
+    mesh = unit_box_mesh(dim, 3)
+
+    def g(x):
+        v = np.sin(x @ np.arange(1.0, dim + 1))
+        return v if kind == "facet-scalar" else v[:, None] * np.arange(1.0, dim + 1)
+
+    masked = interpolate_boundary(build_space(mesh, kind, 2, zero_boundary=True), g)
+    full = interpolate_boundary(build_space(mesh, kind, 2), g)
+    assert masked.any() and masked.tobytes() == full.tobytes()
+
+
 def test_masked_function_vanishes_on_boundary():
     mesh = unit_box_mesh(2, 2)
     sp = build_space(mesh, "facet-scalar", 2, zero_boundary=True)
