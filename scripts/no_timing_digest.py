@@ -2,7 +2,9 @@
 
     python3 scripts/no_timing_digest.py SRC_DIR
 
-runs each sweep below in csv, md and json, plus the default Darcy, the
+runs each sweep below in csv, md and json (degree 2 unless a sweep sets
+--k; the last three cover k=1, k=3 and the 3D Stokes manufactured
+solution), plus the default Darcy, the
 `--problem stokes` and the counterexample spectrum CSVs, with
 PYTHONPATH=SRC_DIR, and prints one `md5  argv` line per run (a nonzero
 exit other than 2, the code of a failed row or case, ends the script).
@@ -40,6 +42,11 @@ SWEEPS = (
     "darcy-manufactured --dim 3 --levels 8",
     "stokes-manufactured --levels 32",
     "darcy-manufactured --levels 64 --xi 1e-6 --gamma 1e4",
+    # the dof map at other degrees and in 3D Stokes: k=1 and k=3 change nb
+    # (k=3 takes the extended-precision basis), 3D Stokes ncomp = 3
+    "darcy-manufactured --k 1 --levels 8",
+    "stokes-manufactured --k 3 --levels 4 --nu 1,1e-6",
+    "stokes-manufactured --dim 3 --levels 2",
 )
 SPECTRA = ("spectrum", "spectrum --problem stokes",
            "spectrum --precond counterexample --levels 4")

@@ -53,7 +53,6 @@ __all__ = [
     "assemble_stokes_inner",
     "assemble_counterexample_inner",
     "assemble_stokes_ch",
-    "qpair_matrix",
     "constant_trace_vector",
 ]
 
@@ -279,11 +278,6 @@ class BlockSystem:
         ids = self.tids[:, :m * s].reshape(nc * m, s)
         return _block_triplets(self.a22b.reshape(nc * m, s, s), ids, ids)
 
-    @property
-    def a22(self) -> sp.csr_matrix:
-        """A22 as a CSR matrix, built from its blocks."""
-        return _triplets_csr([self.a22_triplets()], (self.n_trace,) * 2)
-
     def to_sparse(self) -> sp.csr_matrix:
         lay = self.layout
         nc, cs = self.a11.shape[:2]
@@ -298,6 +292,13 @@ class BlockSystem:
             cc = self.coupling.tocoo()
             parts.append((cc.row, cc.col, cc.data))
         return _triplets_csr(parts, (lay.n_total,) * 2)
+
+    def submatrix(self, *rows: str, cols=None) -> sp.csr_matrix:
+        """The monolithic matrix restricted to the named row fields and
+        column fields (the row fields when cols is None), each in
+        BlockLayout.indices order."""
+        r = self.layout.indices(*rows)
+        return self.to_sparse()[r][:, r if cols is None else self.layout.indices(*cols)]
 
 
 # ----------------------------------------------------------------------
@@ -354,9 +355,7 @@ def _trace_ids(lay: BlockLayout, fixed: dict):
     fids = lay.mesh.cell_facets
     ids, vals = [], []
     for name, spc in lay.trace_fields:
-        comp = np.arange(spc.ncomp)[:, None]
-        full = ((fids[:, :, None, None] * spc.ncomp + comp) * spc.nb
-                + np.arange(spc.nb)).reshape(fids.shape[0], -1)
+        full = spc.dofs(fids).reshape(fids.shape[0], -1)
         free = spc.full_to_free[full]
         off, _ = lay.trace_field_range(name)
         ids.append(np.where(free >= 0, free + off, -1))
@@ -822,14 +821,14 @@ def _boundary_flux_load(ctx, lay, g):
     u = g on the boundary."""
     mesh = ctx.mesh
     bf = np.nonzero(mesh.boundary_flags)[0]  # stored normals point outward here
-    d, nbf = mesh.dim, ctx.nbf
+    d = mesh.dim
     gv = np.asarray(g(ctx.Xf[bf].reshape(-1, d)), dtype=float).reshape(bf.size, -1, d)
     gn = (gv @ mesh.facet_normals[bf][:, :, None])[:, :, 0]
     load = (ctx.fscale[bf, None] * ctx.frule.weights[None, :] * gn) @ ctx.fv
     pbar = dict(lay.trace_fields)["pbar"]
     off, _ = lay.trace_field_range("pbar")
     out = np.zeros(lay.n_trace)
-    out[off + pbar.full_to_free[bf[:, None] * nbf + np.arange(nbf)]] = load
+    out[off + pbar.full_to_free[pbar.dofs(bf)]] = load
     return out
 
 
@@ -894,7 +893,7 @@ def constant_trace_vector(space) -> np.ndarray:
     dof of each facet)."""
     mesh = space.mesh
     full = np.zeros(space.ndofs)
-    full[::space.nb] = np.sqrt(reference_measure(mesh.dim - 1))
+    full[space.dofs(np.arange(mesh.n_facets))[:, 0]] = np.sqrt(reference_measure(mesh.dim - 1))
     return full[space.free_to_full]
 
 
@@ -903,17 +902,6 @@ def constant_pressure_vector(layout: BlockLayout) -> np.ndarray:
     Stokes kernel."""
     mesh = layout.mesh
     x = np.zeros(layout.n_total)
-    psl = layout.cell_field_slice("p")
-    cells = x[: layout.n_cell_total].reshape(mesh.n_cells, layout.cell_size)
-    cells[:, psl.start] = np.sqrt(reference_measure(mesh.dim))
-    off, end = layout.trace_field_range("pbar")
-    pbar = dict(layout.trace_fields)["pbar"]
-    x[layout.n_cell_total + off: layout.n_cell_total + end] = constant_trace_vector(pbar)
+    x[layout.indices("p").reshape(mesh.n_cells, -1)[:, 0]] = np.sqrt(reference_measure(mesh.dim))
+    x[layout.indices("pbar")] = constant_trace_vector(dict(layout.trace_fields)["pbar"])
     return x
-
-
-def qpair_matrix(system: BlockSystem) -> sp.csr_matrix:
-    """Monolithic sparse matrix restricted to the (p, pbar) pair of a
-    Darcy-type system (u rows/columns dropped)."""
-    keep = system.layout.indices("p", "pbar")
-    return system.to_sparse().tocsr()[keep][:, keep]

@@ -83,7 +83,9 @@ class Mesh:
 
 
 def _orient_positively(verts, cells):
-    """The cells, positively oriented, and the determinant of each."""
+    """The cells, positively oriented, and the determinant of each.  A
+    cell is degenerate when |det| <= 1e-10 times the product of its edge
+    lengths from vertex 0, a bound that does not depend on the mesh scale."""
     cells = cells.copy()
     e = verts[cells[:, 1:]] - verts[cells[:, :1]]
     det = np.linalg.det(e)
@@ -92,9 +94,9 @@ def _orient_positively(verts, cells):
         cells[flip, -1], cells[flip, -2] = cells[flip, -2].copy(), cells[flip, -1].copy()
         e = verts[cells[:, 1:]] - verts[cells[:, :1]]
         det = np.linalg.det(e)
-    if (np.abs(det) < 1e-14).any():
-        bad = int(np.argmin(np.abs(det)))
-        raise ValueError(f"degenerate cell {bad}: zero volume")
+    flat = np.abs(det) <= 1e-10 * np.prod(np.linalg.norm(e, axis=2), axis=1)
+    if flat.any():
+        raise ValueError(f"degenerate cell {int(np.argmax(flat))}: zero volume")
     return cells, det
 
 

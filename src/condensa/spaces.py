@@ -1,7 +1,9 @@
 """Discrete spaces: cell-wise discontinuous and facet (trace) spaces.
 
 Cell spaces never share dofs between cells; facet spaces share each
-facet's dofs between its (at most two) adjacent cells.  Spaces built with
+facet's dofs between its (at most two) adjacent cells.  A space numbers
+its dofs by (entity, component, basis function), and FunctionSpace.dofs
+is the one place that spells this out.  Spaces built with
 ``zero_boundary=True`` exclude the boundary-facet dofs from the free set;
 their values are supplied by interpolation of Dirichlet data and lifted
 into the right-hand side during assembly.
@@ -28,18 +30,15 @@ class FunctionSpace:
     ncomp: int
     nb: int  # scalar basis functions per entity
     ndofs: int
-    boundary_dofs: np.ndarray
     zero_boundary: bool
     full_to_free: np.ndarray = field(init=False)
     free_to_full: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        free = np.ones(self.ndofs, dtype=bool)
         if self.zero_boundary:
-            mask = np.ones(self.ndofs, dtype=bool)
-            mask[self.boundary_dofs] = False
-            free_to_full = np.nonzero(mask)[0]
-        else:
-            free_to_full = np.arange(self.ndofs)
+            free[self.dofs(np.flatnonzero(self.mesh.boundary_flags))] = False
+        free_to_full = np.flatnonzero(free)
         full_to_free = np.full(self.ndofs, -1, dtype=np.int64)
         full_to_free[free_to_full] = np.arange(free_to_full.size)
         object.__setattr__(self, "full_to_free", full_to_free)
@@ -53,6 +52,12 @@ class FunctionSpace:
     def is_facet(self) -> bool:
         return self.kind.startswith("facet")
 
+    def dofs(self, entities) -> np.ndarray:
+        """Full dof ids of the given cells (cell kinds) or facets (facet
+        kinds): entities.shape + (ncomp*nb,), by (component, basis function)."""
+        n = self.ncomp * self.nb
+        return np.asarray(entities)[..., None] * n + np.arange(n)
+
 
 def build_space(mesh, kind: str, degree: int, zero_boundary: bool = False) -> FunctionSpace:
     """Build V_h/Q_h (cell kinds) or the trace spaces (facet kinds)."""
@@ -62,22 +67,12 @@ def build_space(mesh, kind: str, degree: int, zero_boundary: bool = False) -> Fu
         raise ValueError(f"unsupported degree {degree} for {kind}")
     ncomp = mesh.dim if kind.endswith("vector") else 1
     if kind.startswith("cell"):
-        nb = pk_dim(mesh.dim, degree)
-        n_entities = mesh.n_cells
         if zero_boundary:
             raise ValueError("cell spaces carry no boundary trace dofs")
-        boundary = np.empty(0, dtype=np.int64)
+        nb, n_entities = pk_dim(mesh.dim, degree), mesh.n_cells
     else:
-        nb = pk_dim(mesh.dim - 1, degree)
-        n_entities = mesh.n_facets
-        bfacets = np.nonzero(mesh.boundary_flags)[0]
-        boundary = (
-            (bfacets[:, None] * ncomp * nb)
-            + np.arange(ncomp * nb)[None, :]
-        ).ravel()
-    ndofs = n_entities * ncomp * nb
-    return FunctionSpace(mesh, kind, degree, ncomp, nb, ndofs,
-                         np.sort(boundary), zero_boundary)
+        nb, n_entities = pk_dim(mesh.dim - 1, degree), mesh.n_facets
+    return FunctionSpace(mesh, kind, degree, ncomp, nb, n_entities * ncomp * nb, zero_boundary)
 
 
 def interpolate_boundary(space: FunctionSpace, g) -> np.ndarray:
@@ -104,7 +99,7 @@ def interpolate_boundary(space: FunctionSpace, g) -> np.ndarray:
     # orthonormal reference basis: the facet mass solve reduces to the
     # weighted sum (the affine scale factor cancels between mass and load)
     coef = np.einsum("q,fqc,qm->fcm", rule.weights, gv, fvals)
-    out.reshape(mesh.n_facets, -1)[bfacets] = coef.reshape(bfacets.size, -1)
+    out[space.dofs(bfacets)] = coef.reshape(bfacets.size, -1)
     return out
 
 

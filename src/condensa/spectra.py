@@ -40,8 +40,7 @@ import scipy.sparse as sp
 from .assembly import (BlockSystem, ProblemParams, aux_spaces, assemble_aux_hdg,
                        assemble_darcy, assemble_darcy_inner, assemble_stokes,
                        assemble_stokes_ch, assemble_stokes_inner, darcy_spaces,
-                       qpair_matrix, stokes_spaces, _block_triplets, _blockdiag,
-                       _triplets_csr)
+                       stokes_spaces, _block_triplets, _blockdiag, _triplets_csr)
 from .condense import condense, condense_precond, eliminate
 from .krylov import KERNEL_RTOL, generalized_eigs
 from .mesh import unit_box_mesh
@@ -156,8 +155,7 @@ def _probe_aux_coercivity(mesh, params):
     spaces = aux_spaces(mesh, params.k)
     aux = assemble_aux_hdg(mesh, spaces, params)
     inner = assemble_darcy_inner(mesh, darcy_spaces(mesh, params.k), params)
-    Npair = qpair_matrix(inner)
-    lo, hi = generalized_eigs(aux.to_sparse(), Npair, mode="extreme")
+    lo, hi = generalized_eigs(aux.to_sparse(), inner.submatrix("p", "pbar"), mode="extreme")
     return {"aux_coercivity_lo": lo, "aux_coercivity_hi": hi}
 
 
@@ -180,17 +178,12 @@ def _probe_inf_sup_darcy(mesh, params):
     spaces = darcy_spaces(mesh, k)
     one = ProblemParams(k=k, xi=1.0, gamma=0.0, eta=params.eta_for(mesh.dim))
     system = assemble_darcy(mesh, spaces, one)
-    lay = system.layout
-    uidx = lay.indices("u")
-    keep = lay.indices("p", "pbar")
-    K = system.to_sparse().tocsr()
     # momentum rows are stored negated: b_h(v, qpair) = -(K restricted)
-    B = (-K[uidx][:, keep]).tocsr()
-    ctx = system.context
+    B = -system.submatrix("u", cols=("p", "pbar"))
     # plain L2 velocity mass is diagonal for the orthonormal basis
-    minv = sp.diags(np.repeat(1.0 / ctx.detJa, uidx.size // mesh.n_cells))
+    minv = sp.diags(np.repeat(1.0 / system.context.detJa, B.shape[0] // mesh.n_cells))
     S = (B.T @ (minv @ B)).tocsr()
-    Npair = qpair_matrix(assemble_darcy_inner(mesh, spaces, one))
+    Npair = assemble_darcy_inner(mesh, spaces, one).submatrix("p", "pbar")
     lo = generalized_eigs(S, Npair, mode="min")
     return {"beta": float(np.sqrt(max(lo, 0.0)))}
 
@@ -200,10 +193,7 @@ def _probe_stokes_ch_coercivity(mesh, params):
     spaces = stokes_spaces(mesh, params.k)
     ch = assemble_stokes_ch(mesh, spaces, params)
     inner = assemble_stokes_inner(mesh, spaces, params)
-    # velocity-pair submatrix of the inner product
-    keep = inner.layout.indices("u", "ubar")
-    Pv = inner.to_sparse().tocsr()[keep][:, keep]
-    lo, hi = generalized_eigs(ch.to_sparse(), Pv, mode="extreme")
+    lo, hi = generalized_eigs(ch.to_sparse(), inner.submatrix("u", "ubar"), mode="extreme")
     return {"ch_coercivity_lo": lo, "ch_coercivity_hi": hi}
 
 
@@ -263,10 +253,8 @@ def _probe_stokes_lifting(mesh, params):
     inner = assemble_stokes_inner(mesh, spaces, params)
     G = _lifted_energy(system, inner)
     S_C = condense_precond(assemble_stokes_ch(mesh, spaces, params)).S
-    lay = system.layout
-    off, end = lay.trace_field_range("pbar")
     # the pbar block of the inner product has no cell coupling: S_Pp = P22^p
-    S_Pp = inner.a22[off:end, off:end]
+    S_Pp = inner.submatrix("pbar")
     R = sp.block_diag([eta**2 * S_C, eta * S_Pp]).tocsr()
     return {"stokes_lifting_bound": generalized_eigs(G, R, mode="max")}
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from condensa import assembly
 from condensa.assembly import (ElementContext, ProblemParams, _block_triplets, _blockdiag,
-                               _coef, _gemm, assemble_aux_hdg,
+                               _coef, _gemm, _triplets_csr, assemble_aux_hdg,
                                assemble_counterexample_inner, assemble_darcy,
                                assemble_darcy_inner, assemble_stokes,
                                assemble_stokes_ch, assemble_stokes_inner,
@@ -214,12 +214,11 @@ def test_aux_symmetric_and_constant_kernel():
 def test_aux_rayleigh_bounded_across_levels():
     # a~(q,q) / |||q|||_qD^2 within fixed positive bounds on 8 and 128 cells
     from condensa.krylov import generalized_eigs
-    from condensa.assembly import qpair_matrix
     for n in (2, 4):
         params = ProblemParams(k=2, xi=1.0, gamma=1.0)
         mesh = unit_box_mesh(2, n)
         aux = assemble_aux_hdg(mesh, aux_spaces(mesh, 2), params)
-        N = qpair_matrix(assemble_darcy_inner(mesh, darcy_spaces(mesh, 2), params))
+        N = assemble_darcy_inner(mesh, darcy_spaces(mesh, 2), params).submatrix("p", "pbar")
         lo, hi = generalized_eigs(aux.to_sparse(), N, mode="extreme")
         assert 0.2 < lo < 1.0 < hi < 2.5
 
@@ -341,7 +340,7 @@ def test_counterexample_trace_block_energy():
     nbf = spaces["pbar"].nb
     x = np.zeros(ce.n_trace)
     x[0::nbf] = 1.0
-    got = x @ (ce.a22 @ x)
+    got = x @ (ce.submatrix("pbar") @ x)
     f = int(np.nonzero(~mesh.boundary_flags)[0][0])
     h1, h2 = mesh.diameters[mesh.facet_cells[f]]
     oracle = 2.0 * (h1 + h2) * mesh.facet_areas[f]
@@ -863,3 +862,38 @@ def test_global_matrices_are_one_coo(dim, n):
             _check_one_coo(S, sparse_addition_oracle(system, spd), _contributed(system, spd))
     K = systems["darcy"][0].to_sparse()
     assert K.nnz and (K.data != 0).all()
+
+
+# ----------------------------------------------------------------------
+# field blocks of the monolithic matrix
+
+
+@pytest.mark.parametrize("rows,cols", [
+    pytest.param(("u",), ("p", "pbar"), id="rectangular"),
+    pytest.param(("pbar", "p"), None, id="square"),
+])
+def test_submatrix_restricts_to_sparse(rows, cols):
+    """submatrix(*rows, cols=...) is to_sparse() restricted to the fields'
+    BlockLayout.indices, rows and columns in argument order."""
+    _, _, _, system, _ = darcy_problem(2, 2)
+    lay = system.layout
+    r = lay.indices(*rows)
+    c = r if cols is None else lay.indices(*cols)
+    got = system.submatrix(*rows, cols=cols)
+    assert got.format == "csr" and got.shape == (r.size, c.size) and got.nnz
+    assert np.array_equal(got.toarray(), system.to_sparse().toarray()[np.ix_(r, c)])
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
+def test_trace_submatrix_is_a22_bitwise(dim, n):
+    """The trace fields' block of to_sparse() is A22 built from its own
+    triplets, bit for bit: no trace-trace position gets a contribution
+    from a21 or the coupling, and none gets more than two (one per cell)."""
+    systems = _all_assemblers(dim, n)
+    for name in ("darcy-inner", "counterexample", "stokes-inner", "stokes-inner-hat"):
+        system = systems[name][0]
+        got = system.submatrix(*[f for f, _ in system.layout.trace_fields])
+        a22 = _triplets_csr([system.a22_triplets()], (system.n_trace,) * 2)
+        assert np.array_equal(got.indptr, a22.indptr), name
+        assert np.array_equal(got.indices, a22.indices), name
+        assert got.data.tobytes() == a22.data.tobytes(), name

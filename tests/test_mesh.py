@@ -248,3 +248,32 @@ def test_facet_order_pinned(dim, n, digest):
     """The facet order sets the fill of every S_P factor: a change that
     moves it moves every factor, and must update this pin on purpose."""
     assert hashlib.md5(unit_box_mesh(dim, n).facets.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("extent", [1e-4, 1e4])
+@pytest.mark.parametrize("height", [0.0, 1e-12])
+def test_degeneracy_is_scale_free(extent, height):
+    """A box of any size is accepted, and a cell with a vertex moved onto
+    its opposite facet, or to 1e-12 of its height above it, is refused at
+    any size."""
+    m = unit_box_mesh(3, 8, extent=(extent,) * 3)
+    assert abs(m.volumes.sum() - extent**3) <= 1e-12 * extent**3
+    verts = m.vertices.copy()
+    cell = m.cells[100]
+    foot = verts[cell[1:]].mean(axis=0)
+    verts[cell[0]] = foot + height * (verts[cell[0]] - foot)
+    with pytest.raises(ValueError, match="degenerate cell 100: zero volume"):
+        Mesh(3, verts, m.cells)
+
+
+def test_dissection_tie_goes_to_side_1():
+    """A strip of 5 triangles whose centroids lie at x = 1..5: the first
+    cut is the vertex coordinate x = 3, the centroid of the middle cell.
+    That cell goes to side 1, so the separator numbered last is the edge
+    it shares with its left neighbour, (2, 0)-(3, 1)."""
+    verts = np.array([[x, x % 2] for x in range(7)], dtype=float)
+    cells = np.array([[x, x + 1, x + 2] for x in range(5)])
+    m = Mesh(2, verts, cells)
+    assert m.n_facets > 8
+    assert np.array_equal(m.vertices[m.cells].mean(axis=1)[:, 0], [1, 2, 3, 4, 5])
+    assert m.facets[-1].tolist() == [2, 3]

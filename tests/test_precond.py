@@ -117,7 +117,7 @@ def test_reduced_counterexample_against_dense_inverse(rng):
     op = build_reduced(PreconditionerSpec("darcy", "counterexample", "reduced"),
                        mesh, spaces, params)
     ce = assemble_counterexample_inner(mesh, spaces, params)
-    Sdense = ce.a22.toarray()
+    Sdense = ce.submatrix("pbar").toarray()
     r = rng.standard_normal(op.n)
     assert np.abs(op.apply(r) - np.linalg.solve(Sdense, r)).max() \
         <= 1e-12 * np.abs(r).max()

@@ -135,8 +135,7 @@ def test_block_layout_round_trip():
     assert np.array_equal(layout.indices("pbar", "p"),
                           np.concatenate([layout.indices("pbar"), layout.indices("p")]))
     with pytest.raises(ValueError):
-        global_index(layout, "trace", "pbar", int(pbar.boundary_dofs[0]) // pbar.nb,
-                     int(pbar.boundary_dofs[0]) % pbar.nb)
+        global_index(layout, "trace", "pbar", int(np.flatnonzero(mesh.boundary_flags)[0]), 0)
 
 
 def test_split_views():
@@ -149,3 +148,41 @@ def test_split_views():
     assert cells.shape == (2, 3)
     assert trace.shape == (3,)
     assert cells[1, 2] == 5.0
+
+
+@pytest.mark.parametrize("dim,n", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("kind", ["cell-scalar", "cell-vector", "facet-scalar", "facet-vector"])
+def test_dofs_match_the_index_formulas(dim, n, kind):
+    """dofs(entities) is each entity's entity_dofs and, in a layout of the
+    space alone, global_index of (entity, local dof), for any array of
+    entities."""
+    mesh = unit_box_mesh(dim, n)
+    space = build_space(mesh, kind, 2)
+    if space.is_facet:
+        group, n_ent = "trace", mesh.n_facets
+        layout = BlockLayout(mesh, (), (("x", space),))
+    else:
+        group, n_ent = "cell", mesh.n_cells
+        layout = BlockLayout(mesh, (("x", space),), ())
+    ids = space.dofs(np.arange(n_ent))
+    assert ids.shape == (n_ent, space.ncomp * space.nb)
+    for e in range(n_ent):
+        assert np.array_equal(ids[e], entity_dofs(space, e))
+        assert ids[e].tolist() == [global_index(layout, group, "x", e, j)
+                                   for j in range(ids.shape[1])]
+    assert np.array_equal(np.sort(ids.ravel()), np.arange(space.ndofs))
+    # the facets of each cell, or the two cells of each interior facet
+    entities = mesh.cell_facets if space.is_facet else mesh.facet_cells[~mesh.boundary_flags]
+    assert np.array_equal(space.dofs(entities), ids[entities])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["facet-scalar", "facet-vector"])
+def test_zero_boundary_fixes_the_boundary_facet_dofs(dim, kind):
+    mesh = unit_box_mesh(dim, 2)
+    space = build_space(mesh, kind, 2, zero_boundary=True)
+    for f in range(mesh.n_facets):
+        assert (space.full_to_free[entity_dofs(space, f)] < 0).tolist() == \
+            [bool(mesh.boundary_flags[f])] * space.ncomp * space.nb
+    assert np.array_equal(space.full_to_free[space.free_to_full], np.arange(space.n_free))
+    assert build_space(mesh, kind, 2).n_free == space.ndofs
